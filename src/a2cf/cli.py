@@ -257,6 +257,7 @@ def _cmd_evaluate(args) -> int:
     evaluation.write_metrics_report(path, report)
     for name, value in report.metrics.items():
         print(f"{name}={value:.4f}")
+    print(f"negatives={report.negatives} requested={report.requested}")
     print(f"metrics: {path}")
     return 0
 

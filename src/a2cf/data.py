@@ -11,6 +11,7 @@ import io
 import logging
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib import format as npformat
@@ -142,6 +143,23 @@ class Corpus:
         for items in self.user_items:
             for v in items:
                 self.popularity[v] += 1
+
+    @cached_property
+    def sampling_tables(self) -> tuple:
+        """(bought, substitute): boolean matrices of shape (n_users, n_items)
+        and (n_items, n_items) for vectorized negative rejection.
+
+        Built on first use, which only training makes, and kept with the
+        corpus: n_users*n_items + n_items**2 bytes.
+        """
+        bought = np.zeros((self.n_users, self.n_items), dtype=bool)
+        users, items = np.reshape(self.interactions, (-1, 2)).T
+        bought[users, items] = True
+        subst = np.zeros((self.n_items, self.n_items), dtype=bool)
+        a, b = np.reshape(self.substitute_pairs, (-1, 2)).T
+        subst[a, b] = True
+        subst[b, a] = True
+        return bought, subst
 
     @property
     def n_users(self) -> int:

@@ -99,6 +99,8 @@ def relevant_attributes(corpus: Corpus) -> dict:
 class ProtocolReport:
     metrics: dict                   # name -> float, in output order
     cases: int
+    negatives: int                  # negatives each case really ranked against
+    requested: int                  # negatives asked for
 
 
 def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
@@ -162,7 +164,8 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
     for k in ks:
         metrics[f"NDCG@{k}"] = ndcg_sums[k] / n
     metrics["ATC"] = atc(map_cases, ndcg_full_cases)
-    return ProtocolReport(metrics=metrics, cases=n)
+    return ProtocolReport(metrics=metrics, cases=n, negatives=pool_size,
+                          requested=negatives)
 
 
 def write_metrics_report(path: str, report: ProtocolReport) -> None:

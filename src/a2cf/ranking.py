@@ -18,7 +18,7 @@ from .config import TrainConfig
 from .data import Corpus
 from .matrices import SparseAttributeMatrix
 from .network import (GradientBuffer, ModelParams, predict_item_attr_batch,
-                      predict_user_attr_batch)
+                      predict_user_attr_batch, scatter_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -106,6 +106,7 @@ def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
     y_j = est.item_attr[items]
     phi = softmax((y_q * y_j) / cfg.subst_temp, axis=-1)
     f_s = (v_q * v_j) @ w_s[:d]
+    agg_s = agg_p = None
     if cfg.subst_use_attrs:
         agg_s = phi @ params.attr_emb
         f_s = f_s + agg_s @ w_s[d:]
@@ -119,38 +120,46 @@ def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
 
     g = cfg.subst_weight
     scores = g * f_s + (1.0 - g) * f_p
-    cache = (users, queries, items, u_i, v_q, v_j, phi, lam)
+    cache = (users, queries, items, u_i, v_q, v_j, phi, lam, agg_s, agg_p)
     return scores, cache
 
 
-def _score_rows_backward(params: ModelParams, cfg: TrainConfig, cache,
-                         upstream: np.ndarray, grads: GradientBuffer) -> None:
-    """Accumulate d(sum upstream_b * score_b)/d(params) into `grads`.
+def _score_rows_backward(params: ModelParams, cfg: TrainConfig, parts,
+                         grads: GradientBuffer) -> None:
+    """Accumulate d(sum_b upstream_b * score_b)/d(params) into `grads`, summed
+    over `parts`, a sequence of (cache, upstream) pairs.
 
-    Completed matrix rows are constants here by contract: the estimation step
-    is refreshed between phases, not differentiated through.
+    The embedding-row contributions of all parts are gathered and scattered
+    with one ordered bincount per tensor, so each row sums them in the order
+    np.add.at would, part by part. Completed matrix rows are constants here
+    by contract: the estimation step is refreshed between phases, not
+    differentiated through.
     """
-    users, queries, items, u_i, v_q, v_j, phi, lam = cache
     d = params.embed_dim
     w_s, w_p = params.subst_proj, params.pers_proj
-    g_s = (upstream * cfg.subst_weight)[:, None]
-    g_p = (upstream * (1.0 - cfg.subst_weight))[:, None]
+    item_rows, item_grads, user_rows, user_grads = [], [], [], []
+    for cache, upstream in parts:
+        users, queries, items, u_i, v_q, v_j, phi, lam, agg_s, agg_p = cache
+        g_s = (upstream * cfg.subst_weight)[:, None]
+        g_p = (upstream * (1.0 - cfg.subst_weight))[:, None]
 
-    grads.subst_proj[:d] += (g_s * (v_q * v_j)).sum(axis=0)
-    np.add.at(grads.item_emb, queries, g_s * (w_s[:d] * v_j))
-    np.add.at(grads.item_emb, items, g_s * (w_s[:d] * v_q))
-    if cfg.subst_use_attrs:
-        agg_s = phi @ params.attr_emb
-        grads.subst_proj[d:] += (g_s * agg_s).sum(axis=0)
-        grads.attr_emb += phi.T @ (g_s * w_s[None, d:])
+        grads.subst_proj[:d] += (g_s * (v_q * v_j)).sum(axis=0)
+        item_rows += [queries, items]
+        item_grads += [g_s * (w_s[:d] * v_j), g_s * (w_s[:d] * v_q)]
+        if cfg.subst_use_attrs:
+            grads.subst_proj[d:] += (g_s * agg_s).sum(axis=0)
+            grads.attr_emb += phi.T @ (g_s * w_s[None, d:])
 
-    grads.pers_proj[:d] += (g_p * (u_i * v_j)).sum(axis=0)
-    np.add.at(grads.user_emb, users, g_p * (w_p[:d] * v_j))
-    np.add.at(grads.item_emb, items, g_p * (w_p[:d] * u_i))
-    if cfg.pers_use_attrs:
-        agg_p = lam @ params.attr_emb
-        grads.pers_proj[d:] += (g_p * agg_p).sum(axis=0)
-        grads.attr_emb += lam.T @ (g_p * w_p[None, d:])
+        grads.pers_proj[:d] += (g_p * (u_i * v_j)).sum(axis=0)
+        user_rows.append(users)
+        user_grads.append(g_p * (w_p[:d] * v_j))
+        item_rows.append(items)
+        item_grads.append(g_p * (w_p[:d] * u_i))
+        if cfg.pers_use_attrs:
+            grads.pers_proj[d:] += (g_p * agg_p).sum(axis=0)
+            grads.attr_emb += lam.T @ (g_p * w_p[None, d:])
+    grads.item_emb += scatter_rows(len(grads.item_emb), item_rows, item_grads)
+    grads.user_emb += scatter_rows(len(grads.user_emb), user_rows, user_grads)
 
 
 def score_substitution(query: int, item: int, params: ModelParams,
@@ -198,30 +207,58 @@ def score_candidates(params: ModelParams, est: EstimatedMatrices,
     return scores
 
 
-def sample_negatives(user: int, query: int, corpus: Corpus, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` negatives uniformly over items, rejecting only candidates
-    that are both interacted by the user and substitutes of the query.
+def sample_negatives(users: np.ndarray, queries: np.ndarray, corpus: Corpus,
+                     count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` negatives per (user, query) row, uniformly over items,
+    rejecting only candidates that are both interacted by the user and
+    substitutes of the query. Returns a (len(users), count) array.
 
-    Raises RuntimeError once the rejection budget (NEGATIVE_SAMPLE_FACTOR per
-    requested negative) is exhausted.
+    The result and the rng state afterwards are those of drawing one item at
+    a time with rng.integers(n_items), row after row, until each row has
+    `count` accepted: one rng call draws every slot still missing, and after
+    a rejection the later draws move one slot on.
+
+    Raises RuntimeError once a row has spent its rejection budget
+    (NEGATIVE_SAMPLE_FACTOR per requested negative).
     """
-    interacted = corpus.user_items[user]
-    subs = corpus.substitutes[query]
-    out = np.empty(count, dtype=np.int64)
-    found = 0
+    users = np.asarray(users, dtype=np.int64)
+    queries = np.asarray(queries, dtype=np.int64)
+    bought, subst = corpus.sampling_tables
+    n_items = corpus.n_items
+    forbidden = (bought[users] & subst[queries]).ravel()
+    total = len(users) * count
+    out = np.empty(total, dtype=np.int64)
     budget = NEGATIVE_SAMPLE_FACTOR * count
-    for _ in range(budget):
-        cand = int(rng.integers(corpus.n_items))
-        if cand in interacted and cand in subs:
-            continue
-        out[found] = cand
-        found += 1
-        if found == count:
-            return out
-    raise RuntimeError(
-        f"negative sampling for user {user}, query {query} exhausted "
-        f"{budget} draws; corpus too degenerate")
+    filled = 0      # slots fill in row-major order; first empty slot
+    spent = 0       # draws already made for the row of slot `filled`
+    while filled < total:
+        # never draw past the point where the current row's budget runs out
+        size = min(total - filled, budget - spent)
+        draws = rng.integers(n_items, size=size)
+        # A draw's slot depends on the rejections before it, and whether it
+        # is rejected depends on its slot's row. Iterate to the fixed point:
+        # each pass settles at least one more draw.
+        unshifted = filled + np.arange(size)
+        rejected = np.zeros(size, dtype=bool)
+        while True:
+            slot = unshifted - (np.cumsum(rejected) - rejected)
+            row = slot // count
+            now = forbidden[row * n_items + draws]
+            if np.array_equal(now, rejected):
+                break
+            rejected = now
+        out[slot[~rejected]] = draws[~rejected]
+        first_row = filled // count
+        filled += size - int(rejected.sum())
+        cur = filled // count
+        spent = ((spent if cur == first_row else 0)
+                 + int(np.count_nonzero(row == cur)))
+        if spent >= budget:
+            raise RuntimeError(
+                f"negative sampling for user {users[cur]}, query "
+                f"{queries[cur]} exhausted {budget} draws; corpus too "
+                f"degenerate")
+    return out.reshape(len(users), count)
 
 
 def bpr_s_loss(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
@@ -247,8 +284,8 @@ def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
     # d/dm of softplus(-m) is sigmoid(m) - 1
     up_pos = expit(margins) - 1.0
     grads = GradientBuffer.zeros_like(params)
-    _score_rows_backward(params, cfg, pos_cache, up_pos, grads)
-    _score_rows_backward(params, cfg, neg_cache, -up_pos, grads)
+    _score_rows_backward(params, cfg,
+                         ((pos_cache, up_pos), (neg_cache, -up_pos)), grads)
     return loss, grads
 
 

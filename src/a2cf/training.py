@@ -20,7 +20,7 @@ from .config import RunConfig, TrainConfig
 from .data import Corpus, SplitTriplets
 from .matrices import build_matrices
 from .network import (AdamState, ModelParams, adam_step, init_params,
-                      phase1_forward_backward)
+                      params_tensor_names, phase1_forward_backward)
 from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
                       estimate_matrices, sample_negatives)
 
@@ -54,24 +54,58 @@ def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig) -> None:
         fh.write(buf.getvalue())
 
 
+def _checkpoint_manifest(path: str, header) -> list:
+    """The header's tensor manifest as (name, shape) pairs; it must name
+    every ModelParams tensor exactly once."""
+    try:
+        manifest = [(name, tuple(int(n) for n in shape))
+                    for name, shape in header["tensors"]]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{path}: malformed checkpoint tensor manifest") from None
+    names = sorted(name for name, _ in manifest)
+    expected = sorted(params_tensor_names())
+    if names != expected:
+        missing = ", ".join(sorted(set(expected) - set(names)))
+        raise ValueError(f"{path}: checkpoint tensors do not match the model"
+                         + (f"; missing {missing}" if missing else ""))
+    if any(n < 0 for _, shape in manifest for n in shape):
+        raise ValueError(f"{path}: negative dimension in checkpoint manifest")
+    return manifest
+
+
 def load_checkpoint(path: str) -> tuple:
-    """Read a checkpoint back into (ModelParams, TrainConfig)."""
+    """Read a checkpoint back into (ModelParams, TrainConfig).
+
+    Every malformed file raises ValueError naming `path`.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise ValueError(f"{path}: truncated checkpoint header")
     (hlen,) = struct.unpack("<I", raw[8:12])
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: corrupt checkpoint header: not an object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unsupported checkpoint format "
                          f"{header.get('format')!r}")
-    cfg = TrainConfig(**header["config"])
+    missing = [key for key in ("config", "tensors") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks "
+                         f"{' and '.join(map(repr, missing))}")
+    try:
+        cfg = TrainConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint config: {exc}") from None
     offset = 12 + hlen
     fields = {}
-    for name, shape in header["tensors"]:
+    for name, shape in _checkpoint_manifest(path, header):
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = size * 8
         if offset + nbytes > len(raw):
@@ -228,9 +262,8 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
             batch = next_batch(trip_idx, trip_cursor,
                                min(cfg.batch_size, len(train)), p2_rng)
             rows = train[batch]
-            neg = np.stack([sample_negatives(int(u), int(q), corpus,
-                                             cfg.negatives, neg_rng)
-                            for u, q, _ in rows])
+            neg = sample_negatives(rows[:, 0], rows[:, 1], corpus,
+                                   cfg.negatives, neg_rng)
             users = np.repeat(rows[:, 0], cfg.negatives)
             queries = np.repeat(rows[:, 1], cfg.negatives)
             positives = np.repeat(rows[:, 2], cfg.negatives)

@@ -1,6 +1,8 @@
 """End-to-end command-line flows: synth -> prepare -> train -> consume."""
 
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from a2cf.cli import cli_dispatch
 from a2cf.config import TrainConfig
 from a2cf.network import init_params
-from a2cf.training import save_checkpoint
+from a2cf.training import CHECKPOINT_MAGIC, save_checkpoint
 
 REC_LINE = re.compile(r"^u\d{3}\ti\d{3}\t\d+\ti\d{3}\t-?\d+\.\d{6}$")
 
@@ -104,6 +106,16 @@ def test_evaluate_writes_metrics_report(pipeline, tmp_path, capsys):
     assert "HR@10=" in out and "metrics:" in out
 
 
+def test_evaluate_reports_effective_negatives(pipeline, tmp_path, capsys):
+    # 60 items leave 59 negatives per case; metrics.txt stays in [0, 1]
+    assert cli_dispatch(["evaluate", "--data", pipeline["data"],
+                         "--checkpoint", pipeline["ckpt"],
+                         "--out-dir", str(tmp_path),
+                         "--eval-negatives", "1000", "--seed", "5"]) == 0
+    assert "negatives=59 requested=1000\n" in capsys.readouterr().out
+    assert "negatives" not in (tmp_path / "metrics.txt").read_text()
+
+
 def test_evaluate_deterministic_bytes(pipeline, tmp_path):
     args = ["evaluate", "--data", pipeline["data"],
             "--checkpoint", pipeline["ckpt"],
@@ -196,3 +208,52 @@ def test_synth_seed_from_config_file(tmp_path):
                                 "--seed", "31"]) == 0
     assert ((tmp_path / "a" / "reviews.tsv").read_bytes()
             == (tmp_path / "b" / "reviews.tsv").read_bytes())
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    """The checkpoint `raw` with its JSON header passed through `edit`."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
+def _unknown_config_key(header):
+    header["config"]["bogus"] = 1
+
+
+def _missing_tensor(header):
+    header["tensors"] = [t for t in header["tensors"] if t[0] != "attr_emb"]
+
+
+def _no_config(header):
+    del header["config"]
+
+
+def _no_tensors(header):
+    del header["tensors"]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda raw: raw[:11], "truncated checkpoint header"),
+    (lambda raw: _rewrite_header(raw, _unknown_config_key),
+     "bad checkpoint config"),
+    (lambda raw: _rewrite_header(raw, _missing_tensor), "missing attr_emb"),
+    (lambda raw: _rewrite_header(raw, _no_config), "lacks 'config'"),
+    (lambda raw: _rewrite_header(raw, _no_tensors), "lacks 'tensors'"),
+], ids=["short_file", "unknown_config_key", "missing_tensor", "no_config",
+        "no_tensors"])
+def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
+                                                corrupt, message):
+    bad = tmp_path / "bad.ckpt"
+    with open(pipeline["ckpt"], "rb") as fh:
+        bad.write_bytes(corrupt(fh.read()))
+    code = cli_dispatch(["evaluate", "--data", pipeline["data"],
+                         "--checkpoint", str(bad),
+                         "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}: ")
+    assert message in err[0]

@@ -334,6 +334,7 @@ def test_prepared_roundtrip_and_byte_determinism(tmp_path, synth_corpus,
     save_prepared(str(p2), synth_corpus, synth_splits)
     assert p1.read_bytes() == p2.read_bytes()
     corpus, splits = load_prepared(str(p1))
+    assert "sampling_tables" not in vars(corpus)    # built only by training
     assert corpus.user_tokens == synth_corpus.user_tokens
     assert corpus.item_tokens == synth_corpus.item_tokens
     assert corpus.attr_tokens == synth_corpus.attr_tokens

@@ -230,6 +230,17 @@ def test_protocol_pool_fallback_warns_once(grid_corpus, caplog):
     assert len(hits) == 1
 
 
+@pytest.mark.parametrize("requested,effective", [(3, 3), (5, 5), (1000, 5)])
+def test_protocol_reports_effective_negatives(grid_corpus, requested,
+                                              effective):
+    est = EstimatedMatrices(user_attr=np.ones((6, 3)),
+                            item_attr=np.ones((6, 3)))
+    test = np.array([(0, 1, 0)], dtype=np.int64)
+    report = evaluate_protocol(None, est, None, grid_corpus, test, seed=7,
+                               negatives=requested, scorer=oracle_scorer)
+    assert (report.negatives, report.requested) == (effective, requested)
+
+
 def test_protocol_determinism_and_report_format(tmp_path, grid_corpus):
     est = EstimatedMatrices(user_attr=np.ones((6, 3)),
                             item_attr=np.ones((6, 3)))

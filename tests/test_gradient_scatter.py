@@ -1,0 +1,146 @@
+"""The bincount scatter-adds in the analytic backward passes give gradients
+bit-identical to a reference that scatters with np.add.at, one call per
+contribution group, in the order the groups are produced."""
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from a2cf.config import TrainConfig
+from a2cf.network import (GradientBuffer, dropout_mask, init_params,
+                          phase1_forward_backward, residual_backward,
+                          residual_forward, tanh_rescaled, tanh_rescaled_grad)
+from a2cf.ranking import EstimatedMatrices, bpr_s_forward_backward, softmax
+
+
+def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
+    """Reference BPR-S loss and gradients: np.add.at per group, positive
+    rows before negative rows."""
+    d = params.embed_dim
+    w_s, w_p = params.subst_proj, params.pers_proj
+    g = cfg.subst_weight
+
+    def forward(items):
+        v_q, v_j, u_i = (params.item_emb[queries], params.item_emb[items],
+                         params.user_emb[users])
+        phi = softmax((est.item_attr[queries] * est.item_attr[items])
+                      / cfg.subst_temp)
+        lam = softmax((est.user_attr[users] * est.item_attr[items])
+                      / cfg.pers_temp)
+        f_s = (v_q * v_j) @ w_s[:d]
+        if cfg.subst_use_attrs:
+            f_s = f_s + (phi @ params.attr_emb) @ w_s[d:]
+        f_p = (u_i * v_j) @ w_p[:d]
+        if cfg.pers_use_attrs:
+            f_p = f_p + (lam @ params.attr_emb) @ w_p[d:]
+        return g * f_s + (1.0 - g) * f_p, (items, u_i, v_q, v_j, phi, lam)
+
+    def backward(cache, upstream, grads):
+        items, u_i, v_q, v_j, phi, lam = cache
+        g_s = (upstream * g)[:, None]
+        g_p = (upstream * (1.0 - g))[:, None]
+        grads.subst_proj[:d] += (g_s * (v_q * v_j)).sum(axis=0)
+        np.add.at(grads.item_emb, queries, g_s * (w_s[:d] * v_j))
+        np.add.at(grads.item_emb, items, g_s * (w_s[:d] * v_q))
+        if cfg.subst_use_attrs:
+            grads.subst_proj[d:] += (g_s * (phi @ params.attr_emb)).sum(axis=0)
+            grads.attr_emb += phi.T @ (g_s * w_s[None, d:])
+        grads.pers_proj[:d] += (g_p * (u_i * v_j)).sum(axis=0)
+        np.add.at(grads.user_emb, users, g_p * (w_p[:d] * v_j))
+        np.add.at(grads.item_emb, items, g_p * (w_p[:d] * u_i))
+        if cfg.pers_use_attrs:
+            grads.pers_proj[d:] += (g_p * (lam @ params.attr_emb)).sum(axis=0)
+            grads.attr_emb += lam.T @ (g_p * w_p[None, d:])
+
+    pos_scores, pos_cache = forward(positives)
+    neg_scores, neg_cache = forward(negatives)
+    margins = pos_scores - neg_scores
+    up_pos = expit(margins) - 1.0
+    grads = GradientBuffer.zeros_like(params)
+    backward(pos_cache, up_pos, grads)
+    backward(neg_cache, -up_pos, grads)
+    return float(np.logaddexp(0.0, -margins).sum()), grads
+
+
+def addat_phase1(params, user_cells, item_cells, rating_max, dropout, rng):
+    """Reference phase-1 loss and gradients: np.add.at per tower, user
+    tower before item tower."""
+    d = params.embed_dim
+    grads = GradientBuffer.zeros_like(params)
+    loss = 0.0
+    for side, cells in (("user", user_cells), ("item", item_cells)):
+        rows, attrs, targets = cells
+        masks = [dropout_mask((len(rows), 2 * d), dropout, rng)
+                 for _ in range(params.tower_depth)]
+        emb, tower_w, tower_b, head = (getattr(params, f"{side}_{name}") for name
+                                       in ("emb", "tower_w", "tower_b", "head"))
+        h0 = np.concatenate([emb[rows], params.attr_emb[attrs]], axis=1)
+        h_out, cache = residual_forward(h0, tower_w, tower_b, masks)
+        r = h_out @ head
+        err = tanh_rescaled(r, rating_max) - targets
+        loss += float((err ** 2).sum())
+        dr = 2.0 * err * tanh_rescaled_grad(r, rating_max)
+        getattr(grads, f"{side}_head")[...] += h_out.T @ dr
+        grad_h0, gw, gb = residual_backward(dr[:, None] * head[None, :],
+                                            tower_w, cache)
+        getattr(grads, f"{side}_tower_w")[...] += gw
+        getattr(grads, f"{side}_tower_b")[...] += gb
+        np.add.at(getattr(grads, f"{side}_emb"), rows, grad_h0[:, :d])
+        np.add.at(grads.attr_emb, attrs, grad_h0[:, d:])
+    return loss, grads
+
+
+def assert_bit_identical(got, want):
+    for name, w in want.tensors().items():
+        g = getattr(got, name)
+        assert g.shape == w.shape, name
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("subst_attrs,pers_attrs",
+                         [(True, True), (False, True), (True, False)])
+@pytest.mark.parametrize("seed", range(3))
+def test_bpr_s_gradients_bit_identical_to_add_at(seed, subst_attrs, pers_attrs):
+    cfg = TrainConfig(embed_dim=4, tower_depth=1, subst_weight=0.7,
+                      subst_use_attrs=subst_attrs, pers_use_attrs=pers_attrs)
+    n_users, n_items, n_attrs = 3, 7, 5
+    params = init_params(n_users, n_items, n_attrs, cfg, seed=seed)
+    rng = np.random.default_rng(seed + 50)
+    est = EstimatedMatrices(
+        user_attr=rng.uniform(1.0, 5.0, size=(n_users, n_attrs)),
+        item_attr=rng.uniform(1.0, 5.0, size=(n_items, n_attrs)))
+    rows = 40                       # many repeats of every user and item
+    users = rng.integers(n_users, size=rows)
+    queries = rng.integers(n_items, size=rows)
+    positives = rng.integers(n_items, size=rows)
+    negatives = rng.integers(n_items, size=rows)
+    negatives[:5] = queries[:5]     # a query that is also a candidate
+    positives[5:10] = queries[5:10]
+    got_loss, got = bpr_s_forward_backward(params, est, cfg, users, queries,
+                                           positives, negatives)
+    want_loss, want = addat_bpr_s(params, est, cfg, users, queries,
+                                  positives, negatives)
+    assert got_loss == want_loss
+    assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("seed", range(3))
+def test_phase1_gradients_bit_identical_to_add_at(seed, dropout):
+    cfg = TrainConfig(embed_dim=4, tower_depth=2)
+    n_users, n_items, n_attrs = 3, 4, 5
+    params = init_params(n_users, n_items, n_attrs, cfg, seed=seed)
+    rng = np.random.default_rng(seed + 70)
+
+    def cells(n_rows, size):
+        return (rng.integers(n_rows, size=size), rng.integers(n_attrs, size=size),
+                rng.uniform(1.0, 5.0, size=size))
+
+    user_cells, item_cells = cells(n_users, 30), cells(n_items, 25)
+    got_loss, got = phase1_forward_backward(
+        params, user_cells, item_cells, 5.0, dropout=dropout,
+        rng=np.random.default_rng(seed))
+    want_loss, want = addat_phase1(params, user_cells, item_cells, 5.0,
+                                   dropout, np.random.default_rng(seed))
+    assert got_loss == want_loss
+    assert_bit_identical(got, want)

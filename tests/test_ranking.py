@@ -7,7 +7,8 @@ from a2cf.config import TrainConfig
 from a2cf.data import Corpus
 from a2cf.matrices import SparseAttributeMatrix, build_matrices
 from a2cf.network import init_params
-from a2cf.ranking import (EstimatedMatrices, aggregate_attributes,
+from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
+                          aggregate_attributes,
                           bpr_s_forward_backward, bpr_s_loss,
                           estimate_matrices, personalization_attention,
                           recommend_top_k, sample_negatives, score_candidates,
@@ -308,8 +309,9 @@ def _neg_corpus():
 def test_negative_sampling_eligibility_rule():
     corpus = _neg_corpus()
     rng = np.random.default_rng(20)
-    draws = sample_negatives(0, 4, corpus, 500, rng)
-    seen = set(int(x) for x in draws)
+    draws = sample_negatives([0], [4], corpus, 500, rng)
+    assert draws.shape == (1, 500)
+    seen = set(int(x) for x in draws[0])
     assert 0 not in seen          # bought AND substitutable: always rejected
     assert 1 in seen              # bought only: eligible
     assert 2 in seen              # substitutable only: eligible
@@ -321,20 +323,126 @@ def test_negative_sampling_never_returns_positive():
     # substitutable, which is exactly the rejected combination
     corpus = _neg_corpus()
     rng = np.random.default_rng(21)
-    for _ in range(20):
-        draws = sample_negatives(0, 4, corpus, 5, rng)
-        assert len(draws) == 5
-        assert 0 not in draws
+    draws = sample_negatives(np.zeros(20), np.full(20, 4), corpus, 5, rng)
+    assert draws.shape == (20, 5)
+    assert 0 not in draws
 
 
 def test_negative_sampling_budget_exhaustion():
     class StuckRng:
-        def integers(self, n):
-            return 0              # always the rejected item
+        def integers(self, n, size=None):
+            return np.zeros(size, dtype=np.int64)   # always the rejected item
 
     corpus = _neg_corpus()
     with pytest.raises(RuntimeError, match="exhausted"):
-        sample_negatives(0, 4, corpus, 2, StuckRng())
+        sample_negatives([0], [4], corpus, 2, StuckRng())
+
+
+def test_sampling_tables_are_lazy_and_mirror_the_sets():
+    corpus = dense_corpus(np.random.default_rng(3), 4, 9, 0.6)
+    assert "sampling_tables" not in vars(corpus)
+    sample_negatives([0], [1], corpus, 2, np.random.default_rng(0))
+    bought, subst = vars(corpus)["sampling_tables"]
+    assert bought.shape == (4, 9) and subst.shape == (9, 9)
+    assert bought.nbytes + subst.nbytes == 4 * 9 + 9 * 9
+    for u in range(4):
+        assert set(np.flatnonzero(bought[u])) == corpus.user_items[u]
+    for q in range(9):
+        assert set(np.flatnonzero(subst[q])) == corpus.substitutes[q]
+
+
+def per_row_negatives(users, queries, corpus, count, rng):
+    """Reference sampler: one scalar draw at a time, row after row, testing
+    each candidate against the corpus's Python sets."""
+    out = []
+    budget = NEGATIVE_SAMPLE_FACTOR * count
+    for user, query in zip(users, queries):
+        interacted = corpus.user_items[user]
+        subs = corpus.substitutes[query]
+        row = []
+        for _ in range(budget):
+            cand = int(rng.integers(corpus.n_items))
+            if cand in interacted and cand in subs:
+                continue
+            row.append(cand)
+            if len(row) == count:
+                break
+        else:
+            raise RuntimeError(
+                f"negative sampling for user {user}, query {query} exhausted "
+                f"{budget} draws; corpus too degenerate")
+        out.append(row)
+    return np.array(out, dtype=np.int64).reshape(len(users), count)
+
+
+def dense_corpus(rng, n_users, n_items, density):
+    """Corpus where most (bought, substitute) candidates are rejected."""
+    inter = [(u, v) for u in range(n_users) for v in range(n_items)
+             if rng.random() < density]
+    pairs = [(a, b) for a in range(n_items) for b in range(a + 1, n_items)
+             if rng.random() < density]
+    return Corpus(user_tokens=[f"u{u}" for u in range(n_users)],
+                  item_tokens=[f"i{v}" for v in range(n_items)],
+                  attr_tokens=["x"],
+                  interactions=np.array(inter, dtype=np.int64).reshape(-1, 2),
+                  lexicon=np.empty((0, 4), dtype=np.int64),
+                  substitute_pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def sampler_outcome(sampler, users, queries, corpus, count, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        result = sampler(users, queries, corpus, count, rng)
+    except RuntimeError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_sampler_equals_per_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    corpus = dense_corpus(rng, int(rng.integers(1, 6)),
+                          int(rng.integers(2, 12)), rng.uniform(0.5, 0.95))
+    rows = int(rng.integers(1, 40))
+    users = rng.integers(corpus.n_users, size=rows)
+    queries = rng.integers(corpus.n_items, size=rows)
+    count = int(rng.integers(1, 6))
+    got, got_state = sampler_outcome(sample_negatives, users, queries,
+                                     corpus, count, seed + 100)
+    want, want_state = sampler_outcome(per_row_negatives, users, queries,
+                                       corpus, count, seed + 100)
+    assert isinstance(want, np.ndarray)
+    np.testing.assert_array_equal(got, want)
+    assert got_state == want_state
+
+
+class PoolRng:
+    """Generator stand-in that draws uniformly from `pool` only, so rows
+    whose forbidden set covers the pool exhaust their budget."""
+
+    def __init__(self, pool, seed):
+        self.pool = np.asarray(pool)
+        self.inner = np.random.default_rng(seed)
+
+    def integers(self, n, size=None):
+        return self.pool[self.inner.integers(len(self.pool), size=size)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_batched_sampler_exhausts_like_per_row_loop(seed):
+    # item 0 is rejected for (user 0, query 4) only: the rows before the
+    # first query-4 row fill, that row spends its whole budget
+    corpus = _neg_corpus()
+    users = np.zeros(5, dtype=np.int64)
+    queries = np.array([1, 2, 4, 3, 4])
+    outcomes = []
+    for sampler in (sample_negatives, per_row_negatives):
+        rng = PoolRng([0, 0], seed)
+        with pytest.raises(RuntimeError) as err:
+            sampler(users, queries, corpus, 3, rng)
+        outcomes.append((str(err.value), rng.inner.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+    assert "user 0, query 4 exhausted 3000 draws" in outcomes[0][0]
 
 
 # ----------------------------------------------------------------- BPR loss
