@@ -62,7 +62,7 @@ def main():
     corpus = filter_corpus(reviews, lexicon, SUBSTITUTES,
                            min_user_items=1, min_item_users=1,
                            min_attr_mentions=1)
-    user_mat, item_mat, _ = build_matrices(corpus)
+    user_mat, item_mat = build_matrices(corpus)
     show(user_mat, corpus, corpus.user_tokens,
          "user-attribute concern matrix (observed cells only):")
     show(item_mat, corpus, corpus.item_tokens,

@@ -12,17 +12,15 @@ from .interpret import (AttributeAdvantage, InterpretationReport,
                         attribute_advantage, render_interpretation)
 from .matrices import (SparseAttributeMatrix, build_matrices, dump_matrix,
                        item_attr_value, user_attr_value)
-from .network import (AdamState, GradientBuffer, ModelParams, adam_step,
-                      dropout_mask, init_params, phase1_forward_backward,
-                      phase1_loss, predict_item_attribute,
-                      predict_user_attribute, residual_backward,
-                      residual_forward, tanh_rescaled)
+from .network import (AdamState, ModelParams, adam_step, dropout_mask,
+                      init_params, phase1_forward_backward, phase1_loss,
+                      predict_item_attribute, predict_user_attribute,
+                      residual_backward, residual_forward, tanh_rescaled)
 from .ranking import (EstimatedMatrices, RankedList, aggregate_attributes,
-                      bpr_s_forward_backward, bpr_s_loss, estimate_matrices,
-                      personalization_attention, recommend_top_k,
-                      sample_negatives, score_candidates,
-                      score_personalization, score_substitution,
-                      substitution_attention, triplet_score)
+                      attention, bpr_s_forward_backward, bpr_s_loss,
+                      estimate_matrices, recommend_top_k, sample_negatives,
+                      score_candidates, score_personalization,
+                      score_substitution, triplet_score)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import (TrainResult, checkpoint_roundtrip, load_checkpoint,
                        save_checkpoint, train_pipeline)
@@ -31,23 +29,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AttributeAdvantage", "Corpus", "EstimatedMatrices",
-    "GradientBuffer", "InterpretationReport", "LexiconEntry", "ModelParams",
-    "ProtocolReport", "RankedList", "ReviewRecord", "RunConfig",
+    "InterpretationReport", "LexiconEntry", "ModelParams", "ProtocolReport",
+    "RankedList", "ReviewRecord", "RunConfig",
     "SparseAttributeMatrix", "SplitTriplets", "SyntheticSpec", "TrainConfig",
-    "TrainResult", "adam_step", "aggregate_attributes", "atc",
+    "TrainResult", "adam_step", "aggregate_attributes", "atc", "attention",
     "attribute_advantage", "bpr_s_forward_backward", "bpr_s_loss",
     "build_matrices", "build_run_config", "build_triplets",
     "checkpoint_roundtrip", "dropout_mask", "dump_matrix", "estimate_matrices",
     "evaluate_protocol", "filter_corpus", "generate_synthetic", "hr_at_k",
     "init_params", "item_attr_value", "load_checkpoint", "load_lexicon",
     "load_prepared", "load_reviews", "load_substitutes", "map_attributes",
-    "ndcg_at_k", "parse_config_file", "personalization_attention",
-    "phase1_forward_backward", "phase1_loss", "predict_item_attribute",
-    "predict_user_attribute", "recommend_top_k", "render_interpretation",
-    "residual_backward", "residual_forward", "sample_negatives",
-    "sample_query_item", "save_checkpoint", "save_prepared",
-    "score_candidates", "score_personalization", "score_substitution",
-    "split_triplets", "substitution_attention", "tanh_rescaled",
-    "train_pipeline", "triplet_score", "user_attr_value",
+    "ndcg_at_k", "parse_config_file", "phase1_forward_backward",
+    "phase1_loss", "predict_item_attribute", "predict_user_attribute",
+    "recommend_top_k", "render_interpretation", "residual_backward",
+    "residual_forward", "sample_negatives", "sample_query_item",
+    "save_checkpoint", "save_prepared", "score_candidates",
+    "score_personalization", "score_substitution", "split_triplets",
+    "tanh_rescaled", "train_pipeline", "triplet_score", "user_attr_value",
     "write_corpus_manifest", "write_metrics_report",
 ]

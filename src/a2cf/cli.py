@@ -51,17 +51,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     grp.add_argument("--convergence-tol", type=float, dest="convergence_tol")
 
 
-_CONFIG_KEYS = ("seed", "embed_dim", "tower_depth", "rating_max",
-                "subst_weight", "subst_temp", "pers_temp", "learning_rate",
-                "batch_size", "dropout", "negatives", "subst_use_attrs",
-                "pers_use_attrs", "rounds_max", "phase1_steps",
-                "phase2_steps", "convergence_tol")
-
-
 def _run_config(args):
     file_overrides = parse_config_file(args.config) if args.config else {}
-    cli_overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
-    return build_run_config(file_overrides, cli_overrides)
+    return build_run_config(file_overrides, vars(args))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,20 +130,9 @@ def _load_model(args):
             or params.item_emb.shape[0] != corpus.n_items
             or params.attr_emb.shape[0] != corpus.n_attrs):
         raise ValueError("checkpoint dimensions do not match the prepared corpus")
-    user_mat, item_mat, _ = build_matrices(corpus, cfg.rating_max)
+    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
     est = ranking.estimate_matrices(user_mat, item_mat, params)
     return corpus, splits, params, cfg, est
-
-
-def _seed_from(args) -> int:
-    overrides = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    if args.seed is not None:
-        return args.seed
-    if "seed" in overrides:
-        return overrides["seed"]
-    if "A2CF_SEED" in os.environ:
-        return int(os.environ["A2CF_SEED"])
-    return 42
 
 
 def _cmd_synth(args) -> int:
@@ -159,7 +140,7 @@ def _cmd_synth(args) -> int:
                          attributes=args.attributes, clusters=args.clusters,
                          interactions_per_user=args.interactions_per_user,
                          noise=args.noise)
-    paths = generate_synthetic(spec, _seed_from(args), args.out_dir)
+    paths = generate_synthetic(spec, _run_config(args).seed, args.out_dir)
     for name in ("reviews", "lexicon", "substitutes", "planted"):
         print(f"{name}: {paths[name]}")
     return 0
@@ -249,9 +230,9 @@ def _cmd_explain(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     corpus, splits, params, cfg, est = _load_model(args)
-    report = evaluation.evaluate_protocol(params, est, cfg, corpus,
-                                          splits.test, seed=_seed_from(args),
-                                          negatives=args.eval_negatives)
+    report = evaluation.evaluate_protocol(
+        params, est, cfg, corpus, splits.test, seed=_run_config(args).seed,
+        negatives=args.eval_negatives)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, METRICS_NAME)
     evaluation.write_metrics_report(path, report)

@@ -53,8 +53,8 @@ class TrainConfig:
 
 @dataclass
 class RunConfig:
-    """One training run: hyperparameters plus schedule, evaluation settings,
-    and the seed every stochastic choice derives from."""
+    """One training run: hyperparameters plus schedule and the seed every
+    stochastic choice derives from."""
 
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     seed: int = 42
@@ -62,9 +62,6 @@ class RunConfig:
     phase1_steps: int = 2000
     phase2_steps: int = 2000
     convergence_tol: float = 1e-3
-    eval_negatives: int = 1000
-    eval_cutoffs: tuple = (5, 10, 20, 50)
-    explain_attrs: int = 3
 
     def __post_init__(self):
         if self.rounds_max < 1:
@@ -73,10 +70,6 @@ class RunConfig:
             raise ValueError("phase step counts must be >= 0")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
-        if self.eval_negatives < 1 or self.explain_attrs < 1:
-            raise ValueError("eval_negatives and explain_attrs must be >= 1")
-        if not self.eval_cutoffs or min(self.eval_cutoffs) < 1:
-            raise ValueError("eval_cutoffs must be positive")
 
 
 def _type_name(t) -> str:
@@ -86,8 +79,7 @@ def _type_name(t) -> str:
 # Fields settable through config files / CLI overrides, with target types.
 _TRAIN_FIELDS = {f.name: _type_name(f.type) for f in dataclasses.fields(TrainConfig)}
 _RUN_FIELDS = {"seed": "int", "rounds_max": "int", "phase1_steps": "int",
-               "phase2_steps": "int", "convergence_tol": "float",
-               "eval_negatives": "int", "explain_attrs": "int"}
+               "phase2_steps": "int", "convergence_tol": "float"}
 
 _BOOL_TOKENS = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
@@ -142,6 +134,8 @@ def build_run_config(file_overrides: dict | None = None,
     """Merge defaults, config-file pairs, and CLI flags into a RunConfig.
 
     Precedence: CLI flag > config file > A2CF_SEED (seed only) > default.
+    Keys that name no TrainConfig or RunConfig field, and None values, are
+    ignored.
     """
     env = os.environ if env is None else env
     merged: dict = {}

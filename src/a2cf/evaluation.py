@@ -9,7 +9,7 @@ from .config import TrainConfig
 from .data import Corpus
 from .interpret import attribute_advantage
 from .network import ModelParams
-from .ranking import EstimatedMatrices, score_candidates
+from .ranking import EstimatedMatrices, rank_order, score_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -18,16 +18,20 @@ MAP_TRUNCATION = 500
 
 def hr_at_k(ranked_items, truth: int, k: int) -> float:
     """1.0 when the ground-truth item sits within the top k, else 0.0."""
-    rank = _rank_of(ranked_items, truth)
-    return 1.0 if rank <= k else 0.0
+    return _hit(_rank_of(ranked_items, truth), k)
 
 
 def ndcg_at_k(ranked_items, truth: int, k: int) -> float:
     """Single-relevant NDCG: 1/log2(rank+1) within the cutoff, else 0."""
-    rank = _rank_of(ranked_items, truth)
-    if rank > k:
-        return 0.0
-    return 1.0 / float(np.log2(rank + 1))
+    return _ndcg(_rank_of(ranked_items, truth), k)
+
+
+def _hit(rank: int, k: int) -> float:
+    return 1.0 if rank <= k else 0.0
+
+
+def _ndcg(rank: int, k: int) -> float:
+    return 1.0 / float(np.log2(rank + 1)) if rank <= k else 0.0
 
 
 def _rank_of(ranked_items, truth: int) -> int:
@@ -83,8 +87,7 @@ def sample_negative_pool(rng: np.random.Generator, n_items: int,
 
 def rank_candidates(candidates: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Candidates sorted by score descending, ties toward the smaller id."""
-    order = np.lexsort((candidates, -scores))
-    return np.asarray(candidates)[order]
+    return np.asarray(candidates)[rank_order(scores, candidates)]
 
 
 def relevant_attributes(corpus: Corpus) -> dict:
@@ -150,13 +153,13 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
         ranked = rank_candidates(candidates, scores)
         rank = _rank_of(ranked, p)
         for k in ks:
-            hr_sums[k] += 1.0 if rank <= k else 0.0
-            ndcg_sums[k] += (1.0 / float(np.log2(rank + 1))) if rank <= k else 0.0
+            hr_sums[k] += _hit(rank, k)
+            ndcg_sums[k] += _ndcg(rank, k)
         adv = attribute_advantage(est.user_attr[u], est.item_attr[q],
                                   est.item_attr[p], user=u, query=q, item=p)
         map_cases[idx] = map_attributes(adv.ranking, rel.get((u, p), ()),
                                         truncation)
-        ndcg_full_cases[idx] = 1.0 / float(np.log2(rank + 1))
+        ndcg_full_cases[idx] = _ndcg(rank, len(candidates))
     n = len(test_triplets)
     metrics = {}
     for k in ks:

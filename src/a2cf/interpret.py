@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ranking import rank_order
+
 
 @dataclass
 class AttributeAdvantage:
@@ -35,7 +37,7 @@ def attribute_advantage(user_row: np.ndarray, query_row: np.ndarray,
         raise ValueError("attribute rows must share one shape, got "
                          f"{user_row.shape}/{query_row.shape}/{item_row.shape}")
     deltas = user_row * (item_row - query_row)
-    ranking = np.lexsort((np.arange(len(deltas)), -deltas))
+    ranking = rank_order(deltas, np.arange(len(deltas)))
     return AttributeAdvantage(user=user, query=query, item=item,
                               deltas=deltas, ranking=ranking)
 

@@ -14,26 +14,23 @@ from .data import Corpus
 
 @dataclass
 class SparseAttributeMatrix:
-    """Dict-backed sparse matrix with an explicit structural-zero convention."""
+    """Observed cells as COO arrays sorted by (row, col); every other cell is
+    a structural zero."""
 
-    rows: int
-    cols: int
+    shape: tuple                         # (n_rows, n_cols)
     scale_cap: float                     # rating_max the values were built with
-    entries: dict                        # (row, col) -> float in [1, scale_cap]
-
-    def get(self, row: int, col: int) -> float:
-        return self.entries.get((row, col), 0.0)
+    rows: np.ndarray                     # int64 row index per observed cell
+    cols: np.ndarray                     # int64 column index per observed cell
+    vals: np.ndarray                     # float64 values in [1, scale_cap]
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.rows, self.cols), dtype=np.float64)
-        for (r, c), v in self.entries.items():
-            dense[r, c] = v
+        dense = np.zeros(self.shape, dtype=np.float64)
+        dense[self.rows, self.cols] = self.vals
         return dense
 
     def observed_mask(self) -> np.ndarray:
-        mask = np.zeros((self.rows, self.cols), dtype=bool)
-        for r, c in self.entries:
-            mask[r, c] = True
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.rows, self.cols] = True
         return mask
 
 
@@ -62,48 +59,39 @@ def item_attr_value(count: int, mean_sentiment: float,
     return 1.0 + (rating_max - 1.0) * float(expit(count * mean_sentiment))
 
 
-@dataclass
-class MentionStats:
-    """Aggregated lexicon counts feeding the matrix value maps."""
-
-    user_attr_counts: dict               # (user, attr) -> mention count
-    item_attr_counts: dict               # (item, attr) -> mention count
-    item_attr_sentiment: dict            # (item, attr) -> mean sentiment
-
-
-def collect_mentions(corpus: Corpus) -> MentionStats:
-    user_counts: dict = {}
-    item_counts: dict = {}
-    item_sent_sum: dict = {}
-    for u, v, a, s in corpus.lexicon:
-        u, v, a, s = int(u), int(v), int(a), int(s)
-        user_counts[(u, a)] = user_counts.get((u, a), 0) + 1
-        item_counts[(v, a)] = item_counts.get((v, a), 0) + 1
-        item_sent_sum[(v, a)] = item_sent_sum.get((v, a), 0) + s
-    item_sent = {k: item_sent_sum[k] / item_counts[k] for k in item_counts}
-    return MentionStats(user_counts, item_counts, item_sent)
+def _mentioned_cells(rows: np.ndarray, attrs: np.ndarray, n_attrs: int):
+    """Distinct (row, attr) cells in row-major order, each mention's cell
+    index, and the mention count per cell."""
+    cells, inverse, counts = np.unique(rows * n_attrs + attrs,
+                                       return_inverse=True, return_counts=True)
+    return cells // n_attrs, cells % n_attrs, inverse, counts
 
 
 def build_matrices(corpus: Corpus, rating_max: float = 5.0
-                   ) -> tuple[SparseAttributeMatrix, SparseAttributeMatrix,
-                              MentionStats]:
-    """Build the observed user-attribute and item-attribute matrices plus the
-    mention statistics they came from."""
-    stats = collect_mentions(corpus)
-    user_entries = {key: user_attr_value(cnt, rating_max)
-                    for key, cnt in stats.user_attr_counts.items()}
-    item_entries = {key: item_attr_value(cnt, stats.item_attr_sentiment[key], rating_max)
-                    for key, cnt in stats.item_attr_counts.items()}
-    user_mat = SparseAttributeMatrix(corpus.n_users, corpus.n_attrs,
-                                     rating_max, user_entries)
-    item_mat = SparseAttributeMatrix(corpus.n_items, corpus.n_attrs,
-                                     rating_max, item_entries)
-    return user_mat, item_mat, stats
+                   ) -> tuple[SparseAttributeMatrix, SparseAttributeMatrix]:
+    """Build the observed user-attribute and item-attribute matrices.
+
+    A user cell maps its mention count through user_attr_value, an item cell
+    its mention count and mean sentiment through item_attr_value; both are
+    evaluated here over all cells at once with the same formulas.
+    """
+    users, items, attrs, sentiment = np.reshape(corpus.lexicon, (-1, 4)).T
+    n_attrs = corpus.n_attrs
+    u_rows, u_cols, _, u_counts = _mentioned_cells(users, attrs, n_attrs)
+    user_vals = 1.0 + (rating_max - 1.0) * np.tanh(u_counts / 2.0)
+    i_rows, i_cols, i_cell, i_counts = _mentioned_cells(items, attrs, n_attrs)
+    mean_sentiment = (np.bincount(i_cell, weights=sentiment,
+                                  minlength=len(i_counts)) / i_counts)
+    item_vals = 1.0 + (rating_max - 1.0) * expit(i_counts * mean_sentiment)
+    user_mat = SparseAttributeMatrix((corpus.n_users, n_attrs), rating_max,
+                                     u_rows, u_cols, user_vals)
+    item_mat = SparseAttributeMatrix((corpus.n_items, n_attrs), rating_max,
+                                     i_rows, i_cols, item_vals)
+    return user_mat, item_mat
 
 
 def dump_matrix(matrix: SparseAttributeMatrix, path: str) -> None:
     """Write observed cells as 'row<TAB>col<TAB>value' with %.9g values,
     sorted by (row, col)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (r, c) in sorted(matrix.entries):
-            fh.write(f"{r}\t{c}\t{matrix.entries[(r, c)]:.9g}\n")
+    np.savetxt(path, np.column_stack((matrix.rows, matrix.cols, matrix.vals)),
+               fmt=("%d", "%d", "%.9g"), delimiter="\t")

@@ -7,6 +7,7 @@ head followed by a tanh rescaled onto (1, rating_max). All gradients are
 analytic; no autodiff anywhere.
 """
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ INIT_SCALE = 0.05
 
 @dataclass
 class ModelParams:
+    """The 11 parameter tensors. Field order is the serialization order; a
+    gradient buffer is a ModelParams of zeros."""
+
     user_emb: np.ndarray        # (n_users, d)
     item_emb: np.ndarray        # (n_items, d)
     attr_emb: np.ndarray        # (n_attrs, d), shared by both towers
@@ -34,11 +38,15 @@ class ModelParams:
     pers_proj: np.ndarray       # (2d,) or (d,)
 
     def tensors(self) -> dict:
-        """Name -> array view, in a fixed serialization order."""
-        return {name: getattr(self, name) for name in (
-            "user_emb", "item_emb", "attr_emb",
-            "user_tower_w", "user_tower_b", "item_tower_w", "item_tower_b",
-            "user_head", "item_head", "subst_proj", "pers_proj")}
+        """Name -> array view, in field order."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def zeros_like(cls, params: "ModelParams") -> "ModelParams":
+        return cls(**{k: np.zeros_like(v) for k, v in params.tensors().items()})
+
+    def all_finite(self) -> bool:
+        return all(np.isfinite(t).all() for t in self.tensors().values())
 
     @property
     def embed_dim(self) -> int:
@@ -49,67 +57,36 @@ class ModelParams:
         return self.user_tower_w.shape[0]
 
 
+def param_shapes(n_users: int, n_items: int, n_attrs: int,
+                 cfg: TrainConfig) -> dict:
+    """Name -> shape of every ModelParams tensor under `cfg`, in field order."""
+    d, dh, depth = cfg.embed_dim, cfg.hidden_dim, cfg.tower_depth
+    return {"user_emb": (n_users, d), "item_emb": (n_items, d),
+            "attr_emb": (n_attrs, d),
+            "user_tower_w": (depth, dh, dh), "user_tower_b": (depth, dh),
+            "item_tower_w": (depth, dh, dh), "item_tower_b": (depth, dh),
+            "user_head": (dh,), "item_head": (dh,),
+            # component-product block plus aggregated-attribute block
+            "subst_proj": (dh if cfg.subst_use_attrs else d,),
+            "pers_proj": (dh if cfg.pers_use_attrs else d,)}
+
+
 def init_params(n_users: int, n_items: int, n_attrs: int, cfg: TrainConfig,
                 seed) -> ModelParams:
     """Draw all weights uniformly from [-INIT_SCALE, INIT_SCALE]; biases zero.
 
-    Tensors are drawn in a fixed order so a given seed always yields the same
-    model. `seed` may be an int or anything numpy accepts as one.
+    Tensors are drawn in a fixed order, the two projections first and then
+    the rest in field order, so a given seed always yields the same model.
+    `seed` may be an int or anything numpy accepts as one.
     """
     rng = np.random.default_rng(seed)
-    d, dh, depth = cfg.embed_dim, cfg.hidden_dim, cfg.tower_depth
-
-    def draw(*shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
-    proj_dim = dh  # component-product block plus aggregated-attribute block
-    subst_proj = draw(proj_dim if cfg.subst_use_attrs else d)
-    pers_proj = draw(proj_dim if cfg.pers_use_attrs else d)
-    return ModelParams(
-        user_emb=draw(n_users, d),
-        item_emb=draw(n_items, d),
-        attr_emb=draw(n_attrs, d),
-        user_tower_w=draw(depth, dh, dh),
-        user_tower_b=np.zeros((depth, dh)),
-        item_tower_w=draw(depth, dh, dh),
-        item_tower_b=np.zeros((depth, dh)),
-        user_head=draw(dh),
-        item_head=draw(dh),
-        subst_proj=subst_proj,
-        pers_proj=pers_proj)
-
-
-@dataclass
-class GradientBuffer:
-    """Same shapes as ModelParams, accumulated in place."""
-
-    user_emb: np.ndarray
-    item_emb: np.ndarray
-    attr_emb: np.ndarray
-    user_tower_w: np.ndarray
-    user_tower_b: np.ndarray
-    item_tower_w: np.ndarray
-    item_tower_b: np.ndarray
-    user_head: np.ndarray
-    item_head: np.ndarray
-    subst_proj: np.ndarray
-    pers_proj: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "GradientBuffer":
-        return cls(**{k: np.zeros_like(v) for k, v in params.tensors().items()})
-
-    def tensors(self) -> dict:
-        return {name: getattr(self, name) for name in params_tensor_names()}
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for t in self.tensors().values())
-
-
-def params_tensor_names() -> tuple:
-    return ("user_emb", "item_emb", "attr_emb",
-            "user_tower_w", "user_tower_b", "item_tower_w", "item_tower_b",
-            "user_head", "item_head", "subst_proj", "pers_proj")
+    shapes = param_shapes(n_users, n_items, n_attrs, cfg)
+    projections = ("subst_proj", "pers_proj")
+    order = [*projections, *(name for name in shapes if name not in projections)]
+    return ModelParams(**{
+        name: (np.zeros(shapes[name]) if name.endswith("_b") else
+               rng.uniform(-INIT_SCALE, INIT_SCALE, size=shapes[name]))
+        for name in order})
 
 
 def scatter_rows(n_rows: int, index_parts, value_parts) -> np.ndarray:
@@ -194,48 +171,41 @@ def tanh_rescaled_grad(r, rating_max: float):
     return 0.5 * (rating_max - 1.0) * (1.0 - t * t)
 
 
-def _tower_predict(entity_rows: np.ndarray, attr_rows: np.ndarray,
-                   weights: np.ndarray, biases: np.ndarray, head: np.ndarray,
+def _tower(tensors: ModelParams, side: str) -> tuple:
+    """One side's (entity embedding, tower weights, tower biases, head) by
+    the `user_`/`item_` name prefix, from parameters or gradients alike."""
+    return tuple(getattr(tensors, f"{side}_{name}")
+                 for name in ("emb", "tower_w", "tower_b", "head"))
+
+
+def _tower_predict(params: ModelParams, side: str, rows, attrs,
                    rating_max: float, masks=None):
-    h0 = np.concatenate([entity_rows, attr_rows], axis=1)
+    emb, weights, biases, head = _tower(params, side)
+    h0 = np.concatenate([emb[rows], params.attr_emb[attrs]], axis=1)
     h_out, cache = residual_forward(h0, weights, biases, masks)
     r = h_out @ head
     return tanh_rescaled(r, rating_max), (h_out, r, cache)
 
 
+def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
+                            attrs: np.ndarray, rating_max: float) -> np.ndarray:
+    return _tower_predict(params, "user", users, attrs, rating_max)[0]
+
+
+def predict_item_attr_batch(params: ModelParams, items: np.ndarray,
+                            attrs: np.ndarray, rating_max: float) -> np.ndarray:
+    return _tower_predict(params, "item", items, attrs, rating_max)[0]
+
+
 def predict_user_attribute(params: ModelParams, user: int, attr: int,
                            rating_max: float = 5.0) -> float:
     """Eval-mode regression of one user-attribute cell."""
-    pred, _ = _tower_predict(params.user_emb[[user]], params.attr_emb[[attr]],
-                             params.user_tower_w, params.user_tower_b,
-                             params.user_head, rating_max)
-    return float(pred[0])
+    return float(predict_user_attr_batch(params, [user], [attr], rating_max)[0])
 
 
 def predict_item_attribute(params: ModelParams, item: int, attr: int,
                            rating_max: float = 5.0) -> float:
-    pred, _ = _tower_predict(params.item_emb[[item]], params.attr_emb[[attr]],
-                             params.item_tower_w, params.item_tower_b,
-                             params.item_head, rating_max)
-    return float(pred[0])
-
-
-def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
-                            attrs: np.ndarray, rating_max: float,
-                            masks=None) -> np.ndarray:
-    pred, _ = _tower_predict(params.user_emb[users], params.attr_emb[attrs],
-                             params.user_tower_w, params.user_tower_b,
-                             params.user_head, rating_max, masks)
-    return pred
-
-
-def predict_item_attr_batch(params: ModelParams, items: np.ndarray,
-                            attrs: np.ndarray, rating_max: float,
-                            masks=None) -> np.ndarray:
-    pred, _ = _tower_predict(params.item_emb[items], params.attr_emb[attrs],
-                             params.item_tower_w, params.item_tower_b,
-                             params.item_head, rating_max, masks)
-    return pred
+    return float(predict_item_attr_batch(params, [item], [attr], rating_max)[0])
 
 
 def phase1_loss(params: ModelParams, user_cells, item_cells,
@@ -246,36 +216,24 @@ def phase1_loss(params: ModelParams, user_cells, item_cells,
     either may be None or empty.
     """
     total = 0.0
-    if user_cells is not None and len(user_cells[0]):
-        rows, attrs, targets = user_cells
-        pred = predict_user_attr_batch(params, rows, attrs, rating_max)
-        total += float(((pred - targets) ** 2).sum())
-    if item_cells is not None and len(item_cells[0]):
-        rows, attrs, targets = item_cells
-        pred = predict_item_attr_batch(params, rows, attrs, rating_max)
-        total += float(((pred - targets) ** 2).sum())
+    for side, cells in (("user", user_cells), ("item", item_cells)):
+        if cells is not None and len(cells[0]):
+            rows, attrs, targets = cells
+            pred, _ = _tower_predict(params, side, rows, attrs, rating_max)
+            total += float(((pred - targets) ** 2).sum())
     return total
 
 
-def _tower_backward(params: ModelParams, grads: GradientBuffer, side: str,
+def _tower_backward(params: ModelParams, grads: ModelParams, side: str,
                     rows: np.ndarray, attrs: np.ndarray, targets: np.ndarray,
                     rating_max: float, masks=None):
     """Forward + backward for one tower's squared loss; accumulates the tower
     and entity-embedding gradients into `grads` and returns (loss, attribute
     embedding gradient rows), the latter aligned with `attrs`."""
     d = params.embed_dim
-    if side == "user":
-        emb, tower_w, tower_b, head = (params.user_emb, params.user_tower_w,
-                                       params.user_tower_b, params.user_head)
-        g_emb, g_tw, g_tb, g_head = (grads.user_emb, grads.user_tower_w,
-                                     grads.user_tower_b, grads.user_head)
-    else:
-        emb, tower_w, tower_b, head = (params.item_emb, params.item_tower_w,
-                                       params.item_tower_b, params.item_head)
-        g_emb, g_tw, g_tb, g_head = (grads.item_emb, grads.item_tower_w,
-                                     grads.item_tower_b, grads.item_head)
-    pred, (h_out, r, cache) = _tower_predict(emb[rows], params.attr_emb[attrs],
-                                             tower_w, tower_b, head,
+    _, tower_w, _, head = _tower(params, side)
+    g_emb, g_tw, g_tb, g_head = _tower(grads, side)
+    pred, (h_out, r, cache) = _tower_predict(params, side, rows, attrs,
                                              rating_max, masks)
     err = pred - targets
     loss = float((err ** 2).sum())
@@ -299,7 +257,7 @@ def phase1_forward_backward(params: ModelParams, user_cells, item_cells,
     """
     if dropout > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
-    grads = GradientBuffer.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
     depth = params.tower_depth
     dh = 2 * params.embed_dim
     loss = 0.0
@@ -344,7 +302,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adam_step(params: ModelParams, grads: GradientBuffer, state: AdamState,
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               lr: float) -> ModelParams:
     """One in-place Adam update with bias correction.
 

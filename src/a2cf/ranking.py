@@ -17,7 +17,7 @@ from scipy.special import expit
 from .config import TrainConfig
 from .data import Corpus
 from .matrices import SparseAttributeMatrix
-from .network import (GradientBuffer, ModelParams, predict_item_attr_batch,
+from .network import (ModelParams, predict_item_attr_batch,
                       predict_user_attr_batch, scatter_rows)
 
 logger = logging.getLogger(__name__)
@@ -70,16 +70,11 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def substitution_attention(query_row: np.ndarray, item_row: np.ndarray,
-                           temp: float) -> np.ndarray:
-    """Attention over attributes from the two items' completed rows."""
-    return softmax((query_row * item_row) / temp, axis=-1)
-
-
-def personalization_attention(user_row: np.ndarray, item_row: np.ndarray,
-                              temp: float) -> np.ndarray:
-    """Attention over attributes from a user row and an item row."""
-    return softmax((user_row * item_row) / temp, axis=-1)
+def attention(a_row: np.ndarray, b_row: np.ndarray, temp: float) -> np.ndarray:
+    """Attention over attributes from two completed attribute rows: a query
+    and a candidate item row (substitution head), or a user and a candidate
+    item row (personalization head). Rows may be batched along axis 0."""
+    return softmax((a_row * b_row) / temp, axis=-1)
 
 
 def aggregate_attributes(weights: np.ndarray, attr_emb: np.ndarray) -> np.ndarray:
@@ -104,7 +99,7 @@ def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
 
     y_q = est.item_attr[queries]
     y_j = est.item_attr[items]
-    phi = softmax((y_q * y_j) / cfg.subst_temp, axis=-1)
+    phi = attention(y_q, y_j, cfg.subst_temp)
     f_s = (v_q * v_j) @ w_s[:d]
     agg_s = agg_p = None
     if cfg.subst_use_attrs:
@@ -112,7 +107,7 @@ def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
         f_s = f_s + agg_s @ w_s[d:]
 
     x_i = est.user_attr[users]
-    lam = softmax((x_i * y_j) / cfg.pers_temp, axis=-1)
+    lam = attention(x_i, y_j, cfg.pers_temp)
     f_p = (u_i * v_j) @ w_p[:d]
     if cfg.pers_use_attrs:
         agg_p = lam @ params.attr_emb
@@ -125,7 +120,7 @@ def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
 
 
 def _score_rows_backward(params: ModelParams, cfg: TrainConfig, parts,
-                         grads: GradientBuffer) -> None:
+                         grads: ModelParams) -> None:
     """Accumulate d(sum_b upstream_b * score_b)/d(params) into `grads`, summed
     over `parts`, a sequence of (cache, upstream) pairs.
 
@@ -169,8 +164,8 @@ def score_substitution(query: int, item: int, params: ModelParams,
     w_s = params.subst_proj
     val = float((params.item_emb[query] * params.item_emb[item]) @ w_s[:d])
     if cfg.subst_use_attrs:
-        phi = substitution_attention(est.item_attr[query], est.item_attr[item],
-                                     cfg.subst_temp)
+        phi = attention(est.item_attr[query], est.item_attr[item],
+                        cfg.subst_temp)
         val += float(aggregate_attributes(phi, params.attr_emb) @ w_s[d:])
     return val
 
@@ -182,8 +177,8 @@ def score_personalization(user: int, item: int, params: ModelParams,
     w_p = params.pers_proj
     val = float((params.user_emb[user] * params.item_emb[item]) @ w_p[:d])
     if cfg.pers_use_attrs:
-        lam = personalization_attention(est.user_attr[user], est.item_attr[item],
-                                        cfg.pers_temp)
+        lam = attention(est.user_attr[user], est.item_attr[item],
+                        cfg.pers_temp)
         val += float(aggregate_attributes(lam, params.attr_emb) @ w_p[d:])
     return val
 
@@ -261,15 +256,25 @@ def sample_negatives(users: np.ndarray, queries: np.ndarray, corpus: Corpus,
     return out.reshape(len(users), count)
 
 
+def _bpr_s_forward(params: ModelParams, est: EstimatedMatrices,
+                   cfg: TrainConfig, users: np.ndarray, queries: np.ndarray,
+                   positives: np.ndarray, negatives: np.ndarray):
+    """(loss, margins, positive cache, negative cache) for row-aligned
+    quadruples; the loss sums -log sigmoid(score(i,q,j+) - score(i,q,j-)),
+    overflow-safe."""
+    pos_scores, pos_cache = _score_rows(params, est, cfg, users, queries, positives)
+    neg_scores, neg_cache = _score_rows(params, est, cfg, users, queries, negatives)
+    margins = pos_scores - neg_scores
+    loss = float(np.logaddexp(0.0, -margins).sum())
+    return loss, margins, pos_cache, neg_cache
+
+
 def bpr_s_loss(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
                users: np.ndarray, queries: np.ndarray,
                positives: np.ndarray, negatives: np.ndarray) -> float:
-    """Summed pairwise logistic loss over row-aligned quadruples:
-    -log sigmoid(score(i,q,j+) - score(i,q,j-)), overflow-safe."""
-    pos_scores, _ = _score_rows(params, est, cfg, users, queries, positives)
-    neg_scores, _ = _score_rows(params, est, cfg, users, queries, negatives)
-    margins = pos_scores - neg_scores
-    return float(np.logaddexp(0.0, -margins).sum())
+    """Summed pairwise logistic loss over row-aligned quadruples."""
+    return _bpr_s_forward(params, est, cfg, users, queries, positives,
+                          negatives)[0]
 
 
 def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
@@ -277,16 +282,19 @@ def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
                            queries: np.ndarray, positives: np.ndarray,
                            negatives: np.ndarray):
     """Loss plus analytic gradients for one quadruple batch."""
-    pos_scores, pos_cache = _score_rows(params, est, cfg, users, queries, positives)
-    neg_scores, neg_cache = _score_rows(params, est, cfg, users, queries, negatives)
-    margins = pos_scores - neg_scores
-    loss = float(np.logaddexp(0.0, -margins).sum())
+    loss, margins, pos_cache, neg_cache = _bpr_s_forward(
+        params, est, cfg, users, queries, positives, negatives)
     # d/dm of softplus(-m) is sigmoid(m) - 1
     up_pos = expit(margins) - 1.0
-    grads = GradientBuffer.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
     _score_rows_backward(params, cfg,
                          ((pos_cache, up_pos), (neg_cache, -up_pos)), grads)
     return loss, grads
+
+
+def rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions that sort `scores` descending, ties toward the smaller id."""
+    return np.lexsort((ids, -scores))
 
 
 @dataclass
@@ -308,7 +316,6 @@ def recommend_top_k(params: ModelParams, est: EstimatedMatrices,
     if len(cands) == 0:
         raise ValueError("empty candidate set")
     scores = score_candidates(params, est, cfg, user, query, cands)
-    order = np.lexsort((cands, -scores))
-    take = order[:k]
+    take = rank_order(scores, cands)[:k]
     return RankedList(user=user, query=query, items=cands[take],
                       scores=scores[take])

@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import RunConfig, TrainConfig
 from .data import Corpus, SplitTriplets
-from .matrices import build_matrices
+from .matrices import SparseAttributeMatrix, build_matrices
 from .network import (AdamState, ModelParams, adam_step, init_params,
-                      params_tensor_names, phase1_forward_backward)
+                      param_shapes, phase1_forward_backward)
 from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
                       estimate_matrices, sample_negatives)
 
@@ -54,9 +54,10 @@ def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig) -> None:
         fh.write(buf.getvalue())
 
 
-def _checkpoint_manifest(path: str, header) -> list:
+def _checkpoint_manifest(path: str, header, cfg: TrainConfig) -> list:
     """The header's tensor manifest as (name, shape) pairs; it must name
-    every ModelParams tensor exactly once."""
+    every ModelParams tensor exactly once, each with the shape `cfg` gives
+    it."""
     try:
         manifest = [(name, tuple(int(n) for n in shape))
                     for name, shape in header["tensors"]]
@@ -64,13 +65,21 @@ def _checkpoint_manifest(path: str, header) -> list:
         raise ValueError(
             f"{path}: malformed checkpoint tensor manifest") from None
     names = sorted(name for name, _ in manifest)
-    expected = sorted(params_tensor_names())
+    expected = sorted(f.name for f in dataclasses.fields(ModelParams))
     if names != expected:
         missing = ", ".join(sorted(set(expected) - set(names)))
         raise ValueError(f"{path}: checkpoint tensors do not match the model"
                          + (f"; missing {missing}" if missing else ""))
     if any(n < 0 for _, shape in manifest for n in shape):
         raise ValueError(f"{path}: negative dimension in checkpoint manifest")
+    shapes = dict(manifest)
+    counts = [shapes[name][0] if shapes[name] else 0
+              for name in ("user_emb", "item_emb", "attr_emb")]
+    want = param_shapes(*counts, cfg)
+    for name, shape in manifest:
+        if shape != want[name]:
+            raise ValueError(f"{path}: checkpoint tensor {name!r} has shape "
+                             f"{shape}, expected {want[name]}")
     return manifest
 
 
@@ -105,7 +114,7 @@ def load_checkpoint(path: str) -> tuple:
         raise ValueError(f"{path}: bad checkpoint config: {exc}") from None
     offset = 12 + hlen
     fields = {}
-    for name, shape in _checkpoint_manifest(path, header):
+    for name, shape in _checkpoint_manifest(path, header, cfg):
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = size * 8
         if offset + nbytes > len(raw):
@@ -136,20 +145,12 @@ def checkpoint_roundtrip(params: ModelParams, cfg: TrainConfig,
 class TrainResult:
     params: ModelParams
     est: EstimatedMatrices
-    user_mat: object
-    item_mat: object
+    user_mat: SparseAttributeMatrix
+    item_mat: SparseAttributeMatrix
     history: list
     rounds_run: int
     converged: bool
     final_loss: float | None
-
-
-def _cell_arrays(mat) -> tuple:
-    keys = sorted(mat.entries)
-    rows = np.array([r for r, _ in keys], dtype=np.int64)
-    cols = np.array([c for _, c in keys], dtype=np.int64)
-    vals = np.array([mat.entries[k] for k in keys], dtype=np.float64)
-    return rows, cols, vals
 
 
 class _Log:
@@ -176,7 +177,7 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     bit-for-bit for a given corpus and config.
     """
     cfg = run.train
-    user_mat, item_mat, _ = build_matrices(corpus, cfg.rating_max)
+    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
     seeds = np.random.SeedSequence(run.seed).spawn(5)
     init_seed, p1_seed, drop_seed, p2_seed, neg_seed = seeds
     params = init_params(corpus.n_users, corpus.n_items, corpus.n_attrs,
@@ -188,8 +189,8 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     adam_p1 = AdamState.zeros_like(params)
     adam_p2 = AdamState.zeros_like(params)
 
-    u_rows, u_cols, u_vals = _cell_arrays(user_mat)
-    i_rows, i_cols, i_vals = _cell_arrays(item_mat)
+    u_rows, u_cols, u_vals = user_mat.rows, user_mat.cols, user_mat.vals
+    i_rows, i_cols, i_vals = item_mat.rows, item_mat.cols, item_mat.vals
     n_user_cells = len(u_rows)
     cells = np.arange(n_user_cells + len(i_rows))
     train = splits.train

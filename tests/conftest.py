@@ -8,7 +8,7 @@ from a2cf.config import RunConfig, TrainConfig
 from a2cf.data import (LexiconEntry, ReviewRecord, build_triplets,
                        filter_corpus, load_lexicon, load_reviews,
                        load_substitutes, split_triplets)
-from a2cf.network import GradientBuffer
+from a2cf.network import ModelParams
 from a2cf.synthetic import SyntheticSpec, generate_synthetic
 from a2cf.training import train_pipeline
 
@@ -73,7 +73,7 @@ def central_diff_grads(params, loss_fn, step=1e-5):
     Perturbs the tensors of `params` in place (restoring each entry), so
     loss_fn should close over `params`.
     """
-    grads = GradientBuffer.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
     for tensor, out in zip(params.tensors().values(), grads.tensors().values()):
         flat, gout = tensor.ravel(), out.ravel()
         for k in range(flat.size):

@@ -19,10 +19,9 @@ from a2cf.matrices import item_attr_value, user_attr_value
 from a2cf.network import (init_params, phase1_forward_backward,
                           predict_item_attr_batch, predict_user_attr_batch,
                           tanh_rescaled)
-from a2cf.ranking import (EstimatedMatrices, bpr_s_forward_backward,
-                          estimate_matrices, personalization_attention,
-                          recommend_top_k, score_candidates,
-                          substitution_attention)
+from a2cf.ranking import (EstimatedMatrices, attention,
+                          bpr_s_forward_backward, estimate_matrices,
+                          recommend_top_k, score_candidates)
 from a2cf.synthetic import SyntheticSpec, generate_synthetic
 from a2cf.training import checkpoint_roundtrip, train_pipeline
 from a2cf.evaluation import write_metrics_report
@@ -221,8 +220,8 @@ def test_criterion_2_closed_form_oracles():
     ones = {k: np.ones(k) for k in (1, 2, 3, 4)}
     for logits, temp, expected in ATTENTION_CASES:
         row = np.array(logits, dtype=np.float64)
-        for got in (substitution_attention(row, ones[len(row)], temp),
-                    personalization_attention(ones[len(row)], row, temp)):
+        for got in (attention(row, ones[len(row)], temp),
+                    attention(ones[len(row)], row, temp)):
             check(np.abs(got - np.array(expected)).max())
     for x, yq, yj, expected in DELTA_CASES:
         adv = attribute_advantage(np.array(x), np.array(yq), np.array(yj),
@@ -379,19 +378,16 @@ def test_criterion_6_invariant_suite(small_trained, synth_corpus,
     for _ in range(50):
         q, j = rng.integers(corpus.n_items, size=2)
         u = int(rng.integers(corpus.n_users))
-        phi = substitution_attention(est.item_attr[q], est.item_attr[j],
-                                     cfg.subst_temp)
-        lam = personalization_attention(est.user_attr[u], est.item_attr[j],
-                                        cfg.pers_temp)
+        phi = attention(est.item_attr[q], est.item_attr[j], cfg.subst_temp)
+        lam = attention(est.user_attr[u], est.item_attr[j], cfg.pers_temp)
         worst_norm = max(worst_norm, abs(phi.sum() - 1.0),
                          abs(lam.sum() - 1.0))
     check("attention_normalization", worst_norm < 1e-9)
 
-    observed_ok = all(est.user_attr[r, c] == v
-                      for (r, c), v in result.user_mat.entries.items())
-    observed_ok = observed_ok and all(
-        est.item_attr[r, c] == v
-        for (r, c), v in result.item_mat.entries.items())
+    observed_ok = all(
+        np.array_equal(full[mat.rows, mat.cols], mat.vals)
+        for full, mat in ((est.user_attr, result.user_mat),
+                          (est.item_attr, result.item_mat)))
     check("observed_cells_kept_verbatim", observed_ok)
 
     anti_ok = True

@@ -235,6 +235,14 @@ def _no_tensors(header):
     del header["tensors"]
 
 
+def _wrong_shape(header):
+    """Same byte count as the trained (1, 16, 16), so only shapes catch it."""
+    for entry in header["tensors"]:
+        if entry[0] == "user_tower_w":
+            assert entry[1] == [1, 16, 16]
+            entry[1] = [2, 8, 16]
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (lambda raw: raw[:11], "truncated checkpoint header"),
     (lambda raw: _rewrite_header(raw, _unknown_config_key),
@@ -242,8 +250,10 @@ def _no_tensors(header):
     (lambda raw: _rewrite_header(raw, _missing_tensor), "missing attr_emb"),
     (lambda raw: _rewrite_header(raw, _no_config), "lacks 'config'"),
     (lambda raw: _rewrite_header(raw, _no_tensors), "lacks 'tensors'"),
+    (lambda raw: _rewrite_header(raw, _wrong_shape),
+     "tensor 'user_tower_w' has shape (2, 8, 16), expected (1, 16, 16)"),
 ], ids=["short_file", "unknown_config_key", "missing_tensor", "no_config",
-        "no_tensors"])
+        "no_tensors", "wrong_shape"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"

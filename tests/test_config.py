@@ -36,8 +36,8 @@ def test_run_config_validation():
         RunConfig(rounds_max=0)
     with pytest.raises(ValueError, match="convergence_tol"):
         RunConfig(convergence_tol=-1e-3)
-    with pytest.raises(ValueError, match="eval_cutoffs"):
-        RunConfig(eval_cutoffs=())
+    with pytest.raises(TypeError, match="eval_cutoffs"):
+        RunConfig(eval_cutoffs=())      # evaluation settings are not run fields
 
 
 def test_parse_config_file(tmp_path):
@@ -57,6 +57,15 @@ def test_parse_config_file_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("embed_dim=8\nwidth=3\n")
     with pytest.raises(ValueError, match=r"run\.cfg:2.*unknown config key"):
+        parse_config_file(str(path))
+
+
+@pytest.mark.parametrize("key", ["eval_negatives", "eval_cutoffs",
+                                 "explain_attrs"])
+def test_parse_config_file_rejects_evaluation_keys(tmp_path, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}=50\n")
+    with pytest.raises(ValueError, match=rf"run\.cfg:1.*unknown config key '{key}'"):
         parse_config_file(str(path))
 
 

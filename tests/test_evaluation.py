@@ -299,8 +299,7 @@ def test_protocol_trained_model_end_to_end(small_trained):
     corpus, splits, run, result = small_trained
     report = evaluate_protocol(result.params, result.est, run.train, corpus,
                                splits.test, seed=10,
-                               negatives=run.eval_negatives,
-                               cutoffs=run.eval_cutoffs)
+                               negatives=1000, cutoffs=(5, 10, 20, 50))
     hrs = [report.metrics[f"HR@{k}"] for k in (5, 10, 20, 50)]
     ndcgs = [report.metrics[f"NDCG@{k}"] for k in (5, 10, 20, 50)]
     assert all(0.0 <= v <= 1.0 for v in hrs + ndcgs)

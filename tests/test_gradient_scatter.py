@@ -7,7 +7,7 @@ import pytest
 from scipy.special import expit
 
 from a2cf.config import TrainConfig
-from a2cf.network import (GradientBuffer, dropout_mask, init_params,
+from a2cf.network import (ModelParams, dropout_mask, init_params,
                           phase1_forward_backward, residual_backward,
                           residual_forward, tanh_rescaled, tanh_rescaled_grad)
 from a2cf.ranking import EstimatedMatrices, bpr_s_forward_backward, softmax
@@ -56,7 +56,7 @@ def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
     neg_scores, neg_cache = forward(negatives)
     margins = pos_scores - neg_scores
     up_pos = expit(margins) - 1.0
-    grads = GradientBuffer.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
     backward(pos_cache, up_pos, grads)
     backward(neg_cache, -up_pos, grads)
     return float(np.logaddexp(0.0, -margins).sum()), grads
@@ -66,7 +66,7 @@ def addat_phase1(params, user_cells, item_cells, rating_max, dropout, rng):
     """Reference phase-1 loss and gradients: np.add.at per tower, user
     tower before item tower."""
     d = params.embed_dim
-    grads = GradientBuffer.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
     loss = 0.0
     for side, cells in (("user", user_cells), ("item", item_cells)):
         rows, attrs, targets = cells

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from a2cf.data import LexiconEntry, filter_corpus
-from a2cf.matrices import (SparseAttributeMatrix, build_matrices,
-                           collect_mentions, dump_matrix, item_attr_value,
+from a2cf.data import Corpus, LexiconEntry, filter_corpus
+from a2cf.matrices import (build_matrices, dump_matrix, item_attr_value,
                            user_attr_value)
 from conftest import SUB_PAIRS, grid_reviews
 
@@ -70,21 +69,21 @@ def test_item_attr_value_rejects_bad_inputs():
         item_attr_value(2, 1.5)
 
 
-def test_collect_mentions_counts_and_mean_sentiment(grid_corpus):
-    stats = collect_mentions(grid_corpus)
+def test_build_matrices_counts_and_mean_sentiment(grid_corpus):
+    user_mat, item_mat = build_matrices(grid_corpus)
+    x, y = user_mat.to_dense(), item_mat.to_dense()
     # attrs sorted: battery=0, price=1, screen=2; users uA..uF = 0..5
-    assert stats.user_attr_counts[(0, 0)] == 2    # uA mentions battery twice
-    assert stats.user_attr_counts[(1, 0)] == 1
-    assert stats.user_attr_counts[(0, 1)] == 1
-    assert (5, 0) not in stats.user_attr_counts   # uF mentions nothing
-    assert stats.item_attr_counts[(0, 0)] == 2    # p0 battery: uA+1, uB+1
-    assert stats.item_attr_sentiment[(0, 0)] == 1.0
-    assert stats.item_attr_sentiment[(1, 0)] == -1.0
-    assert stats.item_attr_sentiment[(3, 2)] == 1.0
+    assert x[0, 0] == user_attr_value(2)          # uA mentions battery twice
+    assert x[1, 0] == user_attr_value(1)
+    assert x[0, 1] == user_attr_value(1)
+    assert not user_mat.observed_mask()[5].any()  # uF mentions nothing
+    assert y[0, 0] == item_attr_value(2, 1.0)     # p0 battery: uA+1, uB+1
+    assert y[1, 0] == item_attr_value(1, -1.0)
+    assert y[3, 2] == item_attr_value(2, 1.0)
 
 
 def test_build_matrices_full_hand_table(grid_corpus):
-    user_mat, item_mat, _ = build_matrices(grid_corpus)
+    user_mat, item_mat = build_matrices(grid_corpus)
     expected_x = np.zeros((6, 3))
     expected_x[0, 0] = USER_VALUE_T2       # uA battery, two mentions
     expected_x[0, 1] = USER_VALUE_T1       # uA price
@@ -104,49 +103,105 @@ def test_build_matrices_full_hand_table(grid_corpus):
 
 
 def test_build_matrices_absent_cells_are_exact_zero(grid_corpus):
-    user_mat, item_mat, _ = build_matrices(grid_corpus)
-    assert user_mat.get(5, 0) == 0.0
-    assert user_mat.get(5, 2) == 0.0
-    assert item_mat.get(4, 0) == 0.0
-    assert (5, 0) not in user_mat.entries
+    user_mat, item_mat = build_matrices(grid_corpus)
+    assert user_mat.to_dense()[5, 0] == 0.0
+    assert user_mat.to_dense()[5, 2] == 0.0
+    assert item_mat.to_dense()[4, 0] == 0.0
+    assert not user_mat.observed_mask()[5, 0]
 
 
 def test_build_matrices_mixed_sentiment_cancels_to_midpoint():
     lex = [LexiconEntry("uA", "p0", "battery", 1),
            LexiconEntry("uB", "p0", "battery", -1)]
     corpus = filter_corpus(grid_reviews(), lex, list(SUB_PAIRS))
-    _, item_mat, stats = build_matrices(corpus)
-    assert stats.item_attr_counts[(0, 0)] == 2
-    assert stats.item_attr_sentiment[(0, 0)] == 0.0
-    assert item_mat.get(0, 0) == 3.0
+    _, item_mat = build_matrices(corpus)
+    # one cell, two mentions, mean sentiment 0
+    assert (item_mat.rows.tolist(), item_mat.cols.tolist()) == ([0], [0])
+    assert item_mat.vals[0] == item_attr_value(2, 0.0) == 3.0
 
 
 def test_build_matrices_observed_values_within_scale(grid_corpus):
-    user_mat, item_mat, _ = build_matrices(grid_corpus)
+    user_mat, item_mat = build_matrices(grid_corpus)
     for mat in (user_mat, item_mat):
-        vals = np.array(list(mat.entries.values()))
-        assert np.all(vals >= 1.0)
-        assert np.all(vals <= mat.scale_cap)
+        assert np.all(mat.vals >= 1.0)
+        assert np.all(mat.vals <= mat.scale_cap)
 
 
 def test_sparse_matrix_accessors(grid_corpus):
-    user_mat, _, _ = build_matrices(grid_corpus)
+    user_mat, _ = build_matrices(grid_corpus)
     mask = user_mat.observed_mask()
     dense = user_mat.to_dense()
     assert mask.shape == (6, 3)
-    assert mask.sum() == len(user_mat.entries) == 6
+    assert mask.sum() == len(user_mat.vals) == 6
     np.testing.assert_array_equal(mask, dense != 0.0)
-    assert user_mat.get(0, 0) == dense[0, 0]
+    np.testing.assert_array_equal(dense[user_mat.rows, user_mat.cols],
+                                  user_mat.vals)
 
 
 def test_build_matrices_respects_rating_max(grid_corpus):
-    user_mat, item_mat, _ = build_matrices(grid_corpus, rating_max=10.0)
-    assert user_mat.get(0, 0) == pytest.approx(7.854347403601884, abs=1e-12)
-    assert item_mat.get(0, 0) == pytest.approx(8.927173701800942, abs=1e-12)
+    user_mat, item_mat = build_matrices(grid_corpus, rating_max=10.0)
+    assert user_mat.to_dense()[0, 0] == pytest.approx(7.854347403601884,
+                                                      abs=1e-12)
+    assert item_mat.to_dense()[0, 0] == pytest.approx(8.927173701800942,
+                                                      abs=1e-12)
+
+
+def random_lexicon_corpus(seed):
+    """A corpus of random mentions: repeats, mixed sentiment, and users and
+    items that mention nothing. Seed 0 has no mention at all."""
+    rng = np.random.default_rng(seed)
+    n_users, n_items, n_attrs = (int(n) for n in rng.integers(2, 9, size=3))
+    n_lex = 0 if seed == 0 else int(rng.integers(1, 200))
+    lex = np.column_stack([
+        rng.integers(n_users - 1, size=n_lex),      # the last user is silent
+        rng.integers(n_items - 1, size=n_lex),      # so is the last item
+        rng.integers(n_attrs, size=n_lex),
+        rng.choice([-1, 1], size=n_lex)]).astype(np.int64)
+    return Corpus(user_tokens=[f"u{i}" for i in range(n_users)],
+                  item_tokens=[f"i{i}" for i in range(n_items)],
+                  attr_tokens=[f"a{i}" for i in range(n_attrs)],
+                  interactions=np.empty((0, 2), dtype=np.int64),
+                  lexicon=lex.reshape(-1, 4),
+                  substitute_pairs=np.empty((0, 2), dtype=np.int64))
+
+
+def brute_force_matrices(corpus, rating_max):
+    """Dense matrices filled cell by cell from the scalar value maps."""
+    lex = corpus.lexicon
+    x = np.zeros((corpus.n_users, corpus.n_attrs))
+    y = np.zeros((corpus.n_items, corpus.n_attrs))
+    for a in range(corpus.n_attrs):
+        for u in range(corpus.n_users):
+            hits = (lex[:, 0] == u) & (lex[:, 2] == a)
+            if hits.any():
+                x[u, a] = user_attr_value(int(hits.sum()), rating_max)
+        for v in range(corpus.n_items):
+            hits = (lex[:, 1] == v) & (lex[:, 2] == a)
+            if hits.any():
+                count = int(hits.sum())
+                mean = int(lex[hits, 3].sum()) / count
+                y[v, a] = item_attr_value(count, mean, rating_max)
+    return x, y
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_matrices_bit_identical_to_scalar_value_maps(seed):
+    corpus = random_lexicon_corpus(seed)
+    rating_max = (5.0, 10.0, 3.5)[seed % 3]
+    mats = build_matrices(corpus, rating_max)
+    for mat, want in zip(mats, brute_force_matrices(corpus, rating_max)):
+        got = mat.to_dense()
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(mat.observed_mask(), want != 0.0)
+        assert mat.rows.dtype == mat.cols.dtype == np.int64
+        keys = mat.rows * mat.shape[1] + mat.cols
+        assert np.all(np.diff(keys) > 0)            # row-major, no repeats
+        assert mat.scale_cap == rating_max
 
 
 def test_dump_matrix_sorted_rows(tmp_path, grid_corpus):
-    user_mat, _, _ = build_matrices(grid_corpus)
+    user_mat, _ = build_matrices(grid_corpus)
     path = tmp_path / "x.tsv"
     dump_matrix(user_mat, str(path))
     lines = path.read_text().splitlines()

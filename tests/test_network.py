@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from a2cf.config import TrainConfig
-from a2cf.network import (AdamState, GradientBuffer, INIT_SCALE, ModelParams,
-                          adam_step, dropout_mask, init_params, phase1_loss,
+from a2cf.network import (AdamState, INIT_SCALE, ModelParams, adam_step,
+                          dropout_mask, init_params, phase1_loss,
                           phase1_forward_backward, predict_item_attribute,
                           predict_item_attr_batch, predict_user_attribute,
                           predict_user_attr_batch, residual_backward,
@@ -345,7 +345,7 @@ def test_adam_zero_gradient_leaves_params():
     params = init_params(3, 3, 3, small_cfg(), seed=31)
     before = {k: t.copy() for k, t in params.tensors().items()}
     state = AdamState.zeros_like(params)
-    adam_step(params, GradientBuffer.zeros_like(params), state, lr=0.01)
+    adam_step(params, ModelParams.zeros_like(params), state, lr=0.01)
     for k, t in params.tensors().items():
         np.testing.assert_array_equal(t, before[k])
 
@@ -353,7 +353,7 @@ def test_adam_zero_gradient_leaves_params():
 def test_adam_first_step_magnitude_is_learning_rate():
     params = init_params(2, 2, 2, small_cfg(embed_dim=2), seed=32)
     before = params.user_emb.copy()
-    grads = GradientBuffer.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
     grads.user_emb[...] = np.array([[0.3, -0.7], [1.2, -0.05]])
     state = AdamState.zeros_like(params)
     adam_step(params, grads, state, lr=1e-3)
@@ -366,7 +366,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
 def test_adam_skips_nonfinite_gradients():
     params = init_params(2, 2, 2, small_cfg(embed_dim=2), seed=33)
     before = params.user_emb.copy()
-    grads = GradientBuffer.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
     grads.user_emb[0, 0] = np.nan
     state = AdamState.zeros_like(params)
     adam_step(params, grads, state, lr=0.1)
@@ -380,7 +380,7 @@ def test_adam_converges_on_quadratic():
     target = np.array([1.5, -0.7])
     state = AdamState.zeros_like(params)
     for _ in range(200):
-        grads = GradientBuffer.zeros_like(params)
+        grads = ModelParams.zeros_like(params)
         grads.user_emb[0] = 2.0 * (params.user_emb[0] - target)
         adam_step(params, grads, state, lr=0.05)
     np.testing.assert_allclose(params.user_emb[0], target, atol=1e-3)

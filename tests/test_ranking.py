@@ -8,12 +8,11 @@ from a2cf.data import Corpus
 from a2cf.matrices import SparseAttributeMatrix, build_matrices
 from a2cf.network import init_params
 from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
-                          aggregate_attributes,
+                          aggregate_attributes, attention,
                           bpr_s_forward_backward, bpr_s_loss,
-                          estimate_matrices, personalization_attention,
-                          recommend_top_k, sample_negatives, score_candidates,
-                          score_personalization, score_substitution, softmax,
-                          substitution_attention, triplet_score)
+                          estimate_matrices, recommend_top_k, sample_negatives,
+                          score_candidates, score_personalization,
+                          score_substitution, softmax, triplet_score)
 from conftest import central_diff_grads, worst_relative_gap
 
 # softmax of (0.5, 1.125, 2.0), high-precision reference
@@ -41,8 +40,10 @@ def random_setup(seed, n_users=4, n_items=6, n_attrs=4, **cfg_kw):
 # --------------------------------------------------------------- estimation
 
 def test_estimation_preserves_observed_verbatim():
-    user_mat = SparseAttributeMatrix(2, 2, 5.0, {(0, 1): 4.2})
-    item_mat = SparseAttributeMatrix(2, 2, 5.0, {(1, 0): 1.7})
+    user_mat = SparseAttributeMatrix((2, 2), 5.0, np.array([0]), np.array([1]),
+                                     np.array([4.2]))
+    item_mat = SparseAttributeMatrix((2, 2), 5.0, np.array([1]), np.array([0]),
+                                     np.array([1.7]))
     params = init_params(2, 2, 2, scoring_cfg(), seed=3)
     est = estimate_matrices(user_mat, item_mat, params)
     assert est.user_attr[0, 1] == 4.2
@@ -50,28 +51,29 @@ def test_estimation_preserves_observed_verbatim():
 
 
 def test_estimation_identity_when_fully_observed():
-    vals = {(r, c): 1.0 + 0.5 * (r + c) for r in range(3) for c in range(2)}
-    mat = SparseAttributeMatrix(3, 2, 5.0, dict(vals))
+    rows, cols = (a.ravel() for a in np.indices((3, 2)))
+    vals = 1.0 + 0.5 * (rows + cols)
+    mat = SparseAttributeMatrix((3, 2), 5.0, rows, cols, vals)
     params = init_params(3, 3, 2, scoring_cfg(), seed=4)
-    est = estimate_matrices(mat, SparseAttributeMatrix(3, 2, 5.0, dict(vals)),
-                            params)
+    est = estimate_matrices(mat, SparseAttributeMatrix((3, 2), 5.0, rows, cols,
+                                                       vals.copy()), params)
     np.testing.assert_array_equal(est.user_attr, mat.to_dense())
     np.testing.assert_array_equal(est.item_attr, mat.to_dense())
 
 
 def test_estimation_missing_cells_get_midpoint_under_zero_params(grid_corpus):
-    user_mat, item_mat, _ = build_matrices(grid_corpus)
+    user_mat, item_mat = build_matrices(grid_corpus)
     params = init_params(6, 6, 3, scoring_cfg(), seed=5)
     for t in params.tensors().values():
         t[...] = 0.0
     est = estimate_matrices(user_mat, item_mat, params)
     assert est.user_attr[5, 0] == 3.0      # uF never mentions anything
     assert est.item_attr[4, 2] == 3.0
-    assert est.user_attr[0, 0] == user_mat.get(0, 0)
+    assert est.user_attr[0, 0] == user_mat.to_dense()[0, 0]
 
 
 def test_estimation_range_and_determinism(grid_corpus):
-    user_mat, item_mat, _ = build_matrices(grid_corpus)
+    user_mat, item_mat = build_matrices(grid_corpus)
     params = init_params(6, 6, 3, scoring_cfg(), seed=6)
     est1 = estimate_matrices(user_mat, item_mat, params)
     est2 = estimate_matrices(user_mat, item_mat, params)
@@ -84,29 +86,28 @@ def test_estimation_range_and_determinism(grid_corpus):
 # ---------------------------------------------------------------- attention
 
 def test_substitution_attention_uniform_for_constant_product():
-    phi = substitution_attention(np.full(5, 2.0), np.full(5, 3.0), temp=8.0)
+    phi = attention(np.full(5, 2.0), np.full(5, 3.0), temp=8.0)
     np.testing.assert_allclose(phi, 0.2, atol=1e-12)
 
 
 def test_substitution_attention_uniform_limit_large_temp():
     q = np.array([1.0, 3.0, 5.0])
     j = np.array([2.0, 4.0, 1.0])
-    phi = substitution_attention(q, j, temp=1e12)
+    phi = attention(q, j, temp=1e12)
     np.testing.assert_allclose(phi, 1.0 / 3.0, atol=1e-9)
 
 
 def test_substitution_attention_reference_case():
     row = np.array([2.0, 3.0, 4.0])
-    phi = substitution_attention(row, row, temp=8.0)
+    phi = attention(row, row, temp=8.0)
     np.testing.assert_allclose(phi, PHI_REFERENCE, atol=1e-12)
 
 
 def test_personalization_attention_reference_cases():
-    lam = personalization_attention(np.array([5.0, 4.0, 3.0, 2.0]),
-                                    np.array([5.0, 4.0, 3.0, 2.0]), temp=8.0)
+    lam = attention(np.array([5.0, 4.0, 3.0, 2.0]),
+                    np.array([5.0, 4.0, 3.0, 2.0]), temp=8.0)
     np.testing.assert_allclose(lam, LAM_REFERENCE_4, atol=1e-12)
-    lam = personalization_attention(np.array([1.0, 2.0, 3.0, 4.0]),
-                                    np.ones(4), temp=1.0)
+    lam = attention(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4), temp=1.0)
     np.testing.assert_allclose(
         lam, (0.032058603280084988, 0.087144318742032567,
               0.23688281808991013, 0.64391425988797231), atol=1e-12)
@@ -117,8 +118,9 @@ def test_attention_is_probability_distribution():
     for _ in range(10):
         a = rng.uniform(1.0, 5.0, size=8)
         b = rng.uniform(1.0, 5.0, size=8)
-        for w in (substitution_attention(a, b, 4.0),
-                  personalization_attention(a, b, 4.0)):
+        # one row pair, and the same pairs as a batch of rows
+        for w in (attention(a, b, 4.0),
+                  *attention(np.stack([a, b]), np.stack([b, a]), 4.0)):
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) < 1e-9
 
@@ -131,7 +133,7 @@ def test_attention_entropy_non_decreasing_in_temperature():
         return float(-(w * np.log(w)).sum())
 
     temps = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    ent = [entropy(substitution_attention(a, b, t)) for t in temps]
+    ent = [entropy(attention(a, b, t)) for t in temps]
     assert all(e2 > e1 for e1, e2 in zip(ent, ent[1:]))
 
 
@@ -185,8 +187,7 @@ def test_substitution_score_attr_half_only_when_query_embedding_zero():
     cfg, params, est = random_setup(11)
     d = params.embed_dim
     params.item_emb[0] = 0.0
-    phi = substitution_attention(est.item_attr[0], est.item_attr[3],
-                                 cfg.subst_temp)
+    phi = attention(est.item_attr[0], est.item_attr[3], cfg.subst_temp)
     expected = float((phi @ params.attr_emb) @ params.subst_proj[d:])
     assert score_substitution(0, 3, params, est, cfg) == pytest.approx(
         expected, abs=1e-12)
@@ -222,8 +223,7 @@ def test_personalization_score_attr_half_only_when_user_embedding_zero():
     cfg, params, est = random_setup(14)
     d = params.embed_dim
     params.user_emb[2] = 0.0
-    lam = personalization_attention(est.user_attr[2], est.item_attr[1],
-                                    cfg.pers_temp)
+    lam = attention(est.user_attr[2], est.item_attr[1], cfg.pers_temp)
     expected = float((lam @ params.attr_emb) @ params.pers_proj[d:])
     assert score_personalization(2, 1, params, est, cfg) == pytest.approx(
         expected, abs=1e-12)

@@ -1,7 +1,9 @@
 """Alternating training loop, convergence control, and checkpoint format."""
 
+import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from a2cf import training
 from a2cf.config import RunConfig, TrainConfig
 from a2cf.data import SplitTriplets
-from a2cf.network import GradientBuffer, init_params
+from a2cf.network import ModelParams, init_params
 from a2cf.training import (CHECKPOINT_MAGIC, checkpoint_roundtrip,
                            load_checkpoint, save_checkpoint, train_pipeline)
 
@@ -71,6 +73,32 @@ def test_checkpoint_unsupported_format(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
     with pytest.raises(ValueError, match="unsupported checkpoint format"):
+        load_checkpoint(str(path))
+
+
+def _narrow_item_emb(params, cfg):
+    params.item_emb = params.item_emb[:, :3].copy()
+    return cfg
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda p, cfg: dataclasses.replace(cfg, embed_dim=3),
+     "'user_emb' has shape (5, 4), expected (5, 3)"),
+    (_narrow_item_emb, "'item_emb' has shape (6, 3), expected (6, 4)"),
+    (lambda p, cfg: dataclasses.replace(cfg, tower_depth=1),
+     "'user_tower_w' has shape (2, 8, 8), expected (1, 8, 8)"),
+    (lambda p, cfg: dataclasses.replace(cfg, subst_use_attrs=False),
+     "'subst_proj' has shape (8,), expected (4,)"),
+    (lambda p, cfg: dataclasses.replace(cfg, pers_use_attrs=False),
+     "'pers_proj' has shape (8,), expected (4,)"),
+], ids=["embed_dim", "one_embedding", "tower_depth", "subst_ablation",
+        "pers_ablation"])
+def test_checkpoint_shapes_checked_against_config(tmp_path, tamper, message):
+    params, cfg = tiny_params()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, tamper(params, cfg))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: checkpoint tensor {message}")):
         load_checkpoint(str(path))
 
 
@@ -179,7 +207,7 @@ def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
 def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
                                                synth_corpus, synth_splits):
     def poisoned(params, user_cells, item_cells, rating_max, dropout, rng):
-        return float("nan"), GradientBuffer.zeros_like(params)
+        return float("nan"), ModelParams.zeros_like(params)
 
     monkeypatch.setattr(training, "phase1_forward_backward", poisoned)
     diag = tmp_path / "diag"
