@@ -187,7 +187,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_recommend(args) -> int:
+def _rank_request(args):
+    """Load the model and rank the --top-k substitutes of --query for
+    --user; returns (corpus, est, user, query, ranked) once --out-dir
+    exists."""
     corpus, _, params, cfg, est = _load_model(args)
     user = _resolve_token(args.user, corpus.user_tokens, "user")
     query = _resolve_token(args.query, corpus.item_tokens, "item")
@@ -195,6 +198,11 @@ def _cmd_recommend(args) -> int:
     ranked = ranking.recommend_top_k(params, est, cfg, user, query,
                                      candidates, args.top_k)
     os.makedirs(args.out_dir, exist_ok=True)
+    return corpus, est, user, query, ranked
+
+
+def _cmd_recommend(args) -> int:
+    corpus, _, _, _, ranked = _rank_request(args)
     path = os.path.join(args.out_dir, RECS_NAME)
     with open(path, "w", encoding="utf-8") as fh:
         for rank, (item, score) in enumerate(zip(ranked.items, ranked.scores),
@@ -206,13 +214,7 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    corpus, _, params, cfg, est = _load_model(args)
-    user = _resolve_token(args.user, corpus.user_tokens, "user")
-    query = _resolve_token(args.query, corpus.item_tokens, "item")
-    candidates = np.delete(np.arange(corpus.n_items), query)
-    ranked = ranking.recommend_top_k(params, est, cfg, user, query,
-                                     candidates, args.top_k)
-    os.makedirs(args.out_dir, exist_ok=True)
+    corpus, est, user, query, ranked = _rank_request(args)
     path = os.path.join(args.out_dir, EXPLAIN_NAME)
     with open(path, "w", encoding="utf-8") as fh:
         for item in ranked.items:

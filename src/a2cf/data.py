@@ -9,8 +9,10 @@ ignored):
 
 import io
 import logging
+import lzma
 import zipfile
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -118,7 +120,8 @@ class Corpus:
     """Filtered corpus with dense integer ids.
 
     Tokens are sorted lexicographically; index arrays refer into the token
-    lists. Derived lookup structures are built on construction.
+    lists. Derived structures (`sampling_tables`, `popularity`) are built
+    on first use.
     """
 
     user_tokens: list[str]
@@ -127,30 +130,14 @@ class Corpus:
     interactions: np.ndarray        # (n_inter, 2) int64: user, item
     lexicon: np.ndarray             # (n_lex, 4) int64: user, item, attr, sentiment
     substitute_pairs: np.ndarray    # (n_pairs, 2) int64, first < second
-    user_items: list[set] = field(init=False, repr=False)
-    substitutes: list[set] = field(init=False, repr=False)
-    popularity: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.user_items = [set() for _ in self.user_tokens]
-        for u, v in self.interactions:
-            self.user_items[u].add(int(v))
-        self.substitutes = [set() for _ in self.item_tokens]
-        for a, b in self.substitute_pairs:
-            self.substitutes[a].add(int(b))
-            self.substitutes[b].add(int(a))
-        self.popularity = np.zeros(len(self.item_tokens), dtype=np.int64)
-        for items in self.user_items:
-            for v in items:
-                self.popularity[v] += 1
 
     @cached_property
     def sampling_tables(self) -> tuple:
         """(bought, substitute): boolean matrices of shape (n_users, n_items)
-        and (n_items, n_items) for vectorized negative rejection.
+        and (n_items, n_items), the corpus's two relations as lookup tables.
 
-        Built on first use, which only training makes, and kept with the
-        corpus: n_users*n_items + n_items**2 bytes.
+        Built on first use, which only triplet building and training make,
+        and kept with the corpus: n_users*n_items + n_items**2 bytes.
         """
         bought = np.zeros((self.n_users, self.n_items), dtype=bool)
         users, items = np.reshape(self.interactions, (-1, 2)).T
@@ -160,6 +147,11 @@ class Corpus:
         subst[a, b] = True
         subst[b, a] = True
         return bought, subst
+
+    @cached_property
+    def popularity(self) -> np.ndarray:
+        """Distinct users per item, (n_items,) int64."""
+        return self.sampling_tables[0].sum(axis=0, dtype=np.int64)
 
     @property
     def n_users(self) -> int:
@@ -239,18 +231,10 @@ def filter_corpus(reviews: list[ReviewRecord],
     return Corpus(user_tokens, item_tokens, attr_tokens, inter, lex, subs)
 
 
-def sample_query_item(user: int, positive: int, corpus: Corpus,
-                      rng: np.random.Generator) -> int:
-    """Draw a query item from the substitutes of `positive` that `user` has
-    not interacted with, weighted by popularity**0.75.
-
-    Raises ValueError when no such item exists (callers are expected to skip
-    those pairs).
-    """
-    pool = sorted(corpus.substitutes[positive] - corpus.user_items[user])
-    if not pool:
-        raise ValueError(f"no query candidate for user {user}, item {positive}")
-    weights = corpus.popularity[pool].astype(np.float64) ** QUERY_POP_EXPONENT
+def _draw_query(pool: np.ndarray, popularity: np.ndarray,
+                rng: np.random.Generator) -> int:
+    """One item of the non-empty `pool`, weighted by popularity**0.75."""
+    weights = popularity[pool].astype(np.float64) ** QUERY_POP_EXPONENT
     total = weights.sum()
     if total <= 0.0:
         # all candidates unseen in the interaction set; fall back to uniform
@@ -260,25 +244,41 @@ def sample_query_item(user: int, positive: int, corpus: Corpus,
     return int(pool[rng.choice(len(pool), p=probs)])
 
 
+def sample_query_item(user: int, positive: int, corpus: Corpus,
+                      rng: np.random.Generator) -> int:
+    """Draw a query item from the substitutes of `positive` that `user` has
+    not interacted with, weighted by popularity**0.75.
+
+    Raises ValueError when no such item exists (callers are expected to skip
+    those pairs).
+    """
+    bought, subst = corpus.sampling_tables
+    pool = np.flatnonzero(subst[positive] & ~bought[user])
+    if not len(pool):
+        raise ValueError(f"no query candidate for user {user}, item {positive}")
+    return _draw_query(pool, corpus.popularity, rng)
+
+
 def build_triplets(corpus: Corpus, rng: np.random.Generator) -> np.ndarray:
-    """Emit one (user, query, positive) triplet per interaction.
+    """Emit one (user, query, positive) triplet per interaction, its query
+    drawn as by `sample_query_item`.
 
     Interactions whose substitute pool is exhausted by the user's own history
-    (or empty) are skipped and counted in the log.
+    (or empty) are skipped and counted in the log. Every pool comes from one
+    (n_interactions, n_items) boolean pass over the sampling tables.
     """
-    rows = []
-    skipped = 0
-    for u, v in corpus.interactions:
-        u, v = int(u), int(v)
-        if not (corpus.substitutes[v] - corpus.user_items[u]):
-            skipped += 1
-            continue
-        rows.append((u, sample_query_item(u, v, corpus, rng), v))
+    bought, subst = corpus.sampling_tables
+    users, items = np.reshape(corpus.interactions, (-1, 2)).T
+    rows, pool_items = np.nonzero(subst[items] & ~bought[users])
+    pools = np.split(pool_items, np.searchsorted(rows, np.arange(1, len(users))))
+    triplets = np.array([(u, _draw_query(pool, corpus.popularity, rng), v)
+                         for u, v, pool in zip(users, items, pools) if len(pool)],
+                        dtype=np.int64).reshape(-1, 3)
     logger.info("built %d triplets (%d interactions skipped: no eligible query)",
-                len(rows), skipped)
-    if not rows:
+                len(triplets), len(users) - len(triplets))
+    if not len(triplets):
         raise ValueError("no triplet could be formed from the corpus")
-    return np.array(rows, dtype=np.int64)
+    return triplets
 
 
 @dataclass
@@ -342,17 +342,63 @@ def save_prepared(path: str, corpus: Corpus, splits: SplitTriplets) -> None:
             zf.writestr(info, buf.getvalue())
 
 
+_TOKEN_ARRAYS = ("user_tokens", "item_tokens", "attr_tokens")
+# id array -> the token array each of its columns indexes (None: sentiment)
+_ID_ARRAYS = {
+    "interactions": ("user_tokens", "item_tokens"),
+    "lexicon": ("user_tokens", "item_tokens", "attr_tokens", None),
+    "substitute_pairs": ("item_tokens", "item_tokens"),
+    "train": ("user_tokens", "item_tokens", "item_tokens"),
+    "valid": ("user_tokens", "item_tokens", "item_tokens"),
+    "test": ("user_tokens", "item_tokens", "item_tokens"),
+}
+# what np.load raises on a damaged archive, from the zip or the .npy layer;
+# MemoryError is a member header declaring more data than memory holds
+_NPZ_ERRORS = (EOFError, KeyError, MemoryError, NotImplementedError, OSError,
+               RuntimeError, ValueError, zipfile.BadZipFile, zlib.error,
+               lzma.LZMAError)
+
+
 def load_prepared(path: str) -> tuple[Corpus, SplitTriplets]:
-    with np.load(path, allow_pickle=False) as blob:
-        corpus = Corpus(
-            user_tokens=[str(t) for t in blob["user_tokens"]],
-            item_tokens=[str(t) for t in blob["item_tokens"]],
-            attr_tokens=[str(t) for t in blob["attr_tokens"]],
-            interactions=blob["interactions"],
-            lexicon=blob["lexicon"],
-            substitute_pairs=blob["substitute_pairs"])
-        splits = SplitTriplets(train=blob["train"], valid=blob["valid"],
-                               test=blob["test"])
+    """Read a `save_prepared` file back.
+
+    Every malformed file raises ValueError naming `path`: an unreadable
+    archive or member, a token array that is not 1-D strings, an id array of
+    the wrong type or width, an id out of range for its column, or a
+    sentiment other than +1/-1.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as blob:
+                arrays = {name: blob[name]
+                          for name in _TOKEN_ARRAYS + tuple(_ID_ARRAYS)}
+        except _NPZ_ERRORS as exc:
+            raise ValueError(f"{path}: unreadable prepared corpus: {exc}") from None
+    for name in _TOKEN_ARRAYS:
+        arr = arrays[name]
+        if not (isinstance(arr, np.ndarray) and arr.ndim == 1
+                and arr.dtype.kind == "U"):
+            raise ValueError(f"{path}: {name} is not a 1-D string array")
+        arrays[name] = arr.tolist()
+    for name, columns in _ID_ARRAYS.items():
+        arr = arrays[name]
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
+                and arr.ndim == 2 and arr.shape[1] == len(columns)):
+            raise ValueError(f"{path}: {name} is not an integer array of "
+                             f"width {len(columns)}")
+        for col, tokens in enumerate(columns):
+            ids = arr[:, col]
+            if tokens is None:
+                if np.any((ids != 1) & (ids != -1)):
+                    raise ValueError(f"{path}: {name} has a sentiment other "
+                                     f"than +1/-1")
+            elif np.any((ids < 0) | (ids >= len(arrays[tokens]))):
+                raise ValueError(f"{path}: {name} column {col} has ids outside "
+                                 f"[0, {len(arrays[tokens])})")
+        arrays[name] = arr.astype(np.int64, copy=False)
+    corpus = Corpus(**{name: arrays[name] for name in (
+        *_TOKEN_ARRAYS, "interactions", "lexicon", "substitute_pairs")})
+    splits = SplitTriplets(arrays["train"], arrays["valid"], arrays["test"])
     return corpus, splits
 
 

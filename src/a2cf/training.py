@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import struct
 
@@ -115,8 +116,7 @@ def load_checkpoint(path: str) -> tuple:
     offset = 12 + hlen
     fields = {}
     for name, shape in _checkpoint_manifest(path, header, cfg):
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = size * 8
+        nbytes = math.prod(shape) * 8      # Python ints cannot overflow
         if offset + nbytes > len(raw):
             raise ValueError(f"{path}: truncated checkpoint at tensor {name!r}")
         arr = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").astype(

@@ -67,6 +67,20 @@ def write_corpus_files(dirpath, reviews=None, lexicon=None, subs=None):
     return str(r_path), str(l_path), str(s_path)
 
 
+def relation_sets(corpus):
+    """(user_items, substitutes): a corpus's purchases and substitute pairs
+    as one Python set per user and per item, built from its arrays alone so
+    that tests can check the sampling tables against them."""
+    user_items = [set() for _ in range(corpus.n_users)]
+    for u, v in corpus.interactions:
+        user_items[u].add(int(v))
+    substitutes = [set() for _ in range(corpus.n_items)]
+    for a, b in corpus.substitute_pairs:
+        substitutes[a].add(int(b))
+        substitutes[b].add(int(a))
+    return user_items, substitutes
+
+
 def central_diff_grads(params, loss_fn, step=1e-5):
     """Finite-difference gradient of loss_fn() w.r.t. every parameter entry.
 

@@ -1,14 +1,18 @@
 """End-to-end command-line flows: synth -> prepare -> train -> consume."""
 
+import io
 import json
 import re
 import struct
+import zipfile
 
 import numpy as np
 import pytest
+from numpy.lib import format as npformat
 
 from a2cf.cli import cli_dispatch
 from a2cf.config import TrainConfig
+from a2cf.data import load_prepared
 from a2cf.network import init_params
 from a2cf.training import CHECKPOINT_MAGIC, save_checkpoint
 
@@ -243,6 +247,16 @@ def _wrong_shape(header):
             entry[1] = [2, 8, 16]
 
 
+def _huge_user_emb(rows):
+    """user_emb declared with `rows` rows; the config still fits, so only
+    the byte count can catch it."""
+    def edit(header):
+        for entry in header["tensors"]:
+            if entry[0] == "user_emb":
+                entry[1][0] = rows
+    return edit
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (lambda raw: raw[:11], "truncated checkpoint header"),
     (lambda raw: _rewrite_header(raw, _unknown_config_key),
@@ -252,8 +266,13 @@ def _wrong_shape(header):
     (lambda raw: _rewrite_header(raw, _no_tensors), "lacks 'tensors'"),
     (lambda raw: _rewrite_header(raw, _wrong_shape),
      "tensor 'user_tower_w' has shape (2, 8, 16), expected (1, 16, 16)"),
+    (lambda raw: _rewrite_header(raw, _huge_user_emb(10**20)),
+     "truncated checkpoint at tensor 'user_emb'"),
+    (lambda raw: _rewrite_header(raw, _huge_user_emb(2**62)),
+     "truncated checkpoint at tensor 'user_emb'"),
 ], ids=["short_file", "unknown_config_key", "missing_tensor", "no_config",
-        "no_tensors", "wrong_shape"])
+        "no_tensors", "wrong_shape", "rows_overflow_int64",
+        "rows_wrap_int64"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"
@@ -267,3 +286,108 @@ def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}: ")
     assert message in err[0]
+
+
+def _flip_member_byte(raw: bytes) -> bytes:
+    """One byte inside the first member's data, which its CRC-32 covers."""
+    pos = raw.index(b"\x93NUMPY") + 200
+    return raw[:pos] + bytes([raw[pos] ^ 0xFF]) + raw[pos + 1:]
+
+
+def _edit_members(edit):
+    """A corrupter that rewrites the archive with its arrays passed
+    through `edit`."""
+    def corrupt(raw: bytes) -> bytes:
+        with np.load(io.BytesIO(raw)) as blob:
+            arrays = {name: blob[name] for name in blob.files}
+        edit(arrays)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+    return corrupt
+
+
+def _huge_test_member(raw: bytes) -> bytes:
+    """`test.npy` replaced by a header declaring 10**12 rows and no data;
+    its CRC-32 is valid, so only the allocation can fail."""
+    member = io.BytesIO()
+    npformat.write_array_header_1_0(member, {
+        "descr": "<i8", "fortran_order": False, "shape": (10**12, 3)})
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, \
+            zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            dst.writestr(info, member.getvalue() if info.filename == "test.npy"
+                         else src.read(info))
+    return out.getvalue()
+
+
+def _set_cell(name, col, value):
+    def edit(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][0, col] = value
+    return edit
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda raw: raw[:len(raw) // 2], "unreadable prepared corpus"),
+    (_flip_member_byte, "Bad CRC-32"),
+    (lambda raw: b"", "unreadable prepared corpus"),
+    (_edit_members(lambda a: a.pop("lexicon")),
+     "lexicon is not a file in the archive"),
+    (_huge_test_member, "Unable to allocate"),
+    (_edit_members(lambda a: a.update(user_tokens=a["user_tokens"][None])),
+     "user_tokens is not a 1-D string array"),
+    (_edit_members(lambda a: a.update(item_tokens=np.arange(60))),
+     "item_tokens is not a 1-D string array"),
+    (_edit_members(lambda a: a.update(interactions=a["interactions"][:, 0])),
+     "interactions is not an integer array of width 2"),
+    (_edit_members(lambda a: a.update(
+        interactions=a["interactions"].astype(np.float64))),
+     "interactions is not an integer array of width 2"),
+    (_edit_members(lambda a: a.update(lexicon=a["lexicon"][:, :3])),
+     "lexicon is not an integer array of width 4"),
+    (_edit_members(_set_cell("interactions", 1, 60)),
+     "interactions column 1 has ids outside [0, 60)"),
+    (_edit_members(_set_cell("interactions", 0, -1)),
+     "interactions column 0 has ids outside [0, 50)"),
+    (_edit_members(_set_cell("lexicon", 2, 20)),
+     "lexicon column 2 has ids outside [0, 20)"),
+    (_edit_members(_set_cell("lexicon", 3, 0)),
+     "lexicon has a sentiment other than +1/-1"),
+    (_edit_members(_set_cell("substitute_pairs", 1, 60)),
+     "substitute_pairs column 1 has ids outside [0, 60)"),
+    (_edit_members(_set_cell("test", 1, 10**6)),
+     "test column 1 has ids outside [0, 60)"),
+], ids=["truncated", "flipped_byte", "empty_file", "missing_member",
+        "huge_member", "tokens_2d", "tokens_not_strings", "interactions_1d",
+        "interactions_float", "lexicon_width", "item_id_range",
+        "negative_user_id", "attr_id_range", "zero_sentiment",
+        "substitute_id_range", "test_id_range"])
+def test_malformed_prepared_is_one_line_error(pipeline, tmp_path, capsys,
+                                              corrupt, message):
+    bad = tmp_path / "bad.npz"
+    with open(pipeline["data"], "rb") as fh:
+        bad.write_bytes(corrupt(fh.read()))
+    code = cli_dispatch(["evaluate", "--data", str(bad),
+                         "--checkpoint", pipeline["ckpt"],
+                         "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}: ")
+    assert message in err[0]
+
+
+def test_empty_id_arrays_load(pipeline, tmp_path):
+    """Zero-row id arrays are valid input, not a malformed file."""
+    path = tmp_path / "empty.npz"
+    with open(pipeline["data"], "rb") as fh:
+        empty = _edit_members(lambda a: a.update(
+            {name: a[name][:0] for name in ("lexicon", "substitute_pairs",
+                                            "valid", "test")}))
+        path.write_bytes(empty(fh.read()))
+    corpus, splits = load_prepared(str(path))
+    assert corpus.lexicon.shape == (0, 4)
+    assert corpus.substitute_pairs.shape == (0, 2)
+    assert splits.test.shape == (0, 3)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from a2cf.data import (Corpus, LexiconEntry, ReviewRecord, build_triplets,
-                       filter_corpus, load_lexicon, load_prepared,
+from a2cf.data import (QUERY_POP_EXPONENT, Corpus, LexiconEntry, ReviewRecord,
+                       build_triplets, filter_corpus, load_lexicon, load_prepared,
                        load_reviews, load_substitutes, sample_query_item,
                        save_prepared, split_triplets, write_corpus_manifest)
-from conftest import (SUB_PAIRS, grid_lexicon, grid_reviews,
+from conftest import (SUB_PAIRS, grid_lexicon, grid_reviews, relation_sets,
                       write_corpus_files)
 
 
@@ -217,13 +217,14 @@ def test_split_bad_ratios_error():
 
 # -------------------------------------------------------- query sampling
 
-def _sampling_corpus(pop_a, pop_b):
+def _sampling_corpus(pop_a, pop_b, extra=()):
     """Items a=0, b=1, pos=2; user 0 owns only pos; a and b get the given
-    distinct-user popularity counts."""
+    distinct-user popularity counts; `extra` adds (user, item) rows."""
     n_users = 1 + pop_a + pop_b
     inter = [(0, 2)]
     inter += [(1 + k, 0) for k in range(pop_a)]
     inter += [(1 + pop_a + k, 1) for k in range(pop_b)]
+    inter += list(extra)
     return Corpus(user_tokens=[f"u{k:02d}" for k in range(n_users)],
                   item_tokens=["a", "b", "pos"],
                   attr_tokens=["x"],
@@ -244,10 +245,9 @@ def test_query_sampling_popularity_exponent():
 
 
 def test_query_sampling_singleton_pool():
-    corpus = _sampling_corpus(3, 2)
+    # user 1 interacted with a (and pos), so only b remains in the pool
+    corpus = _sampling_corpus(3, 2, extra=[(1, 2)])
     rng = np.random.default_rng(1)
-    # user 1 interacted with a, so only b remains in the pool for pos
-    corpus.user_items[1].add(2)
     pool_draws = {sample_query_item(1, 2, corpus, rng) for _ in range(20)}
     assert pool_draws == {1}
 
@@ -286,34 +286,35 @@ def test_query_sampling_zero_popularity_fallback_uniform():
 
 
 def test_query_sampling_empty_pool_error():
-    corpus = _sampling_corpus(2, 2)
-    corpus.user_items[0].update({0, 1})
+    corpus = _sampling_corpus(2, 2, extra=[(0, 0), (0, 1)])
     with pytest.raises(ValueError, match="no query candidate"):
         sample_query_item(0, 2, corpus, np.random.default_rng(0))
 
 
 def test_query_sampling_invariants_on_synthetic(synth_corpus):
+    user_items, substitutes = relation_sets(synth_corpus)
     rng = np.random.default_rng(4)
     for u, v in synth_corpus.interactions[:200]:
         u, v = int(u), int(v)
-        pool = synth_corpus.substitutes[v] - synth_corpus.user_items[u]
+        pool = substitutes[v] - user_items[u]
         if not pool:
             continue
         q = sample_query_item(u, v, synth_corpus, rng)
-        assert q in synth_corpus.substitutes[v]
-        assert q not in synth_corpus.user_items[u]
+        assert q in substitutes[v]
+        assert q not in user_items[u]
 
 
 # --------------------------------------------------------------- triplets
 
 def test_build_triplets_one_per_eligible_interaction(synth_corpus):
+    user_items, substitutes = relation_sets(synth_corpus)
     triplets = build_triplets(synth_corpus, np.random.default_rng(5))
     assert 0 < len(triplets) <= len(synth_corpus.interactions)
     for u, q, p in triplets:
         u, q, p = int(u), int(q), int(p)
-        assert p in synth_corpus.user_items[u]
-        assert q in synth_corpus.substitutes[p]
-        assert q not in synth_corpus.user_items[u]
+        assert p in user_items[u]
+        assert q in substitutes[p]
+        assert q not in user_items[u]
     again = build_triplets(synth_corpus, np.random.default_rng(5))
     np.testing.assert_array_equal(triplets, again)
 
@@ -322,6 +323,79 @@ def test_build_triplets_error_when_all_pools_exhausted(grid_corpus):
     # grid users interacted with every item, so no query candidate exists
     with pytest.raises(ValueError, match="no triplet"):
         build_triplets(grid_corpus, np.random.default_rng(6))
+
+
+def set_based_popularity(corpus):
+    """Distinct users per item, counted from the Python sets."""
+    popularity = np.zeros(corpus.n_items, dtype=np.int64)
+    for items in relation_sets(corpus)[0]:
+        for v in items:
+            popularity[v] += 1
+    return popularity
+
+
+def set_based_triplets(corpus, rng):
+    """Reference: one query per interaction drawn from the Python-set
+    difference substitutes - user items, weighted by popularity**0.75."""
+    user_items, substitutes = relation_sets(corpus)
+    popularity = set_based_popularity(corpus)
+    rows = []
+    for u, v in corpus.interactions:
+        u, v = int(u), int(v)
+        pool = sorted(substitutes[v] - user_items[u])
+        if not pool:
+            continue
+        weights = popularity[pool].astype(np.float64) ** QUERY_POP_EXPONENT
+        total = weights.sum()
+        if total <= 0.0:
+            probs = np.full(len(pool), 1.0 / len(pool))
+        else:
+            probs = weights / total
+        rows.append((u, int(pool[rng.choice(len(pool), p=probs)]), v))
+    if not rows:
+        raise ValueError("no triplet could be formed from the corpus")
+    return np.array(rows, dtype=np.int64)
+
+
+def random_corpus(rng):
+    """A small corpus with empty pools, items without substitutes, items
+    nobody bought, and one interaction row repeated."""
+    n_users, n_items = int(rng.integers(1, 7)), int(rng.integers(2, 13))
+    inter = [(u, v) for u in range(n_users) for v in range(n_items)
+             if rng.random() < rng.uniform(0.1, 0.9)]
+    pairs = [(a, b) for a in range(n_items) for b in range(a + 1, n_items)
+             if rng.random() < 0.3]
+    if inter:
+        inter.insert(int(rng.integers(len(inter))), inter[0])
+    return Corpus(user_tokens=[f"u{u}" for u in range(n_users)],
+                  item_tokens=[f"i{v}" for v in range(n_items)],
+                  attr_tokens=["x"],
+                  interactions=np.array(inter, dtype=np.int64).reshape(-1, 2),
+                  lexicon=np.empty((0, 4), dtype=np.int64),
+                  substitute_pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def triplet_outcome(builder, corpus, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        result = builder(corpus, rng)
+    except ValueError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_triplets_equals_set_based_reference(seed):
+    corpus = random_corpus(np.random.default_rng(seed))
+    np.testing.assert_array_equal(corpus.popularity,
+                                  set_based_popularity(corpus))
+    got, got_state = triplet_outcome(build_triplets, corpus, seed + 100)
+    want, want_state = triplet_outcome(set_based_triplets, corpus, seed + 100)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+    assert got_state == want_state
 
 
 # ------------------------------------------------------------ persistence
@@ -334,7 +408,9 @@ def test_prepared_roundtrip_and_byte_determinism(tmp_path, synth_corpus,
     save_prepared(str(p2), synth_corpus, synth_splits)
     assert p1.read_bytes() == p2.read_bytes()
     corpus, splits = load_prepared(str(p1))
-    assert "sampling_tables" not in vars(corpus)    # built only by training
+    # derived structures are built on first use, never by loading
+    assert set(vars(corpus)) == {"user_tokens", "item_tokens", "attr_tokens",
+                                 "interactions", "lexicon", "substitute_pairs"}
     assert corpus.user_tokens == synth_corpus.user_tokens
     assert corpus.item_tokens == synth_corpus.item_tokens
     assert corpus.attr_tokens == synth_corpus.attr_tokens

@@ -1,0 +1,57 @@
+"""Seeded fuzzing of the two file loaders: every truncation and single-byte
+flip of a valid file either loads or raises a ValueError naming the file."""
+
+import numpy as np
+import pytest
+
+from a2cf.config import TrainConfig
+from a2cf.data import SplitTriplets, load_prepared, save_prepared
+from a2cf.network import init_params
+from a2cf.training import load_checkpoint, save_checkpoint
+
+FLIPS = 500
+
+
+def damaged_copies(raw: bytes, prefixes, seed: int):
+    """(label, bytes): `raw` cut at each of `prefixes`, then FLIPS copies
+    with one seeded byte XORed by a seeded nonzero value."""
+    for n in prefixes:
+        yield f"prefix {n}", raw[:n]
+    rng = np.random.default_rng(seed)
+    for pos, mask in zip(rng.integers(len(raw), size=FLIPS),
+                         rng.integers(1, 256, size=FLIPS)):
+        flipped = bytearray(raw)
+        flipped[pos] ^= mask
+        yield f"byte {pos} ^ {mask:#04x}", bytes(flipped)
+
+
+def assert_loads_or_names_path(loader, path, cases):
+    for label, data in cases:
+        path.write_bytes(data)
+        try:
+            loader(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), (label, str(exc))
+        except Exception as exc:
+            pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+
+
+def test_damaged_checkpoints_load_or_name_the_file(tmp_path):
+    cfg = TrainConfig(embed_dim=4)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(str(good), init_params(5, 6, 4, cfg, 0), cfg)
+    raw = good.read_bytes()
+    assert_loads_or_names_path(load_checkpoint, tmp_path / "bad.ckpt",
+                               damaged_copies(raw, range(len(raw)), seed=1))
+
+
+def test_damaged_prepared_files_load_or_name_the_file(tmp_path, grid_corpus):
+    triplets = np.array([(0, 1, 2), (1, 2, 3), (2, 0, 1)], dtype=np.int64)
+    good = tmp_path / "good.npz"
+    save_prepared(str(good), grid_corpus,
+                  SplitTriplets(triplets, triplets[:1], triplets[:0]))
+    raw = good.read_bytes()
+    prefixes = np.random.default_rng(2).choice(len(raw), size=300,
+                                               replace=False)
+    assert_loads_or_names_path(load_prepared, tmp_path / "bad.npz",
+                               damaged_copies(raw, prefixes, seed=3))

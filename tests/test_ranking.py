@@ -13,7 +13,7 @@ from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
                           estimate_matrices, recommend_top_k, sample_negatives,
                           score_candidates, score_personalization,
                           score_substitution, softmax, triplet_score)
-from conftest import central_diff_grads, worst_relative_gap
+from conftest import central_diff_grads, relation_sets, worst_relative_gap
 
 # softmax of (0.5, 1.125, 2.0), high-precision reference
 PHI_REFERENCE = (0.13605562446765804, 0.25418537039761871, 0.60975900513472325)
@@ -345,20 +345,22 @@ def test_sampling_tables_are_lazy_and_mirror_the_sets():
     bought, subst = vars(corpus)["sampling_tables"]
     assert bought.shape == (4, 9) and subst.shape == (9, 9)
     assert bought.nbytes + subst.nbytes == 4 * 9 + 9 * 9
+    user_items, substitutes = relation_sets(corpus)
     for u in range(4):
-        assert set(np.flatnonzero(bought[u])) == corpus.user_items[u]
+        assert set(np.flatnonzero(bought[u])) == user_items[u]
     for q in range(9):
-        assert set(np.flatnonzero(subst[q])) == corpus.substitutes[q]
+        assert set(np.flatnonzero(subst[q])) == substitutes[q]
 
 
 def per_row_negatives(users, queries, corpus, count, rng):
     """Reference sampler: one scalar draw at a time, row after row, testing
-    each candidate against the corpus's Python sets."""
+    each candidate against Python sets of the corpus's relations."""
+    user_items, substitutes = relation_sets(corpus)
     out = []
     budget = NEGATIVE_SAMPLE_FACTOR * count
     for user, query in zip(users, queries):
-        interacted = corpus.user_items[user]
-        subs = corpus.substitutes[query]
+        interacted = user_items[user]
+        subs = substitutes[query]
         row = []
         for _ in range(budget):
             cand = int(rng.integers(corpus.n_items))
