@@ -7,13 +7,15 @@ explanations.txt, metrics.txt) so runs are scriptable.
 """
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from . import data, evaluation, ranking, training
-from .config import build_run_config, parse_config_file
+from .config import (_RUN_FIELDS, _TRAIN_FIELDS, build_run_config,
+                     parse_config_file)
 from .interpret import attribute_advantage, render_interpretation
 from .matrices import build_matrices
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -28,27 +30,20 @@ METRICS_NAME = "metrics.txt"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """--config, --seed, then one override flag per other config field, in
+    field order: --embed-dim sets embed_dim; a bool field gets a
+    --x/--no-x pair."""
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int)
     grp = parser.add_argument_group("hyperparameter overrides")
-    grp.add_argument("--embed-dim", type=int, dest="embed_dim")
-    grp.add_argument("--tower-depth", type=int, dest="tower_depth")
-    grp.add_argument("--rating-max", type=float, dest="rating_max")
-    grp.add_argument("--subst-weight", type=float, dest="subst_weight")
-    grp.add_argument("--subst-temp", type=float, dest="subst_temp")
-    grp.add_argument("--pers-temp", type=float, dest="pers_temp")
-    grp.add_argument("--learning-rate", type=float, dest="learning_rate")
-    grp.add_argument("--batch-size", type=int, dest="batch_size")
-    grp.add_argument("--dropout", type=float, dest="dropout")
-    grp.add_argument("--negatives", type=int, dest="negatives")
-    grp.add_argument("--subst-use-attrs", action=argparse.BooleanOptionalAction,
-                     default=None, dest="subst_use_attrs")
-    grp.add_argument("--pers-use-attrs", action=argparse.BooleanOptionalAction,
-                     default=None, dest="pers_use_attrs")
-    grp.add_argument("--rounds-max", type=int, dest="rounds_max")
-    grp.add_argument("--phase1-steps", type=int, dest="phase1_steps")
-    grp.add_argument("--phase2-steps", type=int, dest="phase2_steps")
-    grp.add_argument("--convergence-tol", type=float, dest="convergence_tol")
+    for name, typ in {**_TRAIN_FIELDS, **_RUN_FIELDS}.items():
+        flag = "--" + name.replace("_", "-")
+        if typ == "bool":
+            grp.add_argument(flag, action=argparse.BooleanOptionalAction,
+                             default=None, dest=name)
+        elif name != "seed":        # --seed is added above, outside the group
+            grp.add_argument(flag, type={"int": int, "float": float}[typ],
+                             dest=name)
 
 
 def _run_config(args):
@@ -56,7 +51,9 @@ def _run_config(args):
     return build_run_config(file_overrides, vars(args))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="a2cf",
         description="attribute-aware substitute recommendation")

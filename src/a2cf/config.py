@@ -78,8 +78,8 @@ def _type_name(t) -> str:
 
 # Fields settable through config files / CLI overrides, with target types.
 _TRAIN_FIELDS = {f.name: _type_name(f.type) for f in dataclasses.fields(TrainConfig)}
-_RUN_FIELDS = {"seed": "int", "rounds_max": "int", "phase1_steps": "int",
-               "phase2_steps": "int", "convergence_tol": "float"}
+_RUN_FIELDS = {f.name: _type_name(f.type) for f in dataclasses.fields(RunConfig)
+               if f.name != "train"}
 
 _BOOL_TOKENS = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}

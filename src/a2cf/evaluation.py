@@ -125,6 +125,8 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
     """
     if len(test_triplets) == 0:
         raise ValueError("no test triplets to evaluate")
+    if negatives < 1:
+        raise ValueError(f"eval negatives must be >= 1, got {negatives}")
     n_items = corpus.n_items
     pool_size = negatives
     if n_items - 1 < negatives:

@@ -23,7 +23,7 @@ from .network import (ModelParams, predict_item_attr_batch,
 logger = logging.getLogger(__name__)
 
 NEGATIVE_SAMPLE_FACTOR = 1000   # rejection budget per requested negative
-_ESTIMATE_CHUNK = 262144        # max cells regressed per forward pass
+_ESTIMATE_CHUNK = 4096          # max cells regressed per forward pass
 
 
 @dataclass
@@ -34,18 +34,13 @@ class EstimatedMatrices:
     item_attr: np.ndarray       # (n_items, n_attrs)
 
 
-def _complete(sparse: SparseAttributeMatrix, predict_rows) -> np.ndarray:
+def _complete(sparse: SparseAttributeMatrix, predict,
+              params: ModelParams) -> np.ndarray:
     dense = sparse.to_dense()
-    mask = sparse.observed_mask()
-    n_rows, n_cols = dense.shape
-    block = max(1, _ESTIMATE_CHUNK // max(1, n_cols))
-    for start in range(0, n_rows, block):
-        rows = np.arange(start, min(start + block, n_rows))
-        row_idx = np.repeat(rows, n_cols)
-        col_idx = np.tile(np.arange(n_cols), len(rows))
-        preds = predict_rows(row_idx, col_idx).reshape(len(rows), n_cols)
-        sub = mask[rows]
-        dense[rows] = np.where(sub, dense[rows], preds)
+    cells = np.nonzero(~sparse.observed_mask())
+    for start in range(0, len(cells[0]), _ESTIMATE_CHUNK):
+        r, c = (idx[start:start + _ESTIMATE_CHUNK] for idx in cells)
+        dense[r, c] = predict(params, r, c, sparse.scale_cap)
     return dense
 
 
@@ -56,12 +51,9 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
 
     Observed cells are copied bit-for-bit from the sparse inputs.
     """
-    cap = user_mat.scale_cap
-    user_attr = _complete(user_mat, lambda r, c: predict_user_attr_batch(
-        params, r, c, cap))
-    item_attr = _complete(item_mat, lambda r, c: predict_item_attr_batch(
-        params, r, c, item_mat.scale_cap))
-    return EstimatedMatrices(user_attr=user_attr, item_attr=item_attr)
+    return EstimatedMatrices(
+        user_attr=_complete(user_mat, predict_user_attr_batch, params),
+        item_attr=_complete(item_mat, predict_item_attr_batch, params))
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

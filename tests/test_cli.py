@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.lib import format as npformat
 
+from a2cf import cli
 from a2cf.cli import cli_dispatch
 from a2cf.config import TrainConfig
 from a2cf.data import load_prepared
@@ -177,6 +178,85 @@ def test_missing_required_flag_is_usage_error(pipeline, capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli_dispatch(["frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("negatives", ["0", "-3"])
+def test_eval_negatives_below_one_is_one_line_error(pipeline, tmp_path, capsys,
+                                                     negatives):
+    code = cli_dispatch(["evaluate", "--data", pipeline["data"],
+                         "--checkpoint", pipeline["ckpt"],
+                         "--out-dir", str(tmp_path),
+                         "--eval-negatives", negatives])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: eval negatives must be >= 1, got {negatives}"]
+    assert not (tmp_path / "metrics.txt").exists()
+
+
+def _captured_args(monkeypatch, command):
+    """Replace `command`'s handler; returns the list its args land in."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        lambda args: seen.append(vars(args)) or 0)
+    return seen
+
+
+def test_dispatch_flags_do_not_carry_over(monkeypatch):
+    seen = _captured_args(monkeypatch, "train")
+    base = ["train", "--data", "p.npz", "--out-dir", "out"]
+    assert cli_dispatch(base + ["--no-subst-use-attrs", "--embed-dim", "4",
+                                "--seed", "3"]) == 0
+    assert cli_dispatch(base) == 0
+    assert cli_dispatch(base + ["--subst-use-attrs"]) == 0
+    assert [(a["subst_use_attrs"], a["embed_dim"], a["seed"]) for a in seen] \
+        == [(False, 4, 3), (None, None, None), (True, None, None)]
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out-dir", "o"],
+    ["synth", "--out-dir", "o", "--seed", "4", "--users", "7", "--noise", "0.5"],
+    ["prepare", "--reviews", "r", "--lexicon", "l", "--substitutes", "s",
+     "--out-dir", "o", "--min-item-users", "2", "--dropout", "0.1"],
+    ["train", "--data", "d", "--out-dir", "o", "--no-pers-use-attrs",
+     "--convergence-tol", "0", "--config", "c.cfg"],
+    ["train", "--data", "d", "--out-dir", "o"],
+    ["recommend", "--data", "d", "--checkpoint", "c", "--out-dir", "o",
+     "--user", "u1", "--query", "i2"],
+    ["recommend", "--data", "d", "--checkpoint", "c", "--out-dir", "o",
+     "--user", "u1", "--query", "i2", "--top-k", "3"],
+    ["explain", "--data", "d", "--checkpoint", "c", "--out-dir", "o",
+     "--user", "u1", "--query", "i2", "--z", "5"],
+    ["evaluate", "--data", "d", "--checkpoint", "c", "--out-dir", "o"],
+    ["evaluate", "--data", "d", "--checkpoint", "c", "--out-dir", "o",
+     "--eval-negatives", "9", "--seed", "2"],
+])
+def test_reused_parser_parses_like_a_fresh_one(monkeypatch, argv):
+    seen = _captured_args(monkeypatch, argv[0])
+    for _ in range(2):
+        assert cli_dispatch(argv) == 0
+    fresh = vars(cli._build_parser.__wrapped__().parse_args(argv))
+    assert seen == [fresh, fresh]
+
+
+CONFIG_OPTIONS = [
+    "--config", "--seed", "--embed-dim", "--tower-depth", "--rating-max",
+    "--subst-weight", "--subst-temp", "--pers-temp", "--learning-rate",
+    "--batch-size", "--dropout", "--negatives", "--subst-use-attrs",
+    "--no-subst-use-attrs", "--pers-use-attrs", "--no-pers-use-attrs",
+    "--rounds-max", "--phase1-steps", "--phase2-steps", "--convergence-tol"]
+
+
+@pytest.mark.parametrize("command, own", [
+    ("prepare", ["--reviews", "--lexicon", "--substitutes", "--out-dir",
+                 "--min-user-items", "--min-item-users",
+                 "--min-attr-mentions"]),
+    ("train", ["--data", "--out-dir"]),
+])
+def test_config_flag_option_strings(command, own):
+    sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
+    options = [opt for action in sub._actions for opt in action.option_strings]
+    assert options == ["-h", "--help"] + own + CONFIG_OPTIONS
 
 
 def test_unknown_item_token_is_runtime_error(pipeline, tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Matrix completion, attention scoring heads, BPR loss, and top-K ranking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from a2cf import ranking
 from a2cf.config import TrainConfig
 from a2cf.data import Corpus
 from a2cf.matrices import SparseAttributeMatrix, build_matrices
-from a2cf.network import init_params
+from a2cf.network import (init_params, predict_item_attr_batch,
+                          predict_user_attr_batch)
 from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
                           aggregate_attributes, attention,
                           bpr_s_forward_backward, bpr_s_loss,
@@ -50,13 +54,15 @@ def test_estimation_preserves_observed_verbatim():
     assert est.item_attr[1, 0] == 1.7
 
 
-def test_estimation_identity_when_fully_observed():
+def test_estimation_identity_when_fully_observed(monkeypatch):
     rows, cols = (a.ravel() for a in np.indices((3, 2)))
     vals = 1.0 + 0.5 * (rows + cols)
     mat = SparseAttributeMatrix((3, 2), 5.0, rows, cols, vals)
     params = init_params(3, 3, 2, scoring_cfg(), seed=4)
+    seen = _count_predicted_cells(monkeypatch)
     est = estimate_matrices(mat, SparseAttributeMatrix((3, 2), 5.0, rows, cols,
                                                        vals.copy()), params)
+    assert seen == []
     np.testing.assert_array_equal(est.user_attr, mat.to_dense())
     np.testing.assert_array_equal(est.item_attr, mat.to_dense())
 
@@ -81,6 +87,111 @@ def test_estimation_range_and_determinism(grid_corpus):
     np.testing.assert_array_equal(est1.item_attr, est2.item_attr)
     for arr in (est1.user_attr, est1.item_attr):
         assert np.all(arr >= 1.0) and np.all(arr <= 5.0)
+
+
+def full_grid_complete(sparse, predict_rows, chunk=262144):
+    """Reference completion: regress every cell of the grid in row blocks,
+    then keep the observed cells' values."""
+    dense = sparse.to_dense()
+    mask = sparse.observed_mask()
+    n_rows, n_cols = dense.shape
+    block = max(1, chunk // max(1, n_cols))
+    for start in range(0, n_rows, block):
+        rows = np.arange(start, min(start + block, n_rows))
+        row_idx = np.repeat(rows, n_cols)
+        col_idx = np.tile(np.arange(n_cols), len(rows))
+        preds = predict_rows(row_idx, col_idx).reshape(len(rows), n_cols)
+        sub = mask[rows]
+        dense[rows] = np.where(sub, dense[rows], preds)
+    return dense
+
+
+def full_grid_estimate(user_mat, item_mat, params):
+    return EstimatedMatrices(
+        user_attr=full_grid_complete(user_mat, lambda r, c: (
+            predict_user_attr_batch(params, r, c, user_mat.scale_cap))),
+        item_attr=full_grid_complete(item_mat, lambda r, c: (
+            predict_item_attr_batch(params, r, c, item_mat.scale_cap))))
+
+
+def random_coo(rng, shape, density, cap=5.0):
+    """Each cell observed with probability `density`, values in [1, cap]."""
+    keys = np.flatnonzero(rng.random(shape[0] * shape[1]) < density)
+    return SparseAttributeMatrix(shape, cap, keys // shape[1],
+                                 keys % shape[1],
+                                 rng.uniform(1.0, cap, size=len(keys)))
+
+
+def assert_matches_full_grid(est, ref, mats):
+    """Observed cells bit for bit (and equal to the inputs), filled cells
+    within 1e-12 of the full-grid reference."""
+    for got, want, mat in zip((est.user_attr, est.item_attr),
+                              (ref.user_attr, ref.item_attr), mats):
+        assert got.shape == mat.shape
+        mask = mat.observed_mask()
+        np.testing.assert_array_equal(got[mask].view(np.uint64),
+                                      want[mask].view(np.uint64))
+        np.testing.assert_array_equal(got[mat.rows, mat.cols].view(np.uint64),
+                                      mat.vals.view(np.uint64))
+        np.testing.assert_allclose(got[~mask], want[~mask], rtol=0,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_estimation_matches_full_grid_reference(seed):
+    rng = np.random.default_rng([seed, 77])
+    n_users, n_items, n_attrs = (int(n) for n in rng.integers(1, 40, size=3))
+    density = [0.0, 0.05, 0.2, 0.5, 0.9, 1.0][seed % 6]
+    cfg = scoring_cfg(embed_dim=int(rng.integers(1, 9)),
+                      tower_depth=int(rng.integers(0, 3)))
+    params = init_params(n_users, n_items, n_attrs, cfg, seed=seed)
+    mats = (random_coo(rng, (n_users, n_attrs), density, cap=5.0),
+            random_coo(rng, (n_items, n_attrs), density, cap=3.0))
+    assert_matches_full_grid(estimate_matrices(*mats, params),
+                             full_grid_estimate(*mats, params), mats)
+
+
+def _count_predicted_cells(monkeypatch):
+    """Record len(attrs) of every batch both predictors regress."""
+    seen = []
+    for side in ("user", "item"):
+        name = f"predict_{side}_attr_batch"
+        real = getattr(ranking, name)
+        monkeypatch.setattr(ranking, name, lambda p, r, a, cap, side=side,
+                            real=real: seen.append((side, len(a)))
+                            or real(p, r, a, cap))
+    return seen
+
+
+def test_estimation_chunks_leave_one_cell_remainder(monkeypatch):
+    rng = np.random.default_rng(5)
+    # 5x5 grids with 4 observed cells: 21 missing = 2 chunks of 10 + 1
+    user_mat, item_mat = (SparseAttributeMatrix(
+        (5, 5), 5.0, np.array([0, 1, 3, 4]), np.array([2, 0, 4, 4]),
+        rng.uniform(1.0, 5.0, size=4)) for _ in range(2))
+    params = init_params(5, 5, 5, scoring_cfg(), seed=9)
+    ref = full_grid_estimate(user_mat, item_mat, params)
+    monkeypatch.setattr(ranking, "_ESTIMATE_CHUNK", 10)
+    seen = _count_predicted_cells(monkeypatch)
+    est = estimate_matrices(user_mat, item_mat, params)
+    assert seen == [("user", 10), ("user", 10), ("user", 1),
+                    ("item", 10), ("item", 10), ("item", 1)]
+    assert_matches_full_grid(est, ref, (user_mat, item_mat))
+
+
+def test_estimation_peak_memory_at_catalog_shape():
+    """300 users and 1010 items x 100 attributes, 18% observed, at
+    embed_dim 64: the completion's transient arrays stay small."""
+    rng = np.random.default_rng(18)
+    params = init_params(300, 1010, 100, TrainConfig(embed_dim=64), seed=18)
+    user_mat, item_mat = (random_coo(rng, (n, 100), 0.18) for n in (300, 1010))
+    tracemalloc.start()
+    try:
+        estimate_matrices(user_mat, item_mat, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------- attention
