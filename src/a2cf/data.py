@@ -231,9 +231,10 @@ def filter_corpus(reviews: list[ReviewRecord],
     return Corpus(user_tokens, item_tokens, attr_tokens, inter, lex, subs)
 
 
-def _draw_query(pool: np.ndarray, popularity: np.ndarray,
-                rng: np.random.Generator) -> int:
-    """One item of the non-empty `pool`, weighted by popularity**0.75."""
+def _draw_query(pool: np.ndarray, popularity: np.ndarray, u: float) -> int:
+    """The item of the non-empty `pool`, weighted by popularity**0.75, that
+    the uniform draw `u` selects: the one rng.choice(len(pool), p=...) gives
+    when its draw is `u`."""
     weights = popularity[pool].astype(np.float64) ** QUERY_POP_EXPONENT
     total = weights.sum()
     if total <= 0.0:
@@ -241,7 +242,9 @@ def _draw_query(pool: np.ndarray, popularity: np.ndarray,
         probs = np.full(len(pool), 1.0 / len(pool))
     else:
         probs = weights / total
-    return int(pool[rng.choice(len(pool), p=probs)])
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(pool[cdf.searchsorted(u, side="right")])
 
 
 def sample_query_item(user: int, positive: int, corpus: Corpus,
@@ -256,7 +259,7 @@ def sample_query_item(user: int, positive: int, corpus: Corpus,
     pool = np.flatnonzero(subst[positive] & ~bought[user])
     if not len(pool):
         raise ValueError(f"no query candidate for user {user}, item {positive}")
-    return _draw_query(pool, corpus.popularity, rng)
+    return _draw_query(pool, corpus.popularity, rng.random())
 
 
 def build_triplets(corpus: Corpus, rng: np.random.Generator) -> np.ndarray:
@@ -265,20 +268,21 @@ def build_triplets(corpus: Corpus, rng: np.random.Generator) -> np.ndarray:
 
     Interactions whose substitute pool is exhausted by the user's own history
     (or empty) are skipped and counted in the log. Every pool comes from one
-    (n_interactions, n_items) boolean pass over the sampling tables.
+    (n_interactions, n_items) boolean pass over the sampling tables, and
+    every draw from one rng.random call.
     """
     bought, subst = corpus.sampling_tables
     users, items = np.reshape(corpus.interactions, (-1, 2)).T
     rows, pool_items = np.nonzero(subst[items] & ~bought[users])
-    pools = np.split(pool_items, np.searchsorted(rows, np.arange(1, len(users))))
-    triplets = np.array([(u, _draw_query(pool, corpus.popularity, rng), v)
-                         for u, v, pool in zip(users, items, pools) if len(pool)],
-                        dtype=np.int64).reshape(-1, 3)
+    eligible = np.unique(rows)
     logger.info("built %d triplets (%d interactions skipped: no eligible query)",
-                len(triplets), len(users) - len(triplets))
-    if not len(triplets):
+                len(eligible), len(users) - len(eligible))
+    if not len(eligible):
         raise ValueError("no triplet could be formed from the corpus")
-    return triplets
+    pools = np.split(pool_items, np.searchsorted(rows, eligible[1:]))
+    queries = [_draw_query(pool, corpus.popularity, u)
+               for pool, u in zip(pools, rng.random(len(eligible)))]
+    return np.column_stack([users[eligible], queries, items[eligible]])
 
 
 @dataclass

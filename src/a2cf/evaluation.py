@@ -90,12 +90,19 @@ def rank_candidates(candidates: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return np.asarray(candidates)[rank_order(scores, candidates)]
 
 
-def relevant_attributes(corpus: Corpus) -> dict:
-    """(user, item) -> set of attribute ids mentioned in the lexicon."""
-    rel: dict = {}
-    for u, v, a, _ in corpus.lexicon:
-        rel.setdefault((int(u), int(v)), set()).add(int(a))
-    return rel
+def relevant_attributes(corpus: Corpus, users: np.ndarray,
+                        items: np.ndarray) -> list:
+    """Per (users[c], items[c]) pair, the attribute ids the lexicon mentions
+    for it, repeats included, found by binary search over the lexicon's
+    sorted user * n_items + item keys."""
+    lexicon = np.reshape(corpus.lexicon, (-1, 4))
+    keys = lexicon[:, 0] * corpus.n_items + lexicon[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    wanted = np.asarray(users) * corpus.n_items + np.asarray(items)
+    lo = np.searchsorted(keys, wanted, side="left")
+    hi = np.searchsorted(keys, wanted, side="right")
+    return [lexicon[order[a:b], 2] for a, b in zip(lo, hi)]
 
 
 @dataclass
@@ -140,7 +147,7 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
             raise ValueError("model scoring needs params and cfg")
         scorer = lambda u, q, cands, rng: score_candidates(
             params, est, cfg, u, q, cands)
-    rel = relevant_attributes(corpus)
+    rel = relevant_attributes(corpus, test_triplets[:, 0], test_triplets[:, 2])
     ks = sorted(cutoffs)
     hr_sums = {k: 0.0 for k in ks}
     ndcg_sums = {k: 0.0 for k in ks}
@@ -159,8 +166,7 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
             ndcg_sums[k] += _ndcg(rank, k)
         adv = attribute_advantage(est.user_attr[u], est.item_attr[q],
                                   est.item_attr[p], user=u, query=q, item=p)
-        map_cases[idx] = map_attributes(adv.ranking, rel.get((u, p), ()),
-                                        truncation)
+        map_cases[idx] = map_attributes(adv.ranking, rel[idx], truncation)
         ndcg_full_cases[idx] = _ndcg(rank, len(candidates))
     n = len(test_triplets)
     metrics = {}

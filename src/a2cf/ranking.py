@@ -1,11 +1,11 @@
 """Completion of the attribute matrices and the substitute ranking model.
 
-Scoring blends two heads:
-  substitution      w_s . [v_q * v_j ; agg_s]   (query/candidate interaction)
-  personalization   w_p . [u_i * v_j ; agg_p]   (user/candidate interaction)
-where agg_* are attention-weighted sums of attribute embeddings driven by the
-completed attribute matrices. Either aggregated block can be ablated away, in
-which case the projection covers only the product term.
+Scoring blends two heads, each w . [product ; attn @ E] with E the attribute
+embedding table and attn an attention over completed attribute rows:
+  substitution      (v_q * v_j) @ w_s[:d] + phi @ (E @ w_s[d:])
+  personalization   (u_i * v_j) @ w_p[:d] + lam @ (E @ w_p[d:])
+The attribute block is one matvec; the (rows, d) aggregate attn @ E is never
+formed. Either block can be ablated away, leaving only the product term.
 """
 
 import logging
@@ -77,76 +77,75 @@ def aggregate_attributes(weights: np.ndarray, attr_emb: np.ndarray) -> np.ndarra
     return weights @ attr_emb
 
 
+def _head(a: np.ndarray, b: np.ndarray, attn, w: np.ndarray,
+          attr_emb: np.ndarray) -> np.ndarray:
+    """w . [a * b ; attn @ attr_emb] per row, with the attribute block taken
+    as attn @ (attr_emb @ w[d:]); attn None ablates that block."""
+    d = a.shape[-1]
+    score = (a * b) @ w[:d]
+    if attn is not None:
+        score = score + attn @ (attr_emb @ w[d:])
+    return score
+
+
+def _head_backward(a: np.ndarray, b: np.ndarray, attn, w: np.ndarray,
+                   attr_emb: np.ndarray, g: np.ndarray, w_grad: np.ndarray,
+                   attr_grad: np.ndarray):
+    """Add the gradients of sum(g * _head(a, b, attn, w, attr_emb)) for w and
+    attr_emb into w_grad and attr_grad; return the row gradients for a, b."""
+    d = a.shape[-1]
+    w_grad[:d] += g @ (a * b)
+    if attn is not None:
+        attn_g = attn.T @ g
+        w_grad[d:] += attn_g @ attr_emb
+        attr_grad += np.outer(attn_g, w[d:])
+    g = g[:, None]
+    return g * (w[:d] * b), g * (w[:d] * a)
+
+
 def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
                 users: np.ndarray, queries: np.ndarray, items: np.ndarray):
-    """Blended scores for row-aligned (user, query, candidate) triples.
+    """Blended scores for row-aligned (user, query, candidate) triples; a
+    scalar user or query is paired with every candidate.
 
     Returns (scores, cache) with everything backward needs.
     """
-    d = params.embed_dim
-    w_s, w_p = params.subst_proj, params.pers_proj
     v_q = params.item_emb[queries]
     v_j = params.item_emb[items]
     u_i = params.user_emb[users]
-
-    y_q = est.item_attr[queries]
     y_j = est.item_attr[items]
-    phi = attention(y_q, y_j, cfg.subst_temp)
-    f_s = (v_q * v_j) @ w_s[:d]
-    agg_s = agg_p = None
-    if cfg.subst_use_attrs:
-        agg_s = phi @ params.attr_emb
-        f_s = f_s + agg_s @ w_s[d:]
-
-    x_i = est.user_attr[users]
-    lam = attention(x_i, y_j, cfg.pers_temp)
-    f_p = (u_i * v_j) @ w_p[:d]
-    if cfg.pers_use_attrs:
-        agg_p = lam @ params.attr_emb
-        f_p = f_p + agg_p @ w_p[d:]
-
+    phi = (attention(est.item_attr[queries], y_j, cfg.subst_temp)
+           if cfg.subst_use_attrs else None)
+    lam = (attention(est.user_attr[users], y_j, cfg.pers_temp)
+           if cfg.pers_use_attrs else None)
     g = cfg.subst_weight
-    scores = g * f_s + (1.0 - g) * f_p
-    cache = (users, queries, items, u_i, v_q, v_j, phi, lam, agg_s, agg_p)
-    return scores, cache
+    scores = (g * _head(v_q, v_j, phi, params.subst_proj, params.attr_emb)
+              + (1.0 - g) * _head(u_i, v_j, lam, params.pers_proj,
+                                  params.attr_emb))
+    return scores, (users, queries, items, u_i, v_q, v_j, phi, lam)
 
 
-def _score_rows_backward(params: ModelParams, cfg: TrainConfig, parts,
-                         grads: ModelParams) -> None:
-    """Accumulate d(sum_b upstream_b * score_b)/d(params) into `grads`, summed
-    over `parts`, a sequence of (cache, upstream) pairs.
+def _score_rows_backward(params: ModelParams, cfg: TrainConfig, cache,
+                         upstream: np.ndarray, grads: ModelParams) -> None:
+    """Accumulate d(sum_b upstream_b * score_b)/d(params) into `grads`.
 
-    The embedding-row contributions of all parts are gathered and scattered
-    with one ordered bincount per tensor, so each row sums them in the order
-    np.add.at would, part by part. Completed matrix rows are constants here
-    by contract: the estimation step is refreshed between phases, not
-    differentiated through.
+    The embedding-row contributions are scattered with one ordered bincount
+    per tensor, so each row sums them in the order np.add.at would: query,
+    candidate (substitution head), then user, candidate (personalization
+    head). Completed matrix rows are constants here by contract: the
+    estimation step is refreshed between phases, not differentiated through.
     """
-    d = params.embed_dim
-    w_s, w_p = params.subst_proj, params.pers_proj
-    item_rows, item_grads, user_rows, user_grads = [], [], [], []
-    for cache, upstream in parts:
-        users, queries, items, u_i, v_q, v_j, phi, lam, agg_s, agg_p = cache
-        g_s = (upstream * cfg.subst_weight)[:, None]
-        g_p = (upstream * (1.0 - cfg.subst_weight))[:, None]
-
-        grads.subst_proj[:d] += (g_s * (v_q * v_j)).sum(axis=0)
-        item_rows += [queries, items]
-        item_grads += [g_s * (w_s[:d] * v_j), g_s * (w_s[:d] * v_q)]
-        if cfg.subst_use_attrs:
-            grads.subst_proj[d:] += (g_s * agg_s).sum(axis=0)
-            grads.attr_emb += phi.T @ (g_s * w_s[None, d:])
-
-        grads.pers_proj[:d] += (g_p * (u_i * v_j)).sum(axis=0)
-        user_rows.append(users)
-        user_grads.append(g_p * (w_p[:d] * v_j))
-        item_rows.append(items)
-        item_grads.append(g_p * (w_p[:d] * u_i))
-        if cfg.pers_use_attrs:
-            grads.pers_proj[d:] += (g_p * agg_p).sum(axis=0)
-            grads.attr_emb += lam.T @ (g_p * w_p[None, d:])
-    grads.item_emb += scatter_rows(len(grads.item_emb), item_rows, item_grads)
-    grads.user_emb += scatter_rows(len(grads.user_emb), user_rows, user_grads)
+    users, queries, items, u_i, v_q, v_j, phi, lam = cache
+    g_q, g_js = _head_backward(v_q, v_j, phi, params.subst_proj,
+                               params.attr_emb, upstream * cfg.subst_weight,
+                               grads.subst_proj, grads.attr_emb)
+    g_u, g_jp = _head_backward(u_i, v_j, lam, params.pers_proj,
+                               params.attr_emb,
+                               upstream * (1.0 - cfg.subst_weight),
+                               grads.pers_proj, grads.attr_emb)
+    grads.item_emb += scatter_rows(len(grads.item_emb), [queries, items, items],
+                                   [g_q, g_js, g_jp])
+    grads.user_emb += scatter_rows(len(grads.user_emb), [users], [g_u])
 
 
 def score_substitution(query: int, item: int, params: ModelParams,
@@ -187,11 +186,8 @@ def score_candidates(params: ModelParams, est: EstimatedMatrices,
                      cfg: TrainConfig, user: int, query: int,
                      items: np.ndarray) -> np.ndarray:
     """Vectorized triplet_score over a candidate array."""
-    items = np.asarray(items, dtype=np.int64)
-    users = np.full(len(items), user, dtype=np.int64)
-    queries = np.full(len(items), query, dtype=np.int64)
-    scores, _ = _score_rows(params, est, cfg, users, queries, items)
-    return scores
+    return _score_rows(params, est, cfg, user, query,
+                       np.asarray(items, dtype=np.int64))[0]
 
 
 def sample_negatives(users: np.ndarray, queries: np.ndarray, corpus: Corpus,
@@ -251,20 +247,27 @@ def sample_negatives(users: np.ndarray, queries: np.ndarray, corpus: Corpus,
 def _bpr_s_forward(params: ModelParams, est: EstimatedMatrices,
                    cfg: TrainConfig, users: np.ndarray, queries: np.ndarray,
                    positives: np.ndarray, negatives: np.ndarray):
-    """(loss, margins, positive cache, negative cache) for row-aligned
-    quadruples; the loss sums -log sigmoid(score(i,q,j+) - score(i,q,j-)),
-    overflow-safe."""
-    pos_scores, pos_cache = _score_rows(params, est, cfg, users, queries, positives)
-    neg_scores, neg_cache = _score_rows(params, est, cfg, users, queries, negatives)
-    margins = pos_scores - neg_scores
-    loss = float(np.logaddexp(0.0, -margins).sum())
-    return loss, margins, pos_cache, neg_cache
+    """(loss, (n, k) margins, cache) for row-aligned (user, query, positive)
+    triples, each against its row of `negatives`, shape (n, k) or, for
+    k = 1, (n,). The cache rows are the n positives, each scored once, then
+    the negatives in row-major order. The loss sums
+    -log sigmoid(score(i,q,j+) - score(i,q,j-)), overflow-safe."""
+    n, negatives = len(users), np.asarray(negatives)
+    if negatives.ndim not in (1, 2) or len(negatives) != n:
+        raise ValueError(f"negatives must have shape ({n},) or ({n}, k), "
+                         f"got {negatives.shape}")
+    k = negatives.shape[1] if negatives.ndim == 2 else 1
+    rows = [np.concatenate([x, np.repeat(x, k)]) for x in (users, queries)]
+    scores, cache = _score_rows(params, est, cfg, *rows,
+                                np.concatenate([positives, negatives.ravel()]))
+    margins = scores[:n, None] - scores[n:].reshape(n, k)
+    return float(np.logaddexp(0.0, -margins).sum()), margins, cache
 
 
 def bpr_s_loss(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
                users: np.ndarray, queries: np.ndarray,
                positives: np.ndarray, negatives: np.ndarray) -> float:
-    """Summed pairwise logistic loss over row-aligned quadruples."""
+    """Summed pairwise logistic loss over every (triple, negative) pair."""
     return _bpr_s_forward(params, est, cfg, users, queries, positives,
                           negatives)[0]
 
@@ -273,14 +276,14 @@ def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
                            cfg: TrainConfig, users: np.ndarray,
                            queries: np.ndarray, positives: np.ndarray,
                            negatives: np.ndarray):
-    """Loss plus analytic gradients for one quadruple batch."""
-    loss, margins, pos_cache, neg_cache = _bpr_s_forward(
-        params, est, cfg, users, queries, positives, negatives)
-    # d/dm of softplus(-m) is sigmoid(m) - 1
-    up_pos = expit(margins) - 1.0
+    """Loss plus analytic gradients for one batch, shaped as bpr_s_loss."""
+    loss, margins, cache = _bpr_s_forward(params, est, cfg, users, queries,
+                                          positives, negatives)
+    # d/dm of softplus(-m) is sigmoid(m) - 1, summed per positive over k
+    up = expit(margins) - 1.0
     grads = ModelParams.zeros_like(params)
-    _score_rows_backward(params, cfg,
-                         ((pos_cache, up_pos), (neg_cache, -up_pos)), grads)
+    _score_rows_backward(params, cfg, cache,
+                         np.concatenate([up.sum(axis=1), -up.ravel()]), grads)
     return loss, grads
 
 

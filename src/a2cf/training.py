@@ -265,21 +265,17 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
             rows = train[batch]
             neg = sample_negatives(rows[:, 0], rows[:, 1], corpus,
                                    cfg.negatives, neg_rng)
-            users = np.repeat(rows[:, 0], cfg.negatives)
-            queries = np.repeat(rows[:, 1], cfg.negatives)
-            positives = np.repeat(rows[:, 2], cfg.negatives)
-            negatives = neg.reshape(-1)
-            loss, grads = bpr_s_forward_backward(params, est, cfg, users,
-                                                 queries, positives, negatives)
+            loss, grads = bpr_s_forward_backward(
+                params, est, cfg, rows[:, 0], rows[:, 1], rows[:, 2], neg)
             if not np.isfinite(loss):
                 fail(round_no, 2, step, loss)
             adam_step(params, grads, adam_p2, cfg.learning_rate)
             pair_loss_sum += loss
-            pair_count += len(users)
-            p2_losses.append(loss / len(users))
+            pair_count += neg.size
+            p2_losses.append(loss / neg.size)
             if step == 1 or step % 50 == 0 or step == run.phase2_steps:
                 log.line(f"round={round_no} phase=2 step={step} "
-                         f"loss={loss:.6f} per_pair={loss / len(users):.6f}")
+                         f"loss={loss:.6f} per_pair={loss / neg.size:.6f}")
         round_loss = pair_loss_sum / pair_count if pair_count else None
         history.append({"round": round_no, "phase": 2, "steps": p2_steps,
                         "losses": p2_losses, "loss": round_loss})

@@ -398,6 +398,45 @@ def test_build_triplets_equals_set_based_reference(seed):
     assert got_state == want_state
 
 
+def pool_corpus(rng):
+    """A corpus whose pools include singletons and pools of items nobody
+    bought (popularity 0, so the draw falls back to uniform)."""
+    n_users, n_items = int(rng.integers(2, 9)), int(rng.integers(6, 25))
+    unsold = rng.random(n_items) < 0.4
+    inter = [(u, v) for u in range(n_users) for v in range(n_items)
+             if not unsold[v] and rng.random() < 0.5]
+    pairs = {tuple(sorted((a, int(b)))) for a in range(n_items)
+             for b in rng.choice(n_items, size=int(rng.integers(0, 4)))
+             if a != b}
+    return Corpus(user_tokens=[f"u{u}" for u in range(n_users)],
+                  item_tokens=[f"i{v}" for v in range(n_items)],
+                  attr_tokens=["x"],
+                  interactions=np.array(inter, dtype=np.int64).reshape(-1, 2),
+                  lexicon=np.empty((0, 4), dtype=np.int64),
+                  substitute_pairs=np.array(sorted(pairs),
+                                            dtype=np.int64).reshape(-1, 2))
+
+
+def test_build_triplets_batched_draws_equal_per_pool_choice():
+    sizes, unsold_pools = set(), 0
+    for seed in range(40):
+        corpus = pool_corpus(np.random.default_rng(seed))
+        user_items, substitutes = relation_sets(corpus)
+        for u, v in corpus.interactions:
+            pool = sorted(substitutes[v] - user_items[u])
+            sizes.add(len(pool))
+            unsold_pools += bool(pool) and not corpus.popularity[pool].any()
+        got, got_state = triplet_outcome(build_triplets, corpus, seed + 500)
+        want, want_state = triplet_outcome(set_based_triplets, corpus,
+                                           seed + 500)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+        assert got_state == want_state
+    assert 1 in sizes and max(sizes) > 3 and unsold_pools > 0
+
+
 # ------------------------------------------------------------ persistence
 
 def test_prepared_roundtrip_and_byte_determinism(tmp_path, synth_corpus,

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from a2cf.data import Corpus
 from a2cf.evaluation import (ProtocolReport, atc, evaluate_protocol, hr_at_k,
                              map_attributes, ndcg_at_k, rank_candidates,
                              relevant_attributes, sample_negative_pool,
@@ -176,11 +177,47 @@ def test_rank_candidates_tie_breaks_by_id():
 
 
 def test_relevant_attributes_from_lexicon(grid_corpus):
-    rel = relevant_attributes(grid_corpus)
-    assert rel[(0, 0)] == {0, 1}        # uA on p0: battery, price
-    assert rel[(0, 1)] == {0}           # uA on p1: battery
-    assert rel[(3, 3)] == {2}           # uD on p3: screen
-    assert (5, 0) not in rel
+    rel = relevant_attributes(grid_corpus, np.array([0, 0, 3, 5]),
+                              np.array([0, 1, 3, 0]))
+    assert set(rel[0]) == {0, 1}        # uA on p0: battery, price
+    assert set(rel[1]) == {0}           # uA on p1: battery
+    assert set(rel[2]) == {2}           # uD on p3: screen
+    assert len(rel[3]) == 0             # no lexicon row for (5, 0)
+
+
+def dict_of_sets_relevant(corpus):
+    """Reference: (user, item) -> set of attribute ids, one lexicon row at
+    a time."""
+    rel: dict = {}
+    for u, v, a, _ in corpus.lexicon:
+        rel.setdefault((int(u), int(v)), set()).add(int(a))
+    return rel
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relevant_attributes_equal_dict_of_sets_walk(seed):
+    rng = np.random.default_rng(seed)
+    n_users, n_items, n_attrs = (int(rng.integers(1, 6)),
+                                 int(rng.integers(1, 9)),
+                                 int(rng.integers(1, 5)))
+    rows = int(rng.integers(0, 40))     # unsorted, with repeated rows
+    lexicon = np.column_stack([rng.integers(n_users, size=rows),
+                               rng.integers(n_items, size=rows),
+                               rng.integers(n_attrs, size=rows),
+                               rng.choice([-1, 1], size=rows)])
+    corpus = Corpus(user_tokens=[f"u{u}" for u in range(n_users)],
+                    item_tokens=[f"i{v}" for v in range(n_items)],
+                    attr_tokens=[f"a{a}" for a in range(n_attrs)],
+                    interactions=np.empty((0, 2), dtype=np.int64),
+                    lexicon=lexicon.astype(np.int64),
+                    substitute_pairs=np.empty((0, 2), dtype=np.int64))
+    users = rng.integers(n_users, size=30)
+    items = rng.integers(n_items, size=30)
+    got = relevant_attributes(corpus, users, items)
+    want = dict_of_sets_relevant(corpus)
+    assert len(got) == 30
+    for attrs, u, v in zip(got, users, items):
+        assert set(attrs.tolist()) == want.get((int(u), int(v)), set())
 
 
 # ----------------------------------------------------------------- protocol

@@ -1,6 +1,8 @@
 """The bincount scatter-adds in the analytic backward passes give gradients
 bit-identical to a reference that scatters with np.add.at, one call per
-contribution group, in the order the groups are produced."""
+contribution group, in the order the groups are produced. The phase-2
+algebra (each positive scored once, attributes aggregated by matvec) also
+agrees with the repeated-row algebra it replaced, kept here as an oracle."""
 
 import numpy as np
 import pytest
@@ -14,11 +16,64 @@ from a2cf.ranking import EstimatedMatrices, bpr_s_forward_backward, softmax
 
 
 def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
-    """Reference BPR-S loss and gradients: np.add.at per group, positive
-    rows before negative rows."""
+    """Reference BPR-S loss and gradients in the scoring algebra: the n
+    positive rows once, then the (n, k) negatives row-major; a positive's
+    upstream is the sum of its k margins'; attribute terms are
+    attn @ (attr_emb @ w). np.add.at scatters per group: query and
+    candidate rows (substitution), then user and candidate rows
+    (personalization)."""
+    d = params.embed_dim
+    w_s, w_p = params.subst_proj, params.pers_proj
+    n, k = negatives.shape
+    users = np.concatenate([users, np.repeat(users, k)])
+    queries = np.concatenate([queries, np.repeat(queries, k)])
+    items = np.concatenate([positives, negatives.ravel()])
+    v_q, v_j, u_i = (params.item_emb[queries], params.item_emb[items],
+                     params.user_emb[users])
+    phi = softmax((est.item_attr[queries] * est.item_attr[items])
+                  / cfg.subst_temp)
+    lam = softmax((est.user_attr[users] * est.item_attr[items])
+                  / cfg.pers_temp)
+    f_s = (v_q * v_j) @ w_s[:d]
+    if cfg.subst_use_attrs:
+        f_s = f_s + phi @ (params.attr_emb @ w_s[d:])
+    f_p = (u_i * v_j) @ w_p[:d]
+    if cfg.pers_use_attrs:
+        f_p = f_p + lam @ (params.attr_emb @ w_p[d:])
+    scores = cfg.subst_weight * f_s + (1.0 - cfg.subst_weight) * f_p
+    margins = scores[:n, None] - scores[n:].reshape(n, k)
+    up = expit(margins) - 1.0
+    upstream = np.concatenate([up.sum(axis=1), -up.ravel()])
+
+    grads = ModelParams.zeros_like(params)
+    g_s = upstream * cfg.subst_weight
+    g_p = upstream * (1.0 - cfg.subst_weight)
+    grads.subst_proj[:d] += g_s @ (v_q * v_j)
+    if cfg.subst_use_attrs:
+        grads.subst_proj[d:] += (phi.T @ g_s) @ params.attr_emb
+        grads.attr_emb += np.outer(phi.T @ g_s, w_s[d:])
+    np.add.at(grads.item_emb, queries, g_s[:, None] * (w_s[:d] * v_j))
+    np.add.at(grads.item_emb, items, g_s[:, None] * (w_s[:d] * v_q))
+    grads.pers_proj[:d] += g_p @ (u_i * v_j)
+    if cfg.pers_use_attrs:
+        grads.pers_proj[d:] += (lam.T @ g_p) @ params.attr_emb
+        grads.attr_emb += np.outer(lam.T @ g_p, w_p[d:])
+    np.add.at(grads.user_emb, users, g_p[:, None] * (w_p[:d] * v_j))
+    np.add.at(grads.item_emb, items, g_p[:, None] * (w_p[:d] * u_i))
+    return float(np.logaddexp(0.0, -margins).sum()), grads
+
+
+def repeated_rows_bpr_s(params, est, cfg, users, queries, positives,
+                        negatives):
+    """Oracle in the replaced algebra: every positive repeated once per
+    negative, attribute blocks aggregated as phi @ attr_emb before the
+    projection, np.add.at per group, positive rows before negative rows."""
     d = params.embed_dim
     w_s, w_p = params.subst_proj, params.pers_proj
     g = cfg.subst_weight
+    k = negatives.shape[1]
+    users, queries = np.repeat(users, k), np.repeat(queries, k)
+    positives, negatives = np.repeat(positives, k), negatives.ravel()
 
     def forward(items):
         v_q, v_j, u_i = (params.item_emb[queries], params.item_emb[items],
@@ -97,10 +152,12 @@ def assert_bit_identical(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), name
 
 
-@pytest.mark.parametrize("subst_attrs,pers_attrs",
-                         [(True, True), (False, True), (True, False)])
-@pytest.mark.parametrize("seed", range(3))
-def test_bpr_s_gradients_bit_identical_to_add_at(seed, subst_attrs, pers_attrs):
+ABLATIONS = [(True, True), (False, True), (True, False)]
+
+
+def bpr_s_case(seed, subst_attrs, pers_attrs, k):
+    """A small model and a batch with many repeats of every user and item,
+    a query that is also a candidate, and negatives of shape (40, k)."""
     cfg = TrainConfig(embed_dim=4, tower_depth=1, subst_weight=0.7,
                       subst_use_attrs=subst_attrs, pers_use_attrs=pers_attrs)
     n_users, n_items, n_attrs = 3, 7, 5
@@ -109,19 +166,38 @@ def test_bpr_s_gradients_bit_identical_to_add_at(seed, subst_attrs, pers_attrs):
     est = EstimatedMatrices(
         user_attr=rng.uniform(1.0, 5.0, size=(n_users, n_attrs)),
         item_attr=rng.uniform(1.0, 5.0, size=(n_items, n_attrs)))
-    rows = 40                       # many repeats of every user and item
+    rows = 40
     users = rng.integers(n_users, size=rows)
     queries = rng.integers(n_items, size=rows)
     positives = rng.integers(n_items, size=rows)
-    negatives = rng.integers(n_items, size=rows)
-    negatives[:5] = queries[:5]     # a query that is also a candidate
+    negatives = rng.integers(n_items, size=(rows, k))
+    negatives[:5, 0] = queries[:5]
     positives[5:10] = queries[5:10]
-    got_loss, got = bpr_s_forward_backward(params, est, cfg, users, queries,
-                                           positives, negatives)
-    want_loss, want = addat_bpr_s(params, est, cfg, users, queries,
-                                  positives, negatives)
-    assert got_loss == want_loss
-    assert_bit_identical(got, want)
+    return cfg, params, est, (users, queries, positives, negatives)
+
+
+@pytest.mark.parametrize("subst_attrs,pers_attrs", ABLATIONS)
+@pytest.mark.parametrize("seed", range(3))
+def test_bpr_s_gradients_bit_identical_to_add_at(seed, subst_attrs, pers_attrs):
+    for k in (1, 3, 5):
+        cfg, params, est, args = bpr_s_case(seed, subst_attrs, pers_attrs, k)
+        got_loss, got = bpr_s_forward_backward(params, est, cfg, *args)
+        want_loss, want = addat_bpr_s(params, est, cfg, *args)
+        assert got_loss == want_loss, k
+        assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("subst_attrs,pers_attrs", ABLATIONS)
+@pytest.mark.parametrize("seed", range(3))
+def test_bpr_s_matches_repeated_rows_oracle(seed, subst_attrs, pers_attrs, k):
+    cfg, params, est, args = bpr_s_case(seed, subst_attrs, pers_attrs, k)
+    got_loss, got = bpr_s_forward_backward(params, est, cfg, *args)
+    want_loss, want = repeated_rows_bpr_s(params, est, cfg, *args)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, w in want.tensors().items():
+        gap = np.abs(getattr(got, name) - w).max()
+        assert gap <= 1e-12 * np.abs(w).max(), (name, gap)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])

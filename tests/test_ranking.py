@@ -655,6 +655,51 @@ def test_bpr_gradients_match_finite_differences_under_ablations():
         assert worst_relative_gap(analytic, numeric) < 1e-4, kw
 
 
+def test_bpr_gradients_match_finite_differences_with_k_negatives():
+    cfg, params, est = random_setup(31, n_users=3, n_items=5, n_attrs=4)
+    users = np.array([0, 1, 2, 0])
+    queries = np.array([1, 3, 0, 2])
+    positives = np.array([2, 4, 1, 3])
+    negatives = np.array([[0, 3, 4], [2, 0, 1], [3, 4, 2], [4, 1, 0]])
+    loss, analytic = bpr_s_forward_backward(params, est, cfg, users, queries,
+                                            positives, negatives)
+    pairs = sum(bpr_s_loss(params, est, cfg, users, queries, positives,
+                           negatives[:, c]) for c in range(3))
+    assert loss == pytest.approx(pairs, rel=1e-12)
+    numeric = central_diff_grads(
+        params,
+        lambda: bpr_s_loss(params, est, cfg, users, queries, positives,
+                           negatives))
+    assert worst_relative_gap(analytic, numeric) < 1e-4
+
+
+def test_bpr_one_negative_per_row_as_vector_or_column():
+    cfg, params, est = random_setup(32, n_users=3, n_items=5, n_attrs=4)
+    args = (np.array([0, 2, 1]), np.array([1, 0, 3]), np.array([3, 2, 4]))
+    negatives = np.array([4, 1, 0])
+    loss_1d, g_1d = bpr_s_forward_backward(params, est, cfg, *args, negatives)
+    loss_2d, g_2d = bpr_s_forward_backward(params, est, cfg, *args,
+                                           negatives[:, None])
+    assert loss_1d == loss_2d
+    for a, b in zip(g_1d.tensors().values(), g_2d.tensors().values()):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("negatives", [
+    np.array([4, 1]),                   # one row short
+    np.array([[4], [1], [0], [2]]),     # one row over
+    np.array([[4, 1, 0]]),              # (1, n): k laid along the wrong axis
+    np.zeros((3, 2, 1), dtype=np.int64),
+    np.array(4),
+])
+def test_bpr_negatives_shape_mismatch_is_value_error(negatives):
+    cfg, params, est = random_setup(33, n_users=3, n_items=5, n_attrs=4)
+    args = (np.array([0, 2, 1]), np.array([1, 0, 3]), np.array([3, 2, 4]))
+    for fn in (bpr_s_loss, bpr_s_forward_backward):
+        with pytest.raises(ValueError, match="negatives must have shape"):
+            fn(params, est, cfg, *args, negatives)
+
+
 def test_bpr_gradients_treat_estimates_as_constants():
     # phase-2 gradients must not depend on perturbations applied to the
     # completed matrices' role as variables: same params, different est give
