@@ -1,8 +1,14 @@
 """Configuration containers and key=value config-file parsing."""
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
+
+
+def _require_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -30,6 +36,8 @@ class TrainConfig:
     pers_use_attrs: bool = True
 
     def __post_init__(self):
+        for name in ("rating_max", "subst_temp", "pers_temp", "learning_rate"):
+            _require_finite(name, getattr(self, name))
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         if self.tower_depth < 0:
@@ -40,6 +48,8 @@ class TrainConfig:
             raise ValueError("subst_weight must be in [0, 1]")
         if self.subst_temp <= 0 or self.pers_temp <= 0:
             raise ValueError("attention temperatures must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.batch_size < 1 or self.negatives < 1:
@@ -68,6 +78,7 @@ class RunConfig:
             raise ValueError("rounds_max must be >= 1")
         if self.phase1_steps < 0 or self.phase2_steps < 0:
             raise ValueError("phase step counts must be >= 0")
+        _require_finite("convergence_tol", self.convergence_tol)
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
 

@@ -9,7 +9,7 @@ from .config import TrainConfig
 from .data import Corpus
 from .interpret import attribute_advantage
 from .network import ModelParams
-from .ranking import EstimatedMatrices, rank_order, score_candidates
+from .ranking import EstimatedMatrices, score_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +85,6 @@ def sample_negative_pool(rng: np.random.Generator, n_items: int,
     return np.where(drawn >= exclude, drawn + 1, drawn).astype(np.int64)
 
 
-def rank_candidates(candidates: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Candidates sorted by score descending, ties toward the smaller id."""
-    return np.asarray(candidates)[rank_order(scores, candidates)]
-
-
 def relevant_attributes(corpus: Corpus, users: np.ndarray,
                         items: np.ndarray) -> list:
     """Per (users[c], items[c]) pair, the attribute ids the lexicon mentions
@@ -159,8 +154,14 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
         pool = sample_negative_pool(rng, n_items, p, pool_size)
         candidates = np.concatenate(([p], pool))
         scores = np.asarray(scorer(u, q, candidates, rng), dtype=np.float64)
-        ranked = rank_candidates(candidates, scores)
-        rank = _rank_of(ranked, p)
+        # rank of p under ranking.rank_order: score descending, ties toward
+        # the smaller id, NaN scores last
+        s_p = scores[0]
+        if np.isnan(s_p):
+            ahead = ~np.isnan(scores) | (candidates < p)
+        else:
+            ahead = (scores > s_p) | ((scores == s_p) & (candidates < p))
+        rank = 1 + int(np.count_nonzero(ahead))
         for k in ks:
             hr_sums[k] += _hit(rank, k)
             ndcg_sums[k] += _ndcg(rank, k)

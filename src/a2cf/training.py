@@ -4,10 +4,13 @@ Each round runs `phase1_steps` regression batches (both towers, shared Adam
 state), re-estimates the completed attribute matrices, then runs
 `phase2_steps` ranking batches against those frozen completions. Rounds stop
 at `rounds_max` or when the relative improvement of the mean per-pair ranking
-loss falls below `convergence_tol`.
+loss falls below `convergence_tol`. The completion of the final params is
+`TrainResult.est`, computed only when a caller first reads it.
 """
 
+import contextlib
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -143,8 +146,10 @@ def checkpoint_roundtrip(params: ModelParams, cfg: TrainConfig,
 
 @dataclasses.dataclass
 class TrainResult:
+    """What `train_pipeline` returns. `est`, the completion of the final
+    params, is computed on first read and cached."""
+
     params: ModelParams
-    est: EstimatedMatrices
     user_mat: SparseAttributeMatrix
     item_mat: SparseAttributeMatrix
     history: list
@@ -152,19 +157,26 @@ class TrainResult:
     converged: bool
     final_loss: float | None
 
+    @functools.cached_property
+    def est(self) -> EstimatedMatrices:
+        return estimate_matrices(self.user_mat, self.item_mat, self.params)
 
-class _Log:
-    def __init__(self, path):
-        self.fh = open(path, "w", encoding="utf-8") if path else None
 
-    def line(self, text: str) -> None:
-        logger.debug("%s", text)
-        if self.fh:
-            self.fh.write(text + "\n")
+def _batches(pool: np.ndarray, size: int, rng: np.random.Generator):
+    """Endless stream of `size`-element batches of `pool`. A fresh
+    rng.permutation of the pool is queued whenever fewer than `size`
+    elements remain, so a batch may span two passes."""
+    queue = np.empty(0, dtype=np.int64)
+    while True:
+        while len(queue) < size:
+            queue = np.concatenate([queue, rng.permutation(pool)])
+        yield queue[:size]
+        queue = queue[size:]
 
-    def close(self) -> None:
-        if self.fh:
-            self.fh.close()
+
+def _cells(mat: SparseAttributeMatrix, idx: np.ndarray):
+    """The (rows, cols, vals) of the observed cells at `idx`, or None."""
+    return (mat.rows[idx], mat.cols[idx], mat.vals[idx]) if len(idx) else None
 
 
 def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
@@ -174,7 +186,9 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
 
     Child seeds are derived from run.seed in a fixed order (init, phase-1
     order, dropout, phase-2 order, negatives), so results are reproducible
-    bit-for-bit for a given corpus and config.
+    bit-for-bit for a given corpus and config. The log at `log_path` is
+    closed on return and on any exception; a non-finite loss first saves
+    the params to `diag_dir`/diagnostic.ckpt, then raises FloatingPointError.
     """
     cfg = run.train
     user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
@@ -182,122 +196,102 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     init_seed, p1_seed, drop_seed, p2_seed, neg_seed = seeds
     params = init_params(corpus.n_users, corpus.n_items, corpus.n_attrs,
                          cfg, init_seed)
-    p1_rng = np.random.default_rng(p1_seed)
     drop_rng = np.random.default_rng(drop_seed)
-    p2_rng = np.random.default_rng(p2_seed)
     neg_rng = np.random.default_rng(neg_seed)
     adam_p1 = AdamState.zeros_like(params)
     adam_p2 = AdamState.zeros_like(params)
 
-    u_rows, u_cols, u_vals = user_mat.rows, user_mat.cols, user_mat.vals
-    i_rows, i_cols, i_vals = item_mat.rows, item_mat.cols, item_mat.vals
-    n_user_cells = len(u_rows)
-    cells = np.arange(n_user_cells + len(i_rows))
+    n_user_cells = len(user_mat.rows)
+    cells = np.arange(n_user_cells + len(item_mat.rows))
     train = splits.train
     if len(train) == 0:
         raise ValueError("empty training split")
-
-    log = _Log(log_path)
-    log.line(f"corpus users={corpus.n_users} items={corpus.n_items} "
-             f"attrs={corpus.n_attrs} train={len(train)} "
-             f"valid={len(splits.valid)} test={len(splits.test)}")
+    cell_batches = _batches(cells, min(cfg.batch_size, len(cells)),
+                            np.random.default_rng(p1_seed))
+    train_batches = _batches(np.arange(len(train)),
+                             min(cfg.batch_size, len(train)),
+                             np.random.default_rng(p2_seed))
     history = []
-    est = None
-    prev_loss = None
     final_loss = None
     converged = False
-    rounds_run = 0
 
-    def fail(round_no, phase, step, value):
-        if diag_dir:
-            os.makedirs(diag_dir, exist_ok=True)
-            save_checkpoint(os.path.join(diag_dir, "diagnostic.ckpt"), params, cfg)
-        log.close()
-        raise FloatingPointError(
-            f"non-finite loss {value!r} in round {round_no} phase {phase} "
-            f"step {step}")
+    with (open(log_path, "w", encoding="utf-8") if log_path
+          else contextlib.nullcontext()) as fh:
+        def log(text: str) -> None:
+            logger.debug("%s", text)
+            if fh:
+                fh.write(text + "\n")
 
-    cell_cursor = [np.empty(0, dtype=np.int64)]
-    trip_cursor = [np.empty(0, dtype=np.int64)]
+        def fail(round_no, phase, step, value):
+            if diag_dir:
+                os.makedirs(diag_dir, exist_ok=True)
+                save_checkpoint(os.path.join(diag_dir, "diagnostic.ckpt"),
+                                params, cfg)
+            raise FloatingPointError(
+                f"non-finite loss {value!r} in round {round_no} "
+                f"phase {phase} step {step}")
 
-    def next_batch(pool, cursor, size, rng):
-        while len(cursor[0]) < size:
-            cursor[0] = np.concatenate([cursor[0], rng.permutation(pool)])
-        batch, cursor[0] = cursor[0][:size], cursor[0][size:]
-        return batch
+        log(f"corpus users={corpus.n_users} items={corpus.n_items} "
+            f"attrs={corpus.n_attrs} train={len(train)} "
+            f"valid={len(splits.valid)} test={len(splits.test)}")
+        for round_no in range(1, run.rounds_max + 1):
+            p1_losses = []
+            for step in range(1, run.phase1_steps + 1):
+                batch = next(cell_batches)
+                loss, grads = phase1_forward_backward(
+                    params, _cells(user_mat, batch[batch < n_user_cells]),
+                    _cells(item_mat, batch[batch >= n_user_cells]
+                           - n_user_cells),
+                    cfg.rating_max, dropout=cfg.dropout, rng=drop_rng)
+                if not np.isfinite(loss):
+                    fail(round_no, 1, step, loss)
+                adam_step(params, grads, adam_p1, cfg.learning_rate)
+                p1_losses.append(loss)
+                if step == 1 or step % 50 == 0 or step == run.phase1_steps:
+                    log(f"round={round_no} phase=1 step={step} "
+                        f"loss={loss:.6f}")
+            history.append({"round": round_no, "phase": 1,
+                            "steps": run.phase1_steps, "losses": p1_losses})
 
-    for round_no in range(1, run.rounds_max + 1):
-        rounds_run = round_no
-        p1_steps = 0
-        p1_losses = []
-        for step in range(1, run.phase1_steps + 1):
-            p1_steps += 1
-            batch = next_batch(cells, cell_cursor, min(cfg.batch_size, len(cells)),
-                               p1_rng)
-            um = batch[batch < n_user_cells]
-            im = batch[batch >= n_user_cells] - n_user_cells
-            user_cells = (u_rows[um], u_cols[um], u_vals[um]) if len(um) else None
-            item_cells = (i_rows[im], i_cols[im], i_vals[im]) if len(im) else None
-            loss, grads = phase1_forward_backward(
-                params, user_cells, item_cells, cfg.rating_max,
-                dropout=cfg.dropout, rng=drop_rng)
-            if not np.isfinite(loss):
-                fail(round_no, 1, step, loss)
-            adam_step(params, grads, adam_p1, cfg.learning_rate)
-            p1_losses.append(loss)
-            if step == 1 or step % 50 == 0 or step == run.phase1_steps:
-                log.line(f"round={round_no} phase=1 step={step} loss={loss:.6f}")
-        history.append({"round": round_no, "phase": 1, "steps": p1_steps,
-                        "losses": p1_losses})
+            est = estimate_matrices(user_mat, item_mat, params)
+            log(f"round={round_no} estimated matrices refreshed")
 
-        est = estimate_matrices(user_mat, item_mat, params)
-        log.line(f"round={round_no} estimated matrices refreshed")
-
-        pair_loss_sum = 0.0
-        pair_count = 0
-        p2_steps = 0
-        p2_losses = []
-        trip_idx = np.arange(len(train))
-        for step in range(1, run.phase2_steps + 1):
-            p2_steps += 1
-            batch = next_batch(trip_idx, trip_cursor,
-                               min(cfg.batch_size, len(train)), p2_rng)
-            rows = train[batch]
-            neg = sample_negatives(rows[:, 0], rows[:, 1], corpus,
-                                   cfg.negatives, neg_rng)
-            loss, grads = bpr_s_forward_backward(
-                params, est, cfg, rows[:, 0], rows[:, 1], rows[:, 2], neg)
-            if not np.isfinite(loss):
-                fail(round_no, 2, step, loss)
-            adam_step(params, grads, adam_p2, cfg.learning_rate)
-            pair_loss_sum += loss
-            pair_count += neg.size
-            p2_losses.append(loss / neg.size)
-            if step == 1 or step % 50 == 0 or step == run.phase2_steps:
-                log.line(f"round={round_no} phase=2 step={step} "
-                         f"loss={loss:.6f} per_pair={loss / neg.size:.6f}")
-        round_loss = pair_loss_sum / pair_count if pair_count else None
-        history.append({"round": round_no, "phase": 2, "steps": p2_steps,
-                        "losses": p2_losses, "loss": round_loss})
-        if round_loss is None:
-            log.line(f"round={round_no} done (no ranking steps); stopping")
-            break
-        log.line(f"round={round_no} mean_pair_loss={round_loss:.6f}")
-        final_loss = round_loss
-        if prev_loss is not None and prev_loss > 0.0:
-            improvement = (prev_loss - round_loss) / prev_loss
-            if improvement < run.convergence_tol:
-                converged = True
-                log.line(f"converged: relative improvement "
-                         f"{improvement:.6f} < {run.convergence_tol}")
+            loss_sum = 0.0
+            pair_count = 0
+            p2_losses = []
+            for step in range(1, run.phase2_steps + 1):
+                rows = train[next(train_batches)]
+                neg = sample_negatives(rows[:, 0], rows[:, 1], corpus,
+                                       cfg.negatives, neg_rng)
+                loss, grads = bpr_s_forward_backward(
+                    params, est, cfg, rows[:, 0], rows[:, 1], rows[:, 2], neg)
+                if not np.isfinite(loss):
+                    fail(round_no, 2, step, loss)
+                adam_step(params, grads, adam_p2, cfg.learning_rate)
+                loss_sum += loss
+                pair_count += neg.size
+                p2_losses.append(loss / neg.size)
+                if step == 1 or step % 50 == 0 or step == run.phase2_steps:
+                    log(f"round={round_no} phase=2 step={step} "
+                        f"loss={loss:.6f} per_pair={loss / neg.size:.6f}")
+            round_loss = loss_sum / pair_count if pair_count else None
+            history.append({"round": round_no, "phase": 2,
+                            "steps": run.phase2_steps, "losses": p2_losses,
+                            "loss": round_loss})
+            if round_loss is None:
+                log(f"round={round_no} done (no ranking steps); stopping")
                 break
-        prev_loss = round_loss
-
-    est = estimate_matrices(user_mat, item_mat, params)
-    log.line(f"training finished after {rounds_run} round(s), "
-             f"converged={converged}")
-    log.close()
-    return TrainResult(params=params, est=est, user_mat=user_mat,
-                       item_mat=item_mat, history=history,
-                       rounds_run=rounds_run, converged=converged,
-                       final_loss=final_loss)
+            log(f"round={round_no} mean_pair_loss={round_loss:.6f}")
+            if final_loss is not None and final_loss > 0.0:
+                improvement = (final_loss - round_loss) / final_loss
+                converged = improvement < run.convergence_tol
+            final_loss = round_loss
+            if converged:
+                log(f"converged: relative improvement "
+                    f"{improvement:.6f} < {run.convergence_tol}")
+                break
+        log(f"training finished after {round_no} round(s), "
+            f"converged={converged}")
+    return TrainResult(params=params, user_mat=user_mat, item_mat=item_mat,
+                       history=history, rounds_run=round_no,
+                       converged=converged, final_loss=final_loss)

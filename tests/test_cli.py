@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import re
 import struct
 import zipfile
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.lib import format as npformat
 
-from a2cf import cli
+from a2cf import cli, training
 from a2cf.cli import cli_dispatch
 from a2cf.config import TrainConfig
 from a2cf.data import load_prepared
@@ -281,6 +282,65 @@ def test_checkpoint_corpus_dims_mismatch(pipeline, tmp_path, capsys):
     assert "checkpoint dimensions do not match the prepared corpus" in err
 
 
+def _train_argv(pipeline, out_dir, *flags):
+    """A short `train` run on the shared corpus, with extra `flags`."""
+    return ["train", "--data", pipeline["data"], "--out-dir", str(out_dir),
+            "--seed", "11", "--embed-dim", "8", "--rounds-max", "2",
+            "--phase1-steps", "5", "--phase2-steps", "5",
+            "--convergence-tol", "0", *flags]
+
+
+def test_train_completes_once_per_round(pipeline, tmp_path, monkeypatch,
+                                        capsys):
+    real = training.estimate_matrices
+    calls = []
+    monkeypatch.setattr(training, "estimate_matrices",
+                        lambda *args: calls.append(1) or real(*args))
+    assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 0
+    assert "rounds=2 " in capsys.readouterr().out
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--learning-rate", "-1"], "learning_rate must be > 0"),
+    (["--learning-rate", "0"], "learning_rate must be > 0"),
+    (["--subst-temp", "nan"], "subst_temp must be finite, got nan"),
+    (["--pers-temp", "inf"], "pers_temp must be finite, got inf"),
+    (["--rating-max", "inf"], "rating_max must be finite, got inf"),
+    (["--convergence-tol", "nan"], "convergence_tol must be finite, got nan"),
+], ids=["negative_rate", "zero_rate", "nan_subst_temp", "inf_pers_temp",
+        "inf_rating_max", "nan_convergence_tol"])
+def test_train_rejects_useless_floats_before_training(pipeline, tmp_path,
+                                                      capsys, flags, message):
+    out = tmp_path / "model"
+    assert cli_dispatch(_train_argv(pipeline, out, *flags)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_config_file_nan_is_one_line_error(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("learning_rate = nan\n")
+    out = tmp_path / "model"
+    assert cli_dispatch(_train_argv(pipeline, out, "--config", str(cfg))) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: learning_rate must be finite, got nan"]
+    assert not out.exists()
+
+
+def test_prepare_rejects_infinite_rating_max(pipeline, tmp_path, capsys):
+    raw = pipeline["raw"]
+    out = tmp_path / "prep"
+    code = cli_dispatch(["prepare", "--reviews", str(raw / "reviews.tsv"),
+                         "--lexicon", str(raw / "lexicon.tsv"),
+                         "--substitutes", str(raw / "substitutes.tsv"),
+                         "--out-dir", str(out), "--rating-max", "inf"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: rating_max must be finite, got inf"]
+    assert not out.exists()
+
+
 def test_synth_seed_from_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=31\n")
@@ -327,6 +387,12 @@ def _wrong_shape(header):
             entry[1] = [2, 8, 16]
 
 
+def _set_config(field, value):
+    def edit(header):
+        header["config"][field] = value
+    return edit
+
+
 def _huge_user_emb(rows):
     """user_emb declared with `rows` rows; the config still fits, so only
     the byte count can catch it."""
@@ -350,9 +416,16 @@ def _huge_user_emb(rows):
      "truncated checkpoint at tensor 'user_emb'"),
     (lambda raw: _rewrite_header(raw, _huge_user_emb(2**62)),
      "truncated checkpoint at tensor 'user_emb'"),
+    (lambda raw: _rewrite_header(raw, _set_config("subst_temp", math.nan)),
+     "bad checkpoint config: subst_temp must be finite, got nan"),
+    (lambda raw: _rewrite_header(raw, _set_config("rating_max", math.inf)),
+     "bad checkpoint config: rating_max must be finite, got inf"),
+    (lambda raw: _rewrite_header(raw, _set_config("learning_rate", -1.0)),
+     "bad checkpoint config: learning_rate must be > 0"),
 ], ids=["short_file", "unknown_config_key", "missing_tensor", "no_config",
         "no_tensors", "wrong_shape", "rows_overflow_int64",
-        "rows_wrap_int64"])
+        "rows_wrap_int64", "nan_subst_temp", "inf_rating_max",
+        "negative_learning_rate"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"

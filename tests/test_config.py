@@ -31,6 +31,26 @@ def test_train_config_validation():
         TrainConfig(rating_max=1.0)
 
 
+@pytest.mark.parametrize("field", ["rating_max", "subst_temp", "pers_temp",
+                                   "learning_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, -1e-3])
+def test_train_config_rejects_non_positive_learning_rate(rate):
+    with pytest.raises(ValueError, match="learning_rate must be > 0"):
+        TrainConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_run_config_rejects_non_finite_convergence_tol(value):
+    with pytest.raises(ValueError, match="convergence_tol must be finite"):
+        RunConfig(convergence_tol=value)
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError, match="rounds_max"):
         RunConfig(rounds_max=0)

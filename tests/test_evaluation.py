@@ -7,9 +7,8 @@ import pytest
 
 from a2cf.data import Corpus
 from a2cf.evaluation import (ProtocolReport, atc, evaluate_protocol, hr_at_k,
-                             map_attributes, ndcg_at_k, rank_candidates,
-                             relevant_attributes, sample_negative_pool,
-                             write_metrics_report)
+                             map_attributes, ndcg_at_k, relevant_attributes,
+                             sample_negative_pool, write_metrics_report)
 from a2cf.ranking import EstimatedMatrices
 
 # 1/log2(rank+1) at ranks 1..12, high-precision reference
@@ -170,12 +169,6 @@ def test_negative_pool_too_large_request_error():
         sample_negative_pool(np.random.default_rng(5), 10, 3, 10)
 
 
-def test_rank_candidates_tie_breaks_by_id():
-    cands = np.array([9, 4, 7, 2])
-    scores = np.array([1.0, 2.0, 1.0, 2.0])
-    np.testing.assert_array_equal(rank_candidates(cands, scores), [2, 4, 7, 9])
-
-
 def test_relevant_attributes_from_lexicon(grid_corpus):
     rel = relevant_attributes(grid_corpus, np.array([0, 0, 3, 5]),
                               np.array([0, 1, 3, 0]))
@@ -254,6 +247,42 @@ def test_protocol_atc_hand_case(grid_corpus):
     expected = 2.0 * ap * 1.0 / (ap + 1.0)
     assert report.metrics["ATC"] == pytest.approx(expected, abs=1e-12)
     assert report.metrics["ATC"] == pytest.approx(14.0 / 19.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_protocol_positive_ties_break_toward_smaller_id(grid_corpus, value):
+    """Every candidate scores `value`, so the positive p ranks behind the
+    p smaller ids of the full pool: ranks 1, 3 and 5. NaN scores tie with
+    each other the same way."""
+    est = EstimatedMatrices(user_attr=np.ones((6, 3)),
+                            item_attr=np.ones((6, 3)))
+    test = np.array([(0, 1, 0), (2, 0, 2), (4, 3, 4)], dtype=np.int64)
+    report = evaluate_protocol(None, est, None, grid_corpus, test, seed=5,
+                               negatives=5, cutoffs=(1, 3, 5),
+                               scorer=lambda u, q, c, rng: np.full(len(c),
+                                                                   value))
+    assert [report.metrics[f"HR@{k}"] for k in (1, 3, 5)] == [
+        1.0 / 3.0, 2.0 / 3.0, 1.0]
+    assert report.metrics["NDCG@5"] == pytest.approx(
+        (NDCG_BY_RANK[0] + NDCG_BY_RANK[2] + NDCG_BY_RANK[4]) / 3.0)
+
+
+def test_protocol_nan_scores_rank_last(grid_corpus):
+    """A NaN positive ranks behind every scored negative, and a NaN
+    negative never beats a scored positive."""
+    est = EstimatedMatrices(user_attr=np.ones((6, 3)),
+                            item_attr=np.ones((6, 3)))
+    test = np.array([(0, 1, 0), (0, 1, 5)], dtype=np.int64)
+
+    def scorer(u, q, cands, rng):
+        return np.where(cands % 2 == 0, np.nan, -1.0)
+
+    report = evaluate_protocol(None, est, None, grid_corpus, test, seed=5,
+                               negatives=5, cutoffs=(1, 3, 4),
+                               scorer=scorer)
+    # p0 is NaN behind the scored 1, 3, 5 and no smaller NaN id: rank 4;
+    # p5 scores -1 and ties with 1 and 3 only: rank 3
+    assert [report.metrics[f"HR@{k}"] for k in (1, 3, 4)] == [0.0, 0.5, 1.0]
 
 
 def test_protocol_pool_fallback_warns_once(grid_corpus, caplog):

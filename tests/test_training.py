@@ -241,5 +241,40 @@ def test_estimates_refresh_once_per_round_plus_final(monkeypatch,
     run = short_run(rounds_max=2, phase1_steps=3, phase2_steps=3)
     result = train_pipeline(synth_corpus, synth_splits, run)
     assert result.rounds_run == 2
-    assert len(produced) == 3       # one per round plus the final refresh
-    assert result.est is produced[-1]
+    assert len(produced) == 2       # one per round, none for the final params
+    est = result.est
+    assert len(produced) == 3       # the final completion, on first read
+    assert est is produced[-1]
+
+
+def test_final_estimate_equals_eager_completion(synth_corpus, synth_splits):
+    result = train_pipeline(synth_corpus, synth_splits,
+                            short_run(rounds_max=2, phase1_steps=3,
+                                      phase2_steps=3))
+    eager = training.estimate_matrices(result.user_mat, result.item_mat,
+                                       result.params)
+    for name in ("user_attr", "item_attr"):
+        got, want = getattr(result.est, name), getattr(eager, name)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert result.est is result.est
+
+
+def test_raise_mid_phase_leaves_train_log_closed(tmp_path, monkeypatch,
+                                                 synth_corpus, synth_splits):
+    def broken(*args):
+        raise RuntimeError("sampler failed")
+
+    monkeypatch.setattr(training, "sample_negatives", broken)
+    log = tmp_path / "train.log"
+    with pytest.raises(RuntimeError, match="sampler failed") as excinfo:
+        train_pipeline(synth_corpus, synth_splits,
+                       short_run(phase1_steps=5, phase2_steps=5),
+                       log_path=str(log))
+    lines = log.read_text().splitlines()
+    assert lines[0].startswith("corpus users=50 items=60 attrs=20 train=")
+    assert lines[-1] == "round=1 estimated matrices refreshed"
+    # the traceback still holds the training frame, and so its file object
+    frame = next(entry.frame for entry in excinfo.traceback
+                 if entry.name == "train_pipeline")
+    assert frame.f_locals["fh"].closed
