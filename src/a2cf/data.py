@@ -1,7 +1,7 @@
 """Corpus loading, activity filtering, and triplet ground-truth construction.
 
-File formats (tab-separated text, '#' starts a comment line, blank lines
-ignored):
+File formats (UTF-8 tab-separated text, no empty fields, '#' starts a
+comment line, blank lines ignored):
   reviews:      user_id  item_id  rating  [timestamp]
   lexicon:      user_id  item_id  attribute  {+1|-1}
   substitutes:  item_id  item_id            (unordered pair, no self-pairs)
@@ -12,6 +12,7 @@ import logging
 import lzma
 import zipfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,25 +40,35 @@ class LexiconEntry:
     sentiment: int  # +1 or -1
 
 
-def _data_lines(path: str):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped
+def _records(path: str, widths: tuple):
+    """(line number, fields) for each data line of the UTF-8 TSV `path`.
+
+    Blank lines and '#' comments are skipped. A line whose field count is
+    not in `widths`, a line with an empty field, and a file that is not
+    UTF-8 raise ValueError naming `path`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                parts = stripped.split("\t")
+                if len(parts) not in widths:
+                    expected = " or ".join(map(str, widths))
+                    raise ValueError(f"{path}:{lineno}: expected {expected} fields, got {len(parts)}")
+                if "\t\t" in stripped:    # stripped: only inner fields can be empty
+                    raise ValueError(f"{path}:{lineno}: empty field")
+                yield lineno, parts
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
 
 
 def load_reviews(path: str, rating_max: int = 5) -> list[ReviewRecord]:
     """Parse a review file; ratings must be integers in [1, rating_max]."""
     records = []
-    for lineno, text in _data_lines(path):
-        parts = text.split("\t")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(parts)}")
+    for lineno, parts in _records(path, (3, 4)):
         user, item, rating_raw = parts[0], parts[1], parts[2]
-        if not user or not item:
-            raise ValueError(f"{path}:{lineno}: empty user or item id")
         try:
             rating = int(rating_raw)
         except ValueError:
@@ -77,13 +88,7 @@ def load_reviews(path: str, rating_max: int = 5) -> list[ReviewRecord]:
 def load_lexicon(path: str) -> list[LexiconEntry]:
     """Parse sentiment-lexicon lines; the sentiment field is '+1' or '-1'."""
     entries = []
-    for lineno, text in _data_lines(path):
-        parts = text.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        user, item, attr, sent = parts
-        if not user or not item or not attr:
-            raise ValueError(f"{path}:{lineno}: empty field")
+    for lineno, (user, item, attr, sent) in _records(path, (4,)):
         if sent == "+1":
             sentiment = 1
         elif sent == "-1":
@@ -95,24 +100,14 @@ def load_lexicon(path: str) -> list[LexiconEntry]:
 
 
 def load_substitutes(path: str) -> list[tuple[str, str]]:
-    """Parse substitute pairs; self-pairs are rejected, duplicates collapsed."""
-    seen = set()
-    pairs = []
-    for lineno, text in _data_lines(path):
-        parts = text.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        a, b = parts
-        if not a or not b:
-            raise ValueError(f"{path}:{lineno}: empty item id")
+    """Parse substitute pairs; self-pairs are rejected, duplicates collapsed
+    (the first occurrence keeps its place)."""
+    pairs = {}
+    for lineno, (a, b) in _records(path, (2,)):
         if a == b:
             raise ValueError(f"{path}:{lineno}: item {a!r} listed as its own substitute")
-        key = (a, b) if a <= b else (b, a)
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(key)
-    return pairs
+        pairs[(a, b) if a <= b else (b, a)] = None
+    return list(pairs)
 
 
 @dataclass
@@ -178,31 +173,27 @@ def filter_corpus(reviews: list[ReviewRecord],
     than min_item_users distinct users are removed iteratively until a fixed
     point; afterwards attributes mentioned fewer than min_attr_mentions times
     (counting surviving lexicon lines, duplicates included) are dropped.
+    Every threshold must be >= 1.
     """
+    if min(min_user_items, min_item_users, min_attr_mentions) < 1:
+        raise ValueError("activity thresholds must be >= 1, got "
+                         f"min_user_items={min_user_items}, min_item_users="
+                         f"{min_item_users}, min_attr_mentions={min_attr_mentions}")
     pairs = {(r.user_id, r.item_id) for r in reviews}
-    users = {u for u, _ in pairs}
-    items = {v for _, v in pairs}
+    n_dropped = len(reviews) - len(pairs)
     while True:
-        user_deg: dict = {}
-        item_deg: dict = {}
-        for u, v in pairs:
-            if u in users and v in items:
-                user_deg[u] = user_deg.get(u, 0) + 1
-                item_deg[v] = item_deg.get(v, 0) + 1
-        bad_users = {u for u in users if user_deg.get(u, 0) < min_user_items}
-        bad_items = {v for v in items if item_deg.get(v, 0) < min_item_users}
-        if not bad_users and not bad_items:
+        users = Counter(u for u, _ in pairs)    # user -> distinct items
+        items = Counter(v for _, v in pairs)    # item -> distinct users
+        kept = {(u, v) for u, v in pairs
+                if users[u] >= min_user_items and items[v] >= min_item_users}
+        if len(kept) == len(pairs):
             break
-        users -= bad_users
-        items -= bad_items
-    pairs = {(u, v) for u, v in pairs if u in users and v in items}
+        pairs = kept
     if not pairs:
         raise ValueError("corpus is empty after activity filtering")
 
     kept_lex = [e for e in lexicon if e.user_id in users and e.item_id in items]
-    attr_counts: dict = {}
-    for e in kept_lex:
-        attr_counts[e.attribute] = attr_counts.get(e.attribute, 0) + 1
+    attr_counts = Counter(e.attribute for e in kept_lex)
     attrs = {a for a, c in attr_counts.items() if c >= min_attr_mentions}
     kept_lex = [e for e in kept_lex if e.attribute in attrs]
     if not attrs:
@@ -224,7 +215,6 @@ def filter_corpus(reviews: list[ReviewRecord],
                        for a, b in substitutes if a in vid and b in vid})
     subs = (np.array(sub_rows, dtype=np.int64) if sub_rows
             else np.empty((0, 2), dtype=np.int64))
-    n_dropped = len(reviews) - len({(r.user_id, r.item_id) for r in reviews})
     logger.info("filtered corpus: %d users, %d items, %d attrs, %d interactions "
                 "(%d duplicate review pairs collapsed)",
                 len(user_tokens), len(item_tokens), len(attr_tokens), len(inter), n_dropped)

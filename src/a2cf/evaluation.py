@@ -18,20 +18,17 @@ MAP_TRUNCATION = 500
 
 def hr_at_k(ranked_items, truth: int, k: int) -> float:
     """1.0 when the ground-truth item sits within the top k, else 0.0."""
-    return _hit(_rank_of(ranked_items, truth), k)
+    return float(_rank_of(ranked_items, truth) <= k)
 
 
 def ndcg_at_k(ranked_items, truth: int, k: int) -> float:
     """Single-relevant NDCG: 1/log2(rank+1) within the cutoff, else 0."""
-    return _ndcg(_rank_of(ranked_items, truth), k)
+    return float(_ndcg(_rank_of(ranked_items, truth), k))
 
 
-def _hit(rank: int, k: int) -> float:
-    return 1.0 if rank <= k else 0.0
-
-
-def _ndcg(rank: int, k: int) -> float:
-    return 1.0 / float(np.log2(rank + 1)) if rank <= k else 0.0
+def _ndcg(ranks, k: int) -> np.ndarray:
+    """1/log2(rank+1) for each of `ranks` within the cutoff k, else 0."""
+    return np.where(ranks <= k, 1.0 / np.log2(ranks + 1), 0.0)
 
 
 def _rank_of(ranked_items, truth: int) -> int:
@@ -142,12 +139,7 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
             raise ValueError("model scoring needs params and cfg")
         scorer = lambda u, q, cands, rng: score_candidates(
             params, est, cfg, u, q, cands)
-    rel = relevant_attributes(corpus, test_triplets[:, 0], test_triplets[:, 2])
-    ks = sorted(cutoffs)
-    hr_sums = {k: 0.0 for k in ks}
-    ndcg_sums = {k: 0.0 for k in ks}
-    map_cases = np.zeros(len(test_triplets))
-    ndcg_full_cases = np.zeros(len(test_triplets))
+    ranks = np.empty(len(test_triplets), dtype=np.int64)
     for idx, (u, q, p) in enumerate(test_triplets):
         u, q, p = int(u), int(q), int(p)
         rng = np.random.default_rng([seed, idx])
@@ -161,22 +153,17 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
             ahead = ~np.isnan(scores) | (candidates < p)
         else:
             ahead = (scores > s_p) | ((scores == s_p) & (candidates < p))
-        rank = 1 + int(np.count_nonzero(ahead))
-        for k in ks:
-            hr_sums[k] += _hit(rank, k)
-            ndcg_sums[k] += _ndcg(rank, k)
-        adv = attribute_advantage(est.user_attr[u], est.item_attr[q],
-                                  est.item_attr[p], user=u, query=q, item=p)
-        map_cases[idx] = map_attributes(adv.ranking, rel[idx], truncation)
-        ndcg_full_cases[idx] = _ndcg(rank, len(candidates))
-    n = len(test_triplets)
-    metrics = {}
-    for k in ks:
-        metrics[f"HR@{k}"] = hr_sums[k] / n
-    for k in ks:
-        metrics[f"NDCG@{k}"] = ndcg_sums[k] / n
-    metrics["ATC"] = atc(map_cases, ndcg_full_cases)
-    return ProtocolReport(metrics=metrics, cases=n, negatives=pool_size,
+        ranks[idx] = 1 + np.count_nonzero(ahead)
+    users, queries, positives = test_triplets.T
+    adv = attribute_advantage(est.user_attr[users], est.item_attr[queries],
+                              est.item_attr[positives])
+    map_cases = [map_attributes(row, rel, truncation) for row, rel in zip(
+        adv.ranking, relevant_attributes(corpus, users, positives))]
+    ks = sorted(cutoffs)
+    metrics = {f"HR@{k}": float(np.mean(ranks <= k)) for k in ks}
+    metrics.update({f"NDCG@{k}": float(_ndcg(ranks, k).mean()) for k in ks})
+    metrics["ATC"] = atc(map_cases, _ndcg(ranks, pool_size + 1))
+    return ProtocolReport(metrics=metrics, cases=len(ranks), negatives=pool_size,
                           requested=negatives)
 
 

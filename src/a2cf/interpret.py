@@ -11,11 +11,12 @@ from .ranking import rank_order
 
 @dataclass
 class AttributeAdvantage:
-    """Preference-weighted attribute gaps for one (user, query, item) case.
+    """Preference-weighted attribute gaps for one (user, query, item) case,
+    or one row per case when the rows are stacked as (cases, attrs).
 
-    deltas[n] = user_row[n] * (item_row[n] - query_row[n]); ranking holds
-    attribute indices sorted by delta descending, ties toward the smaller
-    attribute index.
+    deltas[..., n] = user_row[..., n] * (item_row[..., n] - query_row[..., n]);
+    ranking holds attribute indices sorted by delta descending, ties toward
+    the smaller attribute index.
     """
 
     user: int
@@ -37,7 +38,7 @@ def attribute_advantage(user_row: np.ndarray, query_row: np.ndarray,
         raise ValueError("attribute rows must share one shape, got "
                          f"{user_row.shape}/{query_row.shape}/{item_row.shape}")
     deltas = user_row * (item_row - query_row)
-    ranking = rank_order(deltas, np.arange(len(deltas)))
+    ranking = rank_order(deltas, np.arange(deltas.shape[-1]))
     return AttributeAdvantage(user=user, query=query, item=item,
                               deltas=deltas, ranking=ranking)
 

@@ -8,7 +8,6 @@ The attribute block is one matvec; the (rows, d) aggregate attn @ E is never
 formed. Either block can be ablated away, leaving only the product term.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ from .data import Corpus
 from .matrices import SparseAttributeMatrix
 from .network import (ModelParams, predict_item_attr_batch,
                       predict_user_attr_batch, scatter_rows)
-
-logger = logging.getLogger(__name__)
 
 NEGATIVE_SAMPLE_FACTOR = 1000   # rejection budget per requested negative
 _ESTIMATE_CHUNK = 4096          # max cells regressed per forward pass
@@ -288,8 +285,9 @@ def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
 
 
 def rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Positions that sort `scores` descending, ties toward the smaller id."""
-    return np.lexsort((ids, -scores))
+    """Positions that sort `scores` descending along the last axis, ties
+    toward the smaller id; `ids` is broadcast to the shape of `scores`."""
+    return np.lexsort((np.broadcast_to(ids, scores.shape), -scores))
 
 
 @dataclass

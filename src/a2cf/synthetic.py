@@ -127,40 +127,30 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     pop_boost = rng.normal(0.0, spec.pop_spread, size=V)
     cluster_items = [np.nonzero(cluster_of == c)[0] for c in range(C)]
     interactions: list = []
-    have = [set() for _ in range(U)]
+    bought = np.zeros((U, V), dtype=bool)
     for u in range(U):
         homes = np.nonzero(home[u])[0]
         for _ in range(spec.interactions_per_user):
             c = int(homes[rng.integers(len(homes))])
-            avail = np.array([v for v in cluster_items[c] if v not in have[u]])
+            avail = cluster_items[c][~bought[u, cluster_items[c]]]
             if len(avail) == 0:
-                others = [v for cc in homes for v in cluster_items[cc]
-                          if v not in have[u]]
-                if not others:
+                avail = np.flatnonzero(home[u, cluster_of] & ~bought[u])
+                if len(avail) == 0:
                     break
-                avail = np.array(sorted(others))
             logits = (affinity[u, avail] + pop_boost[avail]) / spec.choice_temp
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             v = int(avail[rng.choice(len(avail), p=probs)])
-            have[u].add(v)
+            bought[u, v] = True
             interactions.append((u, v))
 
     # coverage repair: every item needs min_item_users distinct users
-    item_users = [set() for _ in range(V)]
-    for u, v in interactions:
-        item_users[v].add(u)
-    for v in range(V):
-        deficit = spec.min_item_users - len(item_users[v])
-        if deficit <= 0:
-            continue
-        outsiders = np.array([u for u in range(U) if u not in item_users[v]])
+    # (a repair adds users to its own item only, so the deficits hold)
+    deficits = spec.min_item_users - bought.sum(axis=0)
+    for v in np.flatnonzero(deficits > 0):
+        outsiders = np.flatnonzero(~bought[:, v])
         order = outsiders[np.argsort(-affinity[outsiders, v], kind="stable")]
-        for u in order[:deficit]:
-            u = int(u)
-            have[u].add(v)
-            item_users[v].add(u)
-            interactions.append((u, v))
+        interactions += [(int(u), int(v)) for u in order[:deficits[v]]]
 
     # ratings from affinity; mentions land on attributes the user weights
     # among those the item actually exposes (cluster salient + its block)

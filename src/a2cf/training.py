@@ -90,7 +90,8 @@ def _checkpoint_manifest(path: str, header, cfg: TrainConfig) -> list:
 def load_checkpoint(path: str) -> tuple:
     """Read a checkpoint back into (ModelParams, TrainConfig).
 
-    Every malformed file raises ValueError naming `path`.
+    Every malformed file raises ValueError naming `path`, among them a
+    tensor holding NaN or inf.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -124,7 +125,10 @@ def load_checkpoint(path: str) -> tuple:
             raise ValueError(f"{path}: truncated checkpoint at tensor {name!r}")
         arr = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").astype(
             np.float64).reshape(shape)
-        fields[name] = arr.copy()
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: checkpoint tensor {name!r} holds "
+                             f"non-finite values")
+        fields[name] = arr
         offset += nbytes
     if offset != len(raw):
         raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -341,6 +341,39 @@ def test_prepare_rejects_infinite_rating_max(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_prepare_threshold_below_one_is_one_line_error(pipeline, tmp_path,
+                                                      capsys):
+    raw = pipeline["raw"]
+    out = tmp_path / "prep"
+    code = cli_dispatch(["prepare", "--reviews", str(raw / "reviews.tsv"),
+                         "--lexicon", str(raw / "lexicon.tsv"),
+                         "--substitutes", str(raw / "substitutes.tsv"),
+                         "--out-dir", str(out), "--min-user-items", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: activity thresholds must be >= 1, got min_user_items=0, "
+        "min_item_users=5, min_attr_mentions=2"]
+    assert not out.exists()
+
+
+def test_prepare_undecodable_input_is_one_line_error(pipeline, tmp_path,
+                                                     capsys):
+    raw = pipeline["raw"]
+    bad = tmp_path / "lexicon.tsv"
+    bad.write_bytes((raw / "lexicon.tsv").read_bytes()
+                    + b"u000\ti\xff\ta000\t+1\n")
+    out = tmp_path / "prep"
+    code = cli_dispatch(["prepare", "--reviews", str(raw / "reviews.tsv"),
+                         "--lexicon", str(bad),
+                         "--substitutes", str(raw / "substitutes.tsv"),
+                         "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}: not UTF-8: ")
+    assert not out.exists()
+
+
 def test_synth_seed_from_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=31\n")
@@ -387,6 +420,21 @@ def _wrong_shape(header):
             entry[1] = [2, 8, 16]
 
 
+def _nan_tensors(*names):
+    """A corrupter that sets every value of the named tensors to NaN."""
+    def corrupt(raw: bytes) -> bytes:
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        out = bytearray(raw)
+        offset = 12 + hlen
+        for name, shape in json.loads(raw[12:12 + hlen])["tensors"]:
+            size = math.prod(shape)
+            if name in names:
+                out[offset:offset + 8 * size] = np.full(size, np.nan).tobytes()
+            offset += 8 * size
+        return bytes(out)
+    return corrupt
+
+
 def _set_config(field, value):
     def edit(header):
         header["config"][field] = value
@@ -422,10 +470,12 @@ def _huge_user_emb(rows):
      "bad checkpoint config: rating_max must be finite, got inf"),
     (lambda raw: _rewrite_header(raw, _set_config("learning_rate", -1.0)),
      "bad checkpoint config: learning_rate must be > 0"),
+    (_nan_tensors("subst_proj", "pers_proj"),
+     "checkpoint tensor 'subst_proj' holds non-finite values"),
 ], ids=["short_file", "unknown_config_key", "missing_tensor", "no_config",
         "no_tensors", "wrong_shape", "rows_overflow_int64",
         "rows_wrap_int64", "nan_subst_temp", "inf_rating_max",
-        "negative_learning_rate"])
+        "negative_learning_rate", "nan_projections"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"

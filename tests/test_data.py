@@ -1,5 +1,7 @@
 """Corpus loading, activity filtering, query sampling, and splits."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,33 @@ def test_load_substitutes_rejects_self_pair(tmp_path):
     path.write_text("i1\ti1\n")
     with pytest.raises(ValueError, match="own substitute"):
         load_substitutes(str(path))
+
+
+# A line is stripped before it is split, so a missing first or last field
+# shortens the line; a two-field substitutes line has no inner field to lose.
+@pytest.mark.parametrize("loader, line, message", [
+    (load_reviews, "u1\t\t4", "empty field"),
+    (load_reviews, "u1\ti1\t\t1600000000", "empty field"),
+    (load_lexicon, "u1\t\tbattery\t+1", "empty field"),
+    (load_lexicon, "u1\ti1\t\t+1", "empty field"),
+    (load_substitutes, "i1\t\ti2", "expected 2 fields, got 3"),
+    (load_substitutes, "\ti2", "expected 2 fields, got 1"),
+], ids=["review_item", "review_rating", "lexicon_item", "lexicon_attr",
+        "substitute_inner", "substitute_first"])
+def test_loaders_reject_an_empty_field(tmp_path, loader, line, message):
+    path = tmp_path / "in.tsv"
+    path.write_text(f"# header\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        loader(str(path))
+
+
+@pytest.mark.parametrize("loader", [load_reviews, load_lexicon,
+                                    load_substitutes])
+def test_loaders_name_the_file_on_undecodable_bytes(tmp_path, loader):
+    path = tmp_path / "in.tsv"
+    path.write_bytes(b"# header\nu1\ti\xff1\t4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8: ")):
+        loader(str(path))
 
 
 # ------------------------------------------------------------- filtering
@@ -168,6 +197,110 @@ def test_filter_no_surviving_attribute_error():
     lex = [LexiconEntry("uA", "p0", "battery", 1)]
     with pytest.raises(ValueError, match="no attribute survives"):
         filter_corpus(grid_reviews(), lex, list(SUB_PAIRS))
+
+
+@pytest.mark.parametrize("thresholds", [(0, 5, 2), (5, 0, 2), (5, 5, 0),
+                                        (-1, 1, 1)])
+def test_filter_rejects_thresholds_below_one(thresholds):
+    with pytest.raises(ValueError, match="activity thresholds must be >= 1"):
+        filter_corpus(grid_reviews(), grid_lexicon(), list(SUB_PAIRS),
+                      *thresholds)
+
+
+def set_based_filter(reviews, lexicon, substitutes, min_user_items,
+                     min_item_users, min_attr_mentions):
+    """Reference: the activity filter as user and item sets beside the pair
+    set, pruned by hand-counted degrees until neither set shrinks. Returns
+    (corpus, rounds)."""
+    pairs = {(r.user_id, r.item_id) for r in reviews}
+    users = {u for u, _ in pairs}
+    items = {v for _, v in pairs}
+    rounds = 0
+    while True:
+        rounds += 1
+        user_deg: dict = {}
+        item_deg: dict = {}
+        for u, v in pairs:
+            if u in users and v in items:
+                user_deg[u] = user_deg.get(u, 0) + 1
+                item_deg[v] = item_deg.get(v, 0) + 1
+        bad_users = {u for u in users if user_deg.get(u, 0) < min_user_items}
+        bad_items = {v for v in items if item_deg.get(v, 0) < min_item_users}
+        if not bad_users and not bad_items:
+            break
+        users -= bad_users
+        items -= bad_items
+    pairs = {(u, v) for u, v in pairs if u in users and v in items}
+    if not pairs:
+        raise ValueError("corpus is empty after activity filtering")
+    kept_lex = [e for e in lexicon if e.user_id in users and e.item_id in items]
+    attr_counts: dict = {}
+    for e in kept_lex:
+        attr_counts[e.attribute] = attr_counts.get(e.attribute, 0) + 1
+    attrs = {a for a, c in attr_counts.items() if c >= min_attr_mentions}
+    kept_lex = [e for e in kept_lex if e.attribute in attrs]
+    if not attrs:
+        raise ValueError("no attribute survives the mention threshold")
+    uid = {t: i for i, t in enumerate(sorted(users))}
+    vid = {t: i for i, t in enumerate(sorted(items))}
+    aid = {t: i for i, t in enumerate(sorted(attrs))}
+    lex = sorted((uid[e.user_id], vid[e.item_id], aid[e.attribute], e.sentiment)
+                 for e in kept_lex)
+    subs = sorted({tuple(sorted((vid[a], vid[b]))) for a, b in substitutes
+                   if a in vid and b in vid})
+    corpus = Corpus(sorted(users), sorted(items), sorted(attrs),
+                    np.array(sorted((uid[u], vid[v]) for u, v in pairs),
+                             dtype=np.int64),
+                    np.array(lex, dtype=np.int64).reshape(-1, 4),
+                    np.array(subs, dtype=np.int64).reshape(-1, 2))
+    return corpus, rounds
+
+
+def random_activity_input(rng):
+    """Reviews with repeated pairs, a lexicon that also names unreviewed
+    and unknown pairs, substitutes with unknown items, and thresholds in
+    [1, 4]."""
+    users = [f"u{k}" for k in range(int(rng.integers(1, 12)))]
+    items = [f"i{k}" for k in range(int(rng.integers(1, 12)))]
+    density = rng.uniform(0.2, 0.95)
+    reviews = [ReviewRecord(u, v, 3) for u in users for v in items
+               if rng.random() < density]
+    reviews += reviews[:int(rng.integers(0, 4))]
+    reviews = [reviews[k] for k in rng.permutation(len(reviews))]
+    names = users + ["ghost"], items + ["void"]
+    lexicon = [LexiconEntry(str(rng.choice(names[0])), str(rng.choice(names[1])),
+                            f"a{rng.integers(4)}", int(rng.choice([1, -1])))
+               for _ in range(int(rng.integers(0, 80)))]
+    substitutes = [(str(a), str(b)) for a, b in
+                   rng.choice(names[1], size=(int(rng.integers(0, 15)), 2))
+                   if a != b]
+    thresholds = tuple(int(t) for t in rng.integers(1, 5, size=3))
+    return (reviews, lexicon, substitutes) + thresholds
+
+
+def test_filter_equals_set_based_reference():
+    outcomes = []
+    for seed in range(120):
+        args = random_activity_input(np.random.default_rng(seed))
+        try:
+            want, rounds = set_based_filter(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                filter_corpus(*args)
+            outcomes.append("error")
+            continue
+        got = filter_corpus(*args)
+        assert got.user_tokens == want.user_tokens
+        assert got.item_tokens == want.item_tokens
+        assert got.attr_tokens == want.attr_tokens
+        for name in ("interactions", "lexicon", "substitute_pairs"):
+            got_arr, want_arr = getattr(got, name), getattr(want, name)
+            assert got_arr.dtype == want_arr.dtype
+            np.testing.assert_array_equal(got_arr, want_arr)
+        outcomes.append(rounds)
+    rounds = [o for o in outcomes if o != "error"]
+    assert len(rounds) >= 40 and "error" in outcomes
+    assert 1 in rounds and max(rounds) >= 3
 
 
 # ----------------------------------------------------------------- splits

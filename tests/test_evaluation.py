@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from a2cf.data import Corpus
-from a2cf.evaluation import (ProtocolReport, atc, evaluate_protocol, hr_at_k,
-                             map_attributes, ndcg_at_k, relevant_attributes,
+from a2cf.evaluation import (MAP_TRUNCATION, ProtocolReport, atc,
+                             evaluate_protocol, hr_at_k, map_attributes,
+                             ndcg_at_k, relevant_attributes,
                              sample_negative_pool, write_metrics_report)
-from a2cf.ranking import EstimatedMatrices
+from a2cf.interpret import attribute_advantage
+from a2cf.ranking import EstimatedMatrices, rank_order
 
 # 1/log2(rank+1) at ranks 1..12, high-precision reference
 NDCG_BY_RANK = (1.0, 0.63092975357145744, 0.5, 0.43067655807339305,
@@ -373,3 +375,53 @@ def test_protocol_trained_model_end_to_end(small_trained):
     assert all(b >= a for a, b in zip(ndcgs, ndcgs[1:]))
     assert 0.0 <= report.metrics["ATC"] <= 1.0
     assert report.cases == len(splits.test)
+
+
+def per_case_protocol(est, corpus, test, seed, pool_size, scorer,
+                      cutoffs=(5, 10, 20, 50)):
+    """Reference: the protocol one case at a time, each positive ranked by
+    a full `rank_order` sort of its candidates, each attribute ranking from
+    a 1-D `attribute_advantage` call, and metric sums accumulated case by
+    case."""
+    rel = relevant_attributes(corpus, test[:, 0], test[:, 2])
+    hr = dict.fromkeys(cutoffs, 0.0)
+    ndcg = dict.fromkeys(cutoffs, 0.0)
+    maps, full = [], []
+    for idx, (u, q, p) in enumerate(test):
+        rng = np.random.default_rng([seed, idx])
+        cands = np.concatenate(([p], sample_negative_pool(
+            rng, corpus.n_items, int(p), pool_size)))
+        scores = np.asarray(scorer(int(u), int(q), cands, rng), dtype=np.float64)
+        ranked = cands[rank_order(scores, cands)]
+        for k in cutoffs:
+            hr[k] += hr_at_k(ranked, p, k)
+            ndcg[k] += ndcg_at_k(ranked, p, k)
+        adv = attribute_advantage(est.user_attr[u], est.item_attr[q],
+                                  est.item_attr[p])
+        maps.append(map_attributes(adv.ranking, rel[idx], MAP_TRUNCATION))
+        full.append(ndcg_at_k(ranked, p, len(cands)))
+    return ({f"HR@{k}": hr[k] / len(test) for k in cutoffs},
+            {f"NDCG@{k}": ndcg[k] / len(test) for k in cutoffs},
+            atc(maps, full))
+
+
+def test_protocol_equals_per_case_reference(small_trained):
+    """Scores rounded to one decimal tie often, and one candidate in seven
+    scores NaN. HR and ATC sum exact or identical terms; NDCG sums its
+    nonnegative terms in another order, which moves the sum by at most
+    (cases - 1) ulps of its magnitude."""
+    corpus, splits, _, result = small_trained
+
+    def tied_scorer(u, q, cands, rng):
+        scores = np.round(rng.standard_normal(len(cands)), 1)
+        return np.where(cands % 7 == 3, np.nan, scores)
+
+    report = evaluate_protocol(None, result.est, None, corpus, splits.test,
+                               seed=12, negatives=40, scorer=tied_scorer)
+    hr, ndcg, want_atc = per_case_protocol(result.est, corpus, splits.test,
+                                           12, 40, tied_scorer)
+    assert {k: report.metrics[k] for k in hr} == hr
+    for key, value in ndcg.items():
+        assert report.metrics[key] == pytest.approx(
+            value, rel=len(splits.test) * np.finfo(np.float64).eps)
+    assert report.metrics["ATC"] == want_atc

@@ -27,6 +27,23 @@ def test_advantage_hand_case_with_ranking():
     assert (adv.user, adv.query, adv.item) == (7, 1, 2)
 
 
+def test_advantage_rows_equal_one_call_per_row():
+    # small integer values make ties within a row common; a zero preference
+    # ties the whole row at delta 0
+    rng = np.random.default_rng(5)
+    x, yq, yj = (rng.integers(0, 3, size=(40, 7)).astype(np.float64)
+                 for _ in range(3))
+    x[3] = 0.0
+    rows = attribute_advantage(x, yq, yj)
+    assert rows.deltas.shape == rows.ranking.shape == (40, 7)
+    for c in range(40):
+        one = attribute_advantage(x[c], yq[c], yj[c])
+        assert np.array_equal(rows.deltas[c].view(np.uint64),
+                              one.deltas.view(np.uint64))
+        np.testing.assert_array_equal(rows.ranking[c], one.ranking)
+    np.testing.assert_array_equal(rows.ranking[3], np.arange(7))
+
+
 def test_advantage_shape_mismatch_error():
     with pytest.raises(ValueError, match="share one shape"):
         attribute_advantage(np.ones(3), np.ones(4), np.ones(4))

@@ -156,3 +156,25 @@ def test_modal_mentioned_attribute_tracks_planted_preferences(synth_paths,
         hits += modal in top3
     # chance rate would be 3/20; the planted taste dominates mention choice
     assert hits / synth_corpus.n_users >= 0.8
+
+
+def test_exhausted_home_clusters_fall_back_to_other_home_items(tmp_path):
+    """Two items per cluster and three home clusters give each user six home
+    items, fewer than its eight draws: it buys every home item once, then
+    stops. With one buyer required per item, coverage repair is the only
+    purchase outside a user's home clusters, of an item nobody else bought."""
+    spec = SyntheticSpec(users=30, items=40, attributes=20, clusters=20,
+                         interactions_per_user=8, min_item_users=1)
+    paths = generate_synthetic(spec, 3, str(tmp_path))
+    with np.load(paths["planted"]) as planted:
+        home, cluster_of = planted["home"], planted["cluster_of"]
+    with open(paths["reviews"]) as fh:
+        bought = [(int(line[1:4]), int(line[6:9])) for line in fh
+                  if not line.startswith("#")]
+    assert len(set(bought)) == len(bought)
+    buyers = collections.Counter(v for _, v in bought)
+    for u in range(spec.users):
+        items = {v for w, v in bought if w == u}
+        home_items = set(np.flatnonzero(home[u, cluster_of]).tolist())
+        assert home_items <= items
+        assert all(buyers[v] == 1 for v in items - home_items)

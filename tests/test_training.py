@@ -102,6 +102,17 @@ def test_checkpoint_shapes_checked_against_config(tmp_path, tamper, message):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor_names_path_and_tensor(tmp_path, value):
+    params, cfg = tiny_params()
+    params.pers_proj[1] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, cfg)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: checkpoint tensor 'pers_proj' holds non-finite values")):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_truncated(tmp_path):
     params, cfg = tiny_params()
     path = tmp_path / "m.ckpt"
