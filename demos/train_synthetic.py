@@ -84,8 +84,7 @@ def main():
     for item, score in zip(ranked.items, ranked.scores):
         adv = attribute_advantage(result.est.user_attr[user],
                                   result.est.item_attr[query],
-                                  result.est.item_attr[item],
-                                  user=user, query=query, item=int(item))
+                                  result.est.item_attr[item])
         sentence = render_interpretation(adv, 3, corpus.attr_tokens,
                                          corpus.item_tokens[query],
                                          corpus.item_tokens[item])

@@ -13,9 +13,8 @@ from .interpret import (AttributeAdvantage, InterpretationReport,
 from .matrices import (SparseAttributeMatrix, build_matrices, dump_matrix,
                        item_attr_value, user_attr_value)
 from .network import (AdamState, ModelParams, adam_step, dropout_mask,
-                      init_params, phase1_forward_backward, phase1_loss,
-                      predict_item_attribute, predict_user_attribute,
-                      residual_backward, residual_forward, tanh_rescaled)
+                      init_params, phase1_forward_backward, residual_backward,
+                      residual_forward, tanh_rescaled)
 from .ranking import (EstimatedMatrices, RankedList, aggregate_attributes,
                       attention, bpr_s_forward_backward, bpr_s_loss,
                       estimate_matrices, recommend_top_k, sample_negatives,
@@ -40,7 +39,6 @@ __all__ = [
     "init_params", "item_attr_value", "load_checkpoint", "load_lexicon",
     "load_prepared", "load_reviews", "load_substitutes", "map_attributes",
     "ndcg_at_k", "parse_config_file", "phase1_forward_backward",
-    "phase1_loss", "predict_item_attribute", "predict_user_attribute",
     "recommend_top_k", "render_interpretation", "residual_backward",
     "residual_forward", "sample_negatives", "sample_query_item",
     "save_checkpoint", "save_prepared", "score_candidates",

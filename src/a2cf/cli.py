@@ -38,12 +38,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     grp = parser.add_argument_group("hyperparameter overrides")
     for name, typ in {**_TRAIN_FIELDS, **_RUN_FIELDS}.items():
         flag = "--" + name.replace("_", "-")
-        if typ == "bool":
+        if typ is bool:
             grp.add_argument(flag, action=argparse.BooleanOptionalAction,
                              default=None, dest=name)
         elif name != "seed":        # --seed is added above, outside the group
-            grp.add_argument(flag, type={"int": int, "float": float}[typ],
-                             dest=name)
+            grp.add_argument(flag, type=typ, dest=name)
 
 
 def _run_config(args):
@@ -58,6 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="a2cf",
         description="attribute-aware substitute recommendation")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the inputs and output of every command that reads a trained model
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--data", required=True)
+    model.add_argument("--checkpoint", required=True)
+    model.add_argument("--out-dir", required=True)
+    # one ranking request
+    request = argparse.ArgumentParser(add_help=False)
+    request.add_argument("--user", required=True, help="user token")
+    request.add_argument("--query", required=True, help="query item token")
+    request.add_argument("--top-k", type=int, default=10)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out-dir", required=True)
@@ -85,28 +94,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     _add_config_flags(p)
 
-    p = sub.add_parser("recommend", help="rank substitute candidates")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--user", required=True, help="user token")
-    p.add_argument("--query", required=True, help="query item token")
-    p.add_argument("--top-k", type=int, default=10)
+    sub.add_parser("recommend", parents=[model, request],
+                   help="rank substitute candidates")
 
-    p = sub.add_parser("explain", help="render attribute-level interpretations")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--user", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--top-k", type=int, default=10)
+    p = sub.add_parser("explain", parents=[model, request],
+                       help="render attribute-level interpretations")
     p.add_argument("--top-attrs", "--z", type=int, default=3, dest="top_attrs",
                    help="attributes per rendered interpretation")
 
-    p = sub.add_parser("evaluate", help="run the ranking protocol on the test split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = sub.add_parser("evaluate", parents=[model],
+                       help="run the ranking protocol on the test split")
     p.add_argument("--eval-negatives", type=int, default=1000)
     p.add_argument("--config", help="key=value config file (seed only)")
     p.add_argument("--seed", type=int)
@@ -216,8 +213,7 @@ def _cmd_explain(args) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         for item in ranked.items:
             adv = attribute_advantage(est.user_attr[user], est.item_attr[query],
-                                      est.item_attr[item], user=user,
-                                      query=query, item=int(item))
+                                      est.item_attr[item])
             report = render_interpretation(adv, args.top_attrs,
                                            corpus.attr_tokens, args.query,
                                            corpus.item_tokens[item])

@@ -83,31 +83,23 @@ class RunConfig:
             raise ValueError("convergence_tol must be >= 0")
 
 
-def _type_name(t) -> str:
-    return t if isinstance(t, str) else t.__name__
-
-
-# Fields settable through config files / CLI overrides, with target types.
-_TRAIN_FIELDS = {f.name: _type_name(f.type) for f in dataclasses.fields(TrainConfig)}
-_RUN_FIELDS = {f.name: _type_name(f.type) for f in dataclasses.fields(RunConfig)
+# Fields settable through config files / CLI overrides, with their classes.
+_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)
                if f.name != "train"}
 
 _BOOL_TOKENS = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
 
-def _coerce(key: str, raw: str, typ: str):
+def _coerce(key: str, raw: str, typ: type):
     raw = raw.strip()
-    if typ == "int":
-        return int(raw)
-    if typ == "float":
-        return float(raw)
-    if typ == "bool":
+    if typ is bool:
         tok = raw.lower()
         if tok not in _BOOL_TOKENS:
             raise ValueError(f"bad boolean for {key!r}: {raw!r}")
         return _BOOL_TOKENS[tok]
-    return raw
+    return typ(raw)
 
 
 def parse_config_file(path: str) -> dict:
@@ -126,11 +118,8 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
             key, raw = text.split("=", 1)
             key = key.strip()
-            if key in _TRAIN_FIELDS:
-                typ = _TRAIN_FIELDS[key]
-            elif key in _RUN_FIELDS:
-                typ = _RUN_FIELDS[key]
-            else:
+            typ = _TRAIN_FIELDS.get(key) or _RUN_FIELDS.get(key)
+            if typ is None:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 overrides[key] = _coerce(key, raw, typ)

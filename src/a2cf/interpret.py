@@ -19,16 +19,12 @@ class AttributeAdvantage:
     the smaller attribute index.
     """
 
-    user: int
-    query: int
-    item: int
     deltas: np.ndarray
     ranking: np.ndarray
 
 
 def attribute_advantage(user_row: np.ndarray, query_row: np.ndarray,
-                        item_row: np.ndarray, user: int = -1,
-                        query: int = -1, item: int = -1) -> AttributeAdvantage:
+                        item_row: np.ndarray) -> AttributeAdvantage:
     """Score each attribute by how much the candidate improves on the query,
     weighted by how much the user cares."""
     user_row = np.asarray(user_row, dtype=np.float64)
@@ -39,15 +35,11 @@ def attribute_advantage(user_row: np.ndarray, query_row: np.ndarray,
                          f"{user_row.shape}/{query_row.shape}/{item_row.shape}")
     deltas = user_row * (item_row - query_row)
     ranking = rank_order(deltas, np.arange(deltas.shape[-1]))
-    return AttributeAdvantage(user=user, query=query, item=item,
-                              deltas=deltas, ranking=ranking)
+    return AttributeAdvantage(deltas=deltas, ranking=ranking)
 
 
 @dataclass
 class InterpretationReport:
-    user: int
-    query: int
-    item: int
     top_attributes: list            # (token, delta, adjective) tuples
     text: str
 
@@ -79,6 +71,4 @@ def render_interpretation(advantage: AttributeAdvantage, top_n: int,
     text = (f"Based on the item {query_token} you are currently browsing, "
             f"we recommend you to try {item_token} instead because it comes "
             f"with: {listing}.")
-    return InterpretationReport(user=advantage.user, query=advantage.query,
-                                item=advantage.item, top_attributes=chosen,
-                                text=text)
+    return InterpretationReport(top_attributes=chosen, text=text)

@@ -109,8 +109,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     by 1/(1-rate) so the expectation is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
@@ -195,33 +193,6 @@ def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
 def predict_item_attr_batch(params: ModelParams, items: np.ndarray,
                             attrs: np.ndarray, rating_max: float) -> np.ndarray:
     return _tower_predict(params, "item", items, attrs, rating_max)[0]
-
-
-def predict_user_attribute(params: ModelParams, user: int, attr: int,
-                           rating_max: float = 5.0) -> float:
-    """Eval-mode regression of one user-attribute cell."""
-    return float(predict_user_attr_batch(params, [user], [attr], rating_max)[0])
-
-
-def predict_item_attribute(params: ModelParams, item: int, attr: int,
-                           rating_max: float = 5.0) -> float:
-    return float(predict_item_attr_batch(params, [item], [attr], rating_max)[0])
-
-
-def phase1_loss(params: ModelParams, user_cells, item_cells,
-                rating_max: float = 5.0) -> float:
-    """Summed squared error over observed cells of both matrices (eval mode).
-
-    user_cells/item_cells: (row_idx, attr_idx, target) triples of arrays;
-    either may be None or empty.
-    """
-    total = 0.0
-    for side, cells in (("user", user_cells), ("item", item_cells)):
-        if cells is not None and len(cells[0]):
-            rows, attrs, targets = cells
-            pred, _ = _tower_predict(params, side, rows, attrs, rating_max)
-            total += float(((pred - targets) ** 2).sum())
-    return total
 
 
 def _tower_backward(params: ModelParams, grads: ModelParams, side: str,

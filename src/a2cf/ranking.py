@@ -292,8 +292,6 @@ def rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RankedList:
-    user: int
-    query: int
     items: np.ndarray
     scores: np.ndarray
 
@@ -310,5 +308,4 @@ def recommend_top_k(params: ModelParams, est: EstimatedMatrices,
         raise ValueError("empty candidate set")
     scores = score_candidates(params, est, cfg, user, query, cands)
     take = rank_order(scores, cands)[:k]
-    return RankedList(user=user, query=query, items=cands[take],
-                      scores=scores[take])
+    return RankedList(items=cands[take], scores=scores[take])

@@ -178,6 +178,21 @@ def _batches(pool: np.ndarray, size: int, rng: np.random.Generator):
         queue = queue[size:]
 
 
+@contextlib.contextmanager
+def _diagnostic_on_blowup(diag_dir: str | None, params: ModelParams,
+                          cfg: TrainConfig):
+    """Save `params` to `diag_dir`/diagnostic.ckpt when the block raises
+    FloatingPointError, then let the error propagate."""
+    try:
+        yield
+    except FloatingPointError:
+        if diag_dir:
+            os.makedirs(diag_dir, exist_ok=True)
+            save_checkpoint(os.path.join(diag_dir, "diagnostic.ckpt"),
+                            params, cfg)
+        raise
+
+
 def _cells(mat: SparseAttributeMatrix, idx: np.ndarray):
     """The (rows, cols, vals) of the observed cells at `idx`, or None."""
     return (mat.rows[idx], mat.cols[idx], mat.vals[idx]) if len(idx) else None
@@ -191,8 +206,9 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     Child seeds are derived from run.seed in a fixed order (init, phase-1
     order, dropout, phase-2 order, negatives), so results are reproducible
     bit-for-bit for a given corpus and config. The log at `log_path` is
-    closed on return and on any exception; a non-finite loss first saves
-    the params to `diag_dir`/diagnostic.ckpt, then raises FloatingPointError.
+    closed on return and on any exception. A numeric blow-up, a non-finite
+    loss or activation, raises FloatingPointError after saving the params
+    to `diag_dir`/diagnostic.ckpt.
     """
     cfg = run.train
     user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
@@ -220,17 +236,14 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     converged = False
 
     with (open(log_path, "w", encoding="utf-8") if log_path
-          else contextlib.nullcontext()) as fh:
+          else contextlib.nullcontext()) as fh, \
+            _diagnostic_on_blowup(diag_dir, params, cfg):
         def log(text: str) -> None:
             logger.debug("%s", text)
             if fh:
                 fh.write(text + "\n")
 
         def fail(round_no, phase, step, value):
-            if diag_dir:
-                os.makedirs(diag_dir, exist_ok=True)
-                save_checkpoint(os.path.join(diag_dir, "diagnostic.ckpt"),
-                                params, cfg)
             raise FloatingPointError(
                 f"non-finite loss {value!r} in round {round_no} "
                 f"phase {phase} step {step}")

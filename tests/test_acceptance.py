@@ -224,8 +224,7 @@ def test_criterion_2_closed_form_oracles():
                     attention(ones[len(row)], row, temp)):
             check(np.abs(got - np.array(expected)).max())
     for x, yq, yj, expected in DELTA_CASES:
-        adv = attribute_advantage(np.array(x), np.array(yq), np.array(yj),
-                                  user=0, query=1, item=2)
+        adv = attribute_advantage(np.array(x), np.array(yq), np.array(yj))
         check(np.abs(adv.deltas - np.array(expected)).max())
     ranking = list(range(12))
     for relevant_ranks, expected in MAP_CASES:
@@ -396,13 +395,12 @@ def test_criterion_6_invariant_suite(small_trained, synth_corpus,
         u = int(rng.integers(corpus.n_users))
         q, j = (int(x) for x in rng.integers(corpus.n_items, size=2))
         fwd = attribute_advantage(est.user_attr[u], est.item_attr[q],
-                                  est.item_attr[j], user=u, query=q, item=j)
+                                  est.item_attr[j])
         rev = attribute_advantage(est.user_attr[u], est.item_attr[j],
-                                  est.item_attr[q], user=u, query=j, item=q)
+                                  est.item_attr[q])
         anti_ok = anti_ok and np.array_equal(fwd.deltas, -rev.deltas)
         scaled = attribute_advantage(3.7 * est.user_attr[u],
-                                     est.item_attr[q], est.item_attr[j],
-                                     user=u, query=q, item=j)
+                                     est.item_attr[q], est.item_attr[j])
         scale_ok = scale_ok and np.array_equal(fwd.ranking, scaled.ranking)
     check("advantage_antisymmetry", anti_ok)
     check("advantage_scale_invariant_ranking", scale_ok)

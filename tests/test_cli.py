@@ -260,6 +260,13 @@ def test_config_flag_option_strings(command, own):
     assert options == ["-h", "--help"] + own + CONFIG_OPTIONS
 
 
+def test_explain_help_names_the_request_tokens(capsys):
+    assert cli_dispatch(["explain", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "user token" in out
+    assert "query item token" in out
+
+
 def test_unknown_item_token_is_runtime_error(pipeline, tmp_path, capsys):
     code = cli_dispatch(["recommend", "--data", pipeline["data"],
                          "--checkpoint", pipeline["ckpt"],
@@ -299,6 +306,23 @@ def test_train_completes_once_per_round(pipeline, tmp_path, monkeypatch,
     assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 0
     assert "rounds=2 " in capsys.readouterr().out
     assert len(calls) == 2
+
+
+def test_train_blowup_writes_diagnostic_checkpoint(pipeline, tmp_path,
+                                                   capsys):
+    # one Adam step at this rate moves each weight by about 1e300; the next
+    # forward pass overflows inside a residual block
+    out = tmp_path / "model"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_dispatch(_train_argv(pipeline, out, "--learning-rate",
+                                        "1e300")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ")
+    params, _ = training.load_checkpoint(str(out / "diagnostic.ckpt"))
+    assert params.all_finite()
+    peak = max(np.abs(t).max() for t in params.tensors().values())
+    assert 1e299 < peak < 1e301
+    assert not (out / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -1,5 +1,7 @@
 """Hyperparameter containers and key=value config parsing."""
 
+import dataclasses
+
 import pytest
 
 from a2cf.config import (RunConfig, TrainConfig, build_run_config,
@@ -71,6 +73,20 @@ def test_parse_config_file(tmp_path):
     overrides = parse_config_file(str(path))
     assert overrides == {"embed_dim": 16, "subst_weight": 0.25,
                          "seed": 7, "subst_use_attrs": False}
+
+
+def test_config_file_of_every_default_parses_to_the_default(tmp_path):
+    defaults = RunConfig()
+    fields = {**dataclasses.asdict(defaults.train),
+              **{k: v for k, v in dataclasses.asdict(defaults).items()
+                 if k != "train"}}
+    assert len(fields) == 17
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    overrides = parse_config_file(str(path))
+    assert {k: (type(v), v) for k, v in overrides.items()} \
+        == {k: (type(v), v) for k, v in fields.items()}
+    assert build_run_config(overrides, env={}) == defaults
 
 
 def test_parse_config_file_unknown_key(tmp_path):

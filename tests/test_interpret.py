@@ -21,10 +21,9 @@ def test_advantage_passthrough_for_unit_preferences():
 
 def test_advantage_hand_case_with_ranking():
     adv = attribute_advantage(np.array([2.0, 4.0]), np.array([3.0, 3.0]),
-                              np.array([4.0, 2.0]), user=7, query=1, item=2)
+                              np.array([4.0, 2.0]))
     np.testing.assert_allclose(adv.deltas, [2.0, -4.0], atol=1e-12)
     assert list(adv.ranking) == [0, 1]
-    assert (adv.user, adv.query, adv.item) == (7, 1, 2)
 
 
 def test_advantage_rows_equal_one_call_per_row():

@@ -5,11 +5,10 @@ import pytest
 
 from a2cf.config import TrainConfig
 from a2cf.network import (AdamState, INIT_SCALE, ModelParams, adam_step,
-                          dropout_mask, init_params, phase1_loss,
-                          phase1_forward_backward, predict_item_attribute,
-                          predict_item_attr_batch, predict_user_attribute,
-                          predict_user_attr_batch, residual_backward,
-                          residual_forward, tanh_rescaled, tanh_rescaled_grad)
+                          dropout_mask, init_params, phase1_forward_backward,
+                          predict_item_attr_batch, predict_user_attr_batch,
+                          residual_backward, residual_forward, tanh_rescaled,
+                          tanh_rescaled_grad)
 from conftest import central_diff_grads, worst_relative_gap
 
 TANH_ONE_ON_FIVE = 4.5231883119115298
@@ -19,6 +18,15 @@ def small_cfg(**kw):
     base = dict(embed_dim=4, tower_depth=2, dropout=0.0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def user_cell(params, user, attr):
+    """One user-attribute cell through the batch predictor."""
+    return predict_user_attr_batch(params, [user], [attr], 5.0)[0]
+
+
+def item_cell(params, item, attr):
+    return predict_item_attr_batch(params, [item], [attr], 5.0)[0]
 
 
 def zeroed_params(cfg, n_users=3, n_items=3, n_attrs=3):
@@ -174,8 +182,8 @@ def test_tanh_rescaled_grad_matches_finite_differences():
 
 def test_predict_zero_weights_gives_midpoint():
     params = zeroed_params(small_cfg())
-    assert predict_user_attribute(params, 0, 0) == 3.0
-    assert predict_item_attribute(params, 2, 1) == 3.0
+    assert user_cell(params, 0, 0) == 3.0
+    assert item_cell(params, 2, 1) == 3.0
 
 
 def test_predict_range_over_many_random_params():
@@ -187,8 +195,8 @@ def test_predict_range_over_many_random_params():
             for a in range(4):
                 if count >= 1000:
                     break
-                x = predict_user_attribute(params, u, a)
-                y = predict_item_attribute(params, u, a)
+                x = user_cell(params, u, a)
+                y = item_cell(params, u, a)
                 assert 1.0 < x < 5.0
                 assert 1.0 < y < 5.0
                 count += 1
@@ -212,7 +220,7 @@ def test_predict_user_attribute_hand_value():
     h = h0 + np.maximum(z, 0.0)
     r = float(params.user_head @ h)
     expected = 2.0 * np.tanh(r) + 3.0
-    assert predict_user_attribute(params, 0, 0) == pytest.approx(expected, abs=1e-12)
+    assert user_cell(params, 0, 0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_predict_item_attribute_hand_value():
@@ -231,16 +239,16 @@ def test_predict_item_attribute_hand_value():
     z = params.item_tower_w[0] @ h0 + params.item_tower_b[0]
     h = h0 + np.maximum(z, 0.0)
     expected = 2.0 * np.tanh(float(params.item_head @ h)) + 3.0
-    assert predict_item_attribute(params, 0, 0) == pytest.approx(expected, abs=1e-12)
+    assert item_cell(params, 0, 0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_attr_embedding_shared_between_towers():
     params = init_params(3, 3, 3, small_cfg(), seed=11)
-    x_before = predict_user_attribute(params, 1, 2)
-    y_before = predict_item_attribute(params, 1, 2)
+    x_before = user_cell(params, 1, 2)
+    y_before = item_cell(params, 1, 2)
     params.attr_emb[2] += 0.01
-    assert predict_user_attribute(params, 1, 2) != x_before
-    assert predict_item_attribute(params, 1, 2) != y_before
+    assert user_cell(params, 1, 2) != x_before
+    assert item_cell(params, 1, 2) != y_before
 
 
 def test_batched_prediction_matches_scalar():
@@ -249,12 +257,10 @@ def test_batched_prediction_matches_scalar():
     attrs = np.array([3, 1, 0, 2])
     batch = predict_user_attr_batch(params, users, attrs, 5.0)
     for k, (u, a) in enumerate(zip(users, attrs)):
-        assert batch[k] == pytest.approx(predict_user_attribute(params, u, a),
-                                         abs=1e-12)
+        assert batch[k] == pytest.approx(user_cell(params, u, a), abs=1e-12)
     batch = predict_item_attr_batch(params, users, attrs, 5.0)
     for k, (v, a) in enumerate(zip(users, attrs)):
-        assert batch[k] == pytest.approx(predict_item_attribute(params, v, a),
-                                         abs=1e-12)
+        assert batch[k] == pytest.approx(item_cell(params, v, a), abs=1e-12)
 
 
 # ----------------------------------------------------------- phase-1 loss
@@ -262,16 +268,17 @@ def test_batched_prediction_matches_scalar():
 def test_phase1_loss_zero_on_perfect_predictions():
     params = zeroed_params(small_cfg())
     cells = (np.array([0, 1]), np.array([0, 2]), np.array([3.0, 3.0]))
-    assert phase1_loss(params, cells, None) == 0.0
-    assert phase1_loss(params, None, cells) == 0.0
-    assert phase1_loss(params, None, None) == 0.0
+    assert phase1_forward_backward(params, cells, None, 5.0)[0] == 0.0
+    assert phase1_forward_backward(params, None, cells, 5.0)[0] == 0.0
+    assert phase1_forward_backward(params, None, None, 5.0)[0] == 0.0
 
 
 def test_phase1_loss_squared_residuals():
     params = zeroed_params(small_cfg())   # every prediction is 3.0
     user_cells = (np.array([0]), np.array([0]), np.array([2.0]))
     item_cells = (np.array([1]), np.array([1]), np.array([5.0]))
-    assert phase1_loss(params, user_cells, item_cells) == pytest.approx(5.0, abs=1e-12)
+    loss = phase1_forward_backward(params, user_cells, item_cells, 5.0)[0]
+    assert loss == pytest.approx(5.0, abs=1e-12)
 
 
 def test_phase1_gradients_match_finite_differences():
@@ -284,10 +291,15 @@ def test_phase1_gradients_match_finite_differences():
     item_cells = (np.array([1, 3]), np.array([0, 2]), np.array([3.5, 2.0]))
     loss, analytic = phase1_forward_backward(params, user_cells, item_cells,
                                              rating_max=5.0)
-    assert loss == pytest.approx(phase1_loss(params, user_cells, item_cells),
-                                 abs=1e-12)
+    # the loss is the squared error of the eval-mode predictions
+    squared = sum(((predict(params, rows, attrs, 5.0) - targets) ** 2).sum()
+                  for predict, (rows, attrs, targets) in (
+                      (predict_user_attr_batch, user_cells),
+                      (predict_item_attr_batch, item_cells)))
+    assert loss == pytest.approx(squared, abs=1e-12)
     numeric = central_diff_grads(
-        params, lambda: phase1_loss(params, user_cells, item_cells))
+        params,
+        lambda: phase1_forward_backward(params, user_cells, item_cells, 5.0)[0])
     assert worst_relative_gap(analytic, numeric) < 1e-4
 
 

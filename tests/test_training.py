@@ -230,6 +230,25 @@ def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
     assert params.user_emb.shape[0] == synth_corpus.n_users
 
 
+@pytest.mark.parametrize("site", ["phase1_forward_backward",
+                                  "estimate_matrices"])
+def test_activation_blowup_aborts_with_diagnostic(tmp_path, monkeypatch,
+                                                  synth_corpus, synth_splits,
+                                                  site):
+    # a phase-1 step and the per-round completion each run residual_forward,
+    # which raises on a non-finite activation
+    def overflowing(*args, **kwargs):
+        raise FloatingPointError("non-finite activation after residual block 0")
+
+    monkeypatch.setattr(training, site, overflowing)
+    diag = tmp_path / "diag"
+    with pytest.raises(FloatingPointError, match="non-finite activation"):
+        train_pipeline(synth_corpus, synth_splits, short_run(),
+                       diag_dir=str(diag))
+    params, _ = load_checkpoint(str(diag / "diagnostic.ckpt"))
+    assert params.user_emb.shape[0] == synth_corpus.n_users
+
+
 def test_empty_training_split_error(synth_corpus):
     empty = np.empty((0, 3), dtype=np.int64)
     splits = SplitTriplets(train=empty, valid=empty, test=empty)
