@@ -117,6 +117,14 @@ def _resolve_token(token: str, tokens: list, kind: str) -> int:
         raise ValueError(f"unknown {kind} {token!r}") from None
 
 
+def _check_counts(args, *flags) -> None:
+    """Reject a count flag below 1 before any model is loaded."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _load_model(args):
     corpus, splits = data.load_prepared(args.data)
     params, cfg = training.load_checkpoint(args.checkpoint)
@@ -196,6 +204,7 @@ def _rank_request(args):
 
 
 def _cmd_recommend(args) -> int:
+    _check_counts(args, "--top-k")
     corpus, _, _, _, ranked = _rank_request(args)
     path = os.path.join(args.out_dir, RECS_NAME)
     with open(path, "w", encoding="utf-8") as fh:
@@ -208,22 +217,26 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    _check_counts(args, "--top-k", "--top-attrs")
     corpus, est, user, query, ranked = _rank_request(args)
+    lines = []
+    for item in ranked.items:
+        adv = attribute_advantage(est.user_attr[user], est.item_attr[query],
+                                  est.item_attr[item])
+        report = render_interpretation(adv, args.top_attrs, corpus.attr_tokens,
+                                       args.query, corpus.item_tokens[item])
+        lines.append(f"{args.user}\t{args.query}\t"
+                     f"{corpus.item_tokens[item]}\t{report.text}\n")
+    # rendered in full first, so a failure leaves an earlier file intact
     path = os.path.join(args.out_dir, EXPLAIN_NAME)
     with open(path, "w", encoding="utf-8") as fh:
-        for item in ranked.items:
-            adv = attribute_advantage(est.user_attr[user], est.item_attr[query],
-                                      est.item_attr[item])
-            report = render_interpretation(adv, args.top_attrs,
-                                           corpus.attr_tokens, args.query,
-                                           corpus.item_tokens[item])
-            fh.write(f"{args.user}\t{args.query}\t"
-                     f"{corpus.item_tokens[item]}\t{report.text}\n")
+        fh.writelines(lines)
     print(f"explanations: {path}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    _check_counts(args, "--eval-negatives")
     corpus, splits, params, cfg, est = _load_model(args)
     report = evaluation.evaluate_protocol(
         params, est, cfg, corpus, splits.test, seed=_run_config(args).seed,

@@ -5,6 +5,12 @@ embedding (width 2d), applies `tower_depth` residual blocks
 h <- h + relu(W h + b) at constant width, and maps the result through a linear
 head followed by a tanh rescaled onto (1, rating_max). All gradients are
 analytic; no autodiff anywhere.
+
+The eval-mode predictors split the first block by the halves of its input:
+W0 [e; a] = W0[:, :d] e + W0[:, d:] a, so P = E W0[:, :d]^T is computed once
+per distinct entity row and Q = A W0[:, d:]^T + b0 once per distinct
+attribute, and a cell costs a gather, an add and a relu. At depth 1 the head
+splits too: r = e . head[:d] + a . head[d:] + relu(P + Q) . head.
 """
 
 import dataclasses
@@ -113,17 +119,23 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def residual_forward(h0: np.ndarray, weights: np.ndarray, biases: np.ndarray,
-                     masks=None):
-    """Run h <- h + mask * relu(W h + b) over all blocks.
+def _check_block(h: np.ndarray, k: int) -> None:
+    if not np.isfinite(h).all():
+        raise FloatingPointError(f"non-finite activation after residual block {k}")
 
-    h0: (batch, 2d). masks: optional per-block list of (batch, 2d) dropout
-    masks applied to the relu branch only; the skip path is never masked.
-    Returns (output, cache) where cache holds what backward needs.
+
+def residual_forward(h0: np.ndarray, weights: np.ndarray, biases: np.ndarray,
+                     masks=None, start: int = 0):
+    """Run h <- h + mask * relu(W h + b) over blocks `start`.. of the stack.
+
+    h0: (batch, 2d), the input of block `start`. masks: optional per-block
+    list of (batch, 2d) dropout masks applied to the relu branch only; the
+    skip path is never masked. Returns (output, cache) where cache holds
+    what backward needs.
     """
     h = h0
     cache = []
-    for k in range(weights.shape[0]):
+    for k in range(start, weights.shape[0]):
         z = h @ weights[k].T + biases[k]
         branch = np.maximum(z, 0.0)
         mask = None if masks is None else masks[k]
@@ -131,8 +143,7 @@ def residual_forward(h0: np.ndarray, weights: np.ndarray, biases: np.ndarray,
             branch = branch * mask
         cache.append((h, z, mask))
         h = h + branch
-        if not np.isfinite(h).all():
-            raise FloatingPointError(f"non-finite activation after residual block {k}")
+        _check_block(h, k)
     return h, cache
 
 
@@ -178,6 +189,8 @@ def _tower(tensors: ModelParams, side: str) -> tuple:
 
 def _tower_predict(params: ModelParams, side: str, rows, attrs,
                    rating_max: float, masks=None):
+    """Training forward over whole (cells, 2d) rows, with the cache that
+    backward reads."""
     emb, weights, biases, head = _tower(params, side)
     h0 = np.concatenate([emb[rows], params.attr_emb[attrs]], axis=1)
     h_out, cache = residual_forward(h0, weights, biases, masks)
@@ -185,14 +198,41 @@ def _tower_predict(params: ModelParams, side: str, rows, attrs,
     return tanh_rescaled(r, rating_max), (h_out, r, cache)
 
 
+def _split_predict(params: ModelParams, side: str, rows, attrs,
+                   rating_max: float) -> np.ndarray:
+    """Eval-mode tower output per (row, attr) cell, through the split first
+    block (module docstring). Raises exactly where `_tower_predict` does."""
+    emb, weights, biases, head = _tower(params, side)
+    d = params.embed_dim
+    rows_u, ri = np.unique(rows, return_inverse=True)
+    attrs_u, ai = np.unique(attrs, return_inverse=True)
+    e, a = emb[rows_u], params.attr_emb[attrs_u]
+    r = (e @ head[:d])[ri] + (a @ head[d:])[ai]         # h0 @ head
+    if len(weights):
+        p = e @ weights[0][:, :d].T
+        q = a @ weights[0][:, d:].T + biases[0]
+        branch = np.maximum(p[ri] + q[ai], 0.0)
+        # branch >= 0, so h0 + branch is finite wherever this bound is
+        if len(weights) == 1 and np.isfinite(
+                branch.max(initial=0.0) + np.abs(e).max(initial=0.0)
+                + np.abs(a).max(initial=0.0)):
+            r = r + branch @ head
+        else:
+            h = np.concatenate([e[ri], a[ai]], axis=1) + branch
+            _check_block(h, 0)
+            h, _ = residual_forward(h, weights, biases, start=1)
+            r = h @ head
+    return tanh_rescaled(r, rating_max)
+
+
 def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
                             attrs: np.ndarray, rating_max: float) -> np.ndarray:
-    return _tower_predict(params, "user", users, attrs, rating_max)[0]
+    return _split_predict(params, "user", users, attrs, rating_max)
 
 
 def predict_item_attr_batch(params: ModelParams, items: np.ndarray,
                             attrs: np.ndarray, rating_max: float) -> np.ndarray:
-    return _tower_predict(params, "item", items, attrs, rating_max)[0]
+    return _split_predict(params, "item", items, attrs, rating_max)
 
 
 def _tower_backward(params: ModelParams, grads: ModelParams, side: str,

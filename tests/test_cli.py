@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.lib import format as npformat
 
-from a2cf import cli, training
+from a2cf import cli, ranking, training
 from a2cf.cli import cli_dispatch
 from a2cf.config import TrainConfig
 from a2cf.data import load_prepared
@@ -190,8 +190,77 @@ def test_eval_negatives_below_one_is_one_line_error(pipeline, tmp_path, capsys,
                          "--eval-negatives", negatives])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: eval negatives must be >= 1, got {negatives}"]
+    assert err == [f"error: --eval-negatives must be >= 1, got {negatives}"]
     assert not (tmp_path / "metrics.txt").exists()
+
+
+def _model_argv(pipeline, command, out_dir, *flags):
+    """`command` on the shared model, writing into `out_dir`."""
+    return [command, "--data", pipeline["data"],
+            "--checkpoint", pipeline["ckpt"], "--out-dir", str(out_dir), *flags]
+
+
+def _request_argv(pipeline, command, out_dir, *flags):
+    return _model_argv(pipeline, command, out_dir, "--user", "u003",
+                       "--query", "i012", *flags)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["recommend", "--user", "u003", "--query", "i012"], "--top-k"),
+    (["explain", "--user", "u003", "--query", "i012"], "--top-k"),
+    (["explain", "--user", "u003", "--query", "i012"], "--top-attrs"),
+    (["evaluate"], "--eval-negatives")],
+    ids=["recommend_top_k", "explain_top_k", "explain_top_attrs",
+         "evaluate_negatives"])
+def test_count_flag_below_one_fails_before_completion(pipeline, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      argv, flag):
+    def completion(*args):
+        raise AssertionError("estimate_matrices ran")
+
+    monkeypatch.setattr(ranking, "estimate_matrices", completion)
+    assert cli_dispatch(_model_argv(pipeline, argv[0], tmp_path, *argv[1:],
+                                    flag, "0")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: {flag} must be >= 1, got 0"
+
+
+def test_failed_explain_keeps_the_earlier_explanations(pipeline, tmp_path,
+                                                       monkeypatch, capsys):
+    assert cli_dispatch(_request_argv(pipeline, "explain", tmp_path)) == 0
+    path = tmp_path / "explanations.txt"
+    before = path.read_bytes()
+    assert len(before.splitlines()) == 10
+    calls = []
+    monkeypatch.setattr(ranking, "estimate_matrices",
+                        lambda *args: calls.append(1))
+    assert cli_dispatch(_request_argv(pipeline, "explain", tmp_path,
+                                      "--top-attrs", "0")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error:") and "--top-attrs" in err[-1]
+    assert calls == []
+    assert path.read_bytes() == before
+
+
+def test_explain_renders_every_line_before_opening_its_file(
+        pipeline, tmp_path, monkeypatch, capsys):
+    # a rendering failure past the argument checks leaves the file as it was
+    assert cli_dispatch(_request_argv(pipeline, "explain", tmp_path)) == 0
+    path = tmp_path / "explanations.txt"
+    before = path.read_bytes()
+    real = cli.render_interpretation
+    rendered = []
+
+    def render_one_then_fail(*args):
+        if rendered:
+            raise ValueError("rendering failed")
+        rendered.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "render_interpretation", render_one_then_fail)
+    assert cli_dispatch(_request_argv(pipeline, "explain", tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: rendering failed"
+    assert path.read_bytes() == before
 
 
 def _captured_args(monkeypatch, command):
@@ -322,6 +391,22 @@ def test_train_blowup_writes_diagnostic_checkpoint(pipeline, tmp_path,
     assert params.all_finite()
     peak = max(np.abs(t).max() for t in params.tensors().values())
     assert 1e299 < peak < 1e301
+    assert not (out / "model.ckpt").exists()
+
+
+def test_completion_blowup_writes_diagnostic_checkpoint(pipeline, tmp_path,
+                                                       capsys):
+    # one phase-1 step at this rate moves each weight by about 1e300, and
+    # the round's completion, not a training forward, overflows first
+    out = tmp_path / "model"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_dispatch(_train_argv(
+            pipeline, out, "--learning-rate", "1e300",
+            "--phase1-steps", "1", "--phase2-steps", "0")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: non-finite activation after residual block 0"
+    params, _ = training.load_checkpoint(str(out / "diagnostic.ckpt"))
+    assert params.all_finite()
     assert not (out / "model.ckpt").exists()
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from a2cf.config import TrainConfig
-from a2cf.network import (AdamState, INIT_SCALE, ModelParams, adam_step,
-                          dropout_mask, init_params, phase1_forward_backward,
-                          predict_item_attr_batch, predict_user_attr_batch,
-                          residual_backward, residual_forward, tanh_rescaled,
-                          tanh_rescaled_grad)
+from a2cf.network import (AdamState, INIT_SCALE, ModelParams, _tower_predict,
+                          adam_step, dropout_mask, init_params,
+                          phase1_forward_backward, predict_item_attr_batch,
+                          predict_user_attr_batch, residual_backward,
+                          residual_forward, tanh_rescaled, tanh_rescaled_grad)
 from conftest import central_diff_grads, worst_relative_gap
 
 TANH_ONE_ON_FIVE = 4.5231883119115298
@@ -261,6 +261,90 @@ def test_batched_prediction_matches_scalar():
     batch = predict_item_attr_batch(params, users, attrs, 5.0)
     for k, (v, a) in enumerate(zip(users, attrs)):
         assert batch[k] == pytest.approx(item_cell(params, v, a), abs=1e-12)
+
+
+PREDICTORS = {"user": predict_user_attr_batch, "item": predict_item_attr_batch}
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_split_predictors_match_unsplit_forward(seed):
+    # the unsplit training forward, in eval mode, is the reference
+    rng = np.random.default_rng([seed, 31])
+    cfg = small_cfg(embed_dim=int(rng.integers(1, 9)),
+                    tower_depth=int(rng.integers(0, 4)))
+    params = init_params(6, 7, 5, cfg, seed=seed)
+    for t in params.tensors().values():
+        t[...] = rng.normal(scale=0.5, size=t.shape)
+    n = int(rng.integers(2, 60))
+    for side, predict in PREDICTORS.items():
+        n_rows = len(getattr(params, f"{side}_emb"))
+        # unsorted, with repeats, plus one cell and no cells
+        for rows, attrs in ((rng.integers(0, n_rows, n), rng.integers(0, 5, n)),
+                            (np.array([n_rows - 1]), np.array([3])),
+                            (np.array([], dtype=np.int64),
+                             np.array([], dtype=np.int64))):
+            got = predict(params, rows, attrs, 5.0)
+            want = _tower_predict(params, side, rows, attrs, 5.0)[0]
+            assert got.shape == want.shape == (len(rows),)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _one_cell_tower(side, depth, emb, attr, weights=(), head=(1.0, 1.0)):
+    """embed_dim 1 params whose `side` tower sees h0 = [emb, attr] for the
+    cell (0, 0), with the given (depth, 2, 2) weights, zero biases and the
+    given head."""
+    params = zeroed_params(small_cfg(embed_dim=1, tower_depth=depth),
+                           n_users=1, n_items=1, n_attrs=1)
+    getattr(params, f"{side}_emb")[0] = emb
+    params.attr_emb[0] = attr
+    getattr(params, f"{side}_tower_w")[...] = np.reshape(weights, (depth, 2, 2))
+    getattr(params, f"{side}_head")[...] = head
+    return params
+
+
+OVERFLOW_CASES = {
+    # name: (kwargs of _one_cell_tower, expected reference outcome)
+    "inf_attr_emb": (dict(depth=1, emb=0.5, attr=np.inf,
+                          weights=[[0.5, 0.5], [0.5, 0.5]]), "block 0"),
+    "p_plus_q_overflows": (dict(depth=1, emb=1.0, attr=1.0,
+                                weights=[[1e308, 1e308], [0.0, 0.0]]),
+                           "block 0"),
+    "skip_plus_branch_overflows": (dict(depth=1, emb=1e308, attr=0.0,
+                                        weights=[[1.0, 0.0], [0.0, 0.0]]),
+                                   "block 0"),
+    "bound_overflows_cells_finite": (dict(depth=1, emb=-1e308, attr=1e308,
+                                          weights=[[-1.0, 0.0], [0.0, 0.0]],
+                                          head=(1e-300, 1e-300)), None),
+    "depth2_first_overflow_in_block1": (dict(
+        depth=2, emb=1e307, attr=0.0,
+        weights=[[[0.0, 0.0], [0.0, 0.0]], [[100.0, 0.0], [0.0, 0.0]]]),
+        "block 1"),
+    "depth0_huge_head": (dict(depth=0, emb=1e10, attr=1e10,
+                              head=(1e300, 1e300)), None),
+}
+
+
+@pytest.mark.parametrize("side", ["user", "item"])
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_split_predictors_raise_where_unsplit_forward_raises(side, case):
+    kwargs, expected = OVERFLOW_CASES[case]
+    params = _one_cell_tower(side, **kwargs)
+    rows = attrs = np.zeros(3, dtype=np.int64)
+
+    def outcome(predict):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return predict()
+        except FloatingPointError as exc:
+            return str(exc)
+
+    want = outcome(lambda: _tower_predict(params, side, rows, attrs, 5.0)[0])
+    got = outcome(lambda: PREDICTORS[side](params, rows, attrs, 5.0))
+    if expected is None:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert want == f"non-finite activation after residual {expected}"
+        assert got == want
 
 
 # ----------------------------------------------------------- phase-1 loss

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from a2cf import ranking
+from a2cf import network, ranking
 from a2cf.config import TrainConfig
 from a2cf.data import Corpus
 from a2cf.matrices import SparseAttributeMatrix, build_matrices
@@ -177,6 +177,21 @@ def test_estimation_chunks_leave_one_cell_remainder(monkeypatch):
     assert seen == [("user", 10), ("user", 10), ("user", 1),
                     ("item", 10), ("item", 10), ("item", 1)]
     assert_matches_full_grid(est, ref, (user_mat, item_mat))
+
+
+def test_completion_at_depth_one_runs_no_residual_block(monkeypatch):
+    """The split first block is the whole tower at depth 1: completion
+    never falls back to the unsplit (cells, 2d) forward."""
+    rng = np.random.default_rng(41)
+    params = init_params(20, 30, 12, scoring_cfg(embed_dim=8), seed=41)
+    mats = (random_coo(rng, (20, 12), 0.2), random_coo(rng, (30, 12), 0.2))
+    ref = full_grid_estimate(*mats, params)
+
+    def unsplit(*args, **kwargs):
+        raise AssertionError("residual_forward ran")
+
+    monkeypatch.setattr(network, "residual_forward", unsplit)
+    assert_matches_full_grid(estimate_matrices(*mats, params), ref, mats)
 
 
 def test_estimation_peak_memory_at_catalog_shape():
