@@ -16,7 +16,7 @@ from .network import (AdamState, ModelParams, adam_step, dropout_mask,
                       init_params, phase1_forward_backward, residual_backward,
                       residual_forward, tanh_rescaled)
 from .ranking import (EstimatedMatrices, RankedList, aggregate_attributes,
-                      attention, bpr_s_forward_backward, bpr_s_loss,
+                      attention, bpr_s_forward_backward,
                       estimate_matrices, recommend_top_k, sample_negatives,
                       score_candidates, score_personalization,
                       score_substitution, triplet_score)
@@ -32,7 +32,7 @@ __all__ = [
     "RankedList", "ReviewRecord", "RunConfig",
     "SparseAttributeMatrix", "SplitTriplets", "SyntheticSpec", "TrainConfig",
     "TrainResult", "adam_step", "aggregate_attributes", "atc", "attention",
-    "attribute_advantage", "bpr_s_forward_backward", "bpr_s_loss",
+    "attribute_advantage", "bpr_s_forward_backward",
     "build_matrices", "build_run_config", "build_triplets",
     "checkpoint_roundtrip", "dropout_mask", "dump_matrix", "estimate_matrices",
     "evaluate_protocol", "filter_corpus", "generate_synthetic", "hr_at_k",

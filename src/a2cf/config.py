@@ -103,13 +103,14 @@ def _coerce(key: str, raw: str, typ: type):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a key=value file (one pair per line, '#' comments) into a dict.
+    """Read a key=value file (one pair per line, '#' comments, an optional
+    leading byte-order mark) into a dict.
 
     Values are coerced to the declared type of the matching TrainConfig or
     RunConfig field; unknown keys raise ValueError with the offending line.
     """
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

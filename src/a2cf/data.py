@@ -43,12 +43,12 @@ class LexiconEntry:
 def _records(path: str, widths: tuple):
     """(line number, fields) for each data line of the UTF-8 TSV `path`.
 
-    Blank lines and '#' comments are skipped. A line whose field count is
-    not in `widths`, a line with an empty field, and a file that is not
-    UTF-8 raise ValueError naming `path`.
+    A leading byte-order mark is dropped. Blank lines and '#' comments are
+    skipped. A line whose field count is not in `widths`, a line with an
+    empty field, and a file that is not UTF-8 raise ValueError naming `path`.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):

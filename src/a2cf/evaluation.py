@@ -110,7 +110,6 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
                       test_triplets: np.ndarray, seed: int,
                       negatives: int = 1000,
                       cutoffs: tuple = (5, 10, 20, 50),
-                      truncation: int = MAP_TRUNCATION,
                       scorer=None) -> ProtocolReport:
     """Run the sampled-negative protocol over test triplets.
 
@@ -157,7 +156,7 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
     users, queries, positives = test_triplets.T
     adv = attribute_advantage(est.user_attr[users], est.item_attr[queries],
                               est.item_attr[positives])
-    map_cases = [map_attributes(row, rel, truncation) for row, rel in zip(
+    map_cases = [map_attributes(row, rel) for row, rel in zip(
         adv.ranking, relevant_attributes(corpus, users, positives))]
     ks = sorted(cutoffs)
     metrics = {f"HR@{k}": float(np.mean(ranks <= k)) for k in ks}

@@ -6,11 +6,12 @@ h <- h + relu(W h + b) at constant width, and maps the result through a linear
 head followed by a tanh rescaled onto (1, rating_max). All gradients are
 analytic; no autodiff anywhere.
 
-The eval-mode predictors split the first block by the halves of its input:
+The eval-mode predictors split a one-block tower by the halves of its input:
 W0 [e; a] = W0[:, :d] e + W0[:, d:] a, so P = E W0[:, :d]^T is computed once
 per distinct entity row and Q = A W0[:, d:]^T + b0 once per distinct
-attribute, and a cell costs a gather, an add and a relu. At depth 1 the head
-splits too: r = e . head[:d] + a . head[d:] + relu(P + Q) . head.
+attribute, and the head splits too: r = e . head[:d] + a . head[d:] +
+relu(P + Q) . head, a gather, an add, a relu and a dot per cell. Every other
+depth runs the training forward without dropout.
 """
 
 import dataclasses
@@ -119,23 +120,20 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def _check_block(h: np.ndarray, k: int) -> None:
-    if not np.isfinite(h).all():
-        raise FloatingPointError(f"non-finite activation after residual block {k}")
-
-
 def residual_forward(h0: np.ndarray, weights: np.ndarray, biases: np.ndarray,
-                     masks=None, start: int = 0):
-    """Run h <- h + mask * relu(W h + b) over blocks `start`.. of the stack.
+                     masks=None):
+    """Run h <- h + mask * relu(W h + b) over every block of the stack.
 
-    h0: (batch, 2d), the input of block `start`. masks: optional per-block
-    list of (batch, 2d) dropout masks applied to the relu branch only; the
-    skip path is never masked. Returns (output, cache) where cache holds
-    what backward needs.
+    The tower forward of training, and of eval mode except where a one-block
+    tower runs split (`_split_predict`). h0: (batch, 2d). masks: optional
+    per-block list of (batch, 2d) dropout masks applied to the relu branch
+    only; the skip path is never masked. Returns (output, cache) where cache
+    holds what backward needs. A non-finite activation raises
+    FloatingPointError naming its block.
     """
     h = h0
     cache = []
-    for k in range(start, weights.shape[0]):
+    for k in range(weights.shape[0]):
         z = h @ weights[k].T + biases[k]
         branch = np.maximum(z, 0.0)
         mask = None if masks is None else masks[k]
@@ -143,7 +141,9 @@ def residual_forward(h0: np.ndarray, weights: np.ndarray, biases: np.ndarray,
             branch = branch * mask
         cache.append((h, z, mask))
         h = h + branch
-        _check_block(h, k)
+        if not np.isfinite(h).all():
+            raise FloatingPointError(
+                f"non-finite activation after residual block {k}")
     return h, cache
 
 
@@ -200,29 +200,25 @@ def _tower_predict(params: ModelParams, side: str, rows, attrs,
 
 def _split_predict(params: ModelParams, side: str, rows, attrs,
                    rating_max: float) -> np.ndarray:
-    """Eval-mode tower output per (row, attr) cell, through the split first
-    block (module docstring). Raises exactly where `_tower_predict` does."""
+    """Eval-mode tower output per (row, attr) cell. A one-block tower runs
+    split (module docstring) when the bound below shows every activation
+    finite; every other depth and call runs the training forward
+    `_tower_predict`, so the predictor raises exactly where it does."""
     emb, weights, biases, head = _tower(params, side)
-    d = params.embed_dim
-    rows_u, ri = np.unique(rows, return_inverse=True)
-    attrs_u, ai = np.unique(attrs, return_inverse=True)
-    e, a = emb[rows_u], params.attr_emb[attrs_u]
-    r = (e @ head[:d])[ri] + (a @ head[d:])[ai]         # h0 @ head
-    if len(weights):
+    if len(weights) == 1:
+        d = params.embed_dim
+        rows_u, ri = np.unique(rows, return_inverse=True)
+        attrs_u, ai = np.unique(attrs, return_inverse=True)
+        e, a = emb[rows_u], params.attr_emb[attrs_u]
         p = e @ weights[0][:, :d].T
         q = a @ weights[0][:, d:].T + biases[0]
         branch = np.maximum(p[ri] + q[ai], 0.0)
         # branch >= 0, so h0 + branch is finite wherever this bound is
-        if len(weights) == 1 and np.isfinite(
-                branch.max(initial=0.0) + np.abs(e).max(initial=0.0)
-                + np.abs(a).max(initial=0.0)):
-            r = r + branch @ head
-        else:
-            h = np.concatenate([e[ri], a[ai]], axis=1) + branch
-            _check_block(h, 0)
-            h, _ = residual_forward(h, weights, biases, start=1)
-            r = h @ head
-    return tanh_rescaled(r, rating_max)
+        if np.isfinite(branch.max(initial=0.0) + np.abs(e).max(initial=0.0)
+                       + np.abs(a).max(initial=0.0)):
+            r = (e @ head[:d])[ri] + (a @ head[d:])[ai] + branch @ head
+            return tanh_rescaled(r, rating_max)
+    return _tower_predict(params, side, rows, attrs, rating_max)[0]
 
 
 def predict_user_attr_batch(params: ModelParams, users: np.ndarray,

@@ -53,17 +53,18 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
         item_attr=_complete(item_mat, predict_item_attr_batch, params))
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its max for stability."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def attention(a_row: np.ndarray, b_row: np.ndarray, temp: float) -> np.ndarray:
     """Attention over attributes from two completed attribute rows: a query
     and a candidate item row (substitution head), or a user and a candidate
     item row (personalization head). Rows may be batched along axis 0."""
-    return softmax((a_row * b_row) / temp, axis=-1)
+    return softmax((a_row * b_row) / temp)
 
 
 def aggregate_attributes(weights: np.ndarray, attr_emb: np.ndarray) -> np.ndarray:
@@ -241,14 +242,14 @@ def sample_negatives(users: np.ndarray, queries: np.ndarray, corpus: Corpus,
     return out.reshape(len(users), count)
 
 
-def _bpr_s_forward(params: ModelParams, est: EstimatedMatrices,
-                   cfg: TrainConfig, users: np.ndarray, queries: np.ndarray,
-                   positives: np.ndarray, negatives: np.ndarray):
-    """(loss, (n, k) margins, cache) for row-aligned (user, query, positive)
-    triples, each against its row of `negatives`, shape (n, k) or, for
-    k = 1, (n,). The cache rows are the n positives, each scored once, then
-    the negatives in row-major order. The loss sums
-    -log sigmoid(score(i,q,j+) - score(i,q,j-)), overflow-safe."""
+def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
+                           cfg: TrainConfig, users: np.ndarray,
+                           queries: np.ndarray, positives: np.ndarray,
+                           negatives: np.ndarray):
+    """(loss, gradients) for row-aligned (user, query, positive) triples,
+    each against its row of `negatives`, shape (n, k) or, for k = 1, (n,).
+    The loss sums -log sigmoid(score(i,q,j+) - score(i,q,j-)) over every
+    (triple, negative) pair, overflow-safe; each positive is scored once."""
     n, negatives = len(users), np.asarray(negatives)
     if negatives.ndim not in (1, 2) or len(negatives) != n:
         raise ValueError(f"negatives must have shape ({n},) or ({n}, k), "
@@ -258,24 +259,7 @@ def _bpr_s_forward(params: ModelParams, est: EstimatedMatrices,
     scores, cache = _score_rows(params, est, cfg, *rows,
                                 np.concatenate([positives, negatives.ravel()]))
     margins = scores[:n, None] - scores[n:].reshape(n, k)
-    return float(np.logaddexp(0.0, -margins).sum()), margins, cache
-
-
-def bpr_s_loss(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
-               users: np.ndarray, queries: np.ndarray,
-               positives: np.ndarray, negatives: np.ndarray) -> float:
-    """Summed pairwise logistic loss over every (triple, negative) pair."""
-    return _bpr_s_forward(params, est, cfg, users, queries, positives,
-                          negatives)[0]
-
-
-def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
-                           cfg: TrainConfig, users: np.ndarray,
-                           queries: np.ndarray, positives: np.ndarray,
-                           negatives: np.ndarray):
-    """Loss plus analytic gradients for one batch, shaped as bpr_s_loss."""
-    loss, margins, cache = _bpr_s_forward(params, est, cfg, users, queries,
-                                          positives, negatives)
+    loss = float(np.logaddexp(0.0, -margins).sum())
     # d/dm of softplus(-m) is sigmoid(m) - 1, summed per positive over k
     up = expit(margins) - 1.0
     grads = ModelParams.zeros_like(params)

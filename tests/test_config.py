@@ -75,6 +75,13 @@ def test_parse_config_file(tmp_path):
                          "seed": 7, "subst_use_attrs": False}
 
 
+def test_parse_config_file_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed=7\nembed_dim=16\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config_file(str(path)) == {"seed": 7, "embed_dim": 16}
+
+
 def test_config_file_of_every_default_parses_to_the_default(tmp_path):
     defaults = RunConfig()
     fields = {**dataclasses.asdict(defaults.train),

@@ -113,6 +113,23 @@ def test_loaders_name_the_file_on_undecodable_bytes(tmp_path, loader):
         loader(str(path))
 
 
+# A byte-order mark, as some editors save UTF-8, must not become part of the
+# first token or turn a header into a data line.
+@pytest.mark.parametrize("loader, line", [
+    (load_reviews, "u1\ti1\t4"),
+    (load_lexicon, "u1\ti1\tbattery\t+1"),
+    (load_substitutes, "i1\ti2"),
+], ids=["reviews", "lexicon", "substitutes"])
+@pytest.mark.parametrize("text", ["{line}\n", "# header\n{line}\n"],
+                         ids=["data_first", "header_first"])
+def test_loaders_drop_a_leading_byte_order_mark(tmp_path, loader, line, text):
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text(text.format(line=line), encoding="utf-8")
+    bom.write_text(text.format(line=line), encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert loader(str(bom)) == loader(str(plain)) != []
+
+
 # ------------------------------------------------------------- filtering
 
 def test_filter_removes_user_with_four_interactions():

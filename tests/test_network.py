@@ -347,6 +347,51 @@ def test_split_predictors_raise_where_unsplit_forward_raises(side, case):
         assert got == want
 
 
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("depth", [0, 2, 3])
+@pytest.mark.parametrize("seed", range(24))
+def test_predictors_off_the_split_are_the_reference_bit_for_bit(seed, depth):
+    # only a one-block tower is split; any other depth runs the reference
+    rng = np.random.default_rng([seed, depth, 37])
+    cfg = small_cfg(embed_dim=int(rng.integers(1, 9)), tower_depth=depth)
+    params = init_params(6, 7, 5, cfg, seed=seed)
+    for t in params.tensors().values():
+        t[...] = rng.normal(scale=0.5, size=t.shape)
+    n = int(rng.integers(2, 60))
+    for side, predict in PREDICTORS.items():
+        rows = rng.integers(0, len(getattr(params, f"{side}_emb")), n)
+        attrs = rng.integers(0, 5, n)
+        _assert_same_bits(predict(params, rows, attrs, 5.0),
+                          _tower_predict(params, side, rows, attrs, 5.0)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_predictors_past_the_overflow_bound_are_the_reference_bit_for_bit(
+        seed):
+    # one block, finite cells, but |e| + |a| overflows the split's bound
+    rng = np.random.default_rng([seed, 41])
+    params = init_params(6, 7, 5, small_cfg(tower_depth=1), seed=seed)
+    for t in params.tensors().values():
+        t[...] = rng.normal(scale=0.5, size=t.shape)
+    for side, predict in PREDICTORS.items():
+        getattr(params, f"{side}_tower_w")[...] *= 0.1
+        getattr(params, f"{side}_emb")[0, 0] = 1e308
+        params.attr_emb[0, 1] = 1e308
+        rows = rng.integers(0, len(getattr(params, f"{side}_emb")), 40)
+        attrs = rng.integers(0, 5, 40)
+        rows[0], attrs[1] = 0, 0
+        keep = (rows != 0) | (attrs != 0)
+        rows, attrs = rows[keep], attrs[keep]
+        with np.errstate(over="ignore"):
+            got = predict(params, rows, attrs, 5.0)
+        _assert_same_bits(got, _tower_predict(params, side, rows, attrs,
+                                              5.0)[0])
+
+
 # ----------------------------------------------------------- phase-1 loss
 
 def test_phase1_loss_zero_on_perfect_predictions():

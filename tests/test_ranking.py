@@ -13,7 +13,7 @@ from a2cf.network import (init_params, predict_item_attr_batch,
                           predict_user_attr_batch)
 from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
                           aggregate_attributes, attention,
-                          bpr_s_forward_backward, bpr_s_loss,
+                          bpr_s_forward_backward,
                           estimate_matrices, recommend_top_k, sample_negatives,
                           score_candidates, score_personalization,
                           score_substitution, softmax, triplet_score)
@@ -601,14 +601,14 @@ def margin_setup(margin):
 ])
 def test_bpr_loss_margin_table(margin, expected):
     cfg, params, est, args = margin_setup(margin)
-    assert bpr_s_loss(params, est, cfg, *args) == pytest.approx(expected,
-                                                                abs=1e-12)
+    assert bpr_s_forward_backward(params, est, cfg, *args)[0] == pytest.approx(
+        expected, abs=1e-12)
 
 
 def test_bpr_loss_overflow_safe_at_extreme_margins():
     for margin in (-800.0, 800.0):
         cfg, params, est, args = margin_setup(margin)
-        loss = bpr_s_loss(params, est, cfg, *args)
+        loss = bpr_s_forward_backward(params, est, cfg, *args)[0]
         assert np.isfinite(loss)
         if margin < 0:
             assert loss == pytest.approx(-margin, abs=1e-9)
@@ -618,10 +618,10 @@ def test_bpr_loss_overflow_safe_at_extreme_margins():
 
 def test_bpr_loss_shift_invariance():
     cfg, params, est, args = margin_setup(0.5)
-    base = bpr_s_loss(params, est, cfg, *args)
+    base = bpr_s_forward_backward(params, est, cfg, *args)[0]
     params.item_emb[1, 0] += 2.0      # dyadic shift keeps the margin exact
     params.item_emb[2, 0] += 2.0
-    assert bpr_s_loss(params, est, cfg, *args) == base
+    assert bpr_s_forward_backward(params, est, cfg, *args)[0] == base
 
 
 def test_bpr_loss_sums_per_quadruple_terms():
@@ -630,7 +630,8 @@ def test_bpr_loss_sums_per_quadruple_terms():
     queries = np.zeros(4, dtype=np.int64)
     positives = np.array([1, 1, 1, 1])
     negatives = np.array([2, 2, 2, 2])
-    loss = bpr_s_loss(params, est, cfg, users, queries, positives, negatives)
+    loss = bpr_s_forward_backward(params, est, cfg, users, queries, positives,
+                                  negatives)[0]
     assert loss == pytest.approx(4 * 0.69314718055994531, abs=1e-12)
 
 
@@ -640,15 +641,12 @@ def test_bpr_gradients_match_finite_differences():
     queries = np.array([1, 3, 0, 2])
     positives = np.array([2, 4, 1, 3])
     negatives = np.array([0, 2, 3, 4])
-    loss, analytic = bpr_s_forward_backward(params, est, cfg, users, queries,
-                                            positives, negatives)
-    assert loss == pytest.approx(
-        bpr_s_loss(params, est, cfg, users, queries, positives, negatives),
-        abs=1e-12)
+    _, analytic = bpr_s_forward_backward(params, est, cfg, users, queries,
+                                         positives, negatives)
     numeric = central_diff_grads(
         params,
-        lambda: bpr_s_loss(params, est, cfg, users, queries, positives,
-                           negatives))
+        lambda: bpr_s_forward_backward(params, est, cfg, users, queries,
+                                       positives, negatives)[0])
     assert worst_relative_gap(analytic, numeric) < 1e-4
 
 
@@ -665,8 +663,8 @@ def test_bpr_gradients_match_finite_differences_under_ablations():
                                              positives, negatives)
         numeric = central_diff_grads(
             params,
-            lambda: bpr_s_loss(params, est, cfg, users, queries, positives,
-                               negatives))
+            lambda: bpr_s_forward_backward(params, est, cfg, users, queries,
+                                           positives, negatives)[0])
         assert worst_relative_gap(analytic, numeric) < 1e-4, kw
 
 
@@ -678,13 +676,14 @@ def test_bpr_gradients_match_finite_differences_with_k_negatives():
     negatives = np.array([[0, 3, 4], [2, 0, 1], [3, 4, 2], [4, 1, 0]])
     loss, analytic = bpr_s_forward_backward(params, est, cfg, users, queries,
                                             positives, negatives)
-    pairs = sum(bpr_s_loss(params, est, cfg, users, queries, positives,
-                           negatives[:, c]) for c in range(3))
+    pairs = sum(bpr_s_forward_backward(params, est, cfg, users, queries,
+                                       positives, negatives[:, c])[0]
+                for c in range(3))
     assert loss == pytest.approx(pairs, rel=1e-12)
     numeric = central_diff_grads(
         params,
-        lambda: bpr_s_loss(params, est, cfg, users, queries, positives,
-                           negatives))
+        lambda: bpr_s_forward_backward(params, est, cfg, users, queries,
+                                       positives, negatives)[0])
     assert worst_relative_gap(analytic, numeric) < 1e-4
 
 
@@ -710,9 +709,8 @@ def test_bpr_one_negative_per_row_as_vector_or_column():
 def test_bpr_negatives_shape_mismatch_is_value_error(negatives):
     cfg, params, est = random_setup(33, n_users=3, n_items=5, n_attrs=4)
     args = (np.array([0, 2, 1]), np.array([1, 0, 3]), np.array([3, 2, 4]))
-    for fn in (bpr_s_loss, bpr_s_forward_backward):
-        with pytest.raises(ValueError, match="negatives must have shape"):
-            fn(params, est, cfg, *args, negatives)
+    with pytest.raises(ValueError, match="negatives must have shape"):
+        bpr_s_forward_backward(params, est, cfg, *args, negatives)
 
 
 def test_bpr_gradients_treat_estimates_as_constants():
