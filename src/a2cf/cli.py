@@ -132,9 +132,14 @@ def _load_model(args):
             or params.item_emb.shape[0] != corpus.n_items
             or params.attr_emb.shape[0] != corpus.n_attrs):
         raise ValueError("checkpoint dimensions do not match the prepared corpus")
+    return corpus, splits, params, cfg
+
+
+def _estimate(corpus, params, cfg, users=None):
+    """The completed matrices, with only the `users` rows of the user
+    matrix when given (see ranking.estimate_matrices)."""
     user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
-    est = ranking.estimate_matrices(user_mat, item_mat, params)
-    return corpus, splits, params, cfg, est
+    return ranking.estimate_matrices(user_mat, item_mat, params, users)
 
 
 def _cmd_synth(args) -> int:
@@ -192,10 +197,12 @@ def _cmd_train(args) -> int:
 def _rank_request(args):
     """Load the model and rank the --top-k substitutes of --query for
     --user; returns (corpus, est, user, query, ranked) once --out-dir
-    exists."""
-    corpus, _, params, cfg, est = _load_model(args)
+    exists. Both tokens resolve before the completion, which fills only
+    the user's row of the user matrix."""
+    corpus, _, params, cfg = _load_model(args)
     user = _resolve_token(args.user, corpus.user_tokens, "user")
     query = _resolve_token(args.query, corpus.item_tokens, "item")
+    est = _estimate(corpus, params, cfg, users=[user])
     candidates = np.delete(np.arange(corpus.n_items), query)
     ranked = ranking.recommend_top_k(params, est, cfg, user, query,
                                      candidates, args.top_k)
@@ -237,7 +244,8 @@ def _cmd_explain(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _check_counts(args, "--eval-negatives")
-    corpus, splits, params, cfg, est = _load_model(args)
+    corpus, splits, params, cfg = _load_model(args)
+    est = _estimate(corpus, params, cfg)
     report = evaluation.evaluate_protocol(
         params, est, cfg, corpus, splits.test, seed=_run_config(args).seed,
         negatives=args.eval_negatives)

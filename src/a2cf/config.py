@@ -110,22 +110,25 @@ def parse_config_file(path: str) -> dict:
     RunConfig field; unknown keys raise ValueError with the offending line.
     """
     overrides = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
-            key, raw = text.split("=", 1)
-            key = key.strip()
-            typ = _TRAIN_FIELDS.get(key) or _RUN_FIELDS.get(key)
-            if typ is None:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                overrides[key] = _coerce(key, raw, typ)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                if "=" not in text:
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
+                key, raw = text.split("=", 1)
+                key = key.strip()
+                typ = _TRAIN_FIELDS.get(key) or _RUN_FIELDS.get(key)
+                if typ is None:
+                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                try:
+                    overrides[key] = _coerce(key, raw, typ)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     return overrides
 
 

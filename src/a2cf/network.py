@@ -12,6 +12,13 @@ per distinct entity row and Q = A W0[:, d:]^T + b0 once per distinct
 attribute, and the head splits too: r = e . head[:d] + a . head[d:] +
 relu(P + Q) . head, a gather, an add, a relu and a dot per cell. Every other
 depth runs the training forward without dropout.
+
+The split cells run in blocks that fit in cache, through one reused buffer,
+rather than as one (cells, 2d) array per step. The block length is a power of
+two, so every cell keeps its offset mod 4 within the BLAS matvec and gets the
+bits the whole call gives it. The overflow bound carries its branch maximum
+across blocks with np.maximum, so a NaN in any block reaches the bound and
+sends the call to the training forward.
 """
 
 import dataclasses
@@ -25,6 +32,7 @@ from .config import TrainConfig
 logger = logging.getLogger(__name__)
 
 INIT_SCALE = 0.05
+_BLOCK_BYTES = 2 ** 18      # one block of the split kernel, sized for cache
 
 
 @dataclass
@@ -198,12 +206,31 @@ def _tower_predict(params: ModelParams, side: str, rows, attrs,
     return tanh_rescaled(r, rating_max), (h_out, r, cache)
 
 
+def _block_rows(embed_dim: int) -> int:
+    """Cells per block of the split kernel: the largest power of two whose
+    (cells, 2d) float64 block fits in _BLOCK_BYTES, and at least 4."""
+    return 1 << max(2, (_BLOCK_BYTES // (16 * embed_dim)).bit_length() - 1)
+
+
 def _split_predict(params: ModelParams, side: str, rows, attrs,
-                   rating_max: float) -> np.ndarray:
+                   rating_max: float, need=None) -> np.ndarray:
     """Eval-mode tower output per (row, attr) cell. A one-block tower runs
     split (module docstring) when the bound below shows every activation
     finite; every other depth and call runs the training forward
-    `_tower_predict`, so the predictor raises exactly where it does."""
+    `_tower_predict`, so the predictor raises exactly where it does.
+
+    The split cells run in blocks of `_block_rows` cells through one reused
+    buffer. The block length is a power of two, so a cell keeps its offset
+    mod 4 and the BLAS matvec gives it the bits it gets over the whole call.
+    The bound's branch maximum is carried across blocks by np.maximum,
+    which keeps a NaN that Python's max would drop.
+
+    `need`, a bool per cell, limits the split run to the blocks that hold a
+    needed cell; the cells of every other block come back NaN, and only the
+    blocks run enter the bound. P, Q and the head terms still cover every
+    row and attribute of the call, so a needed cell has the bits it has
+    when the whole call runs.
+    """
     emb, weights, biases, head = _tower(params, side)
     if len(weights) == 1:
         d = params.embed_dim
@@ -212,18 +239,34 @@ def _split_predict(params: ModelParams, side: str, rows, attrs,
         e, a = emb[rows_u], params.attr_emb[attrs_u]
         p = e @ weights[0][:, :d].T
         q = a @ weights[0][:, d:].T + biases[0]
-        branch = np.maximum(p[ri] + q[ai], 0.0)
+        n, step = len(ri), _block_rows(d)
+        buf = np.empty((min(n, step), 2 * d))
+        dot = np.full(n, np.nan)
+        peak = 0.0
+        for start in range(0, n, step):
+            blk = slice(start, start + step)
+            if need is not None and not need[blk].any():
+                continue
+            branch = buf[:len(ri[blk])]
+            # in-range indices from np.unique; "clip" lets take write
+            # into `branch` without an intermediate copy
+            np.take(p, ri[blk], axis=0, out=branch, mode="clip")
+            branch += q[ai[blk]]
+            np.maximum(branch, 0.0, out=branch)
+            peak = np.maximum(peak, branch.max())
+            dot[blk] = branch @ head
         # branch >= 0, so h0 + branch is finite wherever this bound is
-        if np.isfinite(branch.max(initial=0.0) + np.abs(e).max(initial=0.0)
+        if np.isfinite(peak + np.abs(e).max(initial=0.0)
                        + np.abs(a).max(initial=0.0)):
-            r = (e @ head[:d])[ri] + (a @ head[d:])[ai] + branch @ head
+            r = (e @ head[:d])[ri] + (a @ head[d:])[ai] + dot
             return tanh_rescaled(r, rating_max)
     return _tower_predict(params, side, rows, attrs, rating_max)[0]
 
 
 def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
-                            attrs: np.ndarray, rating_max: float) -> np.ndarray:
-    return _split_predict(params, "user", users, attrs, rating_max)
+                            attrs: np.ndarray, rating_max: float,
+                            need=None) -> np.ndarray:
+    return _split_predict(params, "user", users, attrs, rating_max, need)
 
 
 def predict_item_attr_batch(params: ModelParams, items: np.ndarray,

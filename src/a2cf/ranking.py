@@ -31,25 +31,38 @@ class EstimatedMatrices:
     item_attr: np.ndarray       # (n_items, n_attrs)
 
 
-def _complete(sparse: SparseAttributeMatrix, predict,
-              params: ModelParams) -> np.ndarray:
+def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
+              rows=None) -> np.ndarray:
     dense = sparse.to_dense()
     cells = np.nonzero(~sparse.observed_mask())
+    need = None if rows is None else np.isin(cells[0], rows)
     for start in range(0, len(cells[0]), _ESTIMATE_CHUNK):
-        r, c = (idx[start:start + _ESTIMATE_CHUNK] for idx in cells)
-        dense[r, c] = predict(params, r, c, sparse.scale_cap)
+        chunk = slice(start, start + _ESTIMATE_CHUNK)
+        r, c = cells[0][chunk], cells[1][chunk]
+        if need is None:
+            dense[r, c] = predict(params, r, c, sparse.scale_cap)
+        elif need[chunk].any():
+            dense[r, c] = predict(params, r, c, sparse.scale_cap,
+                                  need=need[chunk])
+    if rows is not None:
+        dense[np.isin(np.arange(len(dense)), rows, invert=True)] = np.nan
     return dense
 
 
 def estimate_matrices(user_mat: SparseAttributeMatrix,
                       item_mat: SparseAttributeMatrix,
-                      params: ModelParams) -> EstimatedMatrices:
+                      params: ModelParams, users=None) -> EstimatedMatrices:
     """Fill every unobserved cell with the eval-mode tower regression.
 
-    Observed cells are copied bit-for-bit from the sparse inputs.
+    Observed cells are copied bit-for-bit from the sparse inputs. `users`
+    limits the user matrix to those rows, for a caller that reads no other.
+    Each chunk that holds one of their cells still goes to the predictor
+    whole, and the predictor runs only its blocks that hold one, so these
+    rows get the bits of the full completion. Every other user row is NaN.
+    None completes every row.
     """
     return EstimatedMatrices(
-        user_attr=_complete(user_mat, predict_user_attr_batch, params),
+        user_attr=_complete(user_mat, predict_user_attr_batch, params, users),
         item_attr=_complete(item_mat, predict_item_attr_batch, params))
 
 

@@ -12,10 +12,11 @@ import pytest
 from numpy.lib import format as npformat
 
 from a2cf import cli, ranking, training
-from a2cf.cli import cli_dispatch
+from a2cf.cli import EXPLAIN_NAME, RECS_NAME, cli_dispatch
 from a2cf.config import TrainConfig
 from a2cf.data import load_prepared
 from a2cf.network import init_params
+from a2cf.synthetic import SyntheticSpec, generate_synthetic
 from a2cf.training import CHECKPOINT_MAGIC, save_checkpoint
 
 REC_LINE = re.compile(r"^u\d{3}\ti\d{3}\t\d+\ti\d{3}\t-?\d+\.\d{6}$")
@@ -223,6 +224,81 @@ def test_count_flag_below_one_fails_before_completion(pipeline, tmp_path,
                                     flag, "0")) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == f"error: {flag} must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("command", ["recommend", "explain"])
+@pytest.mark.parametrize("tokens, message", [
+    (("--user", "nosuch", "--query", "i012"), "unknown user 'nosuch'"),
+    (("--user", "u003", "--query", "nosuch"), "unknown item 'nosuch'")],
+    ids=["user", "query"])
+def test_unknown_token_fails_before_completion(pipeline, tmp_path, monkeypatch,
+                                               capsys, command, tokens,
+                                               message):
+    def completion(*args):
+        raise AssertionError("estimate_matrices ran")
+
+    monkeypatch.setattr(ranking, "estimate_matrices", completion)
+    assert cli_dispatch(_model_argv(pipeline, command, tmp_path, *tokens)) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+# The corpora of the two bench workloads (bench/run.py) at seed 1, each
+# trained briefly at its workload's embed_dim.
+SEED1_CORPORA = {
+    "planted": (dict(interactions_per_user=22, home_clusters=5), "8"),
+    "catalog": (dict(users=300, items=1010, attributes=100, clusters=101,
+                     functional_attrs=40, interactions_per_user=22,
+                     home_clusters=5), "64"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SEED1_CORPORA))
+def seed1_model(request, tmp_path_factory):
+    spec, embed_dim = SEED1_CORPORA[request.param]
+    root = tmp_path_factory.mktemp(request.param)
+    paths = generate_synthetic(SyntheticSpec(**spec), 1, str(root / "raw"))
+    assert cli_dispatch(["prepare", "--reviews", paths["reviews"],
+                         "--lexicon", paths["lexicon"],
+                         "--substitutes", paths["substitutes"],
+                         "--out-dir", str(root / "prep"), "--seed", "1"]) == 0
+    data = str(root / "prep" / "prepared.npz")
+    assert cli_dispatch(["train", "--data", data,
+                         "--out-dir", str(root / "model"), "--seed", "1",
+                         "--embed-dim", embed_dim, "--rounds-max", "1",
+                         "--phase1-steps", "30", "--phase2-steps", "10"]) == 0
+    return data, str(root / "model" / "model.ckpt")
+
+
+def test_request_completing_its_user_row_writes_the_full_bytes(
+        seed1_model, tmp_path, monkeypatch):
+    data, ckpt = seed1_model
+    corpus, _ = load_prepared(data)
+    real = ranking.estimate_matrices
+    rows = []
+
+    def one_row(*args):
+        rows.append(args[3])
+        return real(*args)
+
+    def every_row(*args):
+        return real(*args[:3])
+
+    for user in np.linspace(0, corpus.n_users - 1, 4).astype(int):
+        query = corpus.item_tokens[7 * user % corpus.n_items]
+        for command, name in (("recommend", RECS_NAME),
+                              ("explain", EXPLAIN_NAME)):
+            written = []
+            for completion in (one_row, every_row):
+                monkeypatch.setattr(ranking, "estimate_matrices", completion)
+                out = tmp_path / completion.__name__
+                assert cli_dispatch([command, "--data", data,
+                                     "--checkpoint", ckpt,
+                                     "--out-dir", str(out),
+                                     "--user", corpus.user_tokens[user],
+                                     "--query", query]) == 0
+                written.append((out / name).read_bytes())
+            assert written[0] == written[1]
+            assert rows.pop() == [user]
 
 
 def test_failed_explain_keeps_the_earlier_explanations(pipeline, tmp_path,
@@ -434,6 +510,18 @@ def test_config_file_nan_is_one_line_error(pipeline, tmp_path, capsys):
     assert cli_dispatch(_train_argv(pipeline, out, "--config", str(cfg))) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: learning_rate must be finite, got nan"]
+    assert not out.exists()
+
+
+def test_config_file_undecodable_is_one_line_error(pipeline, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 3\nembed_dim = \xff8\n")
+    out = tmp_path / "model"
+    assert cli_dispatch(_train_argv(pipeline, out, "--config", str(cfg))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {cfg}: not UTF-8: ")
     assert not out.exists()
 
 

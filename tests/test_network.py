@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from a2cf.config import TrainConfig
-from a2cf.network import (AdamState, INIT_SCALE, ModelParams, _tower_predict,
-                          adam_step, dropout_mask, init_params,
+from a2cf.network import (AdamState, INIT_SCALE, ModelParams, _block_rows,
+                          _tower_predict, adam_step, dropout_mask, init_params,
                           phase1_forward_backward, predict_item_attr_batch,
                           predict_user_attr_batch, residual_backward,
                           residual_forward, tanh_rescaled, tanh_rescaled_grad)
@@ -390,6 +390,98 @@ def test_predictors_past_the_overflow_bound_are_the_reference_bit_for_bit(
             got = predict(params, rows, attrs, 5.0)
         _assert_same_bits(got, _tower_predict(params, side, rows, attrs,
                                               5.0)[0])
+
+
+def _whole_call_split(params, side, rows, attrs):
+    """The split one-block formula over the whole call at once: the
+    reference the blocked kernel must match bit for bit."""
+    d = params.embed_dim
+    emb = getattr(params, f"{side}_emb")
+    w = getattr(params, f"{side}_tower_w")[0]
+    b = getattr(params, f"{side}_tower_b")[0]
+    head = getattr(params, f"{side}_head")
+    rows_u, ri = np.unique(rows, return_inverse=True)
+    attrs_u, ai = np.unique(attrs, return_inverse=True)
+    e, a = emb[rows_u], params.attr_emb[attrs_u]
+    p, q = e @ w[:, :d].T, a @ w[:, d:].T + b
+    r = ((e @ head[:d])[ri] + (a @ head[d:])[ai]
+         + np.maximum(p[ri] + q[ai], 0.0) @ head)
+    return tanh_rescaled(r, 5.0)
+
+
+def _random_one_block(embed_dim, seed, n_rows=90, n_attrs=70):
+    rng = np.random.default_rng([seed, embed_dim, 43])
+    params = init_params(n_rows, n_rows, n_attrs,
+                         small_cfg(embed_dim=embed_dim, tower_depth=1),
+                         seed=seed)
+    for t in params.tensors().values():
+        t[...] = rng.normal(scale=0.5, size=t.shape)
+    return params, rng
+
+
+@pytest.mark.parametrize("embed_dim", [3, 8, 48, 64])
+def test_blocked_split_matches_the_whole_call_bit_for_bit(embed_dim):
+    params, rng = _random_one_block(embed_dim, seed=3)
+    block = _block_rows(embed_dim)
+    assert block & (block - 1) == 0 and block >= 4
+    for n in sorted({0, 1, block - 1, block, block + 1, 4096}):
+        for side, predict in PREDICTORS.items():
+            rows, attrs = rng.integers(0, 90, n), rng.integers(0, 70, n)
+            _assert_same_bits(predict(params, rows, attrs, 5.0),
+                              _whole_call_split(params, side, rows, attrs))
+
+
+def _bad_cell_in_a_later_block(side, case):
+    """embed_dim 64 params and a call of 2.5 blocks in which only the last
+    cell (row 0, attribute 0) has a non-finite branch: +inf for "overflow",
+    inf - inf = NaN for "nan". Every earlier cell is finite, so the first
+    block alone runs split."""
+    params, rng = _random_one_block(64, seed=5)
+    n = _block_rows(64) * 5 // 2
+    rows, attrs = rng.integers(1, 90, n), rng.integers(1, 70, n)
+    rows[-1] = attrs[-1] = 0
+    w = getattr(params, f"{side}_tower_w")[0]
+    getattr(params, f"{side}_emb")[0, 0] = 1e300
+    w[7, 0] = 1e10                  # P[row 0] = +inf in component 7
+    if case == "nan":
+        params.attr_emb[0, 0] = 1e300
+        w[7, 64] = -1e10            # Q[attribute 0] = -inf there
+        attrs[:-1] = rng.integers(0, 70, n - 1)
+    return params, rows, attrs
+
+
+@pytest.mark.parametrize("side", ["user", "item"])
+@pytest.mark.parametrize("case", ["overflow", "nan"])
+def test_bad_branch_in_a_later_block_takes_the_unsplit_path(side, case):
+    params, rows, attrs = _bad_cell_in_a_later_block(side, case)
+    predict = PREDICTORS[side]
+    first = slice(0, _block_rows(64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(predict(params, rows[first], attrs[first],
+                                   5.0)).all()
+        with pytest.raises(FloatingPointError) as want:
+            _tower_predict(params, side, rows, attrs, 5.0)
+        with pytest.raises(FloatingPointError) as got:
+            predict(params, rows, attrs, 5.0)
+    assert str(want.value) == "non-finite activation after residual block 0"
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("embed_dim", [8, 64])
+def test_needed_cells_keep_their_bits_and_the_rest_are_nan(embed_dim):
+    # blocks 0, 1 and 3 hold a needed cell; block 2 and the tail do not
+    params, rng = _random_one_block(embed_dim, seed=9)
+    block = _block_rows(embed_dim)
+    n = 4 * block + 7
+    need = np.zeros(n, dtype=bool)
+    need[[block - 1, block, 3 * block + 5]] = True
+    ran = np.zeros(n, dtype=bool)
+    ran[:2 * block] = ran[3 * block:4 * block] = True
+    rows, attrs = rng.integers(0, 90, n), rng.integers(0, 70, n)
+    got = predict_user_attr_batch(params, rows, attrs, 5.0, need=need)
+    want = _whole_call_split(params, "user", rows, attrs)
+    _assert_same_bits(got[ran], want[ran])
+    assert np.isnan(got[~ran]).all()
 
 
 # ----------------------------------------------------------- phase-1 loss

@@ -179,6 +179,28 @@ def test_estimation_chunks_leave_one_cell_remainder(monkeypatch):
     assert_matches_full_grid(est, ref, (user_mat, item_mat))
 
 
+@pytest.mark.parametrize("embed_dim, depth, chunk", [
+    (8, 1, 4096), (64, 1, 4096), (3, 1, 10), (4, 2, 4096)])
+def test_estimation_of_some_user_rows_keeps_their_bits(monkeypatch, embed_dim,
+                                                       depth, chunk):
+    """Completing some user rows gives them, and every item row, the bits of
+    the full completion; every other user row is NaN."""
+    rng = np.random.default_rng([embed_dim, depth, 61])
+    params = init_params(300, 40, 100, scoring_cfg(embed_dim=embed_dim,
+                                                   tower_depth=depth), seed=61)
+    user_mat = random_coo(rng, (300, 100), 0.3)
+    item_mat = random_coo(rng, (40, 100), 0.3)
+    monkeypatch.setattr(ranking, "_ESTIMATE_CHUNK", chunk)
+    full = estimate_matrices(user_mat, item_mat, params)
+    for users in ([0], [137], [299], [5, 6, 250]):
+        est = estimate_matrices(user_mat, item_mat, params, users=users)
+        np.testing.assert_array_equal(est.user_attr[users].view(np.uint64),
+                                      full.user_attr[users].view(np.uint64))
+        np.testing.assert_array_equal(est.item_attr.view(np.uint64),
+                                      full.item_attr.view(np.uint64))
+        assert np.isnan(np.delete(est.user_attr, users, axis=0)).all()
+
+
 def test_completion_at_depth_one_runs_no_residual_block(monkeypatch):
     """The split first block is the whole tower at depth 1: completion
     never falls back to the unsplit (cells, 2d) forward."""
