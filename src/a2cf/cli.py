@@ -72,12 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="key=value config file (seed only)")
-    p.add_argument("--users", type=int, default=200)
-    p.add_argument("--items", type=int, default=300)
-    p.add_argument("--attributes", type=int, default=30)
-    p.add_argument("--clusters", type=int, default=20)
-    p.add_argument("--interactions-per-user", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--users", type=int, default=SyntheticSpec.users)
+    p.add_argument("--items", type=int, default=SyntheticSpec.items)
+    p.add_argument("--attributes", type=int, default=SyntheticSpec.attributes)
+    p.add_argument("--clusters", type=int, default=SyntheticSpec.clusters)
+    p.add_argument("--interactions-per-user", type=int,
+                   default=SyntheticSpec.interactions_per_user)
+    p.add_argument("--noise", type=float, default=SyntheticSpec.noise)
 
     p = sub.add_parser("prepare", help="filter a corpus and build splits")
     p.add_argument("--reviews", required=True)

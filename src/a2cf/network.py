@@ -7,11 +7,12 @@ head followed by a tanh rescaled onto (1, rating_max). All gradients are
 analytic; no autodiff anywhere.
 
 The eval-mode predictors split a one-block tower by the halves of its input:
-W0 [e; a] = W0[:, :d] e + W0[:, d:] a, so P = E W0[:, :d]^T is computed once
-per distinct entity row and Q = A W0[:, d:]^T + b0 once per distinct
-attribute, and the head splits too: r = e . head[:d] + a . head[d:] +
-relu(P + Q) . head, a gather, an add, a relu and a dot per cell. Every other
-depth runs the training forward without dropout.
+W0 [e; a] = W0[:, :d] e + W0[:, d:] a, so each call computes P = E W0[:, :d]^T
+over the whole entity table and Q = A W0[:, d:]^T + b0 over the whole
+attribute table, and the head splits too: r = e . head[:d] + a . head[d:] +
+relu(P + Q) . head, a gather by the cell's ids, an add, a relu and a dot per
+cell. Every other depth runs the training forward without dropout, over
+chunks of _UNSPLIT_CHUNK cells.
 
 The split cells run in blocks that fit in cache, through one reused buffer,
 rather than as one (cells, 2d) array per step. The block length is a power of
@@ -33,6 +34,7 @@ logger = logging.getLogger(__name__)
 
 INIT_SCALE = 0.05
 _BLOCK_BYTES = 2 ** 18      # one block of the split kernel, sized for cache
+_UNSPLIT_CHUNK = 4096       # max cells per eval-mode training forward
 
 
 @dataclass
@@ -216,30 +218,24 @@ def _split_predict(params: ModelParams, side: str, rows, attrs,
                    rating_max: float, need=None) -> np.ndarray:
     """Eval-mode tower output per (row, attr) cell. A one-block tower runs
     split (module docstring) when the bound below shows every activation
-    finite; every other depth and call runs the training forward
-    `_tower_predict`, so the predictor raises exactly where it does.
+    finite; every other call runs the training forward `_tower_predict`
+    over chunks of _UNSPLIT_CHUNK cells, so the predictor raises exactly
+    where it does.
 
-    The split cells run in blocks of `_block_rows` cells through one reused
-    buffer. The block length is a power of two, so a cell keeps its offset
-    mod 4 and the BLAS matvec gives it the bits it gets over the whole call.
-    The bound's branch maximum is carried across blocks by np.maximum,
-    which keeps a NaN that Python's max would drop.
-
-    `need`, a bool per cell, limits the split run to the blocks that hold a
-    needed cell; the cells of every other block come back NaN, and only the
-    blocks run enter the bound. P, Q and the head terms still cover every
-    row and attribute of the call, so a needed cell has the bits it has
-    when the whole call runs.
+    `need`, a bool per cell, limits the run to the blocks (split) or chunks
+    (unsplit) that hold a needed cell; the cells of every other one come
+    back NaN, and only the blocks run enter the bound. A needed cell keeps
+    the bits the whole call gives it.
     """
     emb, weights, biases, head = _tower(params, side)
     if len(weights) == 1:
-        d = params.embed_dim
-        rows_u, ri = np.unique(rows, return_inverse=True)
-        attrs_u, ai = np.unique(attrs, return_inverse=True)
-        e, a = emb[rows_u], params.attr_emb[attrs_u]
-        p = e @ weights[0][:, :d].T
-        q = a @ weights[0][:, d:].T + biases[0]
-        n, step = len(ri), _block_rows(d)
+        d, attr_emb = params.embed_dim, params.attr_emb
+        p = emb @ weights[0][:, :d].T
+        q = attr_emb @ weights[0][:, d:].T + biases[0]
+        # this indexing raises on an id out of range, so "wrap" below takes
+        # the rows that emb[rows] takes, without an intermediate copy
+        base = (emb @ head[:d])[rows] + (attr_emb @ head[d:])[attrs]
+        n, step = len(base), _block_rows(d)
         buf = np.empty((min(n, step), 2 * d))
         dot = np.full(n, np.nan)
         peak = 0.0
@@ -247,20 +243,23 @@ def _split_predict(params: ModelParams, side: str, rows, attrs,
             blk = slice(start, start + step)
             if need is not None and not need[blk].any():
                 continue
-            branch = buf[:len(ri[blk])]
-            # in-range indices from np.unique; "clip" lets take write
-            # into `branch` without an intermediate copy
-            np.take(p, ri[blk], axis=0, out=branch, mode="clip")
-            branch += q[ai[blk]]
+            branch = buf[:len(dot[blk])]
+            np.take(p, rows[blk], axis=0, out=branch, mode="wrap")
+            branch += q[attrs[blk]]
             np.maximum(branch, 0.0, out=branch)
             peak = np.maximum(peak, branch.max())
             dot[blk] = branch @ head
         # branch >= 0, so h0 + branch is finite wherever this bound is
-        if np.isfinite(peak + np.abs(e).max(initial=0.0)
-                       + np.abs(a).max(initial=0.0)):
-            r = (e @ head[:d])[ri] + (a @ head[d:])[ai] + dot
-            return tanh_rescaled(r, rating_max)
-    return _tower_predict(params, side, rows, attrs, rating_max)[0]
+        if np.isfinite(peak + np.abs(emb).max(initial=0.0)
+                       + np.abs(attr_emb).max(initial=0.0)):
+            return tanh_rescaled(base + dot, rating_max)
+    out = np.full(len(rows), np.nan)
+    for start in range(0, len(rows), _UNSPLIT_CHUNK):
+        chunk = slice(start, start + _UNSPLIT_CHUNK)
+        if need is None or need[chunk].any():
+            out[chunk] = _tower_predict(params, side, rows[chunk],
+                                        attrs[chunk], rating_max)[0]
+    return out
 
 
 def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
@@ -270,8 +269,9 @@ def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
 
 
 def predict_item_attr_batch(params: ModelParams, items: np.ndarray,
-                            attrs: np.ndarray, rating_max: float) -> np.ndarray:
-    return _split_predict(params, "item", items, attrs, rating_max)
+                            attrs: np.ndarray, rating_max: float,
+                            need=None) -> np.ndarray:
+    return _split_predict(params, "item", items, attrs, rating_max, need)
 
 
 def _tower_backward(params: ModelParams, grads: ModelParams, side: str,

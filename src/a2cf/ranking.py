@@ -20,7 +20,6 @@ from .network import (ModelParams, predict_item_attr_batch,
                       predict_user_attr_batch, scatter_rows)
 
 NEGATIVE_SAMPLE_FACTOR = 1000   # rejection budget per requested negative
-_ESTIMATE_CHUNK = 4096          # max cells regressed per forward pass
 
 
 @dataclass
@@ -34,16 +33,10 @@ class EstimatedMatrices:
 def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
               rows=None) -> np.ndarray:
     dense = sparse.to_dense()
-    cells = np.nonzero(~sparse.observed_mask())
-    need = None if rows is None else np.isin(cells[0], rows)
-    for start in range(0, len(cells[0]), _ESTIMATE_CHUNK):
-        chunk = slice(start, start + _ESTIMATE_CHUNK)
-        r, c = cells[0][chunk], cells[1][chunk]
-        if need is None:
-            dense[r, c] = predict(params, r, c, sparse.scale_cap)
-        elif need[chunk].any():
-            dense[r, c] = predict(params, r, c, sparse.scale_cap,
-                                  need=need[chunk])
+    r, c = np.nonzero(~sparse.observed_mask())
+    if len(r):
+        need = None if rows is None else np.isin(r, rows)
+        dense[r, c] = predict(params, r, c, sparse.scale_cap, need=need)
     if rows is not None:
         dense[np.isin(np.arange(len(dense)), rows, invert=True)] = np.nan
     return dense
@@ -52,15 +45,21 @@ def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
 def estimate_matrices(user_mat: SparseAttributeMatrix,
                       item_mat: SparseAttributeMatrix,
                       params: ModelParams, users=None) -> EstimatedMatrices:
-    """Fill every unobserved cell with the eval-mode tower regression.
+    """Fill every unobserved cell with the eval-mode tower regression, one
+    predictor call per matrix; observed cells are copied bit-for-bit.
 
-    Observed cells are copied bit-for-bit from the sparse inputs. `users`
-    limits the user matrix to those rows, for a caller that reads no other.
-    Each chunk that holds one of their cells still goes to the predictor
-    whole, and the predictor runs only its blocks that hold one, so these
-    rows get the bits of the full completion. Every other user row is NaN.
-    None completes every row.
+    `users` limits the user matrix to those rows, for a caller that reads
+    no other: they get the bits of the full completion, and every other
+    user row is NaN. None completes every row. An id that is not an
+    integer in [0, n_users) raises ValueError.
     """
+    if users is not None:
+        n_users = user_mat.shape[0]
+        bad = [u for u in np.asarray(users).ravel().tolist()
+               if type(u) is not int or not 0 <= u < n_users]
+        if bad:
+            raise ValueError(f"users must be integers in [0, {n_users}), "
+                             f"got {bad}")
     return EstimatedMatrices(
         user_attr=_complete(user_mat, predict_user_attr_batch, params, users),
         item_attr=_complete(item_mat, predict_item_attr_batch, params))

@@ -393,19 +393,17 @@ def test_predictors_past_the_overflow_bound_are_the_reference_bit_for_bit(
 
 
 def _whole_call_split(params, side, rows, attrs):
-    """The split one-block formula over the whole call at once: the
-    reference the blocked kernel must match bit for bit."""
+    """The split one-block formula over the whole call at once, with P, Q
+    and the head terms over the whole tables: the reference the blocked
+    kernel must match bit for bit."""
     d = params.embed_dim
-    emb = getattr(params, f"{side}_emb")
+    emb, a = getattr(params, f"{side}_emb"), params.attr_emb
     w = getattr(params, f"{side}_tower_w")[0]
     b = getattr(params, f"{side}_tower_b")[0]
     head = getattr(params, f"{side}_head")
-    rows_u, ri = np.unique(rows, return_inverse=True)
-    attrs_u, ai = np.unique(attrs, return_inverse=True)
-    e, a = emb[rows_u], params.attr_emb[attrs_u]
-    p, q = e @ w[:, :d].T, a @ w[:, d:].T + b
-    r = ((e @ head[:d])[ri] + (a @ head[d:])[ai]
-         + np.maximum(p[ri] + q[ai], 0.0) @ head)
+    p, q = emb @ w[:, :d].T, a @ w[:, d:].T + b
+    r = ((emb @ head[:d])[rows] + (a @ head[d:])[attrs]
+         + np.maximum(p[rows] + q[attrs], 0.0) @ head)
     return tanh_rescaled(r, 5.0)
 
 
@@ -478,10 +476,25 @@ def test_needed_cells_keep_their_bits_and_the_rest_are_nan(embed_dim):
     ran = np.zeros(n, dtype=bool)
     ran[:2 * block] = ran[3 * block:4 * block] = True
     rows, attrs = rng.integers(0, 90, n), rng.integers(0, 70, n)
-    got = predict_user_attr_batch(params, rows, attrs, 5.0, need=need)
-    want = _whole_call_split(params, "user", rows, attrs)
-    _assert_same_bits(got[ran], want[ran])
-    assert np.isnan(got[~ran]).all()
+    for side, predict in PREDICTORS.items():
+        got = predict(params, rows, attrs, 5.0, need=need)
+        want = _whole_call_split(params, side, rows, attrs)
+        _assert_same_bits(got[ran], want[ran])
+        assert np.isnan(got[~ran]).all()
+
+
+def test_split_predictors_index_like_the_tables():
+    # a negative id counts from the end, as emb[rows] does; past the end
+    # raises, on either side of the cell
+    params, rng = _random_one_block(8, seed=11)
+    rows, attrs = rng.integers(-90, 90, 600), rng.integers(-70, 70, 600)
+    for side, predict in PREDICTORS.items():
+        _assert_same_bits(predict(params, rows, attrs, 5.0),
+                          _whole_call_split(params, side, rows, attrs))
+        for bad in ((np.array([90]), np.array([0])),
+                    (np.array([0]), np.array([-71]))):
+            with pytest.raises(IndexError):
+                predict(params, *bad, 5.0)
 
 
 # ----------------------------------------------------------- phase-1 loss

@@ -152,37 +152,43 @@ def test_estimation_matches_full_grid_reference(seed):
 
 
 def _count_predicted_cells(monkeypatch):
-    """Record len(attrs) of every batch both predictors regress."""
+    """Record (side, rows, attrs, need) of every batch both predictors
+    regress."""
     seen = []
     for side in ("user", "item"):
         name = f"predict_{side}_attr_batch"
-        real = getattr(ranking, name)
-        monkeypatch.setattr(ranking, name, lambda p, r, a, cap, side=side,
-                            real=real: seen.append((side, len(a)))
-                            or real(p, r, a, cap))
+
+        def spy(p, r, a, cap, need=None, side=side,
+                real=getattr(ranking, name)):
+            seen.append((side, r, a, need))
+            return real(p, r, a, cap, need=need)
+        monkeypatch.setattr(ranking, name, spy)
     return seen
 
 
-def test_estimation_chunks_leave_one_cell_remainder(monkeypatch):
+def test_estimation_calls_each_predictor_once_in_row_major_order(
+        monkeypatch):
     rng = np.random.default_rng(5)
-    # 5x5 grids with 4 observed cells: 21 missing = 2 chunks of 10 + 1
-    user_mat, item_mat = (SparseAttributeMatrix(
-        (5, 5), 5.0, np.array([0, 1, 3, 4]), np.array([2, 0, 4, 4]),
-        rng.uniform(1.0, 5.0, size=4)) for _ in range(2))
-    params = init_params(5, 5, 5, scoring_cfg(), seed=9)
+    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    params = init_params(9, 11, 7, scoring_cfg(), seed=9)
     ref = full_grid_estimate(user_mat, item_mat, params)
-    monkeypatch.setattr(ranking, "_ESTIMATE_CHUNK", 10)
     seen = _count_predicted_cells(monkeypatch)
     est = estimate_matrices(user_mat, item_mat, params)
-    assert seen == [("user", 10), ("user", 10), ("user", 1),
-                    ("item", 10), ("item", 10), ("item", 1)]
+    assert [side for side, *_ in seen] == ["user", "item"]
+    for (_, rows, attrs, need), mat in zip(seen, (user_mat, item_mat)):
+        want = np.argwhere(~mat.observed_mask())
+        np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
+        assert need is None
     assert_matches_full_grid(est, ref, (user_mat, item_mat))
+    seen.clear()
+    estimate_matrices(user_mat, item_mat, params, users=[2, 7])
+    (_, rows, _, need), (*_, item_need) = seen
+    np.testing.assert_array_equal(need, np.isin(rows, [2, 7]))
+    assert item_need is None
 
 
-@pytest.mark.parametrize("embed_dim, depth, chunk", [
-    (8, 1, 4096), (64, 1, 4096), (3, 1, 10), (4, 2, 4096)])
-def test_estimation_of_some_user_rows_keeps_their_bits(monkeypatch, embed_dim,
-                                                       depth, chunk):
+@pytest.mark.parametrize("embed_dim, depth", [(8, 1), (64, 1), (3, 1), (4, 2)])
+def test_estimation_of_some_user_rows_keeps_their_bits(embed_dim, depth):
     """Completing some user rows gives them, and every item row, the bits of
     the full completion; every other user row is NaN."""
     rng = np.random.default_rng([embed_dim, depth, 61])
@@ -190,7 +196,6 @@ def test_estimation_of_some_user_rows_keeps_their_bits(monkeypatch, embed_dim,
                                                    tower_depth=depth), seed=61)
     user_mat = random_coo(rng, (300, 100), 0.3)
     item_mat = random_coo(rng, (40, 100), 0.3)
-    monkeypatch.setattr(ranking, "_ESTIMATE_CHUNK", chunk)
     full = estimate_matrices(user_mat, item_mat, params)
     for users in ([0], [137], [299], [5, 6, 250]):
         est = estimate_matrices(user_mat, item_mat, params, users=users)
@@ -199,6 +204,54 @@ def test_estimation_of_some_user_rows_keeps_their_bits(monkeypatch, embed_dim,
         np.testing.assert_array_equal(est.item_attr.view(np.uint64),
                                       full.item_attr.view(np.uint64))
         assert np.isnan(np.delete(est.user_attr, users, axis=0)).all()
+
+
+def test_deep_tower_completion_runs_the_training_forward_in_chunks(
+        monkeypatch):
+    """At depth 2 a completion of more than one chunk has the bits of
+    `_tower_predict` run over each chunk of at most 4096 cells, and a
+    request for one user runs only the chunks that hold one of its cells."""
+    rng = np.random.default_rng(62)
+    params = init_params(300, 40, 100, scoring_cfg(embed_dim=4,
+                                                   tower_depth=2), seed=62)
+    user_mat = random_coo(rng, (300, 100), 0.3)
+    item_mat = random_coo(rng, (40, 100), 0.3)
+    rows, attrs = np.nonzero(~user_mat.observed_mask())
+    chunk = network._UNSPLIT_CHUNK
+    assert chunk == 4096 and len(rows) > 4 * chunk
+    want = np.concatenate([
+        network._tower_predict(params, "user", rows[k:k + chunk],
+                               attrs[k:k + chunk], 5.0)[0]
+        for k in range(0, len(rows), chunk)])
+    real, calls = network._tower_predict, []
+    monkeypatch.setattr(network, "_tower_predict", lambda p, side, r, a, *rest:
+                        calls.append((side, r)) or real(p, side, r, a, *rest))
+    est = estimate_matrices(user_mat, item_mat, params)
+    np.testing.assert_array_equal(est.user_attr[rows, attrs].view(np.uint64),
+                                  want.view(np.uint64))
+    assert all(len(r) <= chunk for _, r in calls)
+    assert sum(len(r) for side, r in calls if side == "user") == len(rows)
+    user = 150
+    calls.clear()
+    estimate_matrices(user_mat, item_mat, params, users=[user])
+    holding = [rows[k:k + chunk] for k in range(0, len(rows), chunk)
+               if (rows[k:k + chunk] == user).any()]
+    user_calls = [r for side, r in calls if side == "user"]
+    assert len(user_calls) == len(holding) < len(rows) / chunk
+    for got, held in zip(user_calls, holding):
+        np.testing.assert_array_equal(got, held)
+
+
+@pytest.mark.parametrize("users, bad", [
+    ([4], "[4]"), ([-1], "[-1]"), ([1.5], "[1.5]"), ([0, 4, 3, 9], "[4, 9]"),
+    (np.array([2.0]), "[2.0]"), ([True], "[True]")])
+def test_estimation_rejects_user_ids_outside_the_matrix(users, bad):
+    user_mat, item_mat = (random_coo(np.random.default_rng(3), (n, 3), 0.3)
+                          for n in (4, 5))
+    params = init_params(4, 5, 3, scoring_cfg(), seed=3)
+    with pytest.raises(ValueError) as err:
+        estimate_matrices(user_mat, item_mat, params, users=users)
+    assert str(err.value) == f"users must be integers in [0, 4), got {bad}"
 
 
 def test_completion_at_depth_one_runs_no_residual_block(monkeypatch):
