@@ -369,10 +369,23 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     for name, g in grads.tensors().items():
         m = state.m[name]
         v = state.v[name]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps), in that operation order,
+        # so the bits are those of the written-out formula; two scratch
+        # arrays hold what would be its temporaries
+        a, b = np.empty_like(g), np.empty_like(g)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-        getattr(params, name)[...] -= lr * update
+        v += a
+        np.divide(v, correct2, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, correct1, out=b)
+        b /= a
+        b *= lr
+        getattr(params, name)[...] -= b
     return params

@@ -4,8 +4,11 @@ Scoring blends two heads, each w . [product ; attn @ E] with E the attribute
 embedding table and attn an attention over completed attribute rows:
   substitution      (v_q * v_j) @ w_s[:d] + phi @ (E @ w_s[d:])
   personalization   (u_i * v_j) @ w_p[:d] + lam @ (E @ w_p[d:])
-The attribute block is one matvec; the (rows, d) aggregate attn @ E is never
-formed. Either block can be ablated away, leaving only the product term.
+The attribute block is computed as (e @ (E @ w[d:])) / z, with e the
+row-max-shifted exponentials of the attention logits and z their row sums,
+so neither the normalized (rows, attrs) attention nor the (rows, d)
+aggregate attn @ E is formed. Either block can be ablated away, leaving only
+the product term.
 """
 
 from dataclasses import dataclass
@@ -87,14 +90,27 @@ def aggregate_attributes(weights: np.ndarray, attr_emb: np.ndarray) -> np.ndarra
     return weights @ attr_emb
 
 
+def _attend(a_row: np.ndarray, b_row: np.ndarray, temp: float):
+    """attention(a_row, b_row, temp) before its division: (e, z) with
+    e = exp(l - max l) per row for l = (a_row * b_row) / temp, and
+    z = e.sum(-1), so that attention is e / z[..., None]."""
+    e = a_row * b_row
+    e /= temp
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e, e.sum(axis=-1)
+
+
 def _head(a: np.ndarray, b: np.ndarray, attn, w: np.ndarray,
           attr_emb: np.ndarray) -> np.ndarray:
-    """w . [a * b ; attn @ attr_emb] per row, with the attribute block taken
-    as attn @ (attr_emb @ w[d:]); attn None ablates that block."""
+    """w . [a * b ; attn @ attr_emb] per row, for attn = (e, z) from
+    _attend, with the attribute block taken as (e @ (attr_emb @ w[d:])) / z;
+    attn None ablates that block."""
     d = a.shape[-1]
     score = (a * b) @ w[:d]
     if attn is not None:
-        score = score + attn @ (attr_emb @ w[d:])
+        e, z = attn
+        score = score + (e @ (attr_emb @ w[d:])) / z
     return score
 
 
@@ -106,7 +122,8 @@ def _head_backward(a: np.ndarray, b: np.ndarray, attn, w: np.ndarray,
     d = a.shape[-1]
     w_grad[:d] += g @ (a * b)
     if attn is not None:
-        attn_g = attn.T @ g
+        e, z = attn
+        attn_g = e.T @ (g / z)
         w_grad[d:] += attn_g @ attr_emb
         attr_grad += np.outer(attn_g, w[d:])
     g = g[:, None]
@@ -124,9 +141,9 @@ def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
     v_j = params.item_emb[items]
     u_i = params.user_emb[users]
     y_j = est.item_attr[items]
-    phi = (attention(est.item_attr[queries], y_j, cfg.subst_temp)
+    phi = (_attend(est.item_attr[queries], y_j, cfg.subst_temp)
            if cfg.subst_use_attrs else None)
-    lam = (attention(est.user_attr[users], y_j, cfg.pers_temp)
+    lam = (_attend(est.user_attr[users], y_j, cfg.pers_temp)
            if cfg.pers_use_attrs else None)
     g = cfg.subst_weight
     scores = (g * _head(v_q, v_j, phi, params.subst_proj, params.attr_emb)

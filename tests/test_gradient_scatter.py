@@ -19,9 +19,10 @@ def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
     """Reference BPR-S loss and gradients in the scoring algebra: the n
     positive rows once, then the (n, k) negatives row-major; a positive's
     upstream is the sum of its k margins'; attribute terms are
-    attn @ (attr_emb @ w). np.add.at scatters per group: query and
-    candidate rows (substitution), then user and candidate rows
-    (personalization)."""
+    (e @ (attr_emb @ w)) / z forward and e.T @ (g / z) backward, with e the
+    max-shifted exponentials of the attention logits and z their row sums.
+    np.add.at scatters per group: query and candidate rows (substitution),
+    then user and candidate rows (personalization)."""
     d = params.embed_dim
     w_s, w_p = params.subst_proj, params.pers_proj
     n, k = negatives.shape
@@ -30,16 +31,21 @@ def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
     items = np.concatenate([positives, negatives.ravel()])
     v_q, v_j, u_i = (params.item_emb[queries], params.item_emb[items],
                      params.user_emb[users])
-    phi = softmax((est.item_attr[queries] * est.item_attr[items])
-                  / cfg.subst_temp)
-    lam = softmax((est.user_attr[users] * est.item_attr[items])
-                  / cfg.pers_temp)
+
+    def exp_and_sum(logits):
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return e, e.sum(axis=-1)
+
+    e_s, z_s = exp_and_sum((est.item_attr[queries] * est.item_attr[items])
+                           / cfg.subst_temp)
+    e_p, z_p = exp_and_sum((est.user_attr[users] * est.item_attr[items])
+                           / cfg.pers_temp)
     f_s = (v_q * v_j) @ w_s[:d]
     if cfg.subst_use_attrs:
-        f_s = f_s + phi @ (params.attr_emb @ w_s[d:])
+        f_s = f_s + (e_s @ (params.attr_emb @ w_s[d:])) / z_s
     f_p = (u_i * v_j) @ w_p[:d]
     if cfg.pers_use_attrs:
-        f_p = f_p + lam @ (params.attr_emb @ w_p[d:])
+        f_p = f_p + (e_p @ (params.attr_emb @ w_p[d:])) / z_p
     scores = cfg.subst_weight * f_s + (1.0 - cfg.subst_weight) * f_p
     margins = scores[:n, None] - scores[n:].reshape(n, k)
     up = expit(margins) - 1.0
@@ -50,14 +56,14 @@ def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
     g_p = upstream * (1.0 - cfg.subst_weight)
     grads.subst_proj[:d] += g_s @ (v_q * v_j)
     if cfg.subst_use_attrs:
-        grads.subst_proj[d:] += (phi.T @ g_s) @ params.attr_emb
-        grads.attr_emb += np.outer(phi.T @ g_s, w_s[d:])
+        grads.subst_proj[d:] += (e_s.T @ (g_s / z_s)) @ params.attr_emb
+        grads.attr_emb += np.outer(e_s.T @ (g_s / z_s), w_s[d:])
     np.add.at(grads.item_emb, queries, g_s[:, None] * (w_s[:d] * v_j))
     np.add.at(grads.item_emb, items, g_s[:, None] * (w_s[:d] * v_q))
     grads.pers_proj[:d] += g_p @ (u_i * v_j)
     if cfg.pers_use_attrs:
-        grads.pers_proj[d:] += (lam.T @ g_p) @ params.attr_emb
-        grads.attr_emb += np.outer(lam.T @ g_p, w_p[d:])
+        grads.pers_proj[d:] += (e_p.T @ (g_p / z_p)) @ params.attr_emb
+        grads.attr_emb += np.outer(e_p.T @ (g_p / z_p), w_p[d:])
     np.add.at(grads.user_emb, users, g_p[:, None] * (w_p[:d] * v_j))
     np.add.at(grads.item_emb, items, g_p[:, None] * (w_p[:d] * u_i))
     return float(np.logaddexp(0.0, -margins).sum()), grads

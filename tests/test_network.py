@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from a2cf.config import TrainConfig
-from a2cf.network import (AdamState, INIT_SCALE, ModelParams, _block_rows,
+from a2cf.network import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                          INIT_SCALE, ModelParams, _block_rows,
                           _tower_predict, adam_step, dropout_mask, init_params,
                           phase1_forward_backward, predict_item_attr_batch,
                           predict_user_attr_batch, residual_backward,
@@ -618,6 +619,52 @@ def test_adam_skips_nonfinite_gradients():
     adam_step(params, grads, state, lr=0.1)
     np.testing.assert_array_equal(params.user_emb, before)
     assert state.step == 0
+
+
+def written_out_adam(params, grads, state, lr):
+    """Adam with bias correction, each line as the formula reads."""
+    state.step += 1
+    correct1 = 1.0 - ADAM_BETA1 ** state.step
+    correct2 = 1.0 - ADAM_BETA2 ** state.step
+    for name, g in grads.tensors().items():
+        m, v = state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        getattr(params, name)[...] -= lr * update
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adam_bit_identical_to_written_out_formula(seed):
+    params = init_params(4, 5, 3, small_cfg(), seed=seed)
+    start = ModelParams(**{k: t.copy() for k, t in params.tensors().items()})
+    want = ModelParams(**{k: t.copy() for k, t in params.tensors().items()})
+    got_state, want_state = (AdamState.zeros_like(params) for _ in range(2))
+    zero = ("user_tower_w", "item_head", "pers_proj")
+    rng = np.random.default_rng(seed + 40)
+    for _ in range(5):
+        grads = ModelParams.zeros_like(params)
+        for name, g in grads.tensors().items():
+            if name not in zero:
+                g[...] = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]),
+                                    size=g.shape)
+        sent = {k: g.copy() for k, g in grads.tensors().items()}
+        adam_step(params, grads, got_state, lr=1e-2)
+        written_out_adam(want, grads, want_state, lr=1e-2)
+        for name, g in grads.tensors().items():
+            assert np.array_equal(g.view(np.uint64),
+                                  sent[name].view(np.uint64)), name
+    assert got_state.step == want_state.step == 5
+    for name, w in want.tensors().items():
+        for got, ref in ((getattr(params, name), w),
+                         (got_state.m[name], want_state.m[name]),
+                         (got_state.v[name], want_state.v[name])):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
+    for name in zero:
+        assert np.array_equal(getattr(params, name).view(np.uint64),
+                              getattr(start, name).view(np.uint64)), name
 
 
 def test_adam_converges_on_quadratic():

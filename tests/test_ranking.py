@@ -18,6 +18,7 @@ from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
                           score_candidates, score_personalization,
                           score_substitution, softmax, triplet_score)
 from conftest import central_diff_grads, relation_sets, worst_relative_gap
+from test_gradient_scatter import ABLATIONS, repeated_rows_bpr_s
 
 # softmax of (0.5, 1.125, 2.0), high-precision reference
 PHI_REFERENCE = (0.13605562446765804, 0.25418537039761871, 0.60975900513472325)
@@ -492,6 +493,38 @@ def test_score_candidates_respects_ablation_switches():
                         + (1 - cfg.subst_weight)
                         * score_personalization(0, j, params, est, cfg))
             assert vec[k] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("subst_attrs,pers_attrs", ABLATIONS)
+@pytest.mark.parametrize("temp", [1e-3, 1e6])
+def test_scoring_at_extreme_temperatures_matches_normalized_oracles(
+        temp, subst_attrs, pers_attrs):
+    # completed cells in [1, 5]: at 1e-3 the logits reach about 25,000, at
+    # 1e6 they are all within 2.5e-5 of 0
+    cfg, params, est = random_setup(
+        43, n_users=3, n_items=7, n_attrs=5, subst_temp=temp, pers_temp=temp,
+        subst_use_attrs=subst_attrs, pers_use_attrs=pers_attrs)
+    items = np.arange(7)
+    vec = score_candidates(params, est, cfg, 1, 4, items)
+    want = np.array([triplet_score(1, 4, int(j), params, est, cfg)
+                     for j in items])
+    assert np.isfinite(vec).all()
+    assert np.abs(vec - want).max() <= 1e-12 * np.abs(want).max()
+
+    rng = np.random.default_rng(44)
+    args = (rng.integers(3, size=6), rng.integers(7, size=6),
+            rng.integers(7, size=6), rng.integers(7, size=(6, 3)))
+    loss, got = bpr_s_forward_backward(params, est, cfg, *args)
+    want_loss, want_grads = repeated_rows_bpr_s(params, est, cfg, *args)
+    assert np.isfinite(loss) and got.all_finite()
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    # Each pair's upstreams sum to zero, so at 1e6, where the attention is
+    # uniform to 1e-5, the attr_emb gradient cancels to about 1e-5 of the
+    # other tensors'; every tensor is compared on the whole gradient's scale.
+    scale = max(np.abs(w).max() for w in want_grads.tensors().values())
+    for name, w in want_grads.tensors().items():
+        gap = np.abs(getattr(got, name) - w).max()
+        assert gap <= 1e-12 * scale, (name, gap)
 
 
 # --------------------------------------------------------- negative sampling
