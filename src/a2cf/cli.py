@@ -190,8 +190,9 @@ def _cmd_train(args) -> int:
     training.save_checkpoint(ckpt, result.params, run.train)
     loss = "n/a" if result.final_loss is None else f"{result.final_loss:.6f}"
     print(f"checkpoint: {ckpt}")
+    skipped = sum(entry["skipped_updates"] for entry in result.history)
     print(f"rounds={result.rounds_run} converged={result.converged} "
-          f"mean_pair_loss={loss}")
+          f"mean_pair_loss={loss} skipped_updates={skipped}")
     return 0
 
 
@@ -283,8 +284,9 @@ def cli_dispatch(argv) -> int:
     except BrokenPipeError:
         return 1
     except (OSError, ValueError, RuntimeError, FloatingPointError,
-            AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            AssertionError, MemoryError) as exc:
+        # a bare MemoryError has no message; name it instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -44,20 +44,22 @@ def _records(path: str, widths: tuple):
     """(line number, fields) for each data line of the UTF-8 TSV `path`.
 
     A leading byte-order mark is dropped. Blank lines and '#' comments are
-    skipped. A line whose field count is not in `widths`, a line with an
-    empty field, and a file that is not UTF-8 raise ValueError naming `path`.
+    skipped. Only the line ending and surrounding spaces are stripped, so a
+    leading or trailing tab makes an empty field. A line whose field count
+    is not in `widths`, a line with an empty field, and a file that is not
+    UTF-8 raise ValueError naming `path`.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
+                stripped = line.strip("\r\n ")
                 if not stripped or stripped.startswith("#"):
                     continue
                 parts = stripped.split("\t")
                 if len(parts) not in widths:
                     expected = " or ".join(map(str, widths))
                     raise ValueError(f"{path}:{lineno}: expected {expected} fields, got {len(parts)}")
-                if "\t\t" in stripped:    # stripped: only inner fields can be empty
+                if "" in parts:
                     raise ValueError(f"{path}:{lineno}: empty field")
                 yield lineno, parts
     except UnicodeDecodeError as exc:

@@ -1,6 +1,5 @@
 """Ranking metrics and the sampled-negative evaluation protocol."""
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +9,6 @@ from .data import Corpus
 from .interpret import attribute_advantage
 from .network import ModelParams
 from .ranking import EstimatedMatrices, score_candidates
-
-logger = logging.getLogger(__name__)
 
 MAP_TRUNCATION = 500
 
@@ -115,8 +112,9 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
 
     Per case the positive competes against `negatives` uniform negatives
     (never the positive itself); when the corpus is too small the pool falls
-    back to every other item, logged once. Each case draws its own generator
-    from (seed, case index) so results do not depend on evaluation order.
+    back to every other item, and the report's `negatives` says so. Each
+    case draws its own generator from (seed, case index) so results do not
+    depend on evaluation order.
 
     `scorer(user, query, candidates, rng)` overrides the model scorer, e.g.
     for calibration tests.
@@ -126,11 +124,7 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
     if negatives < 1:
         raise ValueError(f"eval negatives must be >= 1, got {negatives}")
     n_items = corpus.n_items
-    pool_size = negatives
-    if n_items - 1 < negatives:
-        pool_size = n_items - 1
-        logger.warning("only %d candidate negatives available (requested %d); "
-                       "using all items minus the positive", pool_size, negatives)
+    pool_size = min(negatives, n_items - 1)
     if pool_size < 1:
         raise ValueError("need at least 2 items to evaluate")
     if scorer is None:

@@ -23,14 +23,11 @@ sends the call to the training forward.
 """
 
 import dataclasses
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TrainConfig
-
-logger = logging.getLogger(__name__)
 
 INIT_SCALE = 0.05
 _BLOCK_BYTES = 2 ** 18      # one block of the split kernel, sized for cache
@@ -356,11 +353,10 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               lr: float) -> ModelParams:
     """One in-place Adam update with bias correction.
 
-    A batch with any non-finite gradient is skipped entirely (logged), leaving
-    parameters and moments untouched.
+    A batch with any non-finite gradient is skipped entirely, leaving
+    parameters, moments and `state.step` untouched.
     """
     if not grads.all_finite():
-        logger.warning("adam_step: non-finite gradient, update skipped")
         return params
     state.step += 1
     t = state.step

@@ -13,10 +13,10 @@ import dataclasses
 import functools
 import io
 import json
-import logging
 import math
 import os
 import struct
+import time
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .network import (AdamState, ModelParams, adam_step, init_params,
                       param_shapes, phase1_forward_backward)
 from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
                       estimate_matrices, sample_negatives)
-
-logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"A2CFCKPT"
 CHECKPOINT_FORMAT = 1
@@ -205,10 +203,15 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
 
     Child seeds are derived from run.seed in a fixed order (init, phase-1
     order, dropout, phase-2 order, negatives), so results are reproducible
-    bit-for-bit for a given corpus and config. The log at `log_path` is
-    closed on return and on any exception. A numeric blow-up, a non-finite
-    loss or activation, raises FloatingPointError after saving the params
-    to `diag_dir`/diagnostic.ckpt.
+    bit-for-bit for a given corpus and config. A numeric blow-up, a
+    non-finite loss or activation, raises FloatingPointError after saving
+    the params to `diag_dir`/diagnostic.ckpt.
+
+    `history` holds one record per phase per round (fields in README,
+    Command line); phase 1 ends with the round's refresh of the completed
+    matrices. The log at `log_path` holds one JSON line of corpus counts
+    and `cells_filled`, then each record as its phase ends; it is closed on
+    return and on any exception.
     """
     cfg = run.train
     user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
@@ -238,20 +241,22 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     with (open(log_path, "w", encoding="utf-8") if log_path
           else contextlib.nullcontext()) as fh, \
             _diagnostic_on_blowup(diag_dir, params, cfg):
-        def log(text: str) -> None:
-            logger.debug("%s", text)
+        def record(entry: dict) -> None:
             if fh:
-                fh.write(text + "\n")
+                fh.write(json.dumps(entry) + "\n")
 
         def fail(round_no, phase, step, value):
             raise FloatingPointError(
                 f"non-finite loss {value!r} in round {round_no} "
                 f"phase {phase} step {step}")
 
-        log(f"corpus users={corpus.n_users} items={corpus.n_items} "
-            f"attrs={corpus.n_attrs} train={len(train)} "
-            f"valid={len(splits.valid)} test={len(splits.test)}")
+        record({"users": corpus.n_users, "items": corpus.n_items,
+                "attrs": corpus.n_attrs, "train": len(train),
+                "valid": len(splits.valid), "test": len(splits.test),
+                "cells_filled": math.prod(user_mat.shape)
+                + math.prod(item_mat.shape) - len(cells)})
         for round_no in range(1, run.rounds_max + 1):
+            start, adam_start = time.perf_counter(), adam_p1.step
             p1_losses = []
             for step in range(1, run.phase1_steps + 1):
                 batch = next(cell_batches)
@@ -264,15 +269,15 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
                     fail(round_no, 1, step, loss)
                 adam_step(params, grads, adam_p1, cfg.learning_rate)
                 p1_losses.append(loss)
-                if step == 1 or step % 50 == 0 or step == run.phase1_steps:
-                    log(f"round={round_no} phase=1 step={step} "
-                        f"loss={loss:.6f}")
-            history.append({"round": round_no, "phase": 1,
-                            "steps": run.phase1_steps, "losses": p1_losses})
-
             est = estimate_matrices(user_mat, item_mat, params)
-            log(f"round={round_no} estimated matrices refreshed")
+            skipped = run.phase1_steps - (adam_p1.step - adam_start)
+            history.append({"round": round_no, "phase": 1,
+                            "steps": run.phase1_steps, "losses": p1_losses,
+                            "skipped_updates": skipped,
+                            "seconds": time.perf_counter() - start})
+            record(history[-1])
 
+            start, adam_start = time.perf_counter(), adam_p2.step
             loss_sum = 0.0
             pair_count = 0
             p2_losses = []
@@ -288,27 +293,22 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
                 loss_sum += loss
                 pair_count += neg.size
                 p2_losses.append(loss / neg.size)
-                if step == 1 or step % 50 == 0 or step == run.phase2_steps:
-                    log(f"round={round_no} phase=2 step={step} "
-                        f"loss={loss:.6f} per_pair={loss / neg.size:.6f}")
             round_loss = loss_sum / pair_count if pair_count else None
+            if final_loss is not None and final_loss > 0.0:
+                converged = ((final_loss - round_loss) / final_loss
+                             < run.convergence_tol)
+            skipped = run.phase2_steps - (adam_p2.step - adam_start)
             history.append({"round": round_no, "phase": 2,
                             "steps": run.phase2_steps, "losses": p2_losses,
-                            "loss": round_loss})
+                            "loss": round_loss, "skipped_updates": skipped,
+                            "seconds": time.perf_counter() - start,
+                            "pairs": pair_count, "converged": converged})
+            record(history[-1])
             if round_loss is None:
-                log(f"round={round_no} done (no ranking steps); stopping")
                 break
-            log(f"round={round_no} mean_pair_loss={round_loss:.6f}")
-            if final_loss is not None and final_loss > 0.0:
-                improvement = (final_loss - round_loss) / final_loss
-                converged = improvement < run.convergence_tol
             final_loss = round_loss
             if converged:
-                log(f"converged: relative improvement "
-                    f"{improvement:.6f} < {run.convergence_tol}")
                 break
-        log(f"training finished after {round_no} round(s), "
-            f"converged={converged}")
     return TrainResult(params=params, user_mat=user_mat, item_mat=item_mat,
                        history=history, rounds_run=round_no,
                        converged=converged, final_loss=final_loss)

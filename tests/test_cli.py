@@ -301,6 +301,22 @@ def test_request_completing_its_user_row_writes_the_full_bytes(
             assert rows.pop() == [user]
 
 
+def test_short_pool_evaluate_reports_on_stdout_only(seed1_model, tmp_path,
+                                                    capsys, caplog):
+    # planted has 300 items, so its cases rank 299 negatives, not 1000;
+    # caplog holds any log record, which the CLI would print to stderr
+    data, ckpt = seed1_model
+    corpus, _ = load_prepared(data)
+    assert cli_dispatch(["evaluate", "--data", data, "--checkpoint", ckpt,
+                         "--out-dir", str(tmp_path),
+                         "--eval-negatives", "1000", "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    effective = min(1000, corpus.n_items - 1)
+    assert f"negatives={effective} requested=1000\n" in out
+    assert err == ""
+    assert caplog.records == []
+
+
 def test_failed_explain_keeps_the_earlier_explanations(pipeline, tmp_path,
                                                        monkeypatch, capsys):
     assert cli_dispatch(_request_argv(pipeline, "explain", tmp_path)) == 0
@@ -451,6 +467,45 @@ def test_train_completes_once_per_round(pipeline, tmp_path, monkeypatch,
     assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 0
     assert "rounds=2 " in capsys.readouterr().out
     assert len(calls) == 2
+
+
+def test_train_reports_a_skipped_update(pipeline, tmp_path, monkeypatch,
+                                        capsys, caplog):
+    real = training.phase1_forward_backward
+    calls = []
+
+    def nan_gradient_on_step_3(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            grads.item_tower_w[...] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(training, "phase1_forward_backward",
+                        nan_gradient_on_step_3)
+    assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].endswith(" skipped_updates=1")
+    assert err == "" and caplog.records == []
+    records = [json.loads(line) for line in
+               (tmp_path / "train.log").read_text().splitlines()[1:]]
+    assert [(r["round"], r["phase"], r["skipped_updates"])
+            for r in records] == [(1, 1, 1), (1, 2, 0), (2, 1, 0), (2, 2, 0)]
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 8.00 EiB for an array"),
+     "error: Unable to allocate 8.00 EiB for an array"),
+    (MemoryError(), "error: MemoryError"),
+], ids=["numpy_message", "bare"])
+def test_memory_error_is_one_line_error(pipeline, tmp_path, monkeypatch,
+                                        capsys, exc, message):
+    def out_of_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli.data, "load_prepared", out_of_memory)
+    assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_train_blowup_writes_diagnostic_checkpoint(pipeline, tmp_path,

@@ -86,17 +86,24 @@ def test_load_substitutes_rejects_self_pair(tmp_path):
         load_substitutes(str(path))
 
 
-# A line is stripped before it is split, so a missing first or last field
-# shortens the line; a two-field substitutes line has no inner field to lose.
+# A line loses only its terminator and surrounding spaces before it is
+# split, never a tab, so an empty first or last field keeps its place; an
+# extra inner tab on a two-field substitutes line adds a field.
 @pytest.mark.parametrize("loader, line, message", [
     (load_reviews, "u1\t\t4", "empty field"),
     (load_reviews, "u1\ti1\t\t1600000000", "empty field"),
+    (load_reviews, "\tu2\ti2\t4", "empty field"),
+    (load_reviews, "u1\ti1\t5\t", "empty field"),
     (load_lexicon, "u1\t\tbattery\t+1", "empty field"),
     (load_lexicon, "u1\ti1\t\t+1", "empty field"),
+    (load_lexicon, "u1\ti1\tbattery\t+1\t", "expected 4 fields, got 5"),
+    (load_lexicon, "u1\ti1\tbattery\t", "empty field"),
     (load_substitutes, "i1\t\ti2", "expected 2 fields, got 3"),
-    (load_substitutes, "\ti2", "expected 2 fields, got 1"),
-], ids=["review_item", "review_rating", "lexicon_item", "lexicon_attr",
-        "substitute_inner", "substitute_first"])
+    (load_substitutes, "\ti2", "empty field"),
+    (load_substitutes, "i1\t", "empty field"),
+], ids=["review_item", "review_rating", "review_first", "review_last",
+        "lexicon_item", "lexicon_attr", "lexicon_fifth", "lexicon_last",
+        "substitute_inner", "substitute_first", "substitute_last"])
 def test_loaders_reject_an_empty_field(tmp_path, loader, line, message):
     path = tmp_path / "in.tsv"
     path.write_text(f"# header\n{line}\n")

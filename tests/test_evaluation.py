@@ -1,7 +1,5 @@
 """Ranking metrics and the sampled-negative evaluation protocol."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -287,15 +285,16 @@ def test_protocol_nan_scores_rank_last(grid_corpus):
     assert [report.metrics[f"HR@{k}"] for k in (1, 3, 4)] == [0.0, 0.5, 1.0]
 
 
-def test_protocol_pool_fallback_warns_once(grid_corpus, caplog):
+def test_protocol_pool_fallback_is_silent(grid_corpus, capsys, caplog):
+    # the short pool shows in the report, not on stderr or in a log record
     est = EstimatedMatrices(user_attr=np.ones((6, 3)),
                             item_attr=np.ones((6, 3)))
     test = np.array([(0, 1, 0), (1, 2, 1)], dtype=np.int64)
-    with caplog.at_level(logging.WARNING, logger="a2cf.evaluation"):
-        evaluate_protocol(None, est, None, grid_corpus, test, seed=7,
-                          negatives=1000, scorer=oracle_scorer)
-    hits = [r for r in caplog.records if "candidate negatives" in r.message]
-    assert len(hits) == 1
+    report = evaluate_protocol(None, est, None, grid_corpus, test, seed=7,
+                               negatives=1000, scorer=oracle_scorer)
+    assert (report.negatives, report.requested) == (5, 1000)
+    assert capsys.readouterr().err == ""
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("requested,effective", [(3, 3), (5, 5), (1000, 5)])

@@ -168,6 +168,12 @@ def short_run(**kwargs):
     return RunConfig(**defaults)
 
 
+def read_log(path):
+    """train.log as (corpus line, phase records), each line parsed as JSON."""
+    first, *records = [json.loads(ln) for ln in path.read_text().splitlines()]
+    return first, records
+
+
 def test_training_is_deterministic(synth_corpus, synth_splits):
     a = train_pipeline(synth_corpus, synth_splits, short_run())
     b = train_pipeline(synth_corpus, synth_splits, short_run())
@@ -186,33 +192,52 @@ def test_convergence_stops_before_rounds_max(synth_corpus, synth_splits):
     # any positive round loss improves by less than 100 percent
     assert result.converged is True
     assert result.rounds_run == 2
-    assert len(result.history) == 4
+    assert [r["converged"] for r in result.history[1::2]] == [False, True]
 
 
-def test_zero_phase2_steps_stops_without_ranking_loss(synth_corpus,
+def test_zero_phase2_steps_stops_without_ranking_loss(tmp_path, synth_corpus,
                                                       synth_splits):
+    log = tmp_path / "train.log"
     run = short_run(rounds_max=3, phase1_steps=5, phase2_steps=0)
-    result = train_pipeline(synth_corpus, synth_splits, run)
+    result = train_pipeline(synth_corpus, synth_splits, run,
+                            log_path=str(log))
     assert result.rounds_run == 1
     assert result.converged is False
     assert result.final_loss is None
-    assert result.history[1]["steps"] == 0
-    assert result.history[1]["loss"] is None
+    # the phase-2 record is written all the same
+    assert read_log(log)[1] == result.history
+    p2 = result.history[1]
+    assert (p2["phase"], p2["steps"], p2["losses"], p2["loss"]) == (
+        2, 0, [], None)
+    assert (p2["pairs"], p2["skipped_updates"], p2["converged"]) == (
+        0, 0, False)
 
 
 def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
     log = tmp_path / "train.log"
-    train_pipeline(synth_corpus, synth_splits,
-                   short_run(phase1_steps=5, phase2_steps=5),
-                   log_path=str(log))
-    lines = log.read_text().splitlines()
-    assert lines[0].startswith("corpus users=50 items=60 attrs=20 train=")
-    assert any(ln.startswith("round=1 phase=1 step=1 loss=") for ln in lines)
-    assert "round=1 estimated matrices refreshed" in lines
-    assert any(ln.startswith("round=1 phase=2 step=5 loss=")
-               and "per_pair=" in ln for ln in lines)
-    assert any(ln.startswith("round=1 mean_pair_loss=") for ln in lines)
-    assert lines[-1] == "training finished after 1 round(s), converged=False"
+    run = short_run(phase1_steps=5, phase2_steps=5)
+    result = train_pipeline(synth_corpus, synth_splits, run,
+                            log_path=str(log))
+    first, records = read_log(log)
+    assert first == {"users": 50, "items": 60, "attrs": 20,
+                     "train": len(synth_splits.train),
+                     "valid": len(synth_splits.valid),
+                     "test": len(synth_splits.test),
+                     "cells_filled": (50 + 60) * 20
+                     - len(result.user_mat.rows) - len(result.item_mat.rows)}
+    assert first["cells_filled"] > 0
+    assert records == result.history
+    p1, p2 = records
+    assert (p1["round"], p1["phase"], p1["steps"]) == (1, 1, 5)
+    assert len(p1["losses"]) == 5 and p1["losses"][0] > 0.0
+    assert (p2["round"], p2["phase"], p2["steps"]) == (1, 2, 5)
+    assert len(p2["losses"]) == 5
+    assert p2["loss"] == pytest.approx(np.mean(p2["losses"]))
+    batch = min(run.train.batch_size, len(synth_splits.train))
+    assert p2["pairs"] == 5 * batch * run.train.negatives
+    assert p1["skipped_updates"] == p2["skipped_updates"] == 0
+    assert p1["seconds"] > 0.0 and p2["seconds"] > 0.0
+    assert (result.rounds_run, p2["converged"]) == (1, False)
 
 
 def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
@@ -301,9 +326,11 @@ def test_raise_mid_phase_leaves_train_log_closed(tmp_path, monkeypatch,
         train_pipeline(synth_corpus, synth_splits,
                        short_run(phase1_steps=5, phase2_steps=5),
                        log_path=str(log))
-    lines = log.read_text().splitlines()
-    assert lines[0].startswith("corpus users=50 items=60 attrs=20 train=")
-    assert lines[-1] == "round=1 estimated matrices refreshed"
+    # the corpus line and phase 1's record, which follows the refresh
+    first, records = read_log(log)
+    assert (first["users"], first["items"], first["attrs"]) == (50, 60, 20)
+    assert [(r["round"], r["phase"], r["steps"]) for r in records] == [
+        (1, 1, 5)]
     # the traceback still holds the training frame, and so its file object
     frame = next(entry.frame for entry in excinfo.traceback
                  if entry.name == "train_pipeline")
