@@ -169,7 +169,15 @@ def _cmd_prepare(args) -> int:
     prepared = os.path.join(args.out_dir, PREPARED_NAME)
     manifest = os.path.join(args.out_dir, MANIFEST_NAME)
     data.save_prepared(prepared, corpus, splits)
-    data.write_corpus_manifest(manifest, corpus, splits)
+    # the rows preparation drops: repeated (user, item) reviews, interactions
+    # no query can be drawn for, and test triplets that leak training pairs
+    dropped = {
+        "duplicate_review_pairs":
+            len(reviews) - len({(r.user_id, r.item_id) for r in reviews}),
+        "interactions_without_query": len(corpus.interactions) - len(triplets),
+        "leaked_test_triplets": len(triplets) - sum(
+            len(part) for part in (splits.train, splits.valid, splits.test))}
+    data.write_corpus_manifest(manifest, corpus, splits, dropped)
     print(f"prepared corpus: {prepared}")
     print(f"manifest: {manifest}")
     print(f"users={corpus.n_users} items={corpus.n_items} "

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 
@@ -36,6 +35,10 @@ class TrainConfig:
     pers_use_attrs: bool = True
 
     def __post_init__(self):
+        for name in ("embed_dim", "tower_depth", "batch_size", "negatives"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         for name in ("rating_max", "subst_temp", "pers_temp", "learning_rate"):
             _require_finite(name, getattr(self, name))
         if self.embed_dim < 1:
@@ -133,25 +136,17 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_run_config(file_overrides: dict | None = None,
-                     cli_overrides: dict | None = None,
-                     env: dict | None = None) -> RunConfig:
+                     cli_overrides: dict | None = None) -> RunConfig:
     """Merge defaults, config-file pairs, and CLI flags into a RunConfig.
 
-    Precedence: CLI flag > config file > A2CF_SEED (seed only) > default.
-    Keys that name no TrainConfig or RunConfig field, and None values, are
-    ignored.
+    Precedence: CLI flag > config file > default. Keys that name no
+    TrainConfig or RunConfig field, and None values, are ignored.
     """
-    env = os.environ if env is None else env
     merged: dict = {}
     for layer in (file_overrides or {}), (cli_overrides or {}):
         for key, val in layer.items():
             if val is not None:
                 merged[key] = val
-    if "seed" not in merged and "A2CF_SEED" in env:
-        try:
-            merged["seed"] = int(env["A2CF_SEED"])
-        except ValueError:
-            raise ValueError(f"A2CF_SEED must be an integer, got {env['A2CF_SEED']!r}")
     train_kwargs = {k: v for k, v in merged.items() if k in _TRAIN_FIELDS}
     run_kwargs = {k: v for k, v in merged.items() if k in _RUN_FIELDS}
     return RunConfig(train=TrainConfig(**train_kwargs), **run_kwargs)

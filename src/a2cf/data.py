@@ -8,7 +8,6 @@ comment line, blank lines ignored):
 """
 
 import io
-import logging
 import lzma
 import zipfile
 import zlib
@@ -18,8 +17,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib import format as npformat
-
-logger = logging.getLogger(__name__)
 
 QUERY_POP_EXPONENT = 0.75
 
@@ -182,7 +179,6 @@ def filter_corpus(reviews: list[ReviewRecord],
                          f"min_user_items={min_user_items}, min_item_users="
                          f"{min_item_users}, min_attr_mentions={min_attr_mentions}")
     pairs = {(r.user_id, r.item_id) for r in reviews}
-    n_dropped = len(reviews) - len(pairs)
     while True:
         users = Counter(u for u, _ in pairs)    # user -> distinct items
         items = Counter(v for _, v in pairs)    # item -> distinct users
@@ -217,9 +213,6 @@ def filter_corpus(reviews: list[ReviewRecord],
                        for a, b in substitutes if a in vid and b in vid})
     subs = (np.array(sub_rows, dtype=np.int64) if sub_rows
             else np.empty((0, 2), dtype=np.int64))
-    logger.info("filtered corpus: %d users, %d items, %d attrs, %d interactions "
-                "(%d duplicate review pairs collapsed)",
-                len(user_tokens), len(item_tokens), len(attr_tokens), len(inter), n_dropped)
     return Corpus(user_tokens, item_tokens, attr_tokens, inter, lex, subs)
 
 
@@ -259,16 +252,14 @@ def build_triplets(corpus: Corpus, rng: np.random.Generator) -> np.ndarray:
     drawn as by `sample_query_item`.
 
     Interactions whose substitute pool is exhausted by the user's own history
-    (or empty) are skipped and counted in the log. Every pool comes from one
-    (n_interactions, n_items) boolean pass over the sampling tables, and
-    every draw from one rng.random call.
+    (or empty) are skipped; `prepare` counts them in corpus.manifest. Every
+    pool comes from one (n_interactions, n_items) boolean pass over the
+    sampling tables, and every draw from one rng.random call.
     """
     bought, subst = corpus.sampling_tables
     users, items = np.reshape(corpus.interactions, (-1, 2)).T
     rows, pool_items = np.nonzero(subst[items] & ~bought[users])
     eligible = np.unique(rows)
-    logger.info("built %d triplets (%d interactions skipped: no eligible query)",
-                len(eligible), len(users) - len(eligible))
     if not len(eligible):
         raise ValueError("no triplet could be formed from the corpus")
     pools = np.split(pool_items, np.searchsorted(rows, eligible[1:]))
@@ -308,9 +299,6 @@ def split_triplets(triplets: np.ndarray, seed: int,
     train_qp = {(int(q), int(p)) for _, q, p in train}
     keep = np.array([(int(u), int(p)) not in train_up and (int(q), int(p)) not in train_qp
                      for u, q, p in test], dtype=bool)
-    dropped = int(len(test) - keep.sum())
-    if dropped:
-        logger.info("dropped %d test triplets overlapping training pairs", dropped)
     return SplitTriplets(train=train, valid=valid, test=test[keep])
 
 
@@ -399,8 +387,10 @@ def load_prepared(path: str) -> tuple[Corpus, SplitTriplets]:
 
 
 def write_corpus_manifest(path: str, corpus: Corpus,
-                          splits: SplitTriplets | None = None) -> None:
-    """Write corpus summary counts as key=value lines."""
+                          splits: SplitTriplets | None = None,
+                          dropped: dict | None = None) -> None:
+    """Write corpus summary counts as key=value lines, then the `dropped`
+    row counts in their order."""
     lines = [f"users={corpus.n_users}",
              f"items={corpus.n_items}",
              f"attributes={corpus.n_attrs}",
@@ -411,5 +401,6 @@ def write_corpus_manifest(path: str, corpus: Corpus,
         lines += [f"train_triplets={len(splits.train)}",
                   f"valid_triplets={len(splits.valid)}",
                   f"test_triplets={len(splits.test)}"]
+    lines += [f"{name}={count}" for name, count in (dropped or {}).items()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

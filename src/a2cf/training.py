@@ -29,67 +29,45 @@ from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
                       estimate_matrices, sample_negatives)
 
 CHECKPOINT_MAGIC = b"A2CFCKPT"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig) -> None:
     """Serialize config and parameter tensors to one binary file.
 
-    Layout: 8-byte magic, u32 header length, UTF-8 JSON header (format
-    version, config, tensor manifest), then raw little-endian float64 tensor
-    bytes in manifest order. Identical params yield identical bytes.
+    Layout: 8-byte magic, u32 header length, UTF-8 JSON header (`config`,
+    `counts` = [n_users, n_items, n_attrs], `format`), then raw
+    little-endian float64 tensor bytes in ModelParams field order. The
+    counts and the config give every shape (`param_shapes`), so params
+    whose shapes `cfg` does not give raise ValueError before anything is
+    written. Identical params yield identical bytes.
     """
     tensors = params.tensors()
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "config": dataclasses.asdict(cfg),
-        "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
-    }
+    counts = [len(params.user_emb), len(params.item_emb), len(params.attr_emb)]
+    shapes = param_shapes(*counts, cfg)
+    for name, t in tensors.items():
+        if t.shape != shapes[name]:
+            raise ValueError(f"{path}: tensor {name!r} has shape {t.shape}, "
+                             f"the config gives {shapes[name]}")
+    header = {"config": dataclasses.asdict(cfg), "counts": counts,
+              "format": CHECKPOINT_FORMAT}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    for _, t in tensors.items():
+    for t in tensors.values():
         buf.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 
-def _checkpoint_manifest(path: str, header, cfg: TrainConfig) -> list:
-    """The header's tensor manifest as (name, shape) pairs; it must name
-    every ModelParams tensor exactly once, each with the shape `cfg` gives
-    it."""
-    try:
-        manifest = [(name, tuple(int(n) for n in shape))
-                    for name, shape in header["tensors"]]
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{path}: malformed checkpoint tensor manifest") from None
-    names = sorted(name for name, _ in manifest)
-    expected = sorted(f.name for f in dataclasses.fields(ModelParams))
-    if names != expected:
-        missing = ", ".join(sorted(set(expected) - set(names)))
-        raise ValueError(f"{path}: checkpoint tensors do not match the model"
-                         + (f"; missing {missing}" if missing else ""))
-    if any(n < 0 for _, shape in manifest for n in shape):
-        raise ValueError(f"{path}: negative dimension in checkpoint manifest")
-    shapes = dict(manifest)
-    counts = [shapes[name][0] if shapes[name] else 0
-              for name in ("user_emb", "item_emb", "attr_emb")]
-    want = param_shapes(*counts, cfg)
-    for name, shape in manifest:
-        if shape != want[name]:
-            raise ValueError(f"{path}: checkpoint tensor {name!r} has shape "
-                             f"{shape}, expected {want[name]}")
-    return manifest
-
-
 def load_checkpoint(path: str) -> tuple:
     """Read a checkpoint back into (ModelParams, TrainConfig).
 
-    Every malformed file raises ValueError naming `path`, among them a
-    tensor holding NaN or inf.
+    Every malformed file raises ValueError naming `path`, among them
+    counts that are not three ints >= 0, a payload whose length is not the
+    one the header's shapes give, and a tensor holding NaN or inf.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -107,7 +85,7 @@ def load_checkpoint(path: str) -> tuple:
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unsupported checkpoint format "
                          f"{header.get('format')!r}")
-    missing = [key for key in ("config", "tensors") if key not in header]
+    missing = [key for key in ("config", "counts") if key not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks "
                          f"{' and '.join(map(repr, missing))}")
@@ -115,12 +93,25 @@ def load_checkpoint(path: str) -> tuple:
         cfg = TrainConfig(**header["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad checkpoint config: {exc}") from None
+    counts = header["counts"]
+    if not (isinstance(counts, list) and len(counts) == 3
+            and all(type(n) is int and n >= 0 for n in counts)):
+        raise ValueError(f"{path}: checkpoint counts must be three ints >= 0, "
+                         f"got {counts!r}")
+    shapes = param_shapes(*counts, cfg)
+    # checked before any reshape: a zero-size shape may still hold a
+    # dimension numpy cannot represent (Python ints cannot overflow)
     offset = 12 + hlen
+    payload = len(raw) - offset
+    need = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if need > payload:
+        raise ValueError(f"{path}: truncated checkpoint: the header's shapes "
+                         f"take {need} bytes, {max(payload, 0)} follow it")
+    if need < payload:
+        raise ValueError(f"{path}: {payload - need} trailing bytes")
     fields = {}
-    for name, shape in _checkpoint_manifest(path, header, cfg):
-        nbytes = math.prod(shape) * 8      # Python ints cannot overflow
-        if offset + nbytes > len(raw):
-            raise ValueError(f"{path}: truncated checkpoint at tensor {name!r}")
+    for name, shape in shapes.items():
+        nbytes = math.prod(shape) * 8
         arr = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").astype(
             np.float64).reshape(shape)
         if not np.isfinite(arr).all():
@@ -128,8 +119,6 @@ def load_checkpoint(path: str) -> tuple:
                              f"non-finite values")
         fields[name] = arr
         offset += nbytes
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
     return ModelParams(**fields), cfg
 
 

@@ -15,7 +15,7 @@ from a2cf import cli, ranking, training
 from a2cf.cli import EXPLAIN_NAME, RECS_NAME, cli_dispatch
 from a2cf.config import TrainConfig
 from a2cf.data import load_prepared
-from a2cf.network import init_params
+from a2cf.network import init_params, param_shapes
 from a2cf.synthetic import SyntheticSpec, generate_synthetic
 from a2cf.training import CHECKPOINT_MAGIC, save_checkpoint
 
@@ -62,6 +62,36 @@ def test_prepare_reports_corpus_counts(pipeline, capsys, tmp_path):
                          "--out-dir", str(tmp_path), "--seed", "11"]) == 0
     out = capsys.readouterr().out
     assert "users=50 items=60 attrs=20" in out
+
+
+def test_prepare_counts_dropped_rows_in_the_manifest(tmp_path, capsys,
+                                                     caplog):
+    """Ten users buy p and three buy q, with p and q each other's only
+    substitute, so every (query, positive) pair has siblings and the one
+    test triplet always leaks, whatever the split puts in valid. The
+    first q buyer also buys r, which has no substitute, and one review is
+    repeated."""
+    p_buyers = [f"u{n:02d}" for n in range(10)]
+    q_buyers = ["w0", "w1", "w2"]
+    reviews = ([f"{u}\tp\t5" for u in p_buyers]
+               + [f"{w}\tq\t4" for w in q_buyers] + ["w0\tr\t3", "w0\tr\t2"])
+    (tmp_path / "reviews.tsv").write_text("\n".join(reviews) + "\n")
+    (tmp_path / "lexicon.tsv").write_text("u00\tp\tcolour\t+1\n")
+    (tmp_path / "substitutes.tsv").write_text("p\tq\n")
+    out = tmp_path / "prep"
+    assert cli_dispatch(["prepare",
+                         "--reviews", str(tmp_path / "reviews.tsv"),
+                         "--lexicon", str(tmp_path / "lexicon.tsv"),
+                         "--substitutes", str(tmp_path / "substitutes.tsv"),
+                         "--out-dir", str(out), "--seed", "3",
+                         "--min-user-items", "1", "--min-item-users", "1",
+                         "--min-attr-mentions", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert caplog.records == []
+    assert (out / "corpus.manifest").read_text().splitlines()[-6:] == [
+        "train_triplets=11", "valid_triplets=1", "test_triplets=0",
+        "duplicate_review_pairs=1", "interactions_without_query=1",
+        "leaked_test_triplets=1"]
 
 
 def test_recommend_writes_ranked_list(pipeline, tmp_path):
@@ -131,27 +161,6 @@ def test_evaluate_deterministic_bytes(pipeline, tmp_path):
     assert cli_dispatch(args + ["--out-dir", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "metrics.txt").read_bytes()
             == (tmp_path / "b" / "metrics.txt").read_bytes())
-
-
-def test_seed_env_fallback_matches_flag(pipeline, tmp_path, monkeypatch):
-    base = ["evaluate", "--data", pipeline["data"],
-            "--checkpoint", pipeline["ckpt"], "--eval-negatives", "100"]
-    assert cli_dispatch(base + ["--seed", "99",
-                                "--out-dir", str(tmp_path / "flag")]) == 0
-    monkeypatch.setenv("A2CF_SEED", "99")
-    assert cli_dispatch(base + ["--out-dir", str(tmp_path / "env")]) == 0
-    assert ((tmp_path / "flag" / "metrics.txt").read_bytes()
-            == (tmp_path / "env" / "metrics.txt").read_bytes())
-
-
-def test_seed_env_invalid_is_runtime_error(pipeline, tmp_path, monkeypatch,
-                                           capsys):
-    monkeypatch.setenv("A2CF_SEED", "abc")
-    code = cli_dispatch(["evaluate", "--data", pipeline["data"],
-                         "--checkpoint", pipeline["ckpt"],
-                         "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_seed_beaten_by_flag(pipeline, tmp_path):
@@ -450,6 +459,26 @@ def test_checkpoint_corpus_dims_mismatch(pipeline, tmp_path, capsys):
     assert "checkpoint dimensions do not match the prepared corpus" in err
 
 
+def test_checkpoint_swapped_counts_mismatch(pipeline, tmp_path, capsys):
+    """Swapping the user and item counts keeps the byte total, so the file
+    loads; only the corpus can tell."""
+    def swap(header):
+        users, items, attrs = header["counts"]
+        assert users != items
+        header["counts"] = [items, users, attrs]
+    swapped = tmp_path / "swapped.ckpt"
+    with open(pipeline["ckpt"], "rb") as fh:
+        swapped.write_bytes(_rewrite_header(fh.read(), swap))
+    training.load_checkpoint(str(swapped))
+    code = cli_dispatch(["recommend", "--data", pipeline["data"],
+                         "--checkpoint", str(swapped),
+                         "--out-dir", str(tmp_path),
+                         "--user", "u003", "--query", "i012"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: checkpoint dimensions do not match the prepared corpus"]
+
+
 def _train_argv(pipeline, out_dir, *flags):
     """A short `train` run on the shared corpus, with extra `flags`."""
     return ["train", "--data", pipeline["data"], "--out-dir", str(out_dir),
@@ -652,33 +681,23 @@ def _unknown_config_key(header):
     header["config"]["bogus"] = 1
 
 
-def _missing_tensor(header):
-    header["tensors"] = [t for t in header["tensors"] if t[0] != "attr_emb"]
-
-
 def _no_config(header):
     del header["config"]
 
 
-def _no_tensors(header):
-    del header["tensors"]
-
-
-def _wrong_shape(header):
-    """Same byte count as the trained (1, 16, 16), so only shapes catch it."""
-    for entry in header["tensors"]:
-        if entry[0] == "user_tower_w":
-            assert entry[1] == [1, 16, 16]
-            entry[1] = [2, 8, 16]
+def _no_counts(header):
+    del header["counts"]
 
 
 def _nan_tensors(*names):
     """A corrupter that sets every value of the named tensors to NaN."""
     def corrupt(raw: bytes) -> bytes:
         (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        shapes = param_shapes(*header["counts"], TrainConfig(**header["config"]))
         out = bytearray(raw)
         offset = 12 + hlen
-        for name, shape in json.loads(raw[12:12 + hlen])["tensors"]:
+        for name, shape in shapes.items():
             size = math.prod(shape)
             if name in names:
                 out[offset:offset + 8 * size] = np.full(size, np.nan).tobytes()
@@ -687,35 +706,58 @@ def _nan_tensors(*names):
     return corrupt
 
 
+def _set(key, value):
+    def edit(header):
+        header[key] = value
+    return edit
+
+
 def _set_config(field, value):
     def edit(header):
         header["config"][field] = value
     return edit
 
 
-def _huge_user_emb(rows):
-    """user_emb declared with `rows` rows; the config still fits, so only
-    the byte count can catch it."""
+def _set_count(position, value):
     def edit(header):
-        for entry in header["tensors"]:
-            if entry[0] == "user_emb":
-                entry[1][0] = rows
+        header["counts"][position] = value
     return edit
+
+
+def _absurd_dims(header):
+    """No tensor bytes at all under zero counts, except for the heads and
+    projections, whose (2 * 10**19,) shapes the payload must cover."""
+    header["counts"] = [0, 0, 0]
+    header["config"].update(embed_dim=10**19, tower_depth=0)
 
 
 @pytest.mark.parametrize("corrupt,message", [
     (lambda raw: raw[:11], "truncated checkpoint header"),
     (lambda raw: _rewrite_header(raw, _unknown_config_key),
      "bad checkpoint config"),
-    (lambda raw: _rewrite_header(raw, _missing_tensor), "missing attr_emb"),
     (lambda raw: _rewrite_header(raw, _no_config), "lacks 'config'"),
-    (lambda raw: _rewrite_header(raw, _no_tensors), "lacks 'tensors'"),
-    (lambda raw: _rewrite_header(raw, _wrong_shape),
-     "tensor 'user_tower_w' has shape (2, 8, 16), expected (1, 16, 16)"),
-    (lambda raw: _rewrite_header(raw, _huge_user_emb(10**20)),
-     "truncated checkpoint at tensor 'user_emb'"),
-    (lambda raw: _rewrite_header(raw, _huge_user_emb(2**62)),
-     "truncated checkpoint at tensor 'user_emb'"),
+    (lambda raw: _rewrite_header(raw, _no_counts), "lacks 'counts'"),
+    (lambda raw: _rewrite_header(raw, _set("format", 1)),
+     "unsupported checkpoint format 1"),
+    (lambda raw: _rewrite_header(raw, _set_count(0, -1)),
+     "checkpoint counts must be three ints >= 0"),
+    (lambda raw: _rewrite_header(raw, _set_count(1, 60.0)),
+     "checkpoint counts must be three ints >= 0"),
+    (lambda raw: _rewrite_header(raw, _set_count(2, True)),
+     "checkpoint counts must be three ints >= 0"),
+    (lambda raw: _rewrite_header(raw, _set("counts", [50, 60])),
+     "checkpoint counts must be three ints >= 0, got [50, 60]"),
+    (lambda raw: _rewrite_header(raw, _set_count(0, 10**20)),
+     "truncated checkpoint"),
+    (lambda raw: _rewrite_header(raw, _set_count(0, 2**62)),
+     "truncated checkpoint"),
+    (lambda raw: _rewrite_header(raw, _absurd_dims), "truncated checkpoint"),
+    (lambda raw: _rewrite_header(raw, _set_config("tower_depth", 2)),
+     "truncated checkpoint: the header's shapes take"),
+    (lambda raw: _rewrite_header(raw, _set_config("embed_dim", 8.0)),
+     "bad checkpoint config: embed_dim must be an int, got 8.0"),
+    (lambda raw: _rewrite_header(raw, _set_config("tower_depth", True)),
+     "bad checkpoint config: tower_depth must be an int, got True"),
     (lambda raw: _rewrite_header(raw, _set_config("subst_temp", math.nan)),
      "bad checkpoint config: subst_temp must be finite, got nan"),
     (lambda raw: _rewrite_header(raw, _set_config("rating_max", math.inf)),
@@ -724,10 +766,12 @@ def _huge_user_emb(rows):
      "bad checkpoint config: learning_rate must be > 0"),
     (_nan_tensors("subst_proj", "pers_proj"),
      "checkpoint tensor 'subst_proj' holds non-finite values"),
-], ids=["short_file", "unknown_config_key", "missing_tensor", "no_config",
-        "no_tensors", "wrong_shape", "rows_overflow_int64",
-        "rows_wrap_int64", "nan_subst_temp", "inf_rating_max",
-        "negative_learning_rate", "nan_projections"])
+], ids=["short_file", "unknown_config_key", "no_config", "no_counts",
+        "format_1", "negative_count", "float_count", "bool_count",
+        "missing_count", "rows_overflow_int64", "rows_wrap_int64",
+        "absurd_dims", "wrong_shape", "float_embed_dim", "bool_tower_depth",
+        "nan_subst_temp", "inf_rating_max", "negative_learning_rate",
+        "nan_projections"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"

@@ -33,6 +33,16 @@ def test_train_config_validation():
         TrainConfig(rating_max=1.0)
 
 
+@pytest.mark.parametrize("field", ["embed_dim", "tower_depth", "batch_size",
+                                   "negatives"])
+@pytest.mark.parametrize("value", [4.0, True, "4"])
+def test_train_config_rejects_non_int_counts(field, value):
+    """A checkpoint header or a library caller can pass these; 4.0 would
+    reach every shape computation as a float."""
+    with pytest.raises(ValueError, match=f"{field} must be an int, got "):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["rating_max", "subst_temp", "pers_temp",
                                    "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -93,7 +103,7 @@ def test_config_file_of_every_default_parses_to_the_default(tmp_path):
     overrides = parse_config_file(str(path))
     assert {k: (type(v), v) for k, v in overrides.items()} \
         == {k: (type(v), v) for k, v in fields.items()}
-    assert build_run_config(overrides, env={}) == defaults
+    assert build_run_config(overrides) == defaults
 
 
 def test_parse_config_file_unknown_key(tmp_path):
@@ -128,24 +138,13 @@ def test_parse_config_file_missing_equals(tmp_path):
 
 def test_build_run_config_precedence():
     cfg = build_run_config(file_overrides={"embed_dim": 16, "seed": 7},
-                           cli_overrides={"embed_dim": 32},
-                           env={})
+                           cli_overrides={"embed_dim": 32})
     assert cfg.train.embed_dim == 32      # CLI beats file
     assert cfg.seed == 7                  # file beats default
     assert cfg.rounds_max == 10           # untouched default
 
 
-def test_build_run_config_env_seed_fallback():
-    cfg = build_run_config(env={"A2CF_SEED": "99"})
-    assert cfg.seed == 99
-    cfg = build_run_config(file_overrides={"seed": 3}, env={"A2CF_SEED": "99"})
-    assert cfg.seed == 3
-    with pytest.raises(ValueError, match="A2CF_SEED"):
-        build_run_config(env={"A2CF_SEED": "north"})
-
-
 def test_build_run_config_ignores_none_cli_values():
-    cfg = build_run_config(cli_overrides={"embed_dim": None, "seed": None},
-                           env={})
+    cfg = build_run_config(cli_overrides={"embed_dim": None, "seed": None})
     assert cfg.train.embed_dim == 64
     assert cfg.seed == 42

@@ -83,23 +83,37 @@ def _narrow_item_emb(params, cfg):
 
 @pytest.mark.parametrize("tamper,message", [
     (lambda p, cfg: dataclasses.replace(cfg, embed_dim=3),
-     "'user_emb' has shape (5, 4), expected (5, 3)"),
-    (_narrow_item_emb, "'item_emb' has shape (6, 3), expected (6, 4)"),
+     "'user_emb' has shape (5, 4), the config gives (5, 3)"),
+    (_narrow_item_emb, "'item_emb' has shape (6, 3), the config gives (6, 4)"),
     (lambda p, cfg: dataclasses.replace(cfg, tower_depth=1),
-     "'user_tower_w' has shape (2, 8, 8), expected (1, 8, 8)"),
+     "'user_tower_w' has shape (2, 8, 8), the config gives (1, 8, 8)"),
     (lambda p, cfg: dataclasses.replace(cfg, subst_use_attrs=False),
-     "'subst_proj' has shape (8,), expected (4,)"),
+     "'subst_proj' has shape (8,), the config gives (4,)"),
     (lambda p, cfg: dataclasses.replace(cfg, pers_use_attrs=False),
-     "'pers_proj' has shape (8,), expected (4,)"),
+     "'pers_proj' has shape (8,), the config gives (4,)"),
 ], ids=["embed_dim", "one_embedding", "tower_depth", "subst_ablation",
         "pers_ablation"])
 def test_checkpoint_shapes_checked_against_config(tmp_path, tamper, message):
+    """At save time: a format-2 file holds no shapes, only the counts and
+    the config they follow from."""
     params, cfg = tiny_params()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), params, tamper(params, cfg))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: checkpoint tensor {message}")):
-        load_checkpoint(str(path))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: tensor {message}")):
+        save_checkpoint(str(path), params, tamper(params, cfg))
+    assert not path.exists()
+
+
+def test_checkpoint_header_is_config_counts_and_format(tmp_path):
+    params, cfg = tiny_params()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, cfg)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    assert header == {"config": dataclasses.asdict(cfg), "counts": [5, 6, 4],
+                      "format": 2}
+    assert len(raw) == 12 + hlen + 8 * sum(
+        t.size for t in params.tensors().values())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
