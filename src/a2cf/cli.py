@@ -4,6 +4,13 @@ interpretation, evaluation, and synthetic-data generation.
 Every command writing results takes --out-dir and uses fixed file names
 (corpus.manifest, prepared.npz, model.ckpt, train.log, recs.tsv,
 explanations.txt, metrics.txt) so runs are scriptable.
+
+`train` writes model.ckpt in checkpoint format 3, which ships the item
+completion of the final params. `recommend`, `explain` and `evaluate`
+rebuild the observed matrices from the prepared corpus, take the item rows
+from the checkpoint and complete only the user rows they read: the
+requested user's row, or every row for `evaluate`. They reject a format-2
+checkpoint, such as diagnostic.ckpt, and ask for a retrain.
 """
 
 import argparse
@@ -127,20 +134,31 @@ def _check_counts(args, *flags) -> None:
 
 
 def _load_model(args):
+    """The prepared corpus and splits, and the params, config and shipped
+    item completion of a format-3 checkpoint."""
     corpus, splits = data.load_prepared(args.data)
-    params, cfg = training.load_checkpoint(args.checkpoint)
+    params, cfg, item_attr = training.load_checkpoint(args.checkpoint)
     if (params.user_emb.shape[0] != corpus.n_users
             or params.item_emb.shape[0] != corpus.n_items
             or params.attr_emb.shape[0] != corpus.n_attrs):
         raise ValueError("checkpoint dimensions do not match the prepared corpus")
-    return corpus, splits, params, cfg
+    if item_attr is None:
+        raise ValueError(f"{args.checkpoint}: a format-2 checkpoint holds no "
+                         f"item completion; retrain with `a2cf train`")
+    return corpus, splits, params, cfg, item_attr
 
 
-def _estimate(corpus, params, cfg, users=None):
-    """The completed matrices, with only the `users` rows of the user
-    matrix when given (see ranking.estimate_matrices)."""
+def _estimate(corpus, params, cfg, item_attr, users=None):
+    """The completed matrices: the item rows the checkpoint ships, and the
+    user rows completed here, only the `users` rows when given (see
+    ranking.estimate_matrices)."""
     user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
-    return ranking.estimate_matrices(user_mat, item_mat, params, users)
+    if not np.array_equal(item_attr[item_mat.rows, item_mat.cols],
+                          item_mat.vals):
+        raise ValueError("checkpoint item completion does not match the "
+                         "prepared corpus")
+    return ranking.estimate_matrices(user_mat, item_mat, params, users,
+                                     item_attr)
 
 
 def _cmd_synth(args) -> int:
@@ -194,8 +212,13 @@ def _cmd_train(args) -> int:
         corpus, splits, run,
         log_path=os.path.join(args.out_dir, TRAIN_LOG_NAME),
         diag_dir=args.out_dir)
+    # the item completion of the final params ships in the checkpoint; it
+    # completes no user row
+    with training.diagnostic_on_blowup(args.out_dir, result.params, run.train):
+        item_attr = ranking.estimate_matrices(
+            result.user_mat, result.item_mat, result.params, []).item_attr
     ckpt = os.path.join(args.out_dir, CHECKPOINT_NAME)
-    training.save_checkpoint(ckpt, result.params, run.train)
+    training.save_checkpoint(ckpt, result.params, run.train, item_attr)
     loss = "n/a" if result.final_loss is None else f"{result.final_loss:.6f}"
     print(f"checkpoint: {ckpt}")
     skipped = sum(entry["skipped_updates"] for entry in result.history)
@@ -209,10 +232,10 @@ def _rank_request(args):
     --user; returns (corpus, est, user, query, ranked) once --out-dir
     exists. Both tokens resolve before the completion, which fills only
     the user's row of the user matrix."""
-    corpus, _, params, cfg = _load_model(args)
+    corpus, _, params, cfg, item_attr = _load_model(args)
     user = _resolve_token(args.user, corpus.user_tokens, "user")
     query = _resolve_token(args.query, corpus.item_tokens, "item")
-    est = _estimate(corpus, params, cfg, users=[user])
+    est = _estimate(corpus, params, cfg, item_attr, users=[user])
     candidates = np.delete(np.arange(corpus.n_items), query)
     ranked = ranking.recommend_top_k(params, est, cfg, user, query,
                                      candidates, args.top_k)
@@ -254,8 +277,8 @@ def _cmd_explain(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _check_counts(args, "--eval-negatives")
-    corpus, splits, params, cfg = _load_model(args)
-    est = _estimate(corpus, params, cfg)
+    corpus, splits, params, cfg, item_attr = _load_model(args)
+    est = _estimate(corpus, params, cfg, item_attr)
     report = evaluation.evaluate_protocol(
         params, est, cfg, corpus, splits.test, seed=_run_config(args).seed,
         negatives=args.eval_negatives)

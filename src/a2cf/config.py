@@ -10,6 +10,14 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_ints(config, *names) -> None:
+    """Reject a field among `names` that is not an int, or is a bool."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Model and optimization hyperparameters.
@@ -35,10 +43,8 @@ class TrainConfig:
     pers_use_attrs: bool = True
 
     def __post_init__(self):
-        for name in ("embed_dim", "tower_depth", "batch_size", "negatives"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _require_ints(self, "embed_dim", "tower_depth", "batch_size",
+                      "negatives")
         for name in ("rating_max", "subst_temp", "pers_temp", "learning_rate"):
             _require_finite(name, getattr(self, name))
         if self.embed_dim < 1:
@@ -77,6 +83,8 @@ class RunConfig:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
+        _require_ints(self, "seed", "rounds_max", "phase1_steps",
+                      "phase2_steps")
         if self.rounds_max < 1:
             raise ValueError("rounds_max must be >= 1")
         if self.phase1_steps < 0 or self.phase2_steps < 0:

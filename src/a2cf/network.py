@@ -3,7 +3,7 @@
 Each tower consumes the concatenation of an entity embedding and an attribute
 embedding (width 2d), applies `tower_depth` residual blocks
 h <- h + relu(W h + b) at constant width, and maps the result through a linear
-head followed by a tanh rescaled onto (1, rating_max). All gradients are
+head followed by a tanh rescaled into [1, rating_max]. All gradients are
 analytic; no autodiff anywhere.
 
 The eval-mode predictors split a one-block tower by the halves of its input:
@@ -177,9 +177,12 @@ def residual_backward(grad_out: np.ndarray, weights: np.ndarray, cache):
 
 
 def tanh_rescaled(r, rating_max: float):
-    """Monotone squash of the real line onto (1, rating_max):
-    (rating_max - 1)/2 * tanh(r) + (rating_max + 1)/2."""
-    return 0.5 * (rating_max - 1.0) * np.tanh(r) + 0.5 * (rating_max + 1.0)
+    """Monotone squash of the real line into [1, rating_max]:
+    (rating_max - 1)/2 * tanh(r) + (rating_max + 1)/2, clipped to that
+    range, which rounding leaves by an ulp where tanh saturates for some
+    rating_max (7.3 gives 7.300000000000001); at 5 the clip changes no bit."""
+    return np.clip(0.5 * (rating_max - 1.0) * np.tanh(r)
+                   + 0.5 * (rating_max + 1.0), 1.0, rating_max)
 
 
 def tanh_rescaled_grad(r, rating_max: float):

@@ -47,7 +47,8 @@ def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
 
 def estimate_matrices(user_mat: SparseAttributeMatrix,
                       item_mat: SparseAttributeMatrix,
-                      params: ModelParams, users=None) -> EstimatedMatrices:
+                      params: ModelParams, users=None,
+                      item_attr=None) -> EstimatedMatrices:
     """Fill every unobserved cell with the eval-mode tower regression, one
     predictor call per matrix; observed cells are copied bit-for-bit.
 
@@ -55,6 +56,10 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
     no other: they get the bits of the full completion, and every other
     user row is NaN. None completes every row. An id that is not an
     integer in [0, n_users) raises ValueError.
+
+    `item_attr`, an item completion of these params such as the one a
+    format-3 checkpoint ships, is taken as the item matrix instead of
+    completing it; a shape other than item_mat's raises ValueError.
     """
     if users is not None:
         n_users = user_mat.shape[0]
@@ -63,9 +68,13 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
         if bad:
             raise ValueError(f"users must be integers in [0, {n_users}), "
                              f"got {bad}")
-    return EstimatedMatrices(
-        user_attr=_complete(user_mat, predict_user_attr_batch, params, users),
-        item_attr=_complete(item_mat, predict_item_attr_batch, params))
+    if item_attr is not None and item_attr.shape != item_mat.shape:
+        raise ValueError(f"item_attr has shape {item_attr.shape}, the item "
+                         f"matrix {item_mat.shape}")
+    user_attr = _complete(user_mat, predict_user_attr_batch, params, users)
+    if item_attr is None:
+        item_attr = _complete(item_mat, predict_item_attr_batch, params)
+    return EstimatedMatrices(user_attr=user_attr, item_attr=item_attr)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -6,6 +6,11 @@ state), re-estimates the completed attribute matrices, then runs
 at `rounds_max` or when the relative improvement of the mean per-pair ranking
 loss falls below `convergence_tol`. The completion of the final params is
 `TrainResult.est`, computed only when a caller first reads it.
+
+A checkpoint holds the config, the entity counts and the parameter tensors
+(format 2, as `diagnostic.ckpt` is written), and in format 3, which `a2cf
+train` writes, also the item completion of those tensors, so that serving
+completes only user rows.
 """
 
 import contextlib
@@ -29,18 +34,36 @@ from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
                       estimate_matrices, sample_negatives)
 
 CHECKPOINT_MAGIC = b"A2CFCKPT"
-CHECKPOINT_FORMAT = 2
+PARAMS_FORMAT = 2       # the 11 parameter tensors
+SERVING_FORMAT = 3      # the tensors, then the item completion
 
 
-def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig) -> None:
+def _check_item_attr(path: str, item_attr: np.ndarray, shape: tuple,
+                     rating_max: float) -> None:
+    """Raise ValueError naming `path` unless `item_attr` has `shape` and
+    every value lies in [1, rating_max], the range of both the observed
+    cells and the tower's squash."""
+    if item_attr.shape != shape:
+        raise ValueError(f"{path}: item completion has shape "
+                         f"{item_attr.shape}, the counts give {shape}")
+    if not ((item_attr >= 1.0) & (item_attr <= rating_max)).all():
+        raise ValueError(f"{path}: checkpoint item completion holds a value "
+                         f"that is non-finite or outside [1, {rating_max}]")
+
+
+def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig,
+                    item_attr: np.ndarray | None = None) -> None:
     """Serialize config and parameter tensors to one binary file.
 
     Layout: 8-byte magic, u32 header length, UTF-8 JSON header (`config`,
     `counts` = [n_users, n_items, n_attrs], `format`), then raw
-    little-endian float64 tensor bytes in ModelParams field order. The
-    counts and the config give every shape (`param_shapes`), so params
-    whose shapes `cfg` does not give raise ValueError before anything is
-    written. Identical params yield identical bytes.
+    little-endian float64 tensor bytes in ModelParams field order. With
+    `item_attr`, the (n_items, n_attrs) item completion of these params,
+    the file is format 3 and that matrix follows the tensors; without it,
+    format 2. The counts and the config give every shape (`param_shapes`),
+    so a tensor whose shape `cfg` does not give, or an item completion of
+    another shape or outside [1, rating_max], raises ValueError before
+    anything is written. Identical inputs yield identical bytes.
     """
     tensors = params.tensors()
     counts = [len(params.user_emb), len(params.item_emb), len(params.attr_emb)]
@@ -49,25 +72,32 @@ def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig) -> None:
         if t.shape != shapes[name]:
             raise ValueError(f"{path}: tensor {name!r} has shape {t.shape}, "
                              f"the config gives {shapes[name]}")
+    sections = list(tensors.values())
+    if item_attr is not None:
+        _check_item_attr(path, item_attr, tuple(counts[1:]), cfg.rating_max)
+        sections.append(item_attr)
     header = {"config": dataclasses.asdict(cfg), "counts": counts,
-              "format": CHECKPOINT_FORMAT}
+              "format": PARAMS_FORMAT if item_attr is None else SERVING_FORMAT}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    for t in tensors.values():
+    for t in sections:
         buf.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 
 def load_checkpoint(path: str) -> tuple:
-    """Read a checkpoint back into (ModelParams, TrainConfig).
+    """Read a checkpoint back into (ModelParams, TrainConfig, item_attr),
+    item_attr being the item completion of a format-3 file and None for
+    format 2.
 
     Every malformed file raises ValueError naming `path`, among them
     counts that are not three ints >= 0, a payload whose length is not the
-    one the header's shapes give, and a tensor holding NaN or inf.
+    one the header's shapes give, a tensor holding NaN or inf, and an item
+    completion with a value that is non-finite or outside [1, rating_max].
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -82,9 +112,9 @@ def load_checkpoint(path: str) -> tuple:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: corrupt checkpoint header: not an object")
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: unsupported checkpoint format "
-                         f"{header.get('format')!r}")
+    fmt = header.get("format")
+    if fmt not in (PARAMS_FORMAT, SERVING_FORMAT):
+        raise ValueError(f"{path}: unsupported checkpoint format {fmt!r}")
     missing = [key for key in ("config", "counts") if key not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks "
@@ -99,11 +129,13 @@ def load_checkpoint(path: str) -> tuple:
         raise ValueError(f"{path}: checkpoint counts must be three ints >= 0, "
                          f"got {counts!r}")
     shapes = param_shapes(*counts, cfg)
+    item_shape = tuple(counts[1:]) if fmt == SERVING_FORMAT else (0,)
     # checked before any reshape: a zero-size shape may still hold a
     # dimension numpy cannot represent (Python ints cannot overflow)
     offset = 12 + hlen
     payload = len(raw) - offset
-    need = 8 * sum(math.prod(shape) for shape in shapes.values())
+    need = 8 * sum(math.prod(shape)
+                   for shape in (*shapes.values(), item_shape))
     if need > payload:
         raise ValueError(f"{path}: truncated checkpoint: the header's shapes "
                          f"take {need} bytes, {max(payload, 0)} follow it")
@@ -119,14 +151,19 @@ def load_checkpoint(path: str) -> tuple:
                              f"non-finite values")
         fields[name] = arr
         offset += nbytes
-    return ModelParams(**fields), cfg
+    if fmt == PARAMS_FORMAT:
+        return ModelParams(**fields), cfg, None
+    item_attr = np.frombuffer(raw[offset:], dtype="<f8").astype(
+        np.float64).reshape(item_shape)
+    _check_item_attr(path, item_attr, item_shape, cfg.rating_max)
+    return ModelParams(**fields), cfg, item_attr
 
 
 def checkpoint_roundtrip(params: ModelParams, cfg: TrainConfig,
                          path: str) -> ModelParams:
     """Save, reload, and verify bit-identity of every tensor."""
     save_checkpoint(path, params, cfg)
-    loaded, _ = load_checkpoint(path)
+    loaded, _, _ = load_checkpoint(path)
     for name, t in params.tensors().items():
         back = getattr(loaded, name)
         if t.shape != back.shape or not np.array_equal(
@@ -166,8 +203,8 @@ def _batches(pool: np.ndarray, size: int, rng: np.random.Generator):
 
 
 @contextlib.contextmanager
-def _diagnostic_on_blowup(diag_dir: str | None, params: ModelParams,
-                          cfg: TrainConfig):
+def diagnostic_on_blowup(diag_dir: str | None, params: ModelParams,
+                         cfg: TrainConfig):
     """Save `params` to `diag_dir`/diagnostic.ckpt when the block raises
     FloatingPointError, then let the error propagate."""
     try:
@@ -229,7 +266,7 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
 
     with (open(log_path, "w", encoding="utf-8") if log_path
           else contextlib.nullcontext()) as fh, \
-            _diagnostic_on_blowup(diag_dir, params, cfg):
+            diagnostic_on_blowup(diag_dir, params, cfg):
         def record(entry: dict) -> None:
             if fh:
                 fh.write(json.dumps(entry) + "\n")

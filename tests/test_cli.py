@@ -12,9 +12,10 @@ import pytest
 from numpy.lib import format as npformat
 
 from a2cf import cli, ranking, training
-from a2cf.cli import EXPLAIN_NAME, RECS_NAME, cli_dispatch
+from a2cf.cli import EXPLAIN_NAME, METRICS_NAME, RECS_NAME, cli_dispatch
 from a2cf.config import TrainConfig
 from a2cf.data import load_prepared
+from a2cf.matrices import build_matrices
 from a2cf.network import init_params, param_shapes
 from a2cf.synthetic import SyntheticSpec, generate_synthetic
 from a2cf.training import CHECKPOINT_MAGIC, save_checkpoint
@@ -280,10 +281,14 @@ def seed1_model(request, tmp_path_factory):
 
 def test_request_completing_its_user_row_writes_the_full_bytes(
         seed1_model, tmp_path, monkeypatch):
+    """On a format-3 model, requests complete their user's row and
+    `evaluate` every user row, each over the shipped item completion and
+    without the item predictor; their files are those of a per-request
+    completion of both matrices in full."""
     data, ckpt = seed1_model
     corpus, _ = load_prepared(data)
-    real = ranking.estimate_matrices
-    rows = []
+    real, real_items = ranking.estimate_matrices, ranking.predict_item_attr_batch
+    rows, item_calls = [], []
 
     def one_row(*args):
         rows.append(args[3])
@@ -292,22 +297,47 @@ def test_request_completing_its_user_row_writes_the_full_bytes(
     def every_row(*args):
         return real(*args[:3])
 
+    monkeypatch.setattr(ranking, "predict_item_attr_batch",
+                        lambda *args, **kwargs: item_calls.append(1)
+                        or real_items(*args, **kwargs))
+
+    def written_by(argv, name, completion):
+        monkeypatch.setattr(ranking, "estimate_matrices", completion)
+        out = tmp_path / completion.__name__
+        item_calls.clear()
+        assert cli_dispatch([*argv, "--data", data, "--checkpoint", ckpt,
+                             "--out-dir", str(out)]) == 0
+        assert len(item_calls) == (completion is every_row)
+        return (out / name).read_bytes()
+
     for user in np.linspace(0, corpus.n_users - 1, 4).astype(int):
         query = corpus.item_tokens[7 * user % corpus.n_items]
         for command, name in (("recommend", RECS_NAME),
                               ("explain", EXPLAIN_NAME)):
-            written = []
-            for completion in (one_row, every_row):
-                monkeypatch.setattr(ranking, "estimate_matrices", completion)
-                out = tmp_path / completion.__name__
-                assert cli_dispatch([command, "--data", data,
-                                     "--checkpoint", ckpt,
-                                     "--out-dir", str(out),
-                                     "--user", corpus.user_tokens[user],
-                                     "--query", query]) == 0
-                written.append((out / name).read_bytes())
-            assert written[0] == written[1]
+            argv = [command, "--user", corpus.user_tokens[user],
+                    "--query", query]
+            assert (written_by(argv, name, one_row)
+                    == written_by(argv, name, every_row))
             assert rows.pop() == [user]
+    argv = ["evaluate", "--eval-negatives", "100", "--seed", "1"]
+    assert (written_by(argv, METRICS_NAME, one_row)
+            == written_by(argv, METRICS_NAME, every_row))
+    assert rows.pop() is None
+
+
+def test_shipped_item_completion_is_the_bits_of_a_full_completion(
+        seed1_model):
+    """The item matrix in model.ckpt is the completion of the params beside
+    it, bit for bit, and keeps the observed item cells verbatim."""
+    data, ckpt = seed1_model
+    corpus, _ = load_prepared(data)
+    params, cfg, shipped = training.load_checkpoint(ckpt)
+    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
+    full = ranking.estimate_matrices(user_mat, item_mat, params).item_attr
+    assert shipped.shape == full.shape == (corpus.n_items, corpus.n_attrs)
+    assert np.array_equal(shipped.view(np.uint64), full.view(np.uint64))
+    assert np.array_equal(shipped[item_mat.rows, item_mat.cols].view(np.uint64),
+                          item_mat.vals.view(np.uint64))
 
 
 def test_short_pool_evaluate_reports_on_stdout_only(seed1_model, tmp_path,
@@ -460,8 +490,10 @@ def test_checkpoint_corpus_dims_mismatch(pipeline, tmp_path, capsys):
 
 
 def test_checkpoint_swapped_counts_mismatch(pipeline, tmp_path, capsys):
-    """Swapping the user and item counts keeps the byte total, so the file
-    loads; only the corpus can tell."""
+    """Swapping the user and item counts keeps the byte total of the
+    tensors but not of the item completion, whose rows are items, so a
+    format-3 file fails to load and the error names it. A format-2 file,
+    the tensors alone, loads; only the corpus can tell."""
     def swap(header):
         users, items, attrs = header["counts"]
         assert users != items
@@ -469,6 +501,18 @@ def test_checkpoint_swapped_counts_mismatch(pipeline, tmp_path, capsys):
     swapped = tmp_path / "swapped.ckpt"
     with open(pipeline["ckpt"], "rb") as fh:
         swapped.write_bytes(_rewrite_header(fh.read(), swap))
+    code = cli_dispatch(["recommend", "--data", pipeline["data"],
+                         "--checkpoint", str(swapped),
+                         "--out-dir", str(tmp_path),
+                         "--user", "u003", "--query", "i012"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(rf"error: {re.escape(str(swapped))}: (\d+ trailing "
+                        rf"bytes|truncated checkpoint: .*)", err[0])
+    params, cfg, _ = training.load_checkpoint(pipeline["ckpt"])
+    save_checkpoint(str(swapped), params, cfg)
+    swapped.write_bytes(_rewrite_header(swapped.read_bytes(), swap))
     training.load_checkpoint(str(swapped))
     code = cli_dispatch(["recommend", "--data", pipeline["data"],
                          "--checkpoint", str(swapped),
@@ -477,6 +521,28 @@ def test_checkpoint_swapped_counts_mismatch(pipeline, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: checkpoint dimensions do not match the prepared corpus"]
+
+
+def test_mismatched_item_completion_is_one_line_error(pipeline, tmp_path,
+                                                      capsys):
+    """A shipped item completion whose observed cell differs from the
+    prepared corpus's value loads, and `recommend` refuses it."""
+    corpus, _ = load_prepared(pipeline["data"])
+    _, item_mat = build_matrices(corpus)
+    with open(pipeline["ckpt"], "rb") as fh:
+        raw = fh.read()
+    row, col, val = item_mat.rows[0], item_mat.cols[0], item_mat.vals[0]
+    cell = (len(raw) - 8 * corpus.n_items * corpus.n_attrs
+            + 8 * (row * corpus.n_attrs + col))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:cell] + np.float64(3.0 if val != 3.0 else 4.0)
+                    .tobytes() + raw[cell + 8:])
+    training.load_checkpoint(str(bad))
+    assert cli_dispatch(_request_argv(
+        {**pipeline, "ckpt": str(bad)}, "recommend", tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: checkpoint item completion does not match the prepared "
+        "corpus"]
 
 
 def _train_argv(pipeline, out_dir, *flags):
@@ -489,13 +555,19 @@ def _train_argv(pipeline, out_dir, *flags):
 
 def test_train_completes_once_per_round(pipeline, tmp_path, monkeypatch,
                                         capsys):
+    """A full completion per round, then the item completion of the final
+    params that model.ckpt ships, which completes no user row."""
     real = training.estimate_matrices
     calls = []
-    monkeypatch.setattr(training, "estimate_matrices",
-                        lambda *args: calls.append(1) or real(*args))
+    for module in (training, ranking):
+        monkeypatch.setattr(
+            module, "estimate_matrices",
+            lambda *args, name=module.__name__:
+                calls.append((name, args[3:])) or real(*args))
     assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 0
     assert "rounds=2 " in capsys.readouterr().out
-    assert len(calls) == 2
+    assert calls == [("a2cf.training", ()), ("a2cf.training", ()),
+                     ("a2cf.ranking", ([],))]
 
 
 def test_train_reports_a_skipped_update(pipeline, tmp_path, monkeypatch,
@@ -547,8 +619,8 @@ def test_train_blowup_writes_diagnostic_checkpoint(pipeline, tmp_path,
                                         "1e300")) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("error: ")
-    params, _ = training.load_checkpoint(str(out / "diagnostic.ckpt"))
-    assert params.all_finite()
+    params, _, items = training.load_checkpoint(str(out / "diagnostic.ckpt"))
+    assert params.all_finite() and items is None    # format 2, params only
     peak = max(np.abs(t).max() for t in params.tensors().values())
     assert 1e299 < peak < 1e301
     assert not (out / "model.ckpt").exists()
@@ -565,9 +637,53 @@ def test_completion_blowup_writes_diagnostic_checkpoint(pipeline, tmp_path,
             "--phase1-steps", "1", "--phase2-steps", "0")) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == "error: non-finite activation after residual block 0"
-    params, _ = training.load_checkpoint(str(out / "diagnostic.ckpt"))
-    assert params.all_finite()
+    params, _, items = training.load_checkpoint(str(out / "diagnostic.ckpt"))
+    assert params.all_finite() and items is None    # format 2, params only
     assert not (out / "model.ckpt").exists()
+
+
+def test_final_completion_blowup_writes_diagnostic_checkpoint(
+        pipeline, tmp_path, monkeypatch, capsys):
+    # the rounds complete through training's name; only the item
+    # completion that model.ckpt would ship goes through ranking's
+    def overflowing(*args):
+        raise FloatingPointError("non-finite activation after residual block 0")
+
+    monkeypatch.setattr(ranking, "estimate_matrices", overflowing)
+    out = tmp_path / "model"
+    assert cli_dispatch(_train_argv(pipeline, out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: non-finite activation after residual block 0"]
+    params, _, items = training.load_checkpoint(str(out / "diagnostic.ckpt"))
+    assert params.all_finite() and items is None
+    assert not (out / "model.ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def diagnostic_ckpt(pipeline, tmp_path_factory):
+    """The format-2 diagnostic.ckpt of a run on the shared corpus that
+    blows up in its first round."""
+    out = tmp_path_factory.mktemp("blowup")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_dispatch(_train_argv(pipeline, out, "--learning-rate",
+                                        "1e300")) == 1
+    return str(out / "diagnostic.ckpt")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("recommend", ("--user", "u003", "--query", "i012")),
+    ("explain", ("--user", "u003", "--query", "i012")),
+    ("evaluate", ())], ids=["recommend", "explain", "evaluate"])
+def test_format2_checkpoint_is_one_line_error(pipeline, diagnostic_ckpt,
+                                              tmp_path, capsys, command,
+                                              flags):
+    capsys.readouterr()
+    assert cli_dispatch(_model_argv({**pipeline, "ckpt": diagnostic_ckpt},
+                                    command, tmp_path, *flags)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {diagnostic_ckpt}: a format-2 checkpoint holds no item "
+        f"completion; retrain with `a2cf train`"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -766,12 +882,15 @@ def _absurd_dims(header):
      "bad checkpoint config: learning_rate must be > 0"),
     (_nan_tensors("subst_proj", "pers_proj"),
      "checkpoint tensor 'subst_proj' holds non-finite values"),
+    (lambda raw: raw[:-8] + np.float64(np.nan).tobytes(),
+     "checkpoint item completion holds a value that is non-finite"),
+    (lambda raw: _rewrite_header(raw, _set("format", 2)), "trailing bytes"),
 ], ids=["short_file", "unknown_config_key", "no_config", "no_counts",
         "format_1", "negative_count", "float_count", "bool_count",
         "missing_count", "rows_overflow_int64", "rows_wrap_int64",
         "absurd_dims", "wrong_shape", "float_embed_dim", "bool_tower_depth",
         "nan_subst_temp", "inf_rating_max", "negative_learning_rate",
-        "nan_projections"])
+        "nan_projections", "nan_item_value", "format_2_with_items"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"

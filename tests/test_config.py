@@ -72,6 +72,26 @@ def test_run_config_validation():
         RunConfig(eval_cutoffs=())      # evaluation settings are not run fields
 
 
+@pytest.mark.parametrize("field", ["seed", "rounds_max", "phase1_steps",
+                                   "phase2_steps"])
+@pytest.mark.parametrize("value", [2.0, True, "2"])
+def test_run_config_rejects_non_int_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int, got "):
+        RunConfig(**{field: value})
+
+
+def test_run_config_rejects_the_float_and_bool_schedule():
+    """Each of these used to construct, and training then raised a
+    TypeError the command line does not catch."""
+    with pytest.raises(ValueError, match="seed must be an int, got 1.5"):
+        RunConfig(rounds_max=2.0, phase1_steps=True, seed=1.5)
+    with pytest.raises(ValueError, match="rounds_max must be an int, got 2.0"):
+        RunConfig(rounds_max=2.0, phase1_steps=True)
+    with pytest.raises(ValueError,
+                       match="phase1_steps must be an int, got True"):
+        RunConfig(phase1_steps=True)
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment line\n"

@@ -167,6 +167,24 @@ def test_tanh_rescaled_saturates_without_overflow():
     assert np.isfinite(tanh_rescaled(1e6, 5.0))
 
 
+@pytest.mark.parametrize("rating_max", [1 + 2.0 ** -52, 7.3, 1e16])
+def test_tanh_rescaled_stays_on_the_rating_scale(rating_max):
+    """Unclipped, saturation rounds to 1 - 2**-53, 7.300000000000001 and 0
+    at these scales; a format-3 checkpoint rejects a completion that
+    leaves [1, rating_max]."""
+    r = np.array([-40.0, -19.0, 0.0, 19.0, 40.0])
+    out = tanh_rescaled(r, rating_max)
+    assert ((out >= 1.0) & (out <= rating_max)).all()
+    assert (np.diff(out) >= 0).all()
+
+
+def test_tanh_rescaled_clip_changes_no_bit_at_five():
+    r = np.linspace(-50.0, 50.0, 20001)
+    raw = 2.0 * np.tanh(r) + 3.0
+    np.testing.assert_array_equal(tanh_rescaled(r, 5.0).view(np.uint64),
+                                  raw.view(np.uint64))
+
+
 def test_tanh_rescaled_odd_symmetry():
     for r in (0.1, 0.7, 2.0, 13.0):
         total = tanh_rescaled(r, 5.0) + tanh_rescaled(-r, 5.0)

@@ -1,5 +1,6 @@
 """Matrix completion, attention scoring heads, BPR loss, and top-K ranking."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,24 @@ def test_estimation_calls_each_predictor_once_in_row_major_order(
     (_, rows, _, need), (*_, item_need) = seen
     np.testing.assert_array_equal(need, np.isin(rows, [2, 7]))
     assert item_need is None
+
+
+def test_estimation_over_a_given_item_matrix_runs_only_the_user_predictor(
+        monkeypatch):
+    rng = np.random.default_rng(5)
+    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    params = init_params(9, 11, 7, scoring_cfg(), seed=9)
+    full = estimate_matrices(user_mat, item_mat, params)
+    seen = _count_predicted_cells(monkeypatch)
+    est = estimate_matrices(user_mat, item_mat, params, [2, 7], full.item_attr)
+    assert [side for side, *_ in seen] == ["user"]
+    assert est.item_attr is full.item_attr
+    np.testing.assert_array_equal(est.user_attr[[2, 7]].view(np.uint64),
+                                  full.user_attr[[2, 7]].view(np.uint64))
+    with pytest.raises(ValueError, match=re.escape(
+            "item_attr has shape (7, 11), the item matrix (11, 7)")):
+        estimate_matrices(user_mat, item_mat, params,
+                          item_attr=full.item_attr.T)
 
 
 @pytest.mark.parametrize("embed_dim, depth", [(8, 1), (64, 1), (3, 1), (4, 2)])

@@ -32,8 +32,8 @@ def test_checkpoint_save_load_save_identical_bytes(tmp_path):
     params, cfg = tiny_params()
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(str(a), params, cfg)
-    loaded, loaded_cfg = load_checkpoint(str(a))
-    assert loaded_cfg == cfg
+    loaded, loaded_cfg, items = load_checkpoint(str(a))
+    assert loaded_cfg == cfg and items is None
     save_checkpoint(str(b), loaded, loaded_cfg)
     assert a.read_bytes() == b.read_bytes()
 
@@ -114,6 +114,53 @@ def test_checkpoint_header_is_config_counts_and_format(tmp_path):
                       "format": 2}
     assert len(raw) == 12 + hlen + 8 * sum(
         t.size for t in params.tensors().values())
+
+
+def tiny_item_attr(cfg):
+    """A (6, 4) item completion for tiny_params, with both ends of the
+    range [1, rating_max] in it."""
+    item_attr = np.random.default_rng(5).uniform(1.0, cfg.rating_max, (6, 4))
+    item_attr[0, :2] = 1.0, cfg.rating_max
+    return item_attr
+
+
+def test_format3_checkpoint_ships_the_item_completion(tmp_path):
+    params, cfg = tiny_params()
+    item_attr = tiny_item_attr(cfg)
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(str(a), params, cfg, item_attr)
+    raw = a.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    assert json.loads(raw[12:12 + hlen]) == {
+        "config": dataclasses.asdict(cfg), "counts": [5, 6, 4], "format": 3}
+    # the tensors as format 2 writes them, then the item matrix
+    save_checkpoint(str(b), params, cfg)
+    tensors = b.read_bytes()[12 + hlen:]
+    assert raw[12 + hlen:] == tensors + item_attr.tobytes()
+    loaded, loaded_cfg, items = load_checkpoint(str(a))
+    assert np.array_equal(items.view(np.uint64), item_attr.view(np.uint64))
+    save_checkpoint(str(b), loaded, loaded_cfg, items)
+    assert b.read_bytes() == raw
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: m[:5], "item completion has shape (5, 4), the counts give "
+                      "(6, 4)"),
+    (lambda m: m.T, "item completion has shape (4, 6), the counts give "
+                    "(6, 4)"),
+    (lambda m: np.where(m == 1.0, np.nextafter(1.0, 0.0), m),
+     "item completion holds a value that is non-finite or outside [1, 5.0]"),
+    (lambda m: np.where(m == 5.0, np.inf, m),
+     "item completion holds a value that is non-finite or outside [1, 5.0]"),
+], ids=["rows", "transposed", "below_one", "inf"])
+def test_save_refuses_an_item_completion_the_loader_would(tmp_path, edit,
+                                                           message):
+    params, cfg = tiny_params()
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")
+                       + ".*" + re.escape(message)):
+        save_checkpoint(str(path), params, cfg, edit(tiny_item_attr(cfg)))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -265,8 +312,9 @@ def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
                        match="non-finite loss nan in round 1 phase 1 step 1"):
         train_pipeline(synth_corpus, synth_splits, short_run(),
                        diag_dir=str(diag))
-    params, _ = load_checkpoint(str(diag / "diagnostic.ckpt"))
+    params, _, items = load_checkpoint(str(diag / "diagnostic.ckpt"))
     assert params.user_emb.shape[0] == synth_corpus.n_users
+    assert items is None            # format 2, params only
 
 
 @pytest.mark.parametrize("site", ["phase1_forward_backward",
@@ -284,8 +332,9 @@ def test_activation_blowup_aborts_with_diagnostic(tmp_path, monkeypatch,
     with pytest.raises(FloatingPointError, match="non-finite activation"):
         train_pipeline(synth_corpus, synth_splits, short_run(),
                        diag_dir=str(diag))
-    params, _ = load_checkpoint(str(diag / "diagnostic.ckpt"))
+    params, _, items = load_checkpoint(str(diag / "diagnostic.ckpt"))
     assert params.user_emb.shape[0] == synth_corpus.n_users
+    assert items is None            # format 2, params only
 
 
 def test_empty_training_split_error(synth_corpus):
