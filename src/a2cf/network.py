@@ -11,15 +11,17 @@ W0 [e; a] = W0[:, :d] e + W0[:, d:] a, so each call computes P = E W0[:, :d]^T
 over the whole entity table and Q = A W0[:, d:]^T + b0 over the whole
 attribute table, and the head splits too: r = e . head[:d] + a . head[d:] +
 relu(P + Q) . head, a gather by the cell's ids, an add, a relu and a dot per
-cell. Every other depth runs the training forward without dropout, over
-chunks of _UNSPLIT_CHUNK cells.
+cell. Every other depth runs the training forward without dropout, once per
+run of equal row ids.
 
-The split cells run in blocks that fit in cache, through one reused buffer,
-rather than as one (cells, 2d) array per step. The block length is a power of
-two, so every cell keeps its offset mod 4 within the BLAS matvec and gets the
-bits the whole call gives it. The overflow bound carries its branch maximum
-across blocks with np.maximum, so a NaN in any block reaches the bound and
-sends the call to the training forward.
+A cell's bits depend only on its run of equal row ids, never on the rest of
+the call, so a caller that passes some of a completion's row runs gets the
+bits the whole completion gives them. The split dot with the head is thus
+np.einsum's own per-row loop, not a BLAS matvec, which sums a row by its
+position in the call. The split cells run in cache-sized blocks through one
+reused buffer. The overflow bound carries its branch maximum across blocks with
+np.maximum, so a NaN in any block reaches the bound and sends the call to
+the training forward.
 """
 
 import dataclasses
@@ -31,7 +33,6 @@ from .config import TrainConfig
 
 INIT_SCALE = 0.05
 _BLOCK_BYTES = 2 ** 18      # one block of the split kernel, sized for cache
-_UNSPLIT_CHUNK = 4096       # max cells per eval-mode training forward
 
 
 @dataclass
@@ -209,23 +210,18 @@ def _tower_predict(params: ModelParams, side: str, rows, attrs,
 
 
 def _block_rows(embed_dim: int) -> int:
-    """Cells per block of the split kernel: the largest power of two whose
-    (cells, 2d) float64 block fits in _BLOCK_BYTES, and at least 4."""
-    return 1 << max(2, (_BLOCK_BYTES // (16 * embed_dim)).bit_length() - 1)
+    """Cells per block of the split kernel: as many (cells, 2d) float64 rows
+    as fit in _BLOCK_BYTES, and at least 1."""
+    return max(1, _BLOCK_BYTES // (16 * embed_dim))
 
 
 def _split_predict(params: ModelParams, side: str, rows, attrs,
-                   rating_max: float, need=None) -> np.ndarray:
+                   rating_max: float) -> np.ndarray:
     """Eval-mode tower output per (row, attr) cell. A one-block tower runs
     split (module docstring) when the bound below shows every activation
     finite; every other call runs the training forward `_tower_predict`
-    over chunks of _UNSPLIT_CHUNK cells, so the predictor raises exactly
-    where it does.
-
-    `need`, a bool per cell, limits the run to the blocks (split) or chunks
-    (unsplit) that hold a needed cell; the cells of every other one come
-    back NaN, and only the blocks run enter the bound. A needed cell keeps
-    the bits the whole call gives it.
+    once per run of equal row ids, so the predictor raises exactly where it
+    does. Either way a cell's bits depend only on its row run.
     """
     emb, weights, biases, head = _tower(params, side)
     if len(weights) == 1:
@@ -237,41 +233,36 @@ def _split_predict(params: ModelParams, side: str, rows, attrs,
         base = (emb @ head[:d])[rows] + (attr_emb @ head[d:])[attrs]
         n, step = len(base), _block_rows(d)
         buf = np.empty((min(n, step), 2 * d))
-        dot = np.full(n, np.nan)
+        dot = np.empty(n)
         peak = 0.0
         for start in range(0, n, step):
             blk = slice(start, start + step)
-            if need is not None and not need[blk].any():
-                continue
             branch = buf[:len(dot[blk])]
             np.take(p, rows[blk], axis=0, out=branch, mode="wrap")
             branch += q[attrs[blk]]
             np.maximum(branch, 0.0, out=branch)
             peak = np.maximum(peak, branch.max())
-            dot[blk] = branch @ head
+            np.einsum("ij,j->i", branch, head, out=dot[blk])
         # branch >= 0, so h0 + branch is finite wherever this bound is
         if np.isfinite(peak + np.abs(emb).max(initial=0.0)
                        + np.abs(attr_emb).max(initial=0.0)):
             return tanh_rescaled(base + dot, rating_max)
-    out = np.full(len(rows), np.nan)
-    for start in range(0, len(rows), _UNSPLIT_CHUNK):
-        chunk = slice(start, start + _UNSPLIT_CHUNK)
-        if need is None or need[chunk].any():
-            out[chunk] = _tower_predict(params, side, rows[chunk],
-                                        attrs[chunk], rating_max)[0]
-    return out
+    runs = np.flatnonzero(np.diff(rows)) + 1
+    return np.concatenate(
+        [_tower_predict(params, side, r, a, rating_max)[0]
+         for r, a in zip(np.split(rows, runs), np.split(attrs, runs))])
 
 
 def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
-                            attrs: np.ndarray, rating_max: float,
-                            need=None) -> np.ndarray:
-    return _split_predict(params, "user", users, attrs, rating_max, need)
+                            attrs: np.ndarray,
+                            rating_max: float) -> np.ndarray:
+    return _split_predict(params, "user", users, attrs, rating_max)
 
 
 def predict_item_attr_batch(params: ModelParams, items: np.ndarray,
-                            attrs: np.ndarray, rating_max: float,
-                            need=None) -> np.ndarray:
-    return _split_predict(params, "item", items, attrs, rating_max, need)
+                            attrs: np.ndarray,
+                            rating_max: float) -> np.ndarray:
+    return _split_predict(params, "item", items, attrs, rating_max)
 
 
 def _tower_backward(params: ModelParams, grads: ModelParams, side: str,

@@ -35,13 +35,15 @@ class EstimatedMatrices:
 
 def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
               rows=None) -> np.ndarray:
-    dense = sparse.to_dense()
-    r, c = np.nonzero(~sparse.observed_mask())
-    if len(r):
-        need = None if rows is None else np.isin(r, rows)
-        dense[r, c] = predict(params, r, c, sparse.scale_cap, need=need)
+    """`sparse` densified, its unobserved cells (of `rows` only, every other
+    row NaN, when given) regressed in one row-major predictor call, if any."""
+    dense, unobserved = sparse.to_dense(), ~sparse.observed_mask()
     if rows is not None:
-        dense[np.isin(np.arange(len(dense)), rows, invert=True)] = np.nan
+        other = np.isin(np.arange(len(dense)), rows, invert=True)
+        dense[other], unobserved[other] = np.nan, False
+    r, c = np.nonzero(unobserved)
+    if len(r):
+        dense[r, c] = predict(params, r, c, sparse.scale_cap)
     return dense
 
 
@@ -50,12 +52,14 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
                       params: ModelParams, users=None,
                       item_attr=None) -> EstimatedMatrices:
     """Fill every unobserved cell with the eval-mode tower regression, one
-    predictor call per matrix; observed cells are copied bit-for-bit.
+    predictor call per matrix that has one; observed cells are copied
+    bit-for-bit.
 
     `users` limits the user matrix to those rows, for a caller that reads
-    no other: they get the bits of the full completion, and every other
-    user row is NaN. None completes every row. An id that is not an
-    integer in [0, n_users) raises ValueError.
+    no other: only their unobserved cells are regressed, with the bits of
+    the full completion (network module docstring), and every other user
+    row is NaN. None completes every row. An id that is not an integer in
+    [0, n_users) raises ValueError.
 
     `item_attr`, an item completion of these params such as the one a
     format-3 checkpoint ships, is taken as the item matrix instead of

@@ -9,6 +9,7 @@ import a2cf
 import a2cf.cli
 from a2cf.cli import cli_dispatch
 from a2cf.data import load_prepared
+from a2cf.matrices import build_matrices
 from test_bench_sites import spans
 
 
@@ -35,6 +36,10 @@ def test_every_traced_site_fires_in_its_stages(synth_paths, tmp_path):
             "--eval-negatives", "20")
         corpus, splits = load_prepared(data)
         user, query, _ = splits.test[0]
+        # a request calls the user predictor only on its row's unobserved
+        # cells, so network.predict_s fires in recommend and explain only
+        # because this row has one
+        assert not build_matrices(corpus)[0].observed_mask()[user].all()
         request = [*consumer, "--out-dir", req,
                    "--user", corpus.user_tokens[user],
                    "--query", corpus.item_tokens[query]]

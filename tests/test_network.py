@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from a2cf import network
 from a2cf.config import TrainConfig
 from a2cf.network import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                           INIT_SCALE, ModelParams, _block_rows,
@@ -371,6 +372,16 @@ def _assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _tower_per_run(params, side, rows, attrs):
+    """`_tower_predict` once per run of equal row ids: the reference of the
+    unsplit path."""
+    starts = [k for k in range(len(rows)) if k == 0 or rows[k] != rows[k - 1]]
+    ends = starts[1:] + [len(rows)]
+    return np.concatenate([np.empty(0)] + [
+        _tower_predict(params, side, rows[i:j], attrs[i:j], 5.0)[0]
+        for i, j in zip(starts, ends)])
+
+
 @pytest.mark.parametrize("depth", [0, 2, 3])
 @pytest.mark.parametrize("seed", range(24))
 def test_predictors_off_the_split_are_the_reference_bit_for_bit(seed, depth):
@@ -385,7 +396,7 @@ def test_predictors_off_the_split_are_the_reference_bit_for_bit(seed, depth):
         rows = rng.integers(0, len(getattr(params, f"{side}_emb")), n)
         attrs = rng.integers(0, 5, n)
         _assert_same_bits(predict(params, rows, attrs, 5.0),
-                          _tower_predict(params, side, rows, attrs, 5.0)[0])
+                          _tower_per_run(params, side, rows, attrs))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -407,14 +418,14 @@ def test_predictors_past_the_overflow_bound_are_the_reference_bit_for_bit(
         rows, attrs = rows[keep], attrs[keep]
         with np.errstate(over="ignore"):
             got = predict(params, rows, attrs, 5.0)
-        _assert_same_bits(got, _tower_predict(params, side, rows, attrs,
-                                              5.0)[0])
+        _assert_same_bits(got, _tower_per_run(params, side, rows, attrs))
 
 
 def _whole_call_split(params, side, rows, attrs):
     """The split one-block formula over the whole call at once, with P, Q
-    and the head terms over the whole tables: the reference the blocked
-    kernel must match bit for bit."""
+    and the head terms over the whole tables and the branch dot as numpy's
+    einsum loop: the reference the blocked kernel must match bit for
+    bit."""
     d = params.embed_dim
     emb, a = getattr(params, f"{side}_emb"), params.attr_emb
     w = getattr(params, f"{side}_tower_w")[0]
@@ -422,7 +433,7 @@ def _whole_call_split(params, side, rows, attrs):
     head = getattr(params, f"{side}_head")
     p, q = emb @ w[:, :d].T, a @ w[:, d:].T + b
     r = ((emb @ head[:d])[rows] + (a @ head[d:])[attrs]
-         + np.maximum(p[rows] + q[attrs], 0.0) @ head)
+         + np.einsum("ij,j->i", np.maximum(p[rows] + q[attrs], 0.0), head))
     return tanh_rescaled(r, 5.0)
 
 
@@ -440,7 +451,6 @@ def _random_one_block(embed_dim, seed, n_rows=90, n_attrs=70):
 def test_blocked_split_matches_the_whole_call_bit_for_bit(embed_dim):
     params, rng = _random_one_block(embed_dim, seed=3)
     block = _block_rows(embed_dim)
-    assert block & (block - 1) == 0 and block >= 4
     for n in sorted({0, 1, block - 1, block, block + 1, 4096}):
         for side, predict in PREDICTORS.items():
             rows, attrs = rng.integers(0, 90, n), rng.integers(0, 70, n)
@@ -484,22 +494,41 @@ def test_bad_branch_in_a_later_block_takes_the_unsplit_path(side, case):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("embed_dim", [8, 64])
-def test_needed_cells_keep_their_bits_and_the_rest_are_nan(embed_dim):
-    # blocks 0, 1 and 3 hold a needed cell; block 2 and the tail do not
-    params, rng = _random_one_block(embed_dim, seed=9)
-    block = _block_rows(embed_dim)
-    n = 4 * block + 7
-    need = np.zeros(n, dtype=bool)
-    need[[block - 1, block, 3 * block + 5]] = True
-    ran = np.zeros(n, dtype=bool)
-    ran[:2 * block] = ran[3 * block:4 * block] = True
-    rows, attrs = rng.integers(0, 90, n), rng.integers(0, 70, n)
+@pytest.mark.parametrize("block", [1, 5, 255, 341])
+def test_a_cell_keeps_its_bits_at_any_block_size_and_in_any_slice(
+        block, monkeypatch):
+    """Whatever the block length, a split call has the bits of the whole
+    call, and a contiguous slice of it the bits of that slice; at depth 2 a
+    slice of whole row runs keeps its bits too. So a request that passes
+    only its user's cells gets the full completion's bits."""
+    monkeypatch.setattr(network, "_block_rows", lambda embed_dim: block)
+    for embed_dim in (3, 64):
+        params, rng = _random_one_block(embed_dim, seed=block)
+        rows, attrs = rng.integers(0, 90, 1100), rng.integers(0, 70, 1100)
+        for side, predict in PREDICTORS.items():
+            whole = predict(params, rows, attrs, 5.0)
+            _assert_same_bits(whole, _whole_call_split(params, side, rows,
+                                                       attrs))
+            for lo, hi in ((0, 1), (1, 2), (3, 700), (255, 596), (7, 1100),
+                           (1099, 1100), (341, 1023)):
+                _assert_same_bits(predict(params, rows[lo:hi], attrs[lo:hi],
+                                          5.0), whole[lo:hi])
+    rng = np.random.default_rng([block, 47])
+    params = init_params(90, 90, 70, small_cfg(embed_dim=8, tower_depth=2),
+                         seed=block)
+    for t in params.tensors().values():
+        t[...] = rng.normal(scale=0.5, size=t.shape)
+    lengths = rng.integers(1, 70, 40)
+    rows = np.repeat(rng.permutation(90)[:40], lengths)
+    attrs = rng.integers(0, 70, len(rows))
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
     for side, predict in PREDICTORS.items():
-        got = predict(params, rows, attrs, 5.0, need=need)
-        want = _whole_call_split(params, side, rows, attrs)
-        _assert_same_bits(got[ran], want[ran])
-        assert np.isnan(got[~ran]).all()
+        whole = predict(params, rows, attrs, 5.0)
+        _assert_same_bits(whole, _tower_per_run(params, side, rows, attrs))
+        for lo, hi in ((0, 1), (5, 6), (3, 17), (20, 40), (0, 40)):
+            cells = slice(bounds[lo], bounds[hi])
+            _assert_same_bits(predict(params, rows[cells], attrs[cells], 5.0),
+                              whole[cells])
 
 
 def test_split_predictors_index_like_the_tables():

@@ -154,16 +154,14 @@ def test_estimation_matches_full_grid_reference(seed):
 
 
 def _count_predicted_cells(monkeypatch):
-    """Record (side, rows, attrs, need) of every batch both predictors
-    regress."""
+    """Record (side, rows, attrs) of every batch both predictors regress."""
     seen = []
     for side in ("user", "item"):
         name = f"predict_{side}_attr_batch"
 
-        def spy(p, r, a, cap, need=None, side=side,
-                real=getattr(ranking, name)):
-            seen.append((side, r, a, need))
-            return real(p, r, a, cap, need=need)
+        def spy(p, r, a, cap, side=side, real=getattr(ranking, name)):
+            seen.append((side, r, a))
+            return real(p, r, a, cap)
         monkeypatch.setattr(ranking, name, spy)
     return seen
 
@@ -177,16 +175,51 @@ def test_estimation_calls_each_predictor_once_in_row_major_order(
     seen = _count_predicted_cells(monkeypatch)
     est = estimate_matrices(user_mat, item_mat, params)
     assert [side for side, *_ in seen] == ["user", "item"]
-    for (_, rows, attrs, need), mat in zip(seen, (user_mat, item_mat)):
+    for (_, rows, attrs), mat in zip(seen, (user_mat, item_mat)):
         want = np.argwhere(~mat.observed_mask())
         np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
-        assert need is None
     assert_matches_full_grid(est, ref, (user_mat, item_mat))
     seen.clear()
-    estimate_matrices(user_mat, item_mat, params, users=[2, 7])
-    (_, rows, _, need), (*_, item_need) = seen
-    np.testing.assert_array_equal(need, np.isin(rows, [2, 7]))
-    assert item_need is None
+    estimate_matrices(user_mat, item_mat, params, users=[7, 2])
+    assert [side for side, *_ in seen] == ["user", "item"]
+    (_, rows, attrs), _ = seen
+    want = np.argwhere(~user_mat.observed_mask())
+    want = want[np.isin(want[:, 0], [2, 7])]
+    assert set(want[:, 0]) == {2, 7}
+    np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
+
+
+def test_fully_observed_user_row_comes_back_verbatim_with_no_call(
+        monkeypatch):
+    rng = np.random.default_rng(6)
+    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    keys = np.union1d(user_mat.rows * 7 + user_mat.cols, np.arange(28, 35))
+    vals = rng.uniform(1.0, 5.0, len(keys))
+    user_mat = SparseAttributeMatrix((9, 7), 5.0, keys // 7, keys % 7, vals)
+    assert user_mat.observed_mask()[4].all()
+    params = init_params(9, 11, 7, scoring_cfg(), seed=6)
+    full = estimate_matrices(user_mat, item_mat, params)
+    seen = _count_predicted_cells(monkeypatch)
+    est = estimate_matrices(user_mat, item_mat, params, [4], full.item_attr)
+    assert seen == []
+    np.testing.assert_array_equal(est.user_attr[4].view(np.uint64),
+                                  user_mat.to_dense()[4].view(np.uint64))
+    assert np.isnan(np.delete(est.user_attr, 4, axis=0)).all()
+
+
+def test_no_requested_user_calls_no_user_predictor(monkeypatch):
+    """`users=[]`, as `a2cf train` passes for the item completion it ships:
+    the item matrix is completed whole and no user cell is regressed."""
+    rng = np.random.default_rng(7)
+    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    params = init_params(9, 11, 7, scoring_cfg(), seed=7)
+    full = estimate_matrices(user_mat, item_mat, params)
+    seen = _count_predicted_cells(monkeypatch)
+    est = estimate_matrices(user_mat, item_mat, params, users=[])
+    assert [side for side, *_ in seen] == ["item"]
+    np.testing.assert_array_equal(est.item_attr.view(np.uint64),
+                                  full.item_attr.view(np.uint64))
+    assert np.isnan(est.user_attr).all()
 
 
 def test_estimation_over_a_given_item_matrix_runs_only_the_user_predictor(
@@ -226,40 +259,43 @@ def test_estimation_of_some_user_rows_keeps_their_bits(embed_dim, depth):
         assert np.isnan(np.delete(est.user_attr, users, axis=0)).all()
 
 
-def test_deep_tower_completion_runs_the_training_forward_in_chunks(
+def test_deep_tower_completion_runs_the_training_forward_per_row(
         monkeypatch):
-    """At depth 2 a completion of more than one chunk has the bits of
-    `_tower_predict` run over each chunk of at most 4096 cells, and a
-    request for one user runs only the chunks that hold one of its cells."""
+    """At depth 2 a completion calls `_tower_predict` once per row that
+    holds an unobserved cell, on that row's cells, and takes its bits; a
+    request for one user makes one call, on that user's row alone."""
     rng = np.random.default_rng(62)
     params = init_params(300, 40, 100, scoring_cfg(embed_dim=4,
                                                    tower_depth=2), seed=62)
     user_mat = random_coo(rng, (300, 100), 0.3)
     item_mat = random_coo(rng, (40, 100), 0.3)
-    rows, attrs = np.nonzero(~user_mat.observed_mask())
-    chunk = network._UNSPLIT_CHUNK
-    assert chunk == 4096 and len(rows) > 4 * chunk
-    want = np.concatenate([
-        network._tower_predict(params, "user", rows[k:k + chunk],
-                               attrs[k:k + chunk], 5.0)[0]
-        for k in range(0, len(rows), chunk)])
+    unobserved = ~user_mat.observed_mask()
+    unobserved[17] = False      # a fully observed row gets no call
+    user_mat = SparseAttributeMatrix(
+        (300, 100), 5.0, *np.nonzero(~unobserved),
+        rng.uniform(1.0, 5.0, int((~unobserved).sum())))
+    held = [u for u in range(300) if unobserved[u].any()]
+    assert len(held) == 299
     real, calls = network._tower_predict, []
     monkeypatch.setattr(network, "_tower_predict", lambda p, side, r, a, *rest:
-                        calls.append((side, r)) or real(p, side, r, a, *rest))
+                        calls.append((side, r, a)) or real(p, side, r, a,
+                                                           *rest))
     est = estimate_matrices(user_mat, item_mat, params)
-    np.testing.assert_array_equal(est.user_attr[rows, attrs].view(np.uint64),
-                                  want.view(np.uint64))
-    assert all(len(r) <= chunk for _, r in calls)
-    assert sum(len(r) for side, r in calls if side == "user") == len(rows)
-    user = 150
+    user_calls = [(r, a) for side, r, a in calls if side == "user"]
+    assert len(user_calls) == len(held)
+    for u, (r, a) in zip(held, user_calls):
+        np.testing.assert_array_equal(r, np.full(unobserved[u].sum(), u))
+        np.testing.assert_array_equal(a, np.flatnonzero(unobserved[u]))
+        want = real(params, "user", r, a, 5.0)[0]
+        np.testing.assert_array_equal(est.user_attr[u, a].view(np.uint64),
+                                      want.view(np.uint64))
     calls.clear()
-    estimate_matrices(user_mat, item_mat, params, users=[user])
-    holding = [rows[k:k + chunk] for k in range(0, len(rows), chunk)
-               if (rows[k:k + chunk] == user).any()]
-    user_calls = [r for side, r in calls if side == "user"]
-    assert len(user_calls) == len(holding) < len(rows) / chunk
-    for got, held in zip(user_calls, holding):
-        np.testing.assert_array_equal(got, held)
+    estimate_matrices(user_mat, item_mat, params, users=[150],
+                      item_attr=est.item_attr)
+    (side, r, a), = calls
+    assert side == "user"
+    np.testing.assert_array_equal(r, np.full(unobserved[150].sum(), 150))
+    np.testing.assert_array_equal(a, np.flatnonzero(unobserved[150]))
 
 
 @pytest.mark.parametrize("users, bad", [
