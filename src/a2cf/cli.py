@@ -133,6 +133,15 @@ def _check_counts(args, *flags) -> None:
             raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
+def _clamp(name: str, requested: int, limit: int) -> int:
+    """`requested`, or `limit` when it is smaller and at least 1; a clamp
+    is reported on stdout in the form `evaluate` reports its negatives."""
+    if not 1 <= limit < requested:
+        return requested
+    print(f"{name}={limit} requested={requested}")
+    return limit
+
+
 def _load_model(args):
     """The prepared corpus and splits, and the params, config and shipped
     item completion of a format-3 checkpoint."""
@@ -237,8 +246,9 @@ def _rank_request(args):
     query = _resolve_token(args.query, corpus.item_tokens, "item")
     est = _estimate(corpus, params, cfg, item_attr, users=[user])
     candidates = np.delete(np.arange(corpus.n_items), query)
-    ranked = ranking.recommend_top_k(params, est, cfg, user, query,
-                                     candidates, args.top_k)
+    ranked = ranking.recommend_top_k(
+        params, est, cfg, user, query, candidates,
+        _clamp("top_k", args.top_k, len(candidates)))
     os.makedirs(args.out_dir, exist_ok=True)
     return corpus, est, user, query, ranked
 
@@ -259,11 +269,12 @@ def _cmd_recommend(args) -> int:
 def _cmd_explain(args) -> int:
     _check_counts(args, "--top-k", "--top-attrs")
     corpus, est, user, query, ranked = _rank_request(args)
+    top_attrs = _clamp("top_attrs", args.top_attrs, corpus.n_attrs)
     lines = []
     for item in ranked.items:
         adv = attribute_advantage(est.user_attr[user], est.item_attr[query],
                                   est.item_attr[item])
-        report = render_interpretation(adv, args.top_attrs, corpus.attr_tokens,
+        report = render_interpretation(adv, top_attrs, corpus.attr_tokens,
                                        args.query, corpus.item_tokens[item])
         lines.append(f"{args.user}\t{args.query}\t"
                      f"{corpus.item_tokens[item]}\t{report.text}\n")

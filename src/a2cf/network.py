@@ -22,9 +22,16 @@ position in the call. The split cells run in cache-sized blocks through one
 reused buffer. The overflow bound carries its branch maximum across blocks with
 np.maximum, so a NaN in any block reaches the bound and sends the call to
 the training forward.
+
+The 11 parameter tensors are views of one float64 vector, `ModelParams.flat`,
+in field order, and so are gradient buffers and Adam's moments. Adam checks
+the gradient's finiteness once over that vector and updates it in blocks of
+at most _BLOCK_BYTES through two reused scratch buffers, and a checkpoint
+writes it as its tensor section.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +39,21 @@ import numpy as np
 from .config import TrainConfig
 
 INIT_SCALE = 0.05
-_BLOCK_BYTES = 2 ** 18      # one block of the split kernel, sized for cache
+_BLOCK_BYTES = 2 ** 18      # one block of the split kernel and of Adam,
+                            # sized for cache
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """The 11 parameter tensors. Field order is the serialization order; a
-    gradient buffer is a ModelParams of zeros."""
+    """The 11 parameter tensors, as reshaped views of one contiguous float64
+    vector `flat` laid out in field order, the serialization order. A
+    gradient buffer or an Adam moment is a ModelParams of zeros, so code
+    that treats every value alike (Adam, finiteness, checkpoints) walks
+    `flat` once. The class is frozen, so a field cannot be rebound away from
+    `flat`; write through a view (`grads.user_emb[...] += g`). Construction
+    from arrays, `dataclasses.replace` included, copies them into a new
+    vector; `from_flat` wraps an existing one.
+    """
 
     user_emb: np.ndarray        # (n_users, d)
     item_emb: np.ndarray        # (n_items, d)
@@ -51,17 +66,62 @@ class ModelParams:
     item_head: np.ndarray       # (2d,)
     subst_proj: np.ndarray      # (2d,) or (d,) under the reduced ablation
     pers_proj: np.ndarray       # (2d,) or (d,)
+    flat: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        arrays = {name: np.asarray(t, dtype=np.float64)
+                  for name, t in self.tensors().items()}
+        self._bind(np.empty(sum(a.size for a in arrays.values())),
+                   {name: a.shape for name, a in arrays.items()})
+        for name, a in arrays.items():
+            getattr(self, name)[...] = a
+
+    def _bind(self, flat: np.ndarray, shapes: dict) -> None:
+        """Make `flat` this object's vector and each field its view,
+        shaped by `shapes` in field order."""
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            object.__setattr__(self, name,
+                               flat[offset:offset + size].reshape(shape))
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"the shapes take {offset} values, the vector "
+                             f"holds {flat.size}")
+        object.__setattr__(self, "flat", flat)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: dict) -> "ModelParams":
+        """Views of the 1-D float64 `flat` itself, not a copy, shaped by
+        `shapes` (name -> shape in field order, as `param_shapes` gives)."""
+        params = object.__new__(cls)
+        params._bind(flat, shapes)
+        return params
 
     def tensors(self) -> dict:
         """Name -> array view, in field order."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self) if f.init}
 
     @classmethod
-    def zeros_like(cls, params: "ModelParams") -> "ModelParams":
-        return cls(**{k: np.zeros_like(v) for k, v in params.tensors().items()})
+    def zeros(cls, shapes: dict) -> "ModelParams":
+        """Zero tensors of `shapes` in one allocation."""
+        return cls.from_flat(
+            np.zeros(sum(math.prod(shape) for shape in shapes.values())),
+            shapes)
+
+    @classmethod
+    def zeros_like(cls, params: "ModelParams",
+                   out: "ModelParams | None" = None) -> "ModelParams":
+        """Zeros in the layout of `params`: `out`, of that layout, zeroed in
+        place when given, else a new allocation."""
+        if out is None:
+            return cls.zeros({k: t.shape for k, t in params.tensors().items()})
+        out.flat[...] = 0.0
+        return out
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for t in self.tensors().values())
+        return bool(np.isfinite(self.flat).all())
 
     @property
     def embed_dim(self) -> int:
@@ -96,12 +156,13 @@ def init_params(n_users: int, n_items: int, n_attrs: int, cfg: TrainConfig,
     """
     rng = np.random.default_rng(seed)
     shapes = param_shapes(n_users, n_items, n_attrs, cfg)
+    params = ModelParams.zeros(shapes)
     projections = ("subst_proj", "pers_proj")
-    order = [*projections, *(name for name in shapes if name not in projections)]
-    return ModelParams(**{
-        name: (np.zeros(shapes[name]) if name.endswith("_b") else
-               rng.uniform(-INIT_SCALE, INIT_SCALE, size=shapes[name]))
-        for name in order})
+    for name in (*projections, *(n for n in shapes if n not in projections)):
+        if not name.endswith("_b"):
+            getattr(params, name)[...] = rng.uniform(
+                -INIT_SCALE, INIT_SCALE, size=shapes[name])
+    return params
 
 
 def scatter_rows(n_rows: int, index_parts, value_parts) -> np.ndarray:
@@ -290,15 +351,17 @@ def _tower_backward(params: ModelParams, grads: ModelParams, side: str,
 
 def phase1_forward_backward(params: ModelParams, user_cells, item_cells,
                             rating_max: float, dropout: float = 0.0,
-                            rng: np.random.Generator | None = None):
+                            rng: np.random.Generator | None = None,
+                            grads: ModelParams | None = None):
     """Loss and analytic gradients for one regression batch.
 
     With dropout > 0 an rng must be supplied; a fresh mask is drawn per
-    residual block and tower.
+    residual block and tower. The gradients go into `grads`, zeroed first,
+    when given (a training loop reuses one buffer), else into a new one.
     """
     if dropout > 0.0 and rng is None:
         raise ValueError("dropout requires an rng")
-    grads = ModelParams.zeros_like(params)
+    grads = ModelParams.zeros_like(params, out=grads)
     depth = params.tower_depth
     dh = 2 * params.embed_dim
     loss = 0.0
@@ -319,23 +382,24 @@ def phase1_forward_backward(params: ModelParams, user_cells, item_cells,
         attr_grads.append(side_attr_grads)
     if attr_rows:
         # both towers in one scatter, user side first, as np.add.at would
-        grads.attr_emb += scatter_rows(len(grads.attr_emb), attr_rows,
-                                       attr_grads)
+        grads.attr_emb[...] += scatter_rows(len(grads.attr_emb), attr_rows,
+                                            attr_grads)
     return loss, grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators, zero ModelParams that share the
+    parameters' layout, plus the shared step counter."""
 
-    m: dict
-    v: dict
+    m: ModelParams
+    v: ModelParams
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdamState":
-        return cls(m={k: np.zeros_like(t) for k, t in params.tensors().items()},
-                   v={k: np.zeros_like(t) for k, t in params.tensors().items()})
+        return cls(m=ModelParams.zeros_like(params),
+                   v=ModelParams.zeros_like(params))
 
 
 ADAM_BETA1 = 0.9
@@ -345,10 +409,13 @@ ADAM_EPS = 1e-8
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               lr: float) -> ModelParams:
-    """One in-place Adam update with bias correction.
+    """One in-place Adam update with bias correction over the `flat` vectors.
 
     A batch with any non-finite gradient is skipped entirely, leaving
-    parameters, moments and `state.step` untouched.
+    parameters, moments and `state.step` untouched. The update runs over
+    blocks of at most _BLOCK_BYTES of the vectors, through two reused
+    scratch buffers: every operation is elementwise, so the bits are those
+    of the per-tensor formula.
     """
     if not grads.all_finite():
         return params
@@ -356,26 +423,29 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     t = state.step
     correct1 = 1.0 - ADAM_BETA1 ** t
     correct2 = 1.0 - ADAM_BETA2 ** t
-    for name, g in grads.tensors().items():
-        m = state.m[name]
-        v = state.v[name]
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    block = max(1, _BLOCK_BYTES // g.itemsize)
+    a_buf, b_buf = np.empty(min(g.size, block)), np.empty(min(g.size, block))
+    for start in range(0, g.size, block):
+        blk = slice(start, start + block)
+        gb, mb, vb = g[blk], m[blk], v[blk]
+        a, b = a_buf[:gb.size], b_buf[:gb.size]
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # p -= lr (m / c1) / (sqrt(v / c2) + eps), in that operation order,
-        # so the bits are those of the written-out formula; two scratch
-        # arrays hold what would be its temporaries
-        a, b = np.empty_like(g), np.empty_like(g)
-        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        m *= ADAM_BETA1
-        m += a
-        np.multiply(g, g, out=a)
+        # so the bits are those of the written-out formula; the two scratch
+        # buffers hold what would be its temporaries
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
+        mb *= ADAM_BETA1
+        mb += a
+        np.multiply(gb, gb, out=a)
         a *= 1.0 - ADAM_BETA2
-        v *= ADAM_BETA2
-        v += a
-        np.divide(v, correct2, out=a)
+        vb *= ADAM_BETA2
+        vb += a
+        np.divide(vb, correct2, out=a)
         np.sqrt(a, out=a)
         a += ADAM_EPS
-        np.divide(m, correct1, out=b)
+        np.divide(mb, correct1, out=b)
         b /= a
         b *= lr
-        getattr(params, name)[...] -= b
+        p[blk] -= b
     return params

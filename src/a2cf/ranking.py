@@ -183,9 +183,10 @@ def _score_rows_backward(params: ModelParams, cfg: TrainConfig, cache,
                                params.attr_emb,
                                upstream * (1.0 - cfg.subst_weight),
                                grads.pers_proj, grads.attr_emb)
-    grads.item_emb += scatter_rows(len(grads.item_emb), [queries, items, items],
-                                   [g_q, g_js, g_jp])
-    grads.user_emb += scatter_rows(len(grads.user_emb), [users], [g_u])
+    grads.item_emb[...] += scatter_rows(len(grads.item_emb),
+                                        [queries, items, items],
+                                        [g_q, g_js, g_jp])
+    grads.user_emb[...] += scatter_rows(len(grads.user_emb), [users], [g_u])
 
 
 def score_substitution(query: int, item: int, params: ModelParams,
@@ -287,11 +288,14 @@ def sample_negatives(users: np.ndarray, queries: np.ndarray, corpus: Corpus,
 def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
                            cfg: TrainConfig, users: np.ndarray,
                            queries: np.ndarray, positives: np.ndarray,
-                           negatives: np.ndarray):
+                           negatives: np.ndarray,
+                           grads: ModelParams | None = None):
     """(loss, gradients) for row-aligned (user, query, positive) triples,
     each against its row of `negatives`, shape (n, k) or, for k = 1, (n,).
     The loss sums -log sigmoid(score(i,q,j+) - score(i,q,j-)) over every
-    (triple, negative) pair, overflow-safe; each positive is scored once."""
+    (triple, negative) pair, overflow-safe; each positive is scored once.
+    The gradients go into `grads`, zeroed first, when given, else into a
+    new buffer."""
     n, negatives = len(users), np.asarray(negatives)
     if negatives.ndim not in (1, 2) or len(negatives) != n:
         raise ValueError(f"negatives must have shape ({n},) or ({n}, k), "
@@ -304,7 +308,7 @@ def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
     loss = float(np.logaddexp(0.0, -margins).sum())
     # d/dm of softplus(-m) is sigmoid(m) - 1, summed per positive over k
     up = expit(margins) - 1.0
-    grads = ModelParams.zeros_like(params)
+    grads = ModelParams.zeros_like(params, out=grads)
     _score_rows_backward(params, cfg, cache,
                          np.concatenate([up.sum(axis=1), -up.ravel()]), grads)
     return loss, grads

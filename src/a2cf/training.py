@@ -16,7 +16,6 @@ completes only user rows.
 import contextlib
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -56,37 +55,32 @@ def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig,
     """Serialize config and parameter tensors to one binary file.
 
     Layout: 8-byte magic, u32 header length, UTF-8 JSON header (`config`,
-    `counts` = [n_users, n_items, n_attrs], `format`), then raw
-    little-endian float64 tensor bytes in ModelParams field order. With
-    `item_attr`, the (n_items, n_attrs) item completion of these params,
-    the file is format 3 and that matrix follows the tensors; without it,
-    format 2. The counts and the config give every shape (`param_shapes`),
-    so a tensor whose shape `cfg` does not give, or an item completion of
-    another shape or outside [1, rating_max], raises ValueError before
-    anything is written. Identical inputs yield identical bytes.
+    `counts` = [n_users, n_items, n_attrs], `format`), then the tensor
+    section, `params.flat` (the tensors in field order) as raw
+    little-endian float64. With `item_attr`, the (n_items, n_attrs) item
+    completion of these params, the file is format 3 and that matrix
+    follows the tensors; without it, format 2. The counts and the config
+    give every shape (`param_shapes`), so a tensor whose shape `cfg` does
+    not give, or an item completion of another shape or outside
+    [1, rating_max], raises ValueError before anything is written.
+    Identical inputs yield identical bytes.
     """
-    tensors = params.tensors()
     counts = [len(params.user_emb), len(params.item_emb), len(params.attr_emb)]
     shapes = param_shapes(*counts, cfg)
-    for name, t in tensors.items():
+    for name, t in params.tensors().items():
         if t.shape != shapes[name]:
             raise ValueError(f"{path}: tensor {name!r} has shape {t.shape}, "
                              f"the config gives {shapes[name]}")
-    sections = list(tensors.values())
     if item_attr is not None:
         _check_item_attr(path, item_attr, tuple(counts[1:]), cfg.rating_max)
-        sections.append(item_attr)
     header = {"config": dataclasses.asdict(cfg), "counts": counts,
               "format": PARAMS_FORMAT if item_attr is None else SERVING_FORMAT}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    for t in sections:
-        buf.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+        if item_attr is not None:
+            fh.write(np.ascontiguousarray(item_attr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple:
@@ -134,29 +128,27 @@ def load_checkpoint(path: str) -> tuple:
     # dimension numpy cannot represent (Python ints cannot overflow)
     offset = 12 + hlen
     payload = len(raw) - offset
-    need = 8 * sum(math.prod(shape)
-                   for shape in (*shapes.values(), item_shape))
+    n_params = sum(math.prod(shape) for shape in shapes.values())
+    need = 8 * (n_params + math.prod(item_shape))
     if need > payload:
         raise ValueError(f"{path}: truncated checkpoint: the header's shapes "
                          f"take {need} bytes, {max(payload, 0)} follow it")
     if need < payload:
         raise ValueError(f"{path}: {payload - need} trailing bytes")
-    fields = {}
-    for name, shape in shapes.items():
-        nbytes = math.prod(shape) * 8
-        arr = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").astype(
-            np.float64).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: checkpoint tensor {name!r} holds "
-                             f"non-finite values")
-        fields[name] = arr
-        offset += nbytes
+    params = ModelParams.from_flat(
+        np.frombuffer(raw, dtype="<f8", count=n_params,
+                      offset=offset).astype(np.float64), shapes)
+    if not params.all_finite():
+        name = next(name for name, t in params.tensors().items()
+                    if not np.isfinite(t).all())
+        raise ValueError(f"{path}: checkpoint tensor {name!r} holds "
+                         f"non-finite values")
     if fmt == PARAMS_FORMAT:
-        return ModelParams(**fields), cfg, None
-    item_attr = np.frombuffer(raw[offset:], dtype="<f8").astype(
-        np.float64).reshape(item_shape)
+        return params, cfg, None
+    item_attr = np.frombuffer(raw, dtype="<f8", offset=offset + 8 * n_params
+                              ).astype(np.float64).reshape(item_shape)
     _check_item_attr(path, item_attr, item_shape, cfg.rating_max)
-    return ModelParams(**fields), cfg, item_attr
+    return params, cfg, item_attr
 
 
 def checkpoint_roundtrip(params: ModelParams, cfg: TrainConfig,
@@ -249,6 +241,9 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     neg_rng = np.random.default_rng(neg_seed)
     adam_p1 = AdamState.zeros_like(params)
     adam_p2 = AdamState.zeros_like(params)
+    # one gradient buffer for the run, zeroed by each step: a new vector per
+    # step kept two alive at once and raised the peak resident memory
+    grads = ModelParams.zeros_like(params)
 
     n_user_cells = len(user_mat.rows)
     cells = np.arange(n_user_cells + len(item_mat.rows))
@@ -290,7 +285,8 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
                     params, _cells(user_mat, batch[batch < n_user_cells]),
                     _cells(item_mat, batch[batch >= n_user_cells]
                            - n_user_cells),
-                    cfg.rating_max, dropout=cfg.dropout, rng=drop_rng)
+                    cfg.rating_max, dropout=cfg.dropout, rng=drop_rng,
+                    grads=grads)
                 if not np.isfinite(loss):
                     fail(round_no, 1, step, loss)
                 adam_step(params, grads, adam_p1, cfg.learning_rate)
@@ -312,7 +308,8 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
                 neg = sample_negatives(rows[:, 0], rows[:, 1], corpus,
                                        cfg.negatives, neg_rng)
                 loss, grads = bpr_s_forward_backward(
-                    params, est, cfg, rows[:, 0], rows[:, 1], rows[:, 2], neg)
+                    params, est, cfg, rows[:, 0], rows[:, 1], rows[:, 2], neg,
+                    grads=grads)
                 if not np.isfinite(loss):
                     fail(round_no, 2, step, loss)
                 adam_step(params, grads, adam_p2, cfg.learning_rate)

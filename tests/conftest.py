@@ -1,6 +1,8 @@
 """Shared fixtures: a small fully-connected corpus, finite-difference
 gradient tools, and a session-scoped trained model on a synthetic corpus."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from a2cf.config import RunConfig, TrainConfig
 from a2cf.data import (LexiconEntry, ReviewRecord, build_triplets,
                        filter_corpus, load_lexicon, load_reviews,
                        load_substitutes, split_triplets)
-from a2cf.network import ModelParams
+from a2cf.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ModelParams
 from a2cf.synthetic import SyntheticSpec, generate_synthetic
 from a2cf.training import train_pipeline
 
@@ -99,6 +101,44 @@ def central_diff_grads(params, loss_fn, step=1e-5):
             flat[k] = keep
             gout[k] = (hi - lo) / (2.0 * step)
     return grads
+
+
+def assert_flat_layout(params, shapes):
+    """Every tensor of `params` is a C-contiguous view of `params.flat` at
+    its field-order offset, with the shape `shapes` (param_shapes) gives,
+    and the vector holds nothing else."""
+    flat = params.flat
+    assert flat.ndim == 1 and flat.dtype == np.float64
+    assert flat.flags.c_contiguous and flat.flags.owndata
+    assert list(params.tensors()) == list(shapes)
+    start = flat.__array_interface__["data"][0]
+    offset = 0
+    for name, t in params.tensors().items():
+        assert t.shape == shapes[name], name
+        assert t.base is flat and t.flags.c_contiguous, name
+        assert t.__array_interface__["data"][0] - start == 8 * offset, name
+        offset += math.prod(shapes[name])
+    assert offset == flat.size
+
+
+def written_out_adam(params, grads, state, lr):
+    """Adam with bias correction, tensor by tensor, each line as the
+    formula reads; like adam_step it skips a step with a non-finite
+    gradient and returns `params`."""
+    if not all(np.isfinite(g).all() for g in grads.tensors().values()):
+        return params
+    state.step += 1
+    correct1 = 1.0 - ADAM_BETA1 ** state.step
+    correct2 = 1.0 - ADAM_BETA2 ** state.step
+    moments = zip(state.m.tensors().values(), state.v.tensors().values())
+    for (name, g), (m, v) in zip(grads.tensors().items(), moments):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        getattr(params, name)[...] -= lr * update
+    return params
 
 
 def worst_relative_gap(analytic, numeric, floor=1e-4):

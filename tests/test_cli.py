@@ -129,6 +129,36 @@ def test_explain_writes_requested_line_count(pipeline, tmp_path):
         assert len(clauses) == 3
 
 
+@pytest.mark.parametrize("over", [0, 1, 4000])
+def test_request_sizes_past_the_corpus_are_clamped_on_stdout(
+        pipeline, tmp_path, capsys, over):
+    """--top-k past the candidates and --top-attrs past the attributes get
+    what there is, each with one stdout line; stderr stays empty and no
+    warning is raised (pytest makes a UserWarning an error)."""
+    corpus, _ = load_prepared(pipeline["data"])
+    n_cands, n_attrs = corpus.n_items - 1, corpus.n_attrs
+    k, z = n_cands + over, n_attrs + over
+    request = ["--data", pipeline["data"], "--checkpoint", pipeline["ckpt"],
+               "--out-dir", str(tmp_path), "--user", "u003", "--query", "i012",
+               "--top-k", str(k)]
+    clamped_k = [f"top_k={n_cands} requested={k}"] if over else []
+    clamped_z = [f"top_attrs={n_attrs} requested={z}"] if over else []
+    assert cli_dispatch(["recommend", *request]) == 0
+    out, err = capsys.readouterr()
+    assert (out.splitlines(), err) == (
+        [*clamped_k, f"recommendations: {tmp_path / RECS_NAME}"], "")
+    assert len((tmp_path / RECS_NAME).read_text().splitlines()) == n_cands
+    assert cli_dispatch(["explain", *request, "--top-attrs", str(z)]) == 0
+    out, err = capsys.readouterr()
+    assert (out.splitlines(), err) == (
+        [*clamped_k, *clamped_z, f"explanations: {tmp_path / EXPLAIN_NAME}"],
+        "")
+    lines = (tmp_path / EXPLAIN_NAME).read_text().splitlines()
+    assert len(lines) == n_cands
+    assert all(len(ln.split("comes with: ")[1].split(", ")) == n_attrs
+               for ln in lines)
+
+
 def test_evaluate_writes_metrics_report(pipeline, tmp_path, capsys):
     assert cli_dispatch(["evaluate", "--data", pipeline["data"],
                          "--checkpoint", pipeline["ckpt"],

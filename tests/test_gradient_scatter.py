@@ -57,13 +57,13 @@ def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
     grads.subst_proj[:d] += g_s @ (v_q * v_j)
     if cfg.subst_use_attrs:
         grads.subst_proj[d:] += (e_s.T @ (g_s / z_s)) @ params.attr_emb
-        grads.attr_emb += np.outer(e_s.T @ (g_s / z_s), w_s[d:])
+        grads.attr_emb[...] += np.outer(e_s.T @ (g_s / z_s), w_s[d:])
     np.add.at(grads.item_emb, queries, g_s[:, None] * (w_s[:d] * v_j))
     np.add.at(grads.item_emb, items, g_s[:, None] * (w_s[:d] * v_q))
     grads.pers_proj[:d] += g_p @ (u_i * v_j)
     if cfg.pers_use_attrs:
         grads.pers_proj[d:] += (e_p.T @ (g_p / z_p)) @ params.attr_emb
-        grads.attr_emb += np.outer(e_p.T @ (g_p / z_p), w_p[d:])
+        grads.attr_emb[...] += np.outer(e_p.T @ (g_p / z_p), w_p[d:])
     np.add.at(grads.user_emb, users, g_p[:, None] * (w_p[:d] * v_j))
     np.add.at(grads.item_emb, items, g_p[:, None] * (w_p[:d] * u_i))
     return float(np.logaddexp(0.0, -margins).sum()), grads
@@ -105,13 +105,13 @@ def repeated_rows_bpr_s(params, est, cfg, users, queries, positives,
         np.add.at(grads.item_emb, items, g_s * (w_s[:d] * v_q))
         if cfg.subst_use_attrs:
             grads.subst_proj[d:] += (g_s * (phi @ params.attr_emb)).sum(axis=0)
-            grads.attr_emb += phi.T @ (g_s * w_s[None, d:])
+            grads.attr_emb[...] += phi.T @ (g_s * w_s[None, d:])
         grads.pers_proj[:d] += (g_p * (u_i * v_j)).sum(axis=0)
         np.add.at(grads.user_emb, users, g_p * (w_p[:d] * v_j))
         np.add.at(grads.item_emb, items, g_p * (w_p[:d] * u_i))
         if cfg.pers_use_attrs:
             grads.pers_proj[d:] += (g_p * (lam @ params.attr_emb)).sum(axis=0)
-            grads.attr_emb += lam.T @ (g_p * w_p[None, d:])
+            grads.attr_emb[...] += lam.T @ (g_p * w_p[None, d:])
 
     pos_scores, pos_cache = forward(positives)
     neg_scores, neg_cache = forward(negatives)

@@ -1,17 +1,20 @@
 """Residual towers, prediction heads, analytic gradients, and Adam."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from a2cf import network
 from a2cf.config import TrainConfig
-from a2cf.network import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
-                          INIT_SCALE, ModelParams, _block_rows,
+from a2cf.network import (AdamState, INIT_SCALE, ModelParams, _block_rows,
                           _tower_predict, adam_step, dropout_mask, init_params,
-                          phase1_forward_backward, predict_item_attr_batch,
-                          predict_user_attr_batch, residual_backward,
-                          residual_forward, tanh_rescaled, tanh_rescaled_grad)
-from conftest import central_diff_grads, worst_relative_gap
+                          param_shapes, phase1_forward_backward,
+                          predict_item_attr_batch, predict_user_attr_batch,
+                          residual_backward, residual_forward, tanh_rescaled,
+                          tanh_rescaled_grad)
+from conftest import (assert_flat_layout, central_diff_grads,
+                      worst_relative_gap, written_out_adam)
 
 TANH_ONE_ON_FIVE = 4.5231883119115298
 
@@ -54,6 +57,42 @@ def test_init_within_scale_and_zero_biases():
         assert np.all(np.abs(t) <= INIT_SCALE), name
     assert np.all(params.user_tower_b == 0.0)
     assert np.all(params.item_tower_b == 0.0)
+
+
+def _views_and_frozen(params, shapes):
+    assert_flat_layout(params, shapes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.user_emb = params.user_emb.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.flat = params.flat.copy()
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_every_way_of_making_params_lays_tensors_out_in_flat(reduced):
+    """init_params, zeros_like, zeros, construction from arrays and
+    dataclasses.replace each give one vector whose views are the 11
+    tensors at their field-order offsets; the last two copy their arrays
+    into a vector of their own."""
+    cfg = small_cfg(subst_use_attrs=not reduced, pers_use_attrs=not reduced)
+    shapes = param_shapes(5, 6, 4, cfg)
+    params = init_params(5, 6, 4, cfg, seed=8)
+    _views_and_frozen(params, shapes)
+    for zeros in (ModelParams.zeros_like(params), ModelParams.zeros(shapes)):
+        _views_and_frozen(zeros, shapes)
+        assert not zeros.flat.any()
+    built = ModelParams(**params.tensors())
+    _views_and_frozen(built, shapes)
+    assert not np.shares_memory(built.flat, params.flat)
+    assert np.array_equal(built.flat.view(np.uint64),
+                          params.flat.view(np.uint64))
+    emb = np.full(shapes["item_emb"], 0.5)
+    swapped = dataclasses.replace(params, item_emb=emb)
+    _views_and_frozen(swapped, shapes)
+    assert not np.shares_memory(swapped.flat, params.flat)
+    assert not np.shares_memory(swapped.item_emb, emb)
+    for name, t in swapped.tensors().items():
+        want = emb if name == "item_emb" else getattr(params, name)
+        assert np.array_equal(t, want), name
 
 
 def test_init_different_seeds_differ():
@@ -625,6 +664,21 @@ def test_phase1_shared_attr_grads_accumulate_both_towers():
                                g_user.attr_emb + g_item.attr_emb, atol=1e-12)
 
 
+def test_phase1_into_a_used_buffer_gives_the_bits_of_a_new_one():
+    params = init_params(3, 4, 3, small_cfg(), seed=26)
+    user_cells = (np.array([0, 2, 2]), np.array([1, 0, 2]),
+                  np.array([3.0, 4.5, 1.0]))
+    item_cells = (np.array([3, 1]), np.array([2, 2]), np.array([2.0, 5.0]))
+    want_loss, want = phase1_forward_backward(params, user_cells, item_cells,
+                                              5.0)
+    buf = ModelParams.zeros_like(params)
+    buf.flat[...] = np.nan
+    loss, got = phase1_forward_backward(params, user_cells, item_cells, 5.0,
+                                        grads=buf)
+    assert got is buf and loss == want_loss
+    assert np.array_equal(got.flat.view(np.uint64), want.flat.view(np.uint64))
+
+
 def test_phase1_dropout_requires_rng():
     params = init_params(3, 3, 3, small_cfg(), seed=25)
     cells = (np.array([0]), np.array([0]), np.array([3.0]))
@@ -668,50 +722,64 @@ def test_adam_skips_nonfinite_gradients():
     assert state.step == 0
 
 
-def written_out_adam(params, grads, state, lr):
-    """Adam with bias correction, each line as the formula reads."""
-    state.step += 1
-    correct1 = 1.0 - ADAM_BETA1 ** state.step
-    correct2 = 1.0 - ADAM_BETA2 ** state.step
-    for name, g in grads.tensors().items():
-        m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-        getattr(params, name)[...] -= lr * update
-
-
 @pytest.mark.parametrize("seed", range(3))
-def test_adam_bit_identical_to_written_out_formula(seed):
-    params = init_params(4, 5, 3, small_cfg(), seed=seed)
-    start = ModelParams(**{k: t.copy() for k, t in params.tensors().items()})
-    want = ModelParams(**{k: t.copy() for k, t in params.tensors().items()})
-    got_state, want_state = (AdamState.zeros_like(params) for _ in range(2))
-    zero = ("user_tower_w", "item_head", "pers_proj")
-    rng = np.random.default_rng(seed + 40)
-    for _ in range(5):
-        grads = ModelParams.zeros_like(params)
-        for name, g in grads.tensors().items():
-            if name not in zero:
-                g[...] = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]),
-                                    size=g.shape)
-        sent = {k: g.copy() for k, g in grads.tensors().items()}
-        adam_step(params, grads, got_state, lr=1e-2)
-        written_out_adam(want, grads, want_state, lr=1e-2)
-        for name, g in grads.tensors().items():
-            assert np.array_equal(g.view(np.uint64),
-                                  sent[name].view(np.uint64)), name
-    assert got_state.step == want_state.step == 5
-    for name, w in want.tensors().items():
-        for got, ref in ((getattr(params, name), w),
-                         (got_state.m[name], want_state.m[name]),
-                         (got_state.v[name], want_state.v[name])):
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), name
-    for name in zero:
-        assert np.array_equal(getattr(params, name).view(np.uint64),
-                              getattr(start, name).view(np.uint64)), name
+def test_adam_bit_identical_to_written_out_formula(seed, monkeypatch):
+    """At the default block size, where the 368-value vector is one block,
+    and at blocks of 100 and 7 values, which split it into 4 and 53."""
+    for block_bytes in (network._BLOCK_BYTES, 8 * 100, 8 * 7):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", block_bytes)
+        params = init_params(4, 5, 3, small_cfg(), seed=seed)
+        assert params.flat.size == 368
+        # construction copies the arrays into a vector of its own
+        start = ModelParams(**params.tensors())
+        want = ModelParams(**params.tensors())
+        got_state, want_state = (AdamState.zeros_like(params)
+                                 for _ in range(2))
+        zero = ("user_tower_w", "item_head", "pers_proj")
+        rng = np.random.default_rng(seed + 40)
+        for _ in range(5):
+            grads = ModelParams.zeros_like(params)
+            for name, g in grads.tensors().items():
+                if name not in zero:
+                    g[...] = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]),
+                                        size=g.shape)
+            sent = {k: g.copy() for k, g in grads.tensors().items()}
+            adam_step(params, grads, got_state, lr=1e-2)
+            written_out_adam(want, grads, want_state, lr=1e-2)
+            for name, g in grads.tensors().items():
+                assert np.array_equal(g.view(np.uint64),
+                                      sent[name].view(np.uint64)), name
+        assert got_state.step == want_state.step == 5
+        for got, ref in ((params, want), (got_state.m, want_state.m),
+                         (got_state.v, want_state.v)):
+            for (name, g), r in zip(got.tensors().items(),
+                                    ref.tensors().values()):
+                assert np.array_equal(g.view(np.uint64),
+                                      r.view(np.uint64)), (block_bytes, name)
+        for name in zero:
+            assert np.array_equal(getattr(params, name).view(np.uint64),
+                                  getattr(start, name).view(np.uint64)), name
+
+
+def test_adam_nan_in_the_last_block_skips_the_whole_step(monkeypatch):
+    """A NaN in the last value of the vector, pers_proj[-1], which lies in
+    the last of 4 blocks, leaves every block of the params and both
+    moments as they were, and the step count too."""
+    monkeypatch.setattr(network, "_BLOCK_BYTES", 8 * 100)
+    params = init_params(4, 5, 3, small_cfg(), seed=34)
+    state = AdamState.zeros_like(params)
+    rng = np.random.default_rng(34)
+    grads = ModelParams.zeros_like(params)
+    grads.flat[...] = rng.normal(size=grads.flat.size)
+    adam_step(params, grads, state, lr=1e-2)
+    before = [t.flat.copy() for t in (params, state.m, state.v)]
+    grads.flat[...] = rng.normal(size=grads.flat.size)
+    grads.pers_proj[-1] = np.nan
+    assert np.isnan(grads.flat[-1]) and params.flat.size // 100 == 3
+    adam_step(params, grads, state, lr=1e-2)
+    assert state.step == 1
+    for got, was in zip((params, state.m, state.v), before):
+        assert np.array_equal(got.flat.view(np.uint64), was.view(np.uint64))
 
 
 def test_adam_converges_on_quadratic():

@@ -10,8 +10,8 @@ from a2cf import network, ranking
 from a2cf.config import TrainConfig
 from a2cf.data import Corpus
 from a2cf.matrices import SparseAttributeMatrix, build_matrices
-from a2cf.network import (init_params, predict_item_attr_batch,
-                          predict_user_attr_batch)
+from a2cf.network import (ModelParams, init_params,
+                          predict_item_attr_batch, predict_user_attr_batch)
 from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
                           aggregate_attributes, attention,
                           bpr_s_forward_backward,
@@ -860,6 +860,18 @@ def test_bpr_one_negative_per_row_as_vector_or_column():
     assert loss_1d == loss_2d
     for a, b in zip(g_1d.tensors().values(), g_2d.tensors().values()):
         np.testing.assert_array_equal(a, b)
+
+
+def test_bpr_into_a_used_buffer_gives_the_bits_of_a_new_one():
+    cfg, params, est = random_setup(34, n_users=3, n_items=5, n_attrs=4)
+    args = (np.array([0, 2, 1]), np.array([1, 0, 3]), np.array([3, 2, 4]),
+            np.array([[4, 1], [1, 2], [0, 4]]))
+    want_loss, want = bpr_s_forward_backward(params, est, cfg, *args)
+    buf = ModelParams.zeros_like(params)
+    buf.flat[...] = np.nan
+    loss, got = bpr_s_forward_backward(params, est, cfg, *args, grads=buf)
+    assert got is buf and loss == want_loss
+    assert np.array_equal(got.flat.view(np.uint64), want.flat.view(np.uint64))
 
 
 @pytest.mark.parametrize("negatives", [

@@ -12,9 +12,10 @@ import pytest
 from a2cf import training
 from a2cf.config import RunConfig, TrainConfig
 from a2cf.data import SplitTriplets
-from a2cf.network import ModelParams, init_params
+from a2cf.network import ModelParams, init_params, param_shapes
 from a2cf.training import (CHECKPOINT_MAGIC, checkpoint_roundtrip,
                            load_checkpoint, save_checkpoint, train_pipeline)
+from conftest import assert_flat_layout, written_out_adam
 
 
 def tiny_params():
@@ -77,19 +78,18 @@ def test_checkpoint_unsupported_format(tmp_path):
 
 
 def _narrow_item_emb(params, cfg):
-    params.item_emb = params.item_emb[:, :3].copy()
-    return cfg
+    return dataclasses.replace(params, item_emb=params.item_emb[:, :3]), cfg
 
 
 @pytest.mark.parametrize("tamper,message", [
-    (lambda p, cfg: dataclasses.replace(cfg, embed_dim=3),
+    (lambda p, cfg: (p, dataclasses.replace(cfg, embed_dim=3)),
      "'user_emb' has shape (5, 4), the config gives (5, 3)"),
     (_narrow_item_emb, "'item_emb' has shape (6, 3), the config gives (6, 4)"),
-    (lambda p, cfg: dataclasses.replace(cfg, tower_depth=1),
+    (lambda p, cfg: (p, dataclasses.replace(cfg, tower_depth=1)),
      "'user_tower_w' has shape (2, 8, 8), the config gives (1, 8, 8)"),
-    (lambda p, cfg: dataclasses.replace(cfg, subst_use_attrs=False),
+    (lambda p, cfg: (p, dataclasses.replace(cfg, subst_use_attrs=False)),
      "'subst_proj' has shape (8,), the config gives (4,)"),
-    (lambda p, cfg: dataclasses.replace(cfg, pers_use_attrs=False),
+    (lambda p, cfg: (p, dataclasses.replace(cfg, pers_use_attrs=False)),
      "'pers_proj' has shape (8,), the config gives (4,)"),
 ], ids=["embed_dim", "one_embedding", "tower_depth", "subst_ablation",
         "pers_ablation"])
@@ -99,7 +99,7 @@ def test_checkpoint_shapes_checked_against_config(tmp_path, tamper, message):
     params, cfg = tiny_params()
     path = tmp_path / "m.ckpt"
     with pytest.raises(ValueError, match=re.escape(f"{path}: tensor {message}")):
-        save_checkpoint(str(path), params, tamper(params, cfg))
+        save_checkpoint(str(path), *tamper(params, cfg))
     assert not path.exists()
 
 
@@ -141,6 +141,25 @@ def test_format3_checkpoint_ships_the_item_completion(tmp_path):
     assert np.array_equal(items.view(np.uint64), item_attr.view(np.uint64))
     save_checkpoint(str(b), loaded, loaded_cfg, items)
     assert b.read_bytes() == raw
+
+
+@pytest.mark.parametrize("fmt", [2, 3])
+def test_loaded_tensors_are_views_of_the_section_written(tmp_path, fmt):
+    """The tensor section of the file is params.flat's bytes, and the
+    loader makes it one vector whose views are the 11 tensors."""
+    params, cfg = tiny_params()
+    item_attr = tiny_item_attr(cfg) if fmt == 3 else None
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, cfg, item_attr)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    section = raw[12 + hlen:12 + hlen + params.flat.nbytes]
+    assert params.flat.tobytes() == section
+    loaded, _, _ = load_checkpoint(str(path))
+    assert_flat_layout(loaded, param_shapes(5, 6, 4, cfg))
+    assert loaded.flat.tobytes() == section
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        loaded.pers_proj = params.pers_proj
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -246,6 +265,24 @@ def test_training_is_deterministic(synth_corpus, synth_splits):
         assert ha["losses"] == hb["losses"]
 
 
+def test_training_with_per_tensor_adam_is_bit_identical(
+        tmp_path, monkeypatch, synth_corpus, synth_splits):
+    """adam_step walks the flat vectors in blocks; a per-tensor Adam in
+    its place gives every tensor and every byte of model.ckpt."""
+    run = short_run(rounds_max=2)
+    results = [train_pipeline(synth_corpus, synth_splits, run)]
+    monkeypatch.setattr(training, "adam_step", written_out_adam)
+    results.append(train_pipeline(synth_corpus, synth_splits, run))
+    a, b = (r.params for r in results)
+    for (name, t), u in zip(a.tensors().items(), b.tensors().values()):
+        assert np.array_equal(t.view(np.uint64), u.view(np.uint64)), name
+    paths = [tmp_path / f"{n}.ckpt" for n in range(2)]
+    for path, result in zip(paths, results):
+        save_checkpoint(str(path), result.params, run.train,
+                        result.est.item_attr)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_convergence_stops_before_rounds_max(synth_corpus, synth_splits):
     run = short_run(rounds_max=4, phase1_steps=5, phase2_steps=5,
                     convergence_tol=1.0)
@@ -303,7 +340,8 @@ def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
 
 def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
                                                synth_corpus, synth_splits):
-    def poisoned(params, user_cells, item_cells, rating_max, dropout, rng):
+    def poisoned(params, user_cells, item_cells, rating_max, dropout, rng,
+                 grads):
         return float("nan"), ModelParams.zeros_like(params)
 
     monkeypatch.setattr(training, "phase1_forward_backward", poisoned)
