@@ -5,12 +5,13 @@ Every command writing results takes --out-dir and uses fixed file names
 (corpus.manifest, prepared.npz, model.ckpt, train.log, recs.tsv,
 explanations.txt, metrics.txt) so runs are scriptable.
 
-`train` writes model.ckpt in checkpoint format 3, which ships the item
-completion of the final params. `recommend`, `explain` and `evaluate`
-rebuild the observed matrices from the prepared corpus, take the item rows
-from the checkpoint and complete only the user rows they read: the
-requested user's row, or every row for `evaluate`. They reject a format-2
-checkpoint, such as diagnostic.ckpt, and ask for a retrain.
+`train` leaves what training.train_pipeline writes to --out-dir: train.log,
+then model.ckpt in checkpoint format 3, which ships the item completion of
+the final params. `recommend`, `explain` and `evaluate` rebuild the
+observed matrices from the prepared corpus, take the item rows from the
+checkpoint and complete only the user rows they read: the requested user's
+row, or every row for `evaluate`. They reject a format-2 checkpoint, such
+as diagnostic.ckpt, and ask for a retrain.
 """
 
 import argparse
@@ -29,8 +30,6 @@ from .synthetic import SyntheticSpec, generate_synthetic
 
 PREPARED_NAME = "prepared.npz"
 MANIFEST_NAME = "corpus.manifest"
-CHECKPOINT_NAME = "model.ckpt"
-TRAIN_LOG_NAME = "train.log"
 RECS_NAME = "recs.tsv"
 EXPLAIN_NAME = "explanations.txt"
 METRICS_NAME = "metrics.txt"
@@ -215,21 +214,10 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_train(args) -> int:
     corpus, splits = data.load_prepared(args.data)
-    run = _run_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
-    result = training.train_pipeline(
-        corpus, splits, run,
-        log_path=os.path.join(args.out_dir, TRAIN_LOG_NAME),
-        diag_dir=args.out_dir)
-    # the item completion of the final params ships in the checkpoint; it
-    # completes no user row
-    with training.diagnostic_on_blowup(args.out_dir, result.params, run.train):
-        item_attr = ranking.estimate_matrices(
-            result.user_mat, result.item_mat, result.params, []).item_attr
-    ckpt = os.path.join(args.out_dir, CHECKPOINT_NAME)
-    training.save_checkpoint(ckpt, result.params, run.train, item_attr)
+    result = training.train_pipeline(corpus, splits, _run_config(args),
+                                     args.out_dir)
     loss = "n/a" if result.final_loss is None else f"{result.final_loss:.6f}"
-    print(f"checkpoint: {ckpt}")
+    print(f"checkpoint: {os.path.join(args.out_dir, training.CHECKPOINT_NAME)}")
     skipped = sum(entry["skipped_updates"] for entry in result.history)
     print(f"rounds={result.rounds_run} converged={result.converged} "
           f"mean_pair_loss={loss} skipped_updates={skipped}")

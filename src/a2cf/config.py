@@ -10,12 +10,22 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _require_ints(config, *names) -> None:
-    """Reject a field among `names` that is not an int, or is a bool."""
-    for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+_KINDS = {bool: ((bool,), "a bool"), int: ((int,), "an int"),
+          float: ((int, float), "an int or float")}
+
+
+def _require_types(config) -> None:
+    """Reject a bool, int or float field whose value is not of its
+    declared class, in field order; a float field also takes an int, and
+    only a bool field takes a bool."""
+    for field in dataclasses.fields(config):
+        if field.type not in _KINDS:
+            continue
+        value = getattr(config, field.name)
+        classes, kind = _KINDS[field.type]
+        if not isinstance(value, classes) or (
+                isinstance(value, bool) and field.type is not bool):
+            raise ValueError(f"{field.name} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -43,8 +53,7 @@ class TrainConfig:
     pers_use_attrs: bool = True
 
     def __post_init__(self):
-        _require_ints(self, "embed_dim", "tower_depth", "batch_size",
-                      "negatives")
+        _require_types(self)
         for name in ("rating_max", "subst_temp", "pers_temp", "learning_rate"):
             _require_finite(name, getattr(self, name))
         if self.embed_dim < 1:
@@ -83,8 +92,7 @@ class RunConfig:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
-        _require_ints(self, "seed", "rounds_max", "phase1_steps",
-                      "phase2_steps")
+        _require_types(self)
         if self.rounds_max < 1:
             raise ValueError("rounds_max must be >= 1")
         if self.phase1_steps < 0 or self.phase2_steps < 0:

@@ -1,7 +1,6 @@
 """Attribute-level comparison of a recommended item against the query item,
 rendered as a templated sentence."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +49,11 @@ def render_interpretation(advantage: AttributeAdvantage, top_n: int,
     """Render the top attributes into the recommendation sentence.
 
     Attributes with positive delta read "better", the rest "comparable".
-    A top_n larger than the attribute count is clamped with a warning.
+    A top_n outside [1, attribute count] raises ValueError.
     """
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
     n_attrs = len(advantage.deltas)
-    if top_n > n_attrs:
-        warnings.warn(f"top_n={top_n} clamped to {n_attrs} attributes")
-        top_n = n_attrs
+    if not 1 <= top_n <= n_attrs:
+        raise ValueError(f"top_n must be in [1, {n_attrs}], got {top_n}")
     chosen = []
     for idx in advantage.ranking[:top_n]:
         delta = float(advantage.deltas[idx])

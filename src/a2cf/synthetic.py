@@ -21,6 +21,8 @@ import numpy as np
 
 TIMESTAMP_BASE = 1_600_000_000
 TIMESTAMP_STEP = 86_400
+CHOICE_TEMP = 0.12          # softmax temperature for item choice
+POP_SPREAD = 0.08           # item-level popularity spread at choice time
 
 
 @dataclass
@@ -38,8 +40,6 @@ class SyntheticSpec:
     noise: float = 0.1              # sentiment flip probability
     rating_max: int = 5
     min_item_users: int = 5         # coverage repaired up to this level
-    choice_temp: float = 0.12       # softmax temperature for item choice
-    pop_spread: float = 0.08        # item-level popularity spread at choice time
 
     def __post_init__(self):
         if self.users < 1 or self.items < 1:
@@ -124,7 +124,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     # interactions: users sample high-affinity items inside home clusters;
     # a fixed per-item boost skews choices so item degrees spread out
     affinity = prefs @ item_signal.T                      # (U, V)
-    pop_boost = rng.normal(0.0, spec.pop_spread, size=V)
+    pop_boost = rng.normal(0.0, POP_SPREAD, size=V)
     cluster_items = [np.nonzero(cluster_of == c)[0] for c in range(C)]
     interactions: list = []
     bought = np.zeros((U, V), dtype=bool)
@@ -137,7 +137,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
                 avail = np.flatnonzero(home[u, cluster_of] & ~bought[u])
                 if len(avail) == 0:
                     break
-            logits = (affinity[u, avail] + pop_boost[avail]) / spec.choice_temp
+            logits = (affinity[u, avail] + pop_boost[avail]) / CHOICE_TEMP
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             v = int(avail[rng.choice(len(avail), p=probs)])

@@ -4,18 +4,18 @@ Each round runs `phase1_steps` regression batches (both towers, shared Adam
 state), re-estimates the completed attribute matrices, then runs
 `phase2_steps` ranking batches against those frozen completions. Rounds stop
 at `rounds_max` or when the relative improvement of the mean per-pair ranking
-loss falls below `convergence_tol`. The completion of the final params is
-`TrainResult.est`, computed only when a caller first reads it.
+loss falls below `convergence_tol`. `TrainResult.est` is the completion of
+the final params.
 
 A checkpoint holds the config, the entity counts and the parameter tensors
-(format 2, as `diagnostic.ckpt` is written), and in format 3, which `a2cf
-train` writes, also the item completion of those tensors, so that serving
-completes only user rows.
+(format 2), and in format 3 also the item completion of those tensors, so
+that serving completes only user rows. `train_pipeline` writes `train.log`
+to its `out_dir`, then a format-3 `model.ckpt`, or on a numeric blow-up a
+format-2 `diagnostic.ckpt`.
 """
 
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -35,6 +35,7 @@ from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
 CHECKPOINT_MAGIC = b"A2CFCKPT"
 PARAMS_FORMAT = 2       # the 11 parameter tensors
 SERVING_FORMAT = 3      # the tensors, then the item completion
+CHECKPOINT_NAME = "model.ckpt"
 
 
 def _check_item_attr(path: str, item_attr: np.ndarray, shape: tuple,
@@ -166,8 +167,8 @@ def checkpoint_roundtrip(params: ModelParams, cfg: TrainConfig,
 
 @dataclasses.dataclass
 class TrainResult:
-    """What `train_pipeline` returns. `est`, the completion of the final
-    params, is computed on first read and cached."""
+    """What `train_pipeline` returns; `est` is the completion of the final
+    params."""
 
     params: ModelParams
     user_mat: SparseAttributeMatrix
@@ -176,10 +177,7 @@ class TrainResult:
     rounds_run: int
     converged: bool
     final_loss: float | None
-
-    @functools.cached_property
-    def est(self) -> EstimatedMatrices:
-        return estimate_matrices(self.user_mat, self.item_mat, self.params)
+    est: EstimatedMatrices
 
 
 def _batches(pool: np.ndarray, size: int, rng: np.random.Generator):
@@ -195,16 +193,15 @@ def _batches(pool: np.ndarray, size: int, rng: np.random.Generator):
 
 
 @contextlib.contextmanager
-def diagnostic_on_blowup(diag_dir: str | None, params: ModelParams,
-                         cfg: TrainConfig):
-    """Save `params` to `diag_dir`/diagnostic.ckpt when the block raises
+def _diagnostic_on_blowup(out_dir: str | None, params: ModelParams,
+                          cfg: TrainConfig):
+    """Save `params` to `out_dir`/diagnostic.ckpt when the block raises
     FloatingPointError, then let the error propagate."""
     try:
         yield
     except FloatingPointError:
-        if diag_dir:
-            os.makedirs(diag_dir, exist_ok=True)
-            save_checkpoint(os.path.join(diag_dir, "diagnostic.ckpt"),
+        if out_dir:
+            save_checkpoint(os.path.join(out_dir, "diagnostic.ckpt"),
                             params, cfg)
         raise
 
@@ -215,21 +212,22 @@ def _cells(mat: SparseAttributeMatrix, idx: np.ndarray):
 
 
 def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
-                   log_path: str | None = None,
-                   diag_dir: str | None = None) -> TrainResult:
+                   out_dir: str | None = None) -> TrainResult:
     """Run the full alternating optimization and return the trained model.
 
     Child seeds are derived from run.seed in a fixed order (init, phase-1
     order, dropout, phase-2 order, negatives), so results are reproducible
     bit-for-bit for a given corpus and config. A numeric blow-up, a
     non-finite loss or activation, raises FloatingPointError after saving
-    the params to `diag_dir`/diagnostic.ckpt.
+    the params to `out_dir`/diagnostic.ckpt.
 
     `history` holds one record per phase per round (fields in README,
     Command line); phase 1 ends with the round's refresh of the completed
-    matrices. The log at `log_path` holds one JSON line of corpus counts
-    and `cells_filled`, then each record as its phase ends; it is closed on
-    return and on any exception.
+    matrices. `out_dir`, created if missing, receives train.log, one JSON
+    line of corpus counts and `cells_filled`, then each record as its phase
+    ends, closed on return and on any exception; then model.ckpt, the
+    final params and the item section of `est`. Without it nothing is
+    written.
     """
     cfg = run.train
     user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
@@ -259,9 +257,11 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     final_loss = None
     converged = False
 
-    with (open(log_path, "w", encoding="utf-8") if log_path
-          else contextlib.nullcontext()) as fh, \
-            diagnostic_on_blowup(diag_dir, params, cfg):
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    with (open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8")
+          if out_dir else contextlib.nullcontext()) as fh, \
+            _diagnostic_on_blowup(out_dir, params, cfg):
         def record(entry: dict) -> None:
             if fh:
                 fh.write(json.dumps(entry) + "\n")
@@ -332,6 +332,10 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
             final_loss = round_loss
             if converged:
                 break
+        est = estimate_matrices(user_mat, item_mat, params)
+    if out_dir:
+        save_checkpoint(os.path.join(out_dir, CHECKPOINT_NAME), params, cfg,
+                        est.item_attr)
     return TrainResult(params=params, user_mat=user_mat, item_mat=item_mat,
                        history=history, rounds_run=round_no,
-                       converged=converged, final_loss=final_loss)
+                       converged=converged, final_loss=final_loss, est=est)

@@ -585,8 +585,8 @@ def _train_argv(pipeline, out_dir, *flags):
 
 def test_train_completes_once_per_round(pipeline, tmp_path, monkeypatch,
                                         capsys):
-    """A full completion per round, then the item completion of the final
-    params that model.ckpt ships, which completes no user row."""
+    """A full completion per round, then one of the final params, whose
+    item section model.ckpt ships; all of them inside training."""
     real = training.estimate_matrices
     calls = []
     for module in (training, ranking):
@@ -596,8 +596,7 @@ def test_train_completes_once_per_round(pipeline, tmp_path, monkeypatch,
                 calls.append((name, args[3:])) or real(*args))
     assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 0
     assert "rounds=2 " in capsys.readouterr().out
-    assert calls == [("a2cf.training", ()), ("a2cf.training", ()),
-                     ("a2cf.ranking", ([],))]
+    assert calls == [("a2cf.training", ())] * 3
 
 
 def test_train_reports_a_skipped_update(pipeline, tmp_path, monkeypatch,
@@ -674,14 +673,22 @@ def test_completion_blowup_writes_diagnostic_checkpoint(pipeline, tmp_path,
 
 def test_final_completion_blowup_writes_diagnostic_checkpoint(
         pipeline, tmp_path, monkeypatch, capsys):
-    # the rounds complete through training's name; only the item
-    # completion that model.ckpt would ship goes through ranking's
-    def overflowing(*args):
-        raise FloatingPointError("non-finite activation after residual block 0")
+    # two rounds complete, then the final params, whose completion
+    # overflows
+    real = training.estimate_matrices
+    calls = []
 
-    monkeypatch.setattr(ranking, "estimate_matrices", overflowing)
+    def overflowing_third(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError(
+                "non-finite activation after residual block 0")
+        return real(*args)
+
+    monkeypatch.setattr(training, "estimate_matrices", overflowing_third)
     out = tmp_path / "model"
     assert cli_dispatch(_train_argv(pipeline, out)) == 1
+    assert len(calls) == 3
     assert capsys.readouterr().err.splitlines() == [
         "error: non-finite activation after residual block 0"]
     params, _, items = training.load_checkpoint(str(out / "diagnostic.ckpt"))
@@ -904,6 +911,9 @@ def _absurd_dims(header):
      "bad checkpoint config: embed_dim must be an int, got 8.0"),
     (lambda raw: _rewrite_header(raw, _set_config("tower_depth", True)),
      "bad checkpoint config: tower_depth must be an int, got True"),
+    (lambda raw: _rewrite_header(raw, _set_config("pers_use_attrs",
+                                                  "false")),
+     "bad checkpoint config: pers_use_attrs must be a bool, got 'false'"),
     (lambda raw: _rewrite_header(raw, _set_config("subst_temp", math.nan)),
      "bad checkpoint config: subst_temp must be finite, got nan"),
     (lambda raw: _rewrite_header(raw, _set_config("rating_max", math.inf)),
@@ -919,8 +929,9 @@ def _absurd_dims(header):
         "format_1", "negative_count", "float_count", "bool_count",
         "missing_count", "rows_overflow_int64", "rows_wrap_int64",
         "absurd_dims", "wrong_shape", "float_embed_dim", "bool_tower_depth",
-        "nan_subst_temp", "inf_rating_max", "negative_learning_rate",
-        "nan_projections", "nan_item_value", "format_2_with_items"])
+        "string_pers_use_attrs", "nan_subst_temp", "inf_rating_max",
+        "negative_learning_rate", "nan_projections", "nan_item_value",
+        "format_2_with_items"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"

@@ -43,6 +43,38 @@ def test_train_config_rejects_non_int_counts(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["subst_use_attrs", "pers_use_attrs"])
+@pytest.mark.parametrize("value", ["false", 0, 1, 1.0, None])
+def test_train_config_rejects_non_bool_switches(field, value):
+    """A checkpoint header could hold "false", which is truthy: the
+    attribute head would stay on."""
+    with pytest.raises(ValueError, match=f"{field} must be a bool, got "):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["rating_max", "subst_weight",
+                                   "subst_temp", "pers_temp",
+                                   "learning_rate", "dropout"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_train_config_rejects_non_number_floats(field, value):
+    with pytest.raises(ValueError,
+                       match=f"{field} must be an int or float, got "):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, "0.001", None])
+def test_run_config_rejects_non_number_convergence_tol(value):
+    with pytest.raises(ValueError,
+                       match="convergence_tol must be an int or float, got "):
+        RunConfig(convergence_tol=value)
+
+
+def test_float_fields_take_an_int():
+    cfg = TrainConfig(rating_max=5, subst_weight=1, dropout=0)
+    assert (cfg.rating_max, cfg.subst_weight, cfg.dropout) == (5, 1, 0)
+    assert RunConfig(convergence_tol=0).convergence_tol == 0
+
+
 @pytest.mark.parametrize("field", ["rating_max", "subst_temp", "pers_temp",
                                    "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -108,18 +108,16 @@ def test_render_three_attributes_in_rank_order():
         "and comparable weight.")
 
 
-def test_render_clamps_oversized_top_n_with_warning():
-    adv = attribute_advantage(np.array([1.0, 1.0]), np.array([1.0, 2.0]),
-                              np.array([2.0, 1.0]))
-    with pytest.warns(UserWarning, match="clamped"):
-        report = render_interpretation(adv, 5, ["a", "b"], "q", "j")
-    assert len(report.top_attributes) == 2
-
-
 def test_render_rejects_nonpositive_top_n():
+    """And an oversized one: the command line clamps and reports
+    --top-attrs before it renders, so nothing is clamped here."""
     adv = attribute_advantage(np.ones(2), np.ones(2), np.ones(2))
-    with pytest.raises(ValueError, match="top_n"):
-        render_interpretation(adv, 0, ["a", "b"], "q", "j")
+    for top_n in (0, -1, 3, 5):
+        with pytest.raises(ValueError,
+                           match=rf"top_n must be in \[1, 2\], got {top_n}"):
+            render_interpretation(adv, top_n, ["a", "b"], "q", "j")
+    report = render_interpretation(adv, 2, ["a", "b"], "q", "j")
+    assert len(report.top_attributes) == 2
 
 
 def test_render_is_pure():

@@ -270,17 +270,16 @@ def test_training_with_per_tensor_adam_is_bit_identical(
     """adam_step walks the flat vectors in blocks; a per-tensor Adam in
     its place gives every tensor and every byte of model.ckpt."""
     run = short_run(rounds_max=2)
-    results = [train_pipeline(synth_corpus, synth_splits, run)]
+    results = [train_pipeline(synth_corpus, synth_splits, run,
+                              str(tmp_path / "0"))]
     monkeypatch.setattr(training, "adam_step", written_out_adam)
-    results.append(train_pipeline(synth_corpus, synth_splits, run))
+    results.append(train_pipeline(synth_corpus, synth_splits, run,
+                                  str(tmp_path / "1")))
     a, b = (r.params for r in results)
     for (name, t), u in zip(a.tensors().items(), b.tensors().values()):
         assert np.array_equal(t.view(np.uint64), u.view(np.uint64)), name
-    paths = [tmp_path / f"{n}.ckpt" for n in range(2)]
-    for path, result in zip(paths, results):
-        save_checkpoint(str(path), result.params, run.train,
-                        result.est.item_attr)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert ((tmp_path / "0" / "model.ckpt").read_bytes()
+            == (tmp_path / "1" / "model.ckpt").read_bytes())
 
 
 def test_convergence_stops_before_rounds_max(synth_corpus, synth_splits):
@@ -295,15 +294,13 @@ def test_convergence_stops_before_rounds_max(synth_corpus, synth_splits):
 
 def test_zero_phase2_steps_stops_without_ranking_loss(tmp_path, synth_corpus,
                                                       synth_splits):
-    log = tmp_path / "train.log"
     run = short_run(rounds_max=3, phase1_steps=5, phase2_steps=0)
-    result = train_pipeline(synth_corpus, synth_splits, run,
-                            log_path=str(log))
+    result = train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
     assert result.rounds_run == 1
     assert result.converged is False
     assert result.final_loss is None
     # the phase-2 record is written all the same
-    assert read_log(log)[1] == result.history
+    assert read_log(tmp_path / "train.log")[1] == result.history
     p2 = result.history[1]
     assert (p2["phase"], p2["steps"], p2["losses"], p2["loss"]) == (
         2, 0, [], None)
@@ -312,11 +309,9 @@ def test_zero_phase2_steps_stops_without_ranking_loss(tmp_path, synth_corpus,
 
 
 def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
-    log = tmp_path / "train.log"
     run = short_run(phase1_steps=5, phase2_steps=5)
-    result = train_pipeline(synth_corpus, synth_splits, run,
-                            log_path=str(log))
-    first, records = read_log(log)
+    result = train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    first, records = read_log(tmp_path / "train.log")
     assert first == {"users": 50, "items": 60, "attrs": 20,
                      "train": len(synth_splits.train),
                      "valid": len(synth_splits.valid),
@@ -348,11 +343,11 @@ def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
     diag = tmp_path / "diag"
     with pytest.raises(FloatingPointError,
                        match="non-finite loss nan in round 1 phase 1 step 1"):
-        train_pipeline(synth_corpus, synth_splits, short_run(),
-                       diag_dir=str(diag))
+        train_pipeline(synth_corpus, synth_splits, short_run(), str(diag))
     params, _, items = load_checkpoint(str(diag / "diagnostic.ckpt"))
     assert params.user_emb.shape[0] == synth_corpus.n_users
     assert items is None            # format 2, params only
+    assert not (diag / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("site", ["phase1_forward_backward",
@@ -368,11 +363,11 @@ def test_activation_blowup_aborts_with_diagnostic(tmp_path, monkeypatch,
     monkeypatch.setattr(training, site, overflowing)
     diag = tmp_path / "diag"
     with pytest.raises(FloatingPointError, match="non-finite activation"):
-        train_pipeline(synth_corpus, synth_splits, short_run(),
-                       diag_dir=str(diag))
+        train_pipeline(synth_corpus, synth_splits, short_run(), str(diag))
     params, _, items = load_checkpoint(str(diag / "diagnostic.ckpt"))
     assert params.user_emb.shape[0] == synth_corpus.n_users
     assert items is None            # format 2, params only
+    assert not (diag / "model.ckpt").exists()
 
 
 def test_empty_training_split_error(synth_corpus):
@@ -397,10 +392,8 @@ def test_estimates_refresh_once_per_round_plus_final(monkeypatch,
     run = short_run(rounds_max=2, phase1_steps=3, phase2_steps=3)
     result = train_pipeline(synth_corpus, synth_splits, run)
     assert result.rounds_run == 2
-    assert len(produced) == 2       # one per round, none for the final params
-    est = result.est
-    assert len(produced) == 3       # the final completion, on first read
-    assert est is produced[-1]
+    assert len(produced) == 3       # one per round, then the final params
+    assert result.est is produced[-1]
 
 
 def test_final_estimate_equals_eager_completion(synth_corpus, synth_splits):
@@ -416,22 +409,49 @@ def test_final_estimate_equals_eager_completion(synth_corpus, synth_splits):
     assert result.est is result.est
 
 
+def test_out_dir_receives_the_format3_model(tmp_path, monkeypatch,
+                                            synth_corpus, synth_splits):
+    """model.ckpt holds the final params and the item section of the final
+    completion, bit for bit; without out_dir no file is written."""
+    run = short_run(phase1_steps=5, phase2_steps=5)
+    out = tmp_path / "model"
+    result = train_pipeline(synth_corpus, synth_splits, run, str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["model.ckpt",
+                                                     "train.log"]
+    raw = (out / "model.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    assert json.loads(raw[12:12 + hlen])["format"] == training.SERVING_FORMAT
+    params, cfg, items = load_checkpoint(str(out / "model.ckpt"))
+    assert cfg == run.train
+    for (name, t), u in zip(result.params.tensors().items(),
+                            params.tensors().values()):
+        assert np.array_equal(t.view(np.uint64), u.view(np.uint64)), name
+    assert items.shape == result.est.item_attr.shape
+    assert np.array_equal(items.view(np.uint64),
+                          result.est.item_attr.view(np.uint64))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    train_pipeline(synth_corpus, synth_splits, run)
+    assert list(cwd.iterdir()) == []
+
+
 def test_raise_mid_phase_leaves_train_log_closed(tmp_path, monkeypatch,
                                                  synth_corpus, synth_splits):
     def broken(*args):
         raise RuntimeError("sampler failed")
 
     monkeypatch.setattr(training, "sample_negatives", broken)
-    log = tmp_path / "train.log"
     with pytest.raises(RuntimeError, match="sampler failed") as excinfo:
         train_pipeline(synth_corpus, synth_splits,
                        short_run(phase1_steps=5, phase2_steps=5),
-                       log_path=str(log))
+                       str(tmp_path))
     # the corpus line and phase 1's record, which follows the refresh
-    first, records = read_log(log)
+    first, records = read_log(tmp_path / "train.log")
     assert (first["users"], first["items"], first["attrs"]) == (50, 60, 20)
     assert [(r["round"], r["phase"], r["steps"]) for r in records] == [
         (1, 1, 5)]
+    assert not (tmp_path / "model.ckpt").exists()
     # the traceback still holds the training frame, and so its file object
     frame = next(entry.frame for entry in excinfo.traceback
                  if entry.name == "train_pipeline")
