@@ -108,16 +108,25 @@ def test_render_three_attributes_in_rank_order():
         "and comparable weight.")
 
 
-def test_render_rejects_nonpositive_top_n():
-    """And an oversized one: the command line clamps and reports
-    --top-attrs before it renders, so nothing is clamped here."""
-    adv = attribute_advantage(np.ones(2), np.ones(2), np.ones(2))
-    for top_n in (0, -1, 3, 5):
+def test_render_rejects_oversized_top_n():
+    """The command line clamps and reports --top-attrs before it renders,
+    so nothing is clamped here: a top_n past the attributes raises."""
+    adv = attribute_advantage(np.array([1.0, 1.0]), np.array([1.0, 2.0]),
+                              np.array([2.0, 1.0]))
+    for top_n in (3, 5):
         with pytest.raises(ValueError,
                            match=rf"top_n must be in \[1, 2\], got {top_n}"):
             render_interpretation(adv, top_n, ["a", "b"], "q", "j")
     report = render_interpretation(adv, 2, ["a", "b"], "q", "j")
     assert len(report.top_attributes) == 2
+
+
+def test_render_rejects_nonpositive_top_n():
+    adv = attribute_advantage(np.ones(2), np.ones(2), np.ones(2))
+    for top_n in (0, -1):
+        with pytest.raises(ValueError,
+                           match=rf"top_n must be in \[1, 2\], got {top_n}"):
+            render_interpretation(adv, top_n, ["a", "b"], "q", "j")
 
 
 def test_render_is_pure():
