@@ -27,7 +27,9 @@ The 11 parameter tensors are views of one float64 vector, `ModelParams.flat`,
 in field order, and so are gradient buffers and Adam's moments. Adam checks
 the gradient's finiteness once over that vector and updates it in blocks of
 at most _BLOCK_BYTES through two reused scratch buffers, and a checkpoint
-writes it as its tensor section.
+writes it as its tensor section. Phase 2 never touches the tower tensors,
+which lie together in the middle of that vector (`tower_slice`), so its Adam
+updates only the two slices around them.
 """
 
 import dataclasses
@@ -407,8 +409,17 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def tower_slice(params: ModelParams) -> slice:
+    """The span of `flat` that holds the tower tensors, user_tower_w through
+    item_head, between the embeddings and the projections: the values
+    phase 2 neither reads nor differentiates."""
+    start = params.user_emb.size + params.item_emb.size + params.attr_emb.size
+    return slice(start, params.flat.size - params.subst_proj.size
+                 - params.pers_proj.size)
+
+
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
-              lr: float) -> ModelParams:
+              lr: float, skip: slice | None = None) -> ModelParams:
     """One in-place Adam update with bias correction over the `flat` vectors.
 
     A batch with any non-finite gradient is skipped entirely, leaving
@@ -416,6 +427,10 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     blocks of at most _BLOCK_BYTES of the vectors, through two reused
     scratch buffers: every operation is elementwise, so the bits are those
     of the per-tensor formula.
+
+    `skip`, a span of `flat` whose gradient and both moments are zero (the
+    tower slice in phase 2), is left out: Adam would move it by exactly 0
+    and keep its moments 0, so the bits are those of the full pass.
     """
     if not grads.all_finite():
         return params
@@ -426,26 +441,29 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
     block = max(1, _BLOCK_BYTES // g.itemsize)
     a_buf, b_buf = np.empty(min(g.size, block)), np.empty(min(g.size, block))
-    for start in range(0, g.size, block):
-        blk = slice(start, start + block)
-        gb, mb, vb = g[blk], m[blk], v[blk]
-        a, b = a_buf[:gb.size], b_buf[:gb.size]
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-        # p -= lr (m / c1) / (sqrt(v / c2) + eps), in that operation order,
-        # so the bits are those of the written-out formula; the two scratch
-        # buffers hold what would be its temporaries
-        np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
-        mb *= ADAM_BETA1
-        mb += a
-        np.multiply(gb, gb, out=a)
-        a *= 1.0 - ADAM_BETA2
-        vb *= ADAM_BETA2
-        vb += a
-        np.divide(vb, correct2, out=a)
-        np.sqrt(a, out=a)
-        a += ADAM_EPS
-        np.divide(mb, correct1, out=b)
-        b /= a
-        b *= lr
-        p[blk] -= b
+    spans = ([(0, g.size)] if skip is None
+             else [(0, skip.start), (skip.stop, g.size)])
+    for lo, hi in spans:
+        for start in range(lo, hi, block):
+            blk = slice(start, min(start + block, hi))
+            gb, mb, vb = g[blk], m[blk], v[blk]
+            a, b = a_buf[:gb.size], b_buf[:gb.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps), in that operation
+            # order, so the bits are those of the written-out formula; the
+            # two scratch buffers hold what would be its temporaries
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
+            mb *= ADAM_BETA1
+            mb += a
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - ADAM_BETA2
+            vb *= ADAM_BETA2
+            vb += a
+            np.divide(vb, correct2, out=a)
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(mb, correct1, out=b)
+            b /= a
+            b *= lr
+            p[blk] -= b
     return params

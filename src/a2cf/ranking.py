@@ -4,13 +4,23 @@ Scoring blends two heads, each w . [product ; attn @ E] with E the attribute
 embedding table and attn an attention over completed attribute rows:
   substitution      (v_q * v_j) @ w_s[:d] + phi @ (E @ w_s[d:])
   personalization   (u_i * v_j) @ w_p[:d] + lam @ (E @ w_p[d:])
-The attribute block is computed as (e @ (E @ w[d:])) / z, with e the
-row-max-shifted exponentials of the attention logits and z their row sums,
-so neither the normalized (rows, attrs) attention nor the (rows, d)
-aggregate attn @ E is formed. Either block can be ablated away, leaving only
-the product term.
+Phase 2 and serving score one grid: n rows of (user, query), each against
+its own c candidates, shape (n, c). Training puts the positive in column 0
+and its k negatives after it (c = 1 + k); a request is one row (n = 1). A
+row's user and query are broadcast over its candidates, never repeated.
+
+The attention runs attribute-major. A grid's logits are the (A, n, c) array
+(a.T / temp)[:, :, None] * Y[:, cands], with a the (n, A) query or user rows
+and Y the (A, n_items) item table `EstimatedMatrices.item_attr_t`, so the
+temperature divides the n rows before the product, and the max and the sum
+run over axis 0, a slab of n * c values at a time. The attribute block is
+((E @ w[d:]) @ e) / z, with e the max-shifted exponentials of the logits and
+z their sums over the attributes, so neither the normalized attention nor
+the aggregate attn @ E is formed. Either block can be ablated away, leaving
+only the product term.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +35,34 @@ from .network import (ModelParams, predict_item_attr_batch,
 NEGATIVE_SAMPLE_FACTOR = 1000   # rejection budget per requested negative
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatedMatrices:
     """Dense completions: observed cells verbatim, absent cells regressed."""
 
     user_attr: np.ndarray       # (n_users, n_attrs)
     item_attr: np.ndarray       # (n_items, n_attrs)
+
+    @functools.cached_property
+    def item_attr_t(self) -> np.ndarray:
+        """item_attr attribute-major, (n_attrs, n_items), the table scoring
+        gathers from. Derived on first read; from then on item_attr is
+        read-only, so that an edit raises instead of going unscored."""
+        self.item_attr.flags.writeable = False
+        return np.ascontiguousarray(self.item_attr.T)
+
+
+def _checked_ids(what: str, ids, n: int) -> np.ndarray:
+    """`ids` as an int64 array; ValueError naming every id that is not an
+    integer in [0, n)."""
+    arr = np.asarray(ids)
+    if arr.dtype.kind not in "iu" or (
+            arr.size and (arr.min() < 0 or arr.max() >= n)):
+        bad = [i for i in arr.ravel().tolist()
+               if type(i) is not int or not 0 <= i < n]
+        if bad:
+            raise ValueError(f"{what} must be integers in [0, {n}), "
+                             f"got {bad}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
@@ -66,12 +98,7 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
     completing it; a shape other than item_mat's raises ValueError.
     """
     if users is not None:
-        n_users = user_mat.shape[0]
-        bad = [u for u in np.asarray(users).ravel().tolist()
-               if type(u) is not int or not 0 <= u < n_users]
-        if bad:
-            raise ValueError(f"users must be integers in [0, {n_users}), "
-                             f"got {bad}")
+        _checked_ids("users", users, user_mat.shape[0])
     if item_attr is not None and item_attr.shape != item_mat.shape:
         raise ValueError(f"item_attr has shape {item_attr.shape}, the item "
                          f"matrix {item_mat.shape}")
@@ -103,89 +130,103 @@ def aggregate_attributes(weights: np.ndarray, attr_emb: np.ndarray) -> np.ndarra
     return weights @ attr_emb
 
 
-def _attend(a_row: np.ndarray, b_row: np.ndarray, temp: float):
-    """attention(a_row, b_row, temp) before its division: (e, z) with
-    e = exp(l - max l) per row for l = (a_row * b_row) / temp, and
-    z = e.sum(-1), so that attention is e / z[..., None]."""
-    e = a_row * b_row
-    e /= temp
-    e -= e.max(axis=-1, keepdims=True)
+def _attend(rows_t: np.ndarray, item_attr_t: np.ndarray, cands: np.ndarray,
+            temp: float):
+    """The attention of each (row, candidate) pair of a grid before its
+    division, attribute-major: (e, z) with e = exp(l - max l), the max over
+    axis 0 of the (A, n, c) logits l = (rows_t / temp)[:, :, None] *
+    item_attr_t[:, cands], reshaped to (A, n * c), and z = e.sum(axis=0).
+    rows_t holds the n query or user rows as columns, (A, n)."""
+    e = np.take(item_attr_t, cands, axis=1)
+    e *= (rows_t / temp)[:, :, None]
+    e -= e.max(axis=0)
     np.exp(e, out=e)
-    return e, e.sum(axis=-1)
+    e = e.reshape(len(e), -1)
+    return e, e.sum(axis=0)
 
 
 def _head(a: np.ndarray, b: np.ndarray, attn, w: np.ndarray,
           attr_emb: np.ndarray) -> np.ndarray:
-    """w . [a * b ; attn @ attr_emb] per row, for attn = (e, z) from
-    _attend, with the attribute block taken as (e @ (attr_emb @ w[d:])) / z;
-    attn None ablates that block."""
+    """w . [a * b ; attn @ attr_emb] for each (row, candidate) pair, a the
+    (n, d) rows and b their (n, c, d) candidates, shape (n, c): the product
+    block is b @ (a * w[:d]) per row, and the attribute block, for attn =
+    (e, z) from _attend, ((attr_emb @ w[d:]) @ e) / z. attn None ablates
+    the attribute block."""
     d = a.shape[-1]
-    score = (a * b) @ w[:d]
+    score = (b @ (a * w[:d])[:, :, None])[:, :, 0]
     if attn is not None:
         e, z = attn
-        score = score + (e @ (attr_emb @ w[d:])) / z
+        score = score + (((attr_emb @ w[d:]) @ e) / z).reshape(score.shape)
     return score
 
 
 def _head_backward(a: np.ndarray, b: np.ndarray, attn, w: np.ndarray,
                    attr_emb: np.ndarray, g: np.ndarray, w_grad: np.ndarray,
                    attr_grad: np.ndarray):
-    """Add the gradients of sum(g * _head(a, b, attn, w, attr_emb)) for w and
-    attr_emb into w_grad and attr_grad; return the row gradients for a, b."""
+    """Add the gradients of sum(g * _head(a, b, attn, w, attr_emb)), g of
+    shape (n, c), for w and attr_emb into w_grad and attr_grad. Return the
+    gradient for a, each row's summed over its c candidates, and w[:d] * a,
+    the gradient for b[r, j] per unit of g[r, j]."""
     d = a.shape[-1]
-    w_grad[:d] += g @ (a * b)
+    g_b = (g[:, None, :] @ b)[:, 0]     # sum over candidates of g * b
+    w_grad[:d] += np.einsum("nd,nd->d", a, g_b)
     if attn is not None:
         e, z = attn
-        attn_g = e.T @ (g / z)
+        attn_g = e @ (g.ravel() / z)
         w_grad[d:] += attn_g @ attr_emb
         attr_grad += np.outer(attn_g, w[d:])
-    g = g[:, None]
-    return g * (w[:d] * b), g * (w[:d] * a)
+    return w[:d] * g_b, w[:d] * a
 
 
 def _score_rows(params: ModelParams, est: EstimatedMatrices, cfg: TrainConfig,
-                users: np.ndarray, queries: np.ndarray, items: np.ndarray):
-    """Blended scores for row-aligned (user, query, candidate) triples; a
-    scalar user or query is paired with every candidate.
+                users: np.ndarray, queries: np.ndarray, cands: np.ndarray):
+    """Blended scores of the (n, c) grid: the user and query of row r,
+    users[r] and queries[r], against each of its candidates cands[r].
 
-    Returns (scores, cache) with everything backward needs.
+    Returns (scores, cache), scores of shape (n, c), the cache holding
+    everything backward needs.
     """
     v_q = params.item_emb[queries]
-    v_j = params.item_emb[items]
     u_i = params.user_emb[users]
-    y_j = est.item_attr[items]
-    phi = (_attend(est.item_attr[queries], y_j, cfg.subst_temp)
+    v_j = params.item_emb[cands]
+    y_t = est.item_attr_t
+    phi = (_attend(y_t[:, queries], y_t, cands, cfg.subst_temp)
            if cfg.subst_use_attrs else None)
-    lam = (_attend(est.user_attr[users], y_j, cfg.pers_temp)
+    lam = (_attend(est.user_attr[users].T, y_t, cands, cfg.pers_temp)
            if cfg.pers_use_attrs else None)
     g = cfg.subst_weight
     scores = (g * _head(v_q, v_j, phi, params.subst_proj, params.attr_emb)
               + (1.0 - g) * _head(u_i, v_j, lam, params.pers_proj,
                                   params.attr_emb))
-    return scores, (users, queries, items, u_i, v_q, v_j, phi, lam)
+    return scores, (users, queries, cands, u_i, v_q, v_j, phi, lam)
 
 
 def _score_rows_backward(params: ModelParams, cfg: TrainConfig, cache,
                          upstream: np.ndarray, grads: ModelParams) -> None:
-    """Accumulate d(sum_b upstream_b * score_b)/d(params) into `grads`.
+    """Accumulate d(sum upstream * scores)/d(params) into `grads`, upstream
+    of the grid's shape (n, c).
 
-    The embedding-row contributions are scattered with one ordered bincount
-    per tensor, so each row sums them in the order np.add.at would: query,
-    candidate (substitution head), then user, candidate (personalization
-    head). Completed matrix rows are constants here by contract: the
-    estimation step is refreshed between phases, not differentiated through.
+    Each row's query and user gradient is summed over its c candidates. The
+    two heads' candidate gradients are one (n, c, d) buffer, upstream times
+    the blend of their per-unit gradients. So the item scatter takes n +
+    n * c rows and the user scatter n, each one ordered bincount, so that
+    every row sums its contributions in the order np.add.at would: queries,
+    then candidates. Completed matrix rows are constants here by contract:
+    the estimation step is refreshed between phases, not differentiated
+    through.
     """
-    users, queries, items, u_i, v_q, v_j, phi, lam = cache
-    g_q, g_js = _head_backward(v_q, v_j, phi, params.subst_proj,
-                               params.attr_emb, upstream * cfg.subst_weight,
-                               grads.subst_proj, grads.attr_emb)
-    g_u, g_jp = _head_backward(u_i, v_j, lam, params.pers_proj,
-                               params.attr_emb,
-                               upstream * (1.0 - cfg.subst_weight),
-                               grads.pers_proj, grads.attr_emb)
-    grads.item_emb[...] += scatter_rows(len(grads.item_emb),
-                                        [queries, items, items],
-                                        [g_q, g_js, g_jp])
+    users, queries, cands, u_i, v_q, v_j, phi, lam = cache
+    gamma = cfg.subst_weight
+    g_q, x_s = _head_backward(v_q, v_j, phi, params.subst_proj,
+                              params.attr_emb, upstream * gamma,
+                              grads.subst_proj, grads.attr_emb)
+    g_u, x_p = _head_backward(u_i, v_j, lam, params.pers_proj,
+                              params.attr_emb, upstream * (1.0 - gamma),
+                              grads.pers_proj, grads.attr_emb)
+    g_j = upstream[:, :, None] * (gamma * x_s + (1.0 - gamma) * x_p)[:, None]
+    grads.item_emb[...] += scatter_rows(
+        len(grads.item_emb), [queries, cands.ravel()],
+        [g_q, g_j.reshape(-1, params.embed_dim)])
     grads.user_emb[...] += scatter_rows(len(grads.user_emb), [users], [g_u])
 
 
@@ -226,9 +267,14 @@ def triplet_score(user: int, query: int, item: int, params: ModelParams,
 def score_candidates(params: ModelParams, est: EstimatedMatrices,
                      cfg: TrainConfig, user: int, query: int,
                      items: np.ndarray) -> np.ndarray:
-    """Vectorized triplet_score over a candidate array."""
-    return _score_rows(params, est, cfg, user, query,
-                       np.asarray(items, dtype=np.int64))[0]
+    """Vectorized triplet_score over a 1-D candidate array, as a grid of one
+    row. A user, query or candidate that is not an integer id of its table
+    raises ValueError naming it."""
+    n_items = len(params.item_emb)
+    users = _checked_ids("users", user, len(params.user_emb)).reshape(1)
+    queries = _checked_ids("queries", query, n_items).reshape(1)
+    cands = _checked_ids("candidates", items, n_items)
+    return _score_rows(params, est, cfg, users, queries, cands[None, :])[0][0]
 
 
 def sample_negatives(users: np.ndarray, queries: np.ndarray, corpus: Corpus,
@@ -293,24 +339,23 @@ def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
     """(loss, gradients) for row-aligned (user, query, positive) triples,
     each against its row of `negatives`, shape (n, k) or, for k = 1, (n,).
     The loss sums -log sigmoid(score(i,q,j+) - score(i,q,j-)) over every
-    (triple, negative) pair, overflow-safe; each positive is scored once.
+    (triple, negative) pair, overflow-safe. Row r is scored as the grid
+    row [positives[r], *negatives[r]], so each positive is scored once.
     The gradients go into `grads`, zeroed first, when given, else into a
     new buffer."""
     n, negatives = len(users), np.asarray(negatives)
     if negatives.ndim not in (1, 2) or len(negatives) != n:
         raise ValueError(f"negatives must have shape ({n},) or ({n}, k), "
                          f"got {negatives.shape}")
-    k = negatives.shape[1] if negatives.ndim == 2 else 1
-    rows = [np.concatenate([x, np.repeat(x, k)]) for x in (users, queries)]
-    scores, cache = _score_rows(params, est, cfg, *rows,
-                                np.concatenate([positives, negatives.ravel()]))
-    margins = scores[:n, None] - scores[n:].reshape(n, k)
+    scores, cache = _score_rows(params, est, cfg, users, queries,
+                                np.column_stack((positives, negatives)))
+    margins = scores[:, :1] - scores[:, 1:]
     loss = float(np.logaddexp(0.0, -margins).sum())
     # d/dm of softplus(-m) is sigmoid(m) - 1, summed per positive over k
     up = expit(margins) - 1.0
     grads = ModelParams.zeros_like(params, out=grads)
     _score_rows_backward(params, cfg, cache,
-                         np.concatenate([up.sum(axis=1), -up.ravel()]), grads)
+                         np.column_stack((up.sum(axis=1), -up)), grads)
     return loss, grads
 
 
@@ -330,10 +375,11 @@ def recommend_top_k(params: ModelParams, est: EstimatedMatrices,
                     cfg: TrainConfig, user: int, query: int,
                     candidates: np.ndarray, k: int) -> RankedList:
     """Rank candidates by blended score, descending; ties break toward the
-    smaller item index. Duplicates in `candidates` are collapsed."""
+    smaller item index. Duplicates in `candidates` are collapsed; an id
+    outside its table raises ValueError, as in score_candidates."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cands = np.unique(np.asarray(candidates, dtype=np.int64))
+    cands = np.unique(np.asarray(candidates))
     if len(cands) == 0:
         raise ValueError("empty candidate set")
     scores = score_candidates(params, est, cfg, user, query, cands)

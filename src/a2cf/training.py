@@ -28,7 +28,7 @@ from .config import RunConfig, TrainConfig
 from .data import Corpus, SplitTriplets
 from .matrices import SparseAttributeMatrix, build_matrices
 from .network import (AdamState, ModelParams, adam_step, init_params,
-                      param_shapes, phase1_forward_backward)
+                      param_shapes, phase1_forward_backward, tower_slice)
 from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
                       estimate_matrices, sample_negatives)
 
@@ -239,6 +239,8 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     neg_rng = np.random.default_rng(neg_seed)
     adam_p1 = AdamState.zeros_like(params)
     adam_p2 = AdamState.zeros_like(params)
+    # phase 2 leaves the towers' gradient and adam_p2 moments zero
+    towers = tower_slice(params)
     # one gradient buffer for the run, zeroed by each step: a new vector per
     # step kept two alive at once and raised the peak resident memory
     grads = ModelParams.zeros_like(params)
@@ -312,7 +314,8 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
                     grads=grads)
                 if not np.isfinite(loss):
                     fail(round_no, 2, step, loss)
-                adam_step(params, grads, adam_p2, cfg.learning_rate)
+                adam_step(params, grads, adam_p2, cfg.learning_rate,
+                          skip=towers)
                 loss_sum += loss
                 pair_count += neg.size
                 p2_losses.append(loss / neg.size)

@@ -121,10 +121,11 @@ def assert_flat_layout(params, shapes):
     assert offset == flat.size
 
 
-def written_out_adam(params, grads, state, lr):
+def written_out_adam(params, grads, state, lr, skip=None):
     """Adam with bias correction, tensor by tensor, each line as the
     formula reads; like adam_step it skips a step with a non-finite
-    gradient and returns `params`."""
+    gradient and returns `params`. It updates every tensor whatever
+    `skip` says: the full pass is what adam_step's skip must match."""
     if not all(np.isfinite(g).all() for g in grads.tensors().values()):
         return params
     state.step += 1

@@ -1,7 +1,7 @@
 """The bincount scatter-adds in the analytic backward passes give gradients
 bit-identical to a reference that scatters with np.add.at, one call per
 contribution group, in the order the groups are produced. The phase-2
-algebra (each positive scored once, attributes aggregated by matvec) also
+algebra (an (n, 1 + k) candidate grid, attribute-major attention) also
 agrees with the repeated-row algebra it replaced, kept here as an oracle."""
 
 import numpy as np
@@ -16,56 +16,63 @@ from a2cf.ranking import EstimatedMatrices, bpr_s_forward_backward, softmax
 
 
 def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
-    """Reference BPR-S loss and gradients in the scoring algebra: the n
-    positive rows once, then the (n, k) negatives row-major; a positive's
-    upstream is the sum of its k margins'; attribute terms are
-    (e @ (attr_emb @ w)) / z forward and e.T @ (g / z) backward, with e the
-    max-shifted exponentials of the attention logits and z their row sums.
-    np.add.at scatters per group: query and candidate rows (substitution),
-    then user and candidate rows (personalization)."""
+    """Reference BPR-S loss and gradients in the grid algebra: row r scores
+    its user and query against the candidates [positives[r], *negatives[r]],
+    an (n, 1 + k) grid; a positive's upstream is the sum of its k margins'.
+    The attention is attribute-major: logits (A, n, c) are
+    (rows.T / temp)[:, :, None] * item_attr.T[:, cands], e = exp(logits -
+    their max over axis 0), z = e.sum(axis=0), and the attribute terms are
+    ((attr_emb @ w[d:]) @ e) / z forward and e @ (g / z) backward. A row's
+    query and user gradients sum over its candidates, and a candidate's
+    gradient is upstream * (gamma w_s[:d] v_q + (1 - gamma) w_p[:d] u_i).
+    np.add.at scatters per group: query rows, then candidate rows, then
+    user rows."""
     d = params.embed_dim
-    w_s, w_p = params.subst_proj, params.pers_proj
-    n, k = negatives.shape
-    users = np.concatenate([users, np.repeat(users, k)])
-    queries = np.concatenate([queries, np.repeat(queries, k)])
-    items = np.concatenate([positives, negatives.ravel()])
-    v_q, v_j, u_i = (params.item_emb[queries], params.item_emb[items],
-                     params.user_emb[users])
+    w_s, w_p, gamma = params.subst_proj, params.pers_proj, cfg.subst_weight
+    cands = np.column_stack((positives, negatives))
+    n, c = cands.shape
+    v_q, u_i, v_j = (params.item_emb[queries], params.user_emb[users],
+                     params.item_emb[cands])
+    item_attr_t = np.ascontiguousarray(est.item_attr.T)
 
-    def exp_and_sum(logits):
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        return e, e.sum(axis=-1)
+    def exp_and_sum(rows_t, temp):
+        logits = ((rows_t / temp)[:, :, None]
+                  * np.take(item_attr_t, cands, axis=1))
+        e = np.exp(logits - logits.max(axis=0)).reshape(len(logits), n * c)
+        return e, e.sum(axis=0)
 
-    e_s, z_s = exp_and_sum((est.item_attr[queries] * est.item_attr[items])
-                           / cfg.subst_temp)
-    e_p, z_p = exp_and_sum((est.user_attr[users] * est.item_attr[items])
-                           / cfg.pers_temp)
-    f_s = (v_q * v_j) @ w_s[:d]
+    e_s, z_s = exp_and_sum(item_attr_t[:, queries], cfg.subst_temp)
+    e_p, z_p = exp_and_sum(est.user_attr[users].T, cfg.pers_temp)
+    f_s = (v_j @ (v_q * w_s[:d])[:, :, None])[:, :, 0]
     if cfg.subst_use_attrs:
-        f_s = f_s + (e_s @ (params.attr_emb @ w_s[d:])) / z_s
-    f_p = (u_i * v_j) @ w_p[:d]
+        f_s = f_s + (((params.attr_emb @ w_s[d:]) @ e_s) / z_s).reshape(n, c)
+    f_p = (v_j @ (u_i * w_p[:d])[:, :, None])[:, :, 0]
     if cfg.pers_use_attrs:
-        f_p = f_p + (e_p @ (params.attr_emb @ w_p[d:])) / z_p
-    scores = cfg.subst_weight * f_s + (1.0 - cfg.subst_weight) * f_p
-    margins = scores[:n, None] - scores[n:].reshape(n, k)
+        f_p = f_p + (((params.attr_emb @ w_p[d:]) @ e_p) / z_p).reshape(n, c)
+    scores = gamma * f_s + (1.0 - gamma) * f_p
+    margins = scores[:, :1] - scores[:, 1:]
     up = expit(margins) - 1.0
-    upstream = np.concatenate([up.sum(axis=1), -up.ravel()])
+    upstream = np.column_stack((up.sum(axis=1), -up))
 
     grads = ModelParams.zeros_like(params)
-    g_s = upstream * cfg.subst_weight
-    g_p = upstream * (1.0 - cfg.subst_weight)
-    grads.subst_proj[:d] += g_s @ (v_q * v_j)
+    g_s, g_p = upstream * gamma, upstream * (1.0 - gamma)
+    sum_s = (g_s[:, None, :] @ v_j)[:, 0]
+    sum_p = (g_p[:, None, :] @ v_j)[:, 0]
+    grads.subst_proj[:d] += np.einsum("nd,nd->d", v_q, sum_s)
     if cfg.subst_use_attrs:
-        grads.subst_proj[d:] += (e_s.T @ (g_s / z_s)) @ params.attr_emb
-        grads.attr_emb[...] += np.outer(e_s.T @ (g_s / z_s), w_s[d:])
-    np.add.at(grads.item_emb, queries, g_s[:, None] * (w_s[:d] * v_j))
-    np.add.at(grads.item_emb, items, g_s[:, None] * (w_s[:d] * v_q))
-    grads.pers_proj[:d] += g_p @ (u_i * v_j)
+        attn_g = e_s @ (g_s.ravel() / z_s)
+        grads.subst_proj[d:] += attn_g @ params.attr_emb
+        grads.attr_emb[...] += np.outer(attn_g, w_s[d:])
+    grads.pers_proj[:d] += np.einsum("nd,nd->d", u_i, sum_p)
     if cfg.pers_use_attrs:
-        grads.pers_proj[d:] += (e_p.T @ (g_p / z_p)) @ params.attr_emb
-        grads.attr_emb[...] += np.outer(e_p.T @ (g_p / z_p), w_p[d:])
-    np.add.at(grads.user_emb, users, g_p[:, None] * (w_p[:d] * v_j))
-    np.add.at(grads.item_emb, items, g_p[:, None] * (w_p[:d] * u_i))
+        attn_g = e_p @ (g_p.ravel() / z_p)
+        grads.pers_proj[d:] += attn_g @ params.attr_emb
+        grads.attr_emb[...] += np.outer(attn_g, w_p[d:])
+    g_j = upstream[:, :, None] * (gamma * (w_s[:d] * v_q)
+                                  + (1.0 - gamma) * (w_p[:d] * u_i))[:, None]
+    np.add.at(grads.item_emb, queries, w_s[:d] * sum_s)
+    np.add.at(grads.item_emb, cands.ravel(), g_j.reshape(-1, d))
+    np.add.at(grads.user_emb, users, w_p[:d] * sum_p)
     return float(np.logaddexp(0.0, -margins).sum()), grads
 
 

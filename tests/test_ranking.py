@@ -1,5 +1,6 @@
 """Matrix completion, attention scoring heads, BPR loss, and top-K ranking."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -548,6 +549,65 @@ def test_score_candidates_respects_ablation_switches():
                         + (1 - cfg.subst_weight)
                         * score_personalization(0, j, params, est, cfg))
             assert vec[k] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1, 4])
+@pytest.mark.parametrize("temp", [1e-3, 1e6])
+@pytest.mark.parametrize("subst_attrs,pers_attrs", ABLATIONS)
+def test_grid_scores_match_triplet_score(subst_attrs, pers_attrs, temp, c):
+    """Each (row, candidate) score of an (n, c) grid is triplet_score's to
+    within 1e-12, on a grid whose users, queries and candidates repeat
+    (rows 0 and 1 are equal) and where a query is among its own
+    candidates (row 2)."""
+    cfg, params, est = random_setup(
+        45, n_users=3, n_items=7, n_attrs=5, subst_temp=temp, pers_temp=temp,
+        subst_use_attrs=subst_attrs, pers_use_attrs=pers_attrs)
+    rng = np.random.default_rng(46)
+    users, queries = rng.integers(3, size=8), rng.integers(7, size=8)
+    cands = rng.integers(7, size=(8, c))
+    users[1], queries[1], cands[1] = users[0], queries[0], cands[0]
+    cands[2, -1] = queries[2]
+    scores, _ = ranking._score_rows(params, est, cfg, users, queries, cands)
+    want = [[triplet_score(int(u), int(q), int(j), params, est, cfg)
+             for j in row] for u, q, row in zip(users, queries, cands)]
+    assert scores.shape == (8, c) and np.isfinite(scores).all()
+    assert np.abs(scores - np.array(want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("user, query, items, message", [
+    (-1, 1, [2, 3], "users must be integers in [0, 4), got [-1]"),
+    (4, 1, [2, 3], "users must be integers in [0, 4), got [4]"),
+    (0, -1, [2, 3], "queries must be integers in [0, 6), got [-1]"),
+    (0, 6, [2, 3], "queries must be integers in [0, 6), got [6]"),
+    (0, 1, [-2, 5, 3], "candidates must be integers in [0, 6), got [-2]"),
+    (0, 1, [2, 6, 9], "candidates must be integers in [0, 6), got [6, 9]"),
+    (0, 1, [2.0, 3.5], "candidates must be integers in [0, 6), "
+                       "got [2.0, 3.5]"),
+])
+def test_scoring_rejects_ids_outside_the_tables(user, query, items, message):
+    """A negative id would wrap to the end of its table, and one past it
+    would raise IndexError; either is a ValueError naming the ids."""
+    cfg, params, est = random_setup(47)
+    with pytest.raises(ValueError) as err:
+        score_candidates(params, est, cfg, user, query, np.array(items))
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        recommend_top_k(params, est, cfg, user, query, np.array(items), k=3)
+    assert str(err.value) == message
+
+
+def test_item_attr_is_read_only_once_its_transpose_is_derived():
+    cfg, params, est = random_setup(48)
+    est.item_attr[0, 0] = 2.5
+    score_candidates(params, est, cfg, 0, 1, np.array([0, 3]))
+    table = est.item_attr_t
+    score_candidates(params, est, cfg, 1, 2, np.array([0, 4]))
+    assert est.item_attr_t is table
+    np.testing.assert_array_equal(table, est.item_attr.T)
+    with pytest.raises(ValueError, match="read-only"):
+        est.item_attr[0, 0] = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.item_attr = est.item_attr.copy()
 
 
 @pytest.mark.parametrize("subst_attrs,pers_attrs", ABLATIONS)

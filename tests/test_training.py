@@ -9,10 +9,12 @@ import struct
 import numpy as np
 import pytest
 
-from a2cf import training
+from a2cf import network, training
 from a2cf.config import RunConfig, TrainConfig
 from a2cf.data import SplitTriplets
-from a2cf.network import ModelParams, init_params, param_shapes
+from a2cf.network import (AdamState, ModelParams, adam_step, init_params,
+                          param_shapes, tower_slice)
+from a2cf.ranking import EstimatedMatrices, bpr_s_forward_backward
 from a2cf.training import (CHECKPOINT_MAGIC, checkpoint_roundtrip,
                            load_checkpoint, save_checkpoint, train_pipeline)
 from conftest import assert_flat_layout, written_out_adam
@@ -280,6 +282,42 @@ def test_training_with_per_tensor_adam_is_bit_identical(
         assert np.array_equal(t.view(np.uint64), u.view(np.uint64)), name
     assert ((tmp_path / "0" / "model.ckpt").read_bytes()
             == (tmp_path / "1" / "model.ckpt").read_bytes())
+
+
+def test_phase2_adam_skipping_the_tower_slice_is_bit_identical(monkeypatch):
+    """tower_slice spans user_tower_w through item_head. Phase-2 gradients
+    are zero there, so an Adam step that skips the slice leaves params, m
+    and v with the bits of the full pass, also at blocks of 7 values, where
+    the slice's edges fall inside a block."""
+    cfg = TrainConfig(embed_dim=4, tower_depth=2)
+    params = init_params(3, 7, 5, cfg, seed=8)
+    towers = tower_slice(params)
+    marks = ModelParams.zeros_like(params)
+    marks.flat[towers] = 1.0
+    tower_names = ("user_tower_w", "user_tower_b", "item_tower_w",
+                   "item_tower_b", "user_head", "item_head")
+    for name, t in marks.tensors().items():
+        assert (t == (name in tower_names)).all(), name
+    rng = np.random.default_rng(8)
+    est = EstimatedMatrices(user_attr=rng.uniform(1.0, 5.0, size=(3, 5)),
+                            item_attr=rng.uniform(1.0, 5.0, size=(7, 5)))
+    for block_bytes in (network._BLOCK_BYTES, 8 * 7):
+        monkeypatch.setattr(network, "_BLOCK_BYTES", block_bytes)
+        full, skipped = (ModelParams(**params.tensors()) for _ in range(2))
+        full_state, skip_state = (AdamState.zeros_like(params)
+                                  for _ in range(2))
+        for _ in range(4):
+            batch = (rng.integers(3, size=6), rng.integers(7, size=6),
+                     rng.integers(7, size=6), rng.integers(7, size=(6, 2)))
+            _, grads = bpr_s_forward_backward(full, est, cfg, *batch)
+            assert not grads.flat[towers].any()
+            adam_step(full, grads, full_state, lr=1e-2)
+            adam_step(skipped, grads, skip_state, lr=1e-2, skip=towers)
+            for got, want in ((skipped, full), (skip_state.m, full_state.m),
+                              (skip_state.v, full_state.v)):
+                assert np.array_equal(got.flat.view(np.uint64),
+                                      want.flat.view(np.uint64)), block_bytes
+        assert skip_state.step == full_state.step == 4
 
 
 def test_convergence_stops_before_rounds_max(synth_corpus, synth_splits):
