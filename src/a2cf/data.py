@@ -376,7 +376,8 @@ def load_prepared(path: str) -> tuple[Corpus, SplitTriplets]:
                 if np.any((ids != 1) & (ids != -1)):
                     raise ValueError(f"{path}: {name} has a sentiment other "
                                      f"than +1/-1")
-            elif np.any((ids < 0) | (ids >= len(arrays[tokens]))):
+            elif len(ids) and (ids.min() < 0
+                               or ids.max() >= len(arrays[tokens])):
                 raise ValueError(f"{path}: {name} column {col} has ids outside "
                                  f"[0, {len(arrays[tokens])})")
         arrays[name] = arr.astype(np.int64, copy=False)

@@ -1,7 +1,9 @@
 """Sparse user-attribute and item-attribute matrices from the lexicon.
 
 Observed cells live on the rating scale [1, rating_max]; absent cells are
-exactly 0 and mark "never mentioned".
+exactly 0 and mark "never mentioned". Both matrices are counted over their
+full (n_rows, n_attrs) cell grid, whose flat id for a mention is
+row * n_attrs + attr: no sort, and no array larger than the dense matrix.
 """
 
 from dataclasses import dataclass
@@ -59,34 +61,42 @@ def item_attr_value(count: int, mean_sentiment: float,
     return 1.0 + (rating_max - 1.0) * float(expit(count * mean_sentiment))
 
 
-def _mentioned_cells(rows: np.ndarray, attrs: np.ndarray, n_attrs: int):
-    """Distinct (row, attr) cells in row-major order, each mention's cell
-    index, and the mention count per cell."""
-    cells, inverse, counts = np.unique(rows * n_attrs + attrs,
-                                       return_inverse=True, return_counts=True)
-    return cells // n_attrs, cells % n_attrs, inverse, counts
+def _grid_cells(rows: np.ndarray, attrs: np.ndarray, n_rows: int,
+                n_attrs: int):
+    """Each mention's flat cell id row * n_attrs + attr, the mentioned cells
+    of the (n_rows, n_attrs) grid in row-major order, and the mention count
+    per mentioned cell, from one bincount over the grid."""
+    ids = rows * n_attrs + attrs
+    counts = np.bincount(ids, minlength=n_rows * n_attrs)
+    cells = np.flatnonzero(counts > 0)
+    return ids, cells, counts[cells]
 
 
 def build_matrices(corpus: Corpus, rating_max: float = 5.0
                    ) -> tuple[SparseAttributeMatrix, SparseAttributeMatrix]:
     """Build the observed user-attribute and item-attribute matrices.
 
-    A user cell maps its mention count through user_attr_value, an item cell
-    its mention count and mean sentiment through item_attr_value; both are
-    evaluated here over all cells at once with the same formulas.
+    Mentions are counted over each cell grid by a bincount of their flat
+    cell ids, with no sort; an item cell's sentiments are summed, in input
+    order, by a weighted bincount of the same ids. A user cell maps its
+    mention count through user_attr_value, an item cell its mention count
+    and mean sentiment through item_attr_value; both are evaluated here over
+    all cells at once with the same formulas.
     """
     users, items, attrs, sentiment = np.reshape(corpus.lexicon, (-1, 4)).T
     n_attrs = corpus.n_attrs
-    u_rows, u_cols, _, u_counts = _mentioned_cells(users, attrs, n_attrs)
+    _, u_cells, u_counts = _grid_cells(users, attrs, corpus.n_users, n_attrs)
     user_vals = 1.0 + (rating_max - 1.0) * np.tanh(u_counts / 2.0)
-    i_rows, i_cols, i_cell, i_counts = _mentioned_cells(items, attrs, n_attrs)
-    mean_sentiment = (np.bincount(i_cell, weights=sentiment,
-                                  minlength=len(i_counts)) / i_counts)
+    i_ids, i_cells, i_counts = _grid_cells(items, attrs, corpus.n_items,
+                                           n_attrs)
+    sentiment_sums = np.bincount(i_ids, weights=sentiment,
+                                 minlength=corpus.n_items * n_attrs)
+    mean_sentiment = sentiment_sums[i_cells] / i_counts
     item_vals = 1.0 + (rating_max - 1.0) * expit(i_counts * mean_sentiment)
     user_mat = SparseAttributeMatrix((corpus.n_users, n_attrs), rating_max,
-                                     u_rows, u_cols, user_vals)
+                                     *np.divmod(u_cells, n_attrs), user_vals)
     item_mat = SparseAttributeMatrix((corpus.n_items, n_attrs), rating_max,
-                                     i_rows, i_cols, item_vals)
+                                     *np.divmod(i_cells, n_attrs), item_vals)
     return user_mat, item_mat
 
 

@@ -71,7 +71,8 @@ def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
     row NaN, when given) regressed in one row-major predictor call, if any."""
     dense, unobserved = sparse.to_dense(), ~sparse.observed_mask()
     if rows is not None:
-        other = np.isin(np.arange(len(dense)), rows, invert=True)
+        other = np.ones(len(dense), dtype=bool)
+        other[rows] = False
         dense[other], unobserved[other] = np.nan, False
     r, c = np.nonzero(unobserved)
     if len(r):
@@ -98,7 +99,7 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
     completing it; a shape other than item_mat's raises ValueError.
     """
     if users is not None:
-        _checked_ids("users", users, user_mat.shape[0])
+        users = _checked_ids("users", users, user_mat.shape[0])
     if item_attr is not None and item_attr.shape != item_mat.shape:
         raise ValueError(f"item_attr has shape {item_attr.shape}, the item "
                          f"matrix {item_mat.shape}")

@@ -200,6 +200,24 @@ def test_build_matrices_bit_identical_to_scalar_value_maps(seed):
         assert mat.scale_cap == rating_max
 
 
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_build_matrices_counts_the_last_grid_cell(seed):
+    """A mention of the last user, item and attribute lands in cell
+    n * n_attrs - 1 of each grid, the edge of its bincount's minlength."""
+    corpus = random_lexicon_corpus(seed)
+    last = [corpus.n_users - 1, corpus.n_items - 1, corpus.n_attrs - 1]
+    extra = np.array([last + [1], last + [-1], last + [1]], dtype=np.int64)
+    corpus.lexicon = np.concatenate([corpus.lexicon, extra])
+    rating_max = 5.0
+    mats = build_matrices(corpus, rating_max)
+    for mat, want in zip(mats, brute_force_matrices(corpus, rating_max)):
+        got = mat.to_dense()
+        assert want[-1, -1] != 0.0
+        assert (mat.rows[-1], mat.cols[-1]) == (mat.shape[0] - 1,
+                                                mat.shape[1] - 1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_dump_matrix_sorted_rows(tmp_path, grid_corpus):
     user_mat, _ = build_matrices(grid_corpus)
     path = tmp_path / "x.tsv"

@@ -190,6 +190,27 @@ def test_estimation_calls_each_predictor_once_in_row_major_order(
     np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
 
 
+def test_repeated_user_ids_complete_each_row_once(monkeypatch):
+    """`users=[8, 2, 2]`, a repeated id and the last row: one user-predictor
+    call on exactly the unobserved cells of rows 2 and 8, which keep the
+    bits of the full completion; every other row is NaN."""
+    rng = np.random.default_rng(8)
+    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    params = init_params(9, 11, 7, scoring_cfg(), seed=8)
+    full = estimate_matrices(user_mat, item_mat, params)
+    seen = _count_predicted_cells(monkeypatch)
+    est = estimate_matrices(user_mat, item_mat, params, users=[8, 2, 2])
+    assert [side for side, *_ in seen] == ["user", "item"]
+    (_, rows, attrs), _ = seen
+    want = np.argwhere(~user_mat.observed_mask())
+    want = want[(want[:, 0] == 2) | (want[:, 0] == 8)]
+    assert set(want[:, 0]) == {2, 8}
+    np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
+    np.testing.assert_array_equal(est.user_attr[[2, 8]].view(np.uint64),
+                                  full.user_attr[[2, 8]].view(np.uint64))
+    assert np.isnan(np.delete(est.user_attr, [2, 8], axis=0)).all()
+
+
 def test_fully_observed_user_row_comes_back_verbatim_with_no_call(
         monkeypatch):
     rng = np.random.default_rng(6)
