@@ -11,7 +11,6 @@ import io
 import lzma
 import zipfile
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,8 +113,8 @@ class Corpus:
     """Filtered corpus with dense integer ids.
 
     Tokens are sorted lexicographically; index arrays refer into the token
-    lists. Derived structures (`sampling_tables`, `popularity`) are built
-    on first use.
+    lists. Derived structures (`sampling_tables`, `popularity`,
+    `query_weights`) are built on first use.
     """
 
     user_tokens: list[str]
@@ -147,6 +146,12 @@ class Corpus:
         """Distinct users per item, (n_items,) int64."""
         return self.sampling_tables[0].sum(axis=0, dtype=np.int64)
 
+    @cached_property
+    def query_weights(self) -> np.ndarray:
+        """popularity**0.75 per item, (n_items,) float64: the weights of the
+        query draw."""
+        return self.popularity.astype(np.float64) ** QUERY_POP_EXPONENT
+
     @property
     def n_users(self) -> int:
         return len(self.user_tokens)
@@ -158,6 +163,22 @@ class Corpus:
     @property
     def n_attrs(self) -> int:
         return len(self.attr_tokens)
+
+
+def _codes(*columns: list[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted distinct tokens of all `columns`, and each column as an
+    int64 array of indices into them."""
+    vocab = sorted(set().union(*columns))
+    index = dict(zip(vocab, range(len(vocab))))
+    return vocab, [np.fromiter(map(index.__getitem__, col), np.int64, len(col))
+                   for col in columns]
+
+
+def _keep_ids(vocab: list[str], alive: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The tokens of `vocab` where `alive`, and every old id's new dense id
+    (-1 where not alive)."""
+    new_id = np.where(alive, np.cumsum(alive) - 1, -1)
+    return [vocab[i] for i in np.flatnonzero(alive)], new_id
 
 
 def filter_corpus(reviews: list[ReviewRecord],
@@ -173,63 +194,81 @@ def filter_corpus(reviews: list[ReviewRecord],
     point; afterwards attributes mentioned fewer than min_attr_mentions times
     (counting surviving lexicon lines, duplicates included) are dropped.
     Every threshold must be >= 1.
+
+    Tokens become integer codes once (`_codes`); the distinct review pairs,
+    the degree pruning, the mention counts and the row orders are then
+    passes over int64 arrays (`np.unique`, `np.bincount`, `np.lexsort`).
     """
     if min(min_user_items, min_item_users, min_attr_mentions) < 1:
         raise ValueError("activity thresholds must be >= 1, got "
                          f"min_user_items={min_user_items}, min_item_users="
                          f"{min_item_users}, min_attr_mentions={min_attr_mentions}")
-    pairs = {(r.user_id, r.item_id) for r in reviews}
+    users, (rev_u, lex_u) = _codes([r.user_id for r in reviews],
+                                   [e.user_id for e in lexicon])
+    items, (rev_v, lex_v, sub_a, sub_b) = _codes(
+        [r.item_id for r in reviews], [e.item_id for e in lexicon],
+        [a for a, _ in substitutes], [b for _, b in substitutes])
+    # distinct (user, item) pairs in (user, item) order, pruned by degree
+    # until a round removes none
+    u, v = np.divmod(np.unique(rev_u * len(items) + rev_v), len(items))
     while True:
-        users = Counter(u for u, _ in pairs)    # user -> distinct items
-        items = Counter(v for _, v in pairs)    # item -> distinct users
-        kept = {(u, v) for u, v in pairs
-                if users[u] >= min_user_items and items[v] >= min_item_users}
-        if len(kept) == len(pairs):
+        user_deg = np.bincount(u, minlength=len(users))
+        item_deg = np.bincount(v, minlength=len(items))
+        keep = (user_deg[u] >= min_user_items) & (item_deg[v] >= min_item_users)
+        if keep.all():
             break
-        pairs = kept
-    if not pairs:
+        u, v = u[keep], v[keep]
+    if not len(u):
         raise ValueError("corpus is empty after activity filtering")
+    user_tokens, uid = _keep_ids(users, user_deg > 0)
+    item_tokens, vid = _keep_ids(items, item_deg > 0)
 
-    kept_lex = [e for e in lexicon if e.user_id in users and e.item_id in items]
-    attr_counts = Counter(e.attribute for e in kept_lex)
-    attrs = {a for a, c in attr_counts.items() if c >= min_attr_mentions}
-    kept_lex = [e for e in kept_lex if e.attribute in attrs]
-    if not attrs:
+    attrs, (lex_a,) = _codes([e.attribute for e in lexicon])
+    lex_u, lex_v = uid[lex_u], vid[lex_v]
+    on_corpus = (lex_u >= 0) & (lex_v >= 0)
+    mentions = np.bincount(lex_a[on_corpus], minlength=len(attrs))
+    attr_tokens, aid = _keep_ids(attrs, mentions >= min_attr_mentions)
+    if not attr_tokens:
         raise ValueError("no attribute survives the mention threshold")
+    lex_a = aid[lex_a]
+    sentiment = np.array([e.sentiment for e in lexicon], dtype=np.int64)
+    lex = np.column_stack([lex_u, lex_v, lex_a, sentiment])
+    lex = lex[on_corpus & (lex_a >= 0)]
+    # rows in (user, item, attr, sentiment) order
+    lex = lex[np.lexsort(lex.T[::-1])]
 
-    user_tokens = sorted(users)
-    item_tokens = sorted(items)
-    attr_tokens = sorted(attrs)
-    uid = {t: i for i, t in enumerate(user_tokens)}
-    vid = {t: i for i, t in enumerate(item_tokens)}
-    aid = {t: i for i, t in enumerate(attr_tokens)}
-
-    inter = np.array(sorted((uid[u], vid[v]) for u, v in pairs), dtype=np.int64)
-    lex_rows = sorted((uid[e.user_id], vid[e.item_id], aid[e.attribute], e.sentiment)
-                      for e in kept_lex)
-    lex = (np.array(lex_rows, dtype=np.int64) if lex_rows
-           else np.empty((0, 4), dtype=np.int64))
-    sub_rows = sorted({tuple(sorted((vid[a], vid[b])))
-                       for a, b in substitutes if a in vid and b in vid})
-    subs = (np.array(sub_rows, dtype=np.int64) if sub_rows
-            else np.empty((0, 2), dtype=np.int64))
-    return Corpus(user_tokens, item_tokens, attr_tokens, inter, lex, subs)
+    sub_a, sub_b = vid[sub_a], vid[sub_b]
+    both = (sub_a >= 0) & (sub_b >= 0)
+    lo = np.minimum(sub_a, sub_b)[both]
+    hi = np.maximum(sub_a, sub_b)[both]
+    subs = np.column_stack(np.divmod(np.unique(lo * len(item_tokens) + hi),
+                                     len(item_tokens)))
+    inter = np.column_stack([uid[u], vid[v]])
+    return Corpus(user_tokens, item_tokens, attr_tokens, inter,
+                  lex.reshape(-1, 4), subs.reshape(-1, 2))
 
 
-def _draw_query(pool: np.ndarray, popularity: np.ndarray, u: float) -> int:
-    """The item of the non-empty `pool`, weighted by popularity**0.75, that
-    the uniform draw `u` selects: the one rng.choice(len(pool), p=...) gives
-    when its draw is `u`."""
-    weights = popularity[pool].astype(np.float64) ** QUERY_POP_EXPONENT
-    total = weights.sum()
-    if total <= 0.0:
-        # all candidates unseen in the interaction set; fall back to uniform
-        probs = np.full(len(pool), 1.0 / len(pool))
-    else:
-        probs = weights / total
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(pool[cdf.searchsorted(u, side="right")])
+def _draw_queries(pools: np.ndarray, weights: np.ndarray,
+                  draws: np.ndarray) -> np.ndarray:
+    """For each row of the (k, n) item stack `pools`, the item that the
+    uniform draw `draws[i]` selects when the row is weighted by `weights`
+    (uniform when the row's weights sum to zero): the item
+    rng.choice(n, p=...) gives when its draw is `draws[i]`.
+
+    Every step is the 1-D draw's, row by row: the row sum is numpy's
+    pairwise sum along a contiguous row, the cumulative sum runs left to
+    right, and counting the CDF values <= the draw is
+    searchsorted(side="right").
+    """
+    w = weights[pools]
+    total = w.sum(axis=1)
+    flat = total <= 0.0
+    probs = w / np.where(flat, 1.0, total)[:, None]
+    probs[flat] = 1.0 / pools.shape[1]
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    picked = (cdf <= draws[:, None]).sum(axis=1)
+    return pools[np.arange(len(pools)), picked]
 
 
 def sample_query_item(user: int, positive: int, corpus: Corpus,
@@ -244,7 +283,8 @@ def sample_query_item(user: int, positive: int, corpus: Corpus,
     pool = np.flatnonzero(subst[positive] & ~bought[user])
     if not len(pool):
         raise ValueError(f"no query candidate for user {user}, item {positive}")
-    return _draw_query(pool, corpus.popularity, rng.random())
+    return int(_draw_queries(pool[None], corpus.query_weights,
+                             rng.random(1))[0])
 
 
 def build_triplets(corpus: Corpus, rng: np.random.Generator) -> np.ndarray:
@@ -254,17 +294,23 @@ def build_triplets(corpus: Corpus, rng: np.random.Generator) -> np.ndarray:
     Interactions whose substitute pool is exhausted by the user's own history
     (or empty) are skipped; `prepare` counts them in corpus.manifest. Every
     pool comes from one (n_interactions, n_items) boolean pass over the
-    sampling tables, and every draw from one rng.random call.
+    sampling tables, and every draw from one rng.random call. Pools of equal
+    length are stacked and drawn from together, one `_draw_queries` call per
+    distinct length.
     """
     bought, subst = corpus.sampling_tables
     users, items = np.reshape(corpus.interactions, (-1, 2)).T
     rows, pool_items = np.nonzero(subst[items] & ~bought[users])
-    eligible = np.unique(rows)
+    eligible, starts, lengths = np.unique(rows, return_index=True,
+                                          return_counts=True)
     if not len(eligible):
         raise ValueError("no triplet could be formed from the corpus")
-    pools = np.split(pool_items, np.searchsorted(rows, eligible[1:]))
-    queries = [_draw_query(pool, corpus.popularity, u)
-               for pool, u in zip(pools, rng.random(len(eligible)))]
+    draws = rng.random(len(eligible))
+    queries = np.empty(len(eligible), dtype=np.int64)
+    for n in np.unique(lengths):
+        group = np.flatnonzero(lengths == n)
+        stack = pool_items[starts[group, None] + np.arange(n)]
+        queries[group] = _draw_queries(stack, corpus.query_weights, draws[group])
     return np.column_stack([users[eligible], queries, items[eligible]])
 
 
@@ -281,7 +327,9 @@ def split_triplets(triplets: np.ndarray, seed: int,
 
     Valid and test sizes are floored, the remainder goes to train. Test
     triplets whose (user, positive) or (query, positive) pair also occurs in
-    training are discarded to prevent leakage.
+    training are discarded to prevent leakage. The check is one `np.isin`
+    per pair kind, on int64 keys `first * base + positive` with `base` one
+    above the largest id.
     """
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
         raise ValueError(f"ratios must be 3 nonnegative values summing to 1, got {ratios}")
@@ -295,11 +343,14 @@ def split_triplets(triplets: np.ndarray, seed: int,
     valid = shuffled[n_train:n_train + n_valid]
     test = shuffled[n_train + n_valid:]
 
-    train_up = {(int(u), int(p)) for u, _, p in train}
-    train_qp = {(int(q), int(p)) for _, q, p in train}
-    keep = np.array([(int(u), int(p)) not in train_up and (int(q), int(p)) not in train_qp
-                     for u, q, p in test], dtype=bool)
-    return SplitTriplets(train=train, valid=valid, test=test[keep])
+    base = int(triplets.max()) + 1 if n else 1
+
+    def keys(rows, col):
+        return rows[:, col].astype(np.int64) * base + rows[:, 2]
+
+    leaked = (np.isin(keys(test, 0), keys(train, 0))
+              | np.isin(keys(test, 1), keys(train, 1)))
+    return SplitTriplets(train=train, valid=valid, test=test[~leaked])
 
 
 def save_prepared(path: str, corpus: Corpus, splits: SplitTriplets) -> None:

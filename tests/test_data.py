@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from a2cf.data import (QUERY_POP_EXPONENT, Corpus, LexiconEntry, ReviewRecord,
-                       build_triplets, filter_corpus, load_lexicon, load_prepared,
-                       load_reviews, load_substitutes, sample_query_item,
-                       save_prepared, split_triplets, write_corpus_manifest)
+                       _draw_queries, build_triplets, filter_corpus,
+                       load_lexicon, load_prepared, load_reviews,
+                       load_substitutes, sample_query_item, save_prepared,
+                       split_triplets, write_corpus_manifest)
 from conftest import (SUB_PAIRS, grid_lexicon, grid_reviews, relation_sets,
                       write_corpus_files)
 
@@ -280,24 +281,35 @@ def set_based_filter(reviews, lexicon, substitutes, min_user_items,
     return corpus, rounds
 
 
+# token prefixes from several scripts, so ids follow code-point order across
+# ASCII case, Latin-1, a combining accent and CJK
+TOKEN_PREFIXES = ("u", "U", "\u00fc", "\u00e9", "e\u0301", "\u00df", "\u4e2d")
+
+
 def random_activity_input(rng):
     """Reviews with repeated pairs, a lexicon that also names unreviewed
-    and unknown pairs, substitutes with unknown items, and thresholds in
+    and unknown pairs and repeats some rows, substitutes with unknown items
+    and repeated or reversed pairs, non-ASCII tokens, and thresholds in
     [1, 4]."""
-    users = [f"u{k}" for k in range(int(rng.integers(1, 12)))]
-    items = [f"i{k}" for k in range(int(rng.integers(1, 12)))]
+    def tokens(n):
+        return [f"{rng.choice(TOKEN_PREFIXES)}{k}" for k in range(n)]
+    users = tokens(int(rng.integers(1, 12)))
+    items = tokens(int(rng.integers(1, 12)))
     density = rng.uniform(0.2, 0.95)
     reviews = [ReviewRecord(u, v, 3) for u in users for v in items
                if rng.random() < density]
     reviews += reviews[:int(rng.integers(0, 4))]
     reviews = [reviews[k] for k in rng.permutation(len(reviews))]
     names = users + ["ghost"], items + ["void"]
+    attrs = tokens(4)
     lexicon = [LexiconEntry(str(rng.choice(names[0])), str(rng.choice(names[1])),
-                            f"a{rng.integers(4)}", int(rng.choice([1, -1])))
+                            str(rng.choice(attrs)), int(rng.choice([1, -1])))
                for _ in range(int(rng.integers(0, 80)))]
+    lexicon += lexicon[:int(rng.integers(0, 6))]
     substitutes = [(str(a), str(b)) for a, b in
                    rng.choice(names[1], size=(int(rng.integers(0, 15)), 2))
                    if a != b]
+    substitutes += [(b, a) for a, b in substitutes[:int(rng.integers(0, 3))]]
     thresholds = tuple(int(t) for t in rng.integers(1, 5, size=3))
     return (reviews, lexicon, substitutes) + thresholds
 
@@ -365,6 +377,52 @@ def test_split_drops_test_rows_sharing_user_positive_with_train():
     rows = np.array([(0, q, 2) for q in range(10)], dtype=np.int64)
     splits = split_triplets(rows, seed=3)
     assert len(splits.test) == 0
+
+
+def set_based_split(triplets, seed, ratios):
+    """Reference: the split with its leak check as Python sets of the
+    training (user, positive) and (query, positive) pairs."""
+    n = len(triplets)
+    shuffled = triplets[np.random.default_rng(seed).permutation(n)]
+    n_valid, n_test = int(n * ratios[1]), int(n * ratios[2])
+    n_train = n - n_valid - n_test
+    train, valid, test = np.split(shuffled, [n_train, n_train + n_valid])
+    train_up = {(int(u), int(p)) for u, _, p in train}
+    train_qp = {(int(q), int(p)) for _, q, p in train}
+    keep = np.array([(int(u), int(p)) not in train_up
+                     and (int(q), int(p)) not in train_qp
+                     for u, q, p in test], dtype=bool)
+    return train, valid, test[keep]
+
+
+def test_split_equals_set_based_reference():
+    ratio_choices = [(0.8, 0.1, 0.1), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0),
+                     (0.5, 0.0, 0.5), (0.3, 0.3, 0.4), (1.0, 0.0, 0.0)]
+    outcomes = set()
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 120))
+        high = int(rng.choice([2, 8, 50, 10**6 + 1]))
+        triplets = rng.integers(0, high, size=(n, 3), dtype=np.int64)
+        ratios = ratio_choices[seed % len(ratio_choices)]
+        got = split_triplets(triplets, seed, ratios)
+        want = set_based_split(triplets, seed, ratios)
+        for part, want_part in zip((got.train, got.valid, got.test), want):
+            assert part.dtype == want_part.dtype
+            np.testing.assert_array_equal(part, want_part)
+        n_test = n - len(got.train) - len(got.valid)
+        if not len(got.train):
+            outcomes.add("train empty")
+        if n_test and not len(got.test):
+            outcomes.add("all leaked")
+        if n_test and len(got.test) == n_test:
+            outcomes.add("none leaked")
+        if 0 < len(got.test) < n_test:
+            outcomes.add("some leaked")
+        if len(got.test) and triplets.max() > 10**5:
+            outcomes.add("large ids")
+    assert outcomes == {"train empty", "all leaked", "none leaked",
+                        "some leaked", "large ids"}
 
 
 def test_split_bad_ratios_error():
@@ -491,6 +549,15 @@ def set_based_popularity(corpus):
     return popularity
 
 
+def pool_probs(pool, popularity):
+    """The query probabilities of one pool, from its own weights."""
+    weights = popularity[pool].astype(np.float64) ** QUERY_POP_EXPONENT
+    total = weights.sum()
+    if total <= 0.0:
+        return np.full(len(pool), 1.0 / len(pool))
+    return weights / total
+
+
 def set_based_triplets(corpus, rng):
     """Reference: one query per interaction drawn from the Python-set
     difference substitutes - user items, weighted by popularity**0.75."""
@@ -502,12 +569,7 @@ def set_based_triplets(corpus, rng):
         pool = sorted(substitutes[v] - user_items[u])
         if not pool:
             continue
-        weights = popularity[pool].astype(np.float64) ** QUERY_POP_EXPONENT
-        total = weights.sum()
-        if total <= 0.0:
-            probs = np.full(len(pool), 1.0 / len(pool))
-        else:
-            probs = weights / total
+        probs = pool_probs(pool, popularity)
         rows.append((u, int(pool[rng.choice(len(pool), p=probs)]), v))
     if not rows:
         raise ValueError("no triplet could be formed from the corpus")
@@ -556,14 +618,16 @@ def test_build_triplets_equals_set_based_reference(seed):
 
 
 def pool_corpus(rng):
-    """A corpus whose pools include singletons and pools of items nobody
-    bought (popularity 0, so the draw falls back to uniform)."""
-    n_users, n_items = int(rng.integers(2, 9)), int(rng.integers(6, 25))
+    """A corpus whose pools include singletons, pools of items nobody bought
+    (popularity 0, so the draw falls back to uniform), and, around a few
+    hub items with many substitutes, pools of up to 20 items."""
+    n_users, n_items = int(rng.integers(2, 9)), int(rng.integers(6, 49))
     unsold = rng.random(n_items) < 0.4
     inter = [(u, v) for u in range(n_users) for v in range(n_items)
              if not unsold[v] and rng.random() < 0.5]
     pairs = {tuple(sorted((a, int(b)))) for a in range(n_items)
-             for b in rng.choice(n_items, size=int(rng.integers(0, 4)))
+             for b in rng.choice(n_items, size=int(
+                 rng.integers(0, 4 if rng.random() < 0.9 else 40)))
              if a != b}
     return Corpus(user_tokens=[f"u{u}" for u in range(n_users)],
                   item_tokens=[f"i{v}" for v in range(n_items)],
@@ -575,14 +639,37 @@ def pool_corpus(rng):
 
 
 def test_build_triplets_batched_draws_equal_per_pool_choice():
-    sizes, unsold_pools = set(), 0
+    # build_triplets stacks pools of one length and draws them together;
+    # each draw must be the one rng.choice makes on the pool alone. Pools
+    # of 8 to 20 weighted items put numpy's 8-accumulator pairwise row sum,
+    # with and without a remainder, against the 1-D sum, and one length
+    # holds both an unsold (uniform) pool and a weighted one.
+    # A draw that lands on a CDF value, or just below it, tells the two
+    # CDFs apart by one ulp, which random draws almost never do.
+    weighted, unsold = set(), set()
     for seed in range(40):
         corpus = pool_corpus(np.random.default_rng(seed))
         user_items, substitutes = relation_sets(corpus)
+        by_length = {}
         for u, v in corpus.interactions:
             pool = sorted(substitutes[v] - user_items[u])
-            sizes.add(len(pool))
-            unsold_pools += bool(pool) and not corpus.popularity[pool].any()
+            if pool:
+                sizes = weighted if corpus.popularity[pool].any() else unsold
+                sizes.add(len(pool))
+                by_length.setdefault(len(pool), []).append(pool)
+        for pools in by_length.values():
+            stack = np.array(pools, dtype=np.int64)
+            # rng.choice's CDF of each pool
+            cdf = np.array([pool_probs(pool, corpus.popularity).cumsum()
+                            for pool in pools])
+            cdf /= cdf[:, -1:]
+            # draws lie in [0, 1): a CDF value of 1 is replaced by 0
+            for draws in (*np.where(cdf < 1.0, cdf, 0.0).T,
+                          *np.nextafter(cdf, 0.0).T):
+                want = [pool[np.searchsorted(row, u, side="right")]
+                        for pool, row, u in zip(pools, cdf, draws)]
+                np.testing.assert_array_equal(
+                    _draw_queries(stack, corpus.query_weights, draws), want)
         got, got_state = triplet_outcome(build_triplets, corpus, seed + 500)
         want, want_state = triplet_outcome(set_based_triplets, corpus,
                                            seed + 500)
@@ -591,7 +678,29 @@ def test_build_triplets_batched_draws_equal_per_pool_choice():
         else:
             np.testing.assert_array_equal(got, want)
         assert got_state == want_state
-    assert 1 in sizes and max(sizes) > 3 and unsold_pools > 0
+    assert 1 in weighted and set(range(8, 21)) <= weighted
+    assert weighted & unsold
+
+
+def test_query_weight_table_equals_per_pool_power():
+    # build_triplets takes popularity**0.75 once over the whole item vector
+    # and indexes it; the draw it must match raises each pool on its own.
+    # A weight's bits must therefore not depend on where its value sits in
+    # the array (a SIMD lane, an unaligned view, a remainder loop).
+    values = np.arange(5001, dtype=np.float64)
+    want = np.concatenate([np.array([x]) ** QUERY_POP_EXPONENT
+                           for x in values]).view(np.uint64)
+    np.testing.assert_array_equal(
+        (values ** QUERY_POP_EXPONENT).view(np.uint64), want)
+    for length in range(1, 41):
+        pad = -len(values) % length
+        index = np.concatenate([np.arange(len(values)), np.arange(pad)])
+        for shift in range(length):
+            rows = np.roll(index.reshape(-1, length), shift, axis=1)
+            stack = values[rows]
+            got = np.concatenate([row ** QUERY_POP_EXPONENT for row in stack])
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want[rows.ravel()])
 
 
 # ------------------------------------------------------------ persistence
