@@ -40,11 +40,9 @@ def show(matrix, corpus, row_tokens, title):
     print(f"\n{title}")
     header = "".join(f"{a:>10}" for a in corpus.attr_tokens)
     print(f"{'':>8}{header}")
-    dense = matrix.to_dense()
-    mask = matrix.observed_mask()
     for r, tok in enumerate(row_tokens):
-        cells = "".join(f"{dense[r, c]:>10.4f}" if mask[r, c] else f"{'.':>10}"
-                        for c in range(corpus.n_attrs))
+        cells = "".join(f"{v:>10.4f}" if v else f"{'.':>10}"
+                        for v in matrix[r])
         print(f"{tok:>8}{cells}")
 
 
@@ -64,16 +62,17 @@ def main():
                            min_attr_mentions=1)
     user_mat, item_mat = build_matrices(corpus)
     show(user_mat, corpus, corpus.user_tokens,
-         "user-attribute concern matrix (observed cells only):")
+         "user-attribute concern matrix ('.' marks a 0, never mentioned):")
     show(item_mat, corpus, corpus.item_tokens,
-         "item-attribute quality matrix (observed cells only):")
+         "item-attribute quality matrix ('.' marks a 0, never mentioned):")
 
     # an untrained model already completes the matrices; training just makes
     # the filled-in cells meaningful
     params = init_params(corpus.n_users, corpus.n_items, corpus.n_attrs,
                          TrainConfig(embed_dim=8), seed=0)
-    est = estimate_matrices(user_mat, item_mat, params)
-    print("\ncompleted user matrix (observed cells kept verbatim):")
+    est = estimate_matrices(user_mat, item_mat, params, rating_max=5.0)
+    print("\ncompleted user matrix (observed cells kept verbatim, "
+          "the 0 cells regressed):")
     for r, tok in enumerate(corpus.user_tokens):
         cells = "".join(f"{est.user_attr[r, c]:>10.4f}"
                         for c in range(corpus.n_attrs))

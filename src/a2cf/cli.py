@@ -160,13 +160,12 @@ def _estimate(corpus, params, cfg, item_attr, users=None):
     """The completed matrices: the item rows the checkpoint ships, and the
     user rows completed here, only the `users` rows when given (see
     ranking.estimate_matrices)."""
-    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
-    if not np.array_equal(item_attr[item_mat.rows, item_mat.cols],
-                          item_mat.vals):
+    user_obs, item_obs = build_matrices(corpus, cfg.rating_max)
+    if not ((item_attr == item_obs) | (item_obs == 0.0)).all():
         raise ValueError("checkpoint item completion does not match the "
                          "prepared corpus")
-    return ranking.estimate_matrices(user_mat, item_mat, params, users,
-                                     item_attr)
+    return ranking.estimate_matrices(user_obs, item_obs, params,
+                                     cfg.rating_max, users, item_attr)
 
 
 def _cmd_synth(args) -> int:

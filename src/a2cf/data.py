@@ -13,6 +13,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib import format as npformat
@@ -20,16 +21,14 @@ from numpy.lib import format as npformat
 QUERY_POP_EXPONENT = 0.75
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
+class ReviewRecord(NamedTuple):
     user_id: str
     item_id: str
     rating: int
     timestamp: int | None = None
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     user_id: str
     item_id: str
     attribute: str

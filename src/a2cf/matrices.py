@@ -1,39 +1,16 @@
-"""Sparse user-attribute and item-attribute matrices from the lexicon.
+"""Observed user-attribute and item-attribute matrices from the lexicon.
 
-Observed cells live on the rating scale [1, rating_max]; absent cells are
-exactly 0 and mark "never mentioned". Both matrices are counted over their
-full (n_rows, n_attrs) cell grid, whose flat id for a mention is
-row * n_attrs + attr: no sort, and no array larger than the dense matrix.
+Each matrix is a dense float64 array. A mentioned cell lies on the rating
+scale [1, rating_max]; a cell never mentioned is exactly 0.0, and those are
+the cells the towers regress. Both matrices are counted over their full
+(n_rows, n_attrs) cell grid, whose flat id for a mention is
+row * n_attrs + attr: no sort, and no array larger than the matrix itself.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .data import Corpus
-
-
-@dataclass
-class SparseAttributeMatrix:
-    """Observed cells as COO arrays sorted by (row, col); every other cell is
-    a structural zero."""
-
-    shape: tuple                         # (n_rows, n_cols)
-    scale_cap: float                     # rating_max the values were built with
-    rows: np.ndarray                     # int64 row index per observed cell
-    cols: np.ndarray                     # int64 column index per observed cell
-    vals: np.ndarray                     # float64 values in [1, scale_cap]
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=np.float64)
-        dense[self.rows, self.cols] = self.vals
-        return dense
-
-    def observed_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[self.rows, self.cols] = True
-        return mask
 
 
 def user_attr_value(count: int, rating_max: float = 5.0) -> float:
@@ -61,47 +38,36 @@ def item_attr_value(count: int, mean_sentiment: float,
     return 1.0 + (rating_max - 1.0) * float(expit(count * mean_sentiment))
 
 
-def _grid_cells(rows: np.ndarray, attrs: np.ndarray, n_rows: int,
-                n_attrs: int):
-    """Each mention's flat cell id row * n_attrs + attr, the mentioned cells
-    of the (n_rows, n_attrs) grid in row-major order, and the mention count
-    per mentioned cell, from one bincount over the grid."""
-    ids = rows * n_attrs + attrs
-    counts = np.bincount(ids, minlength=n_rows * n_attrs)
-    cells = np.flatnonzero(counts > 0)
-    return ids, cells, counts[cells]
-
-
 def build_matrices(corpus: Corpus, rating_max: float = 5.0
-                   ) -> tuple[SparseAttributeMatrix, SparseAttributeMatrix]:
-    """Build the observed user-attribute and item-attribute matrices.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The observed user-attribute and item-attribute matrices, float64
+    arrays of shape (n_users, n_attrs) and (n_items, n_attrs).
 
     Mentions are counted over each cell grid by a bincount of their flat
     cell ids, with no sort; an item cell's sentiments are summed, in input
     order, by a weighted bincount of the same ids. A user cell maps its
     mention count through user_attr_value, an item cell its mention count
     and mean sentiment through item_attr_value; both are evaluated here over
-    all cells at once with the same formulas.
+    all mentioned cells at once with the same formulas.
     """
     users, items, attrs, sentiment = np.reshape(corpus.lexicon, (-1, 4)).T
     n_attrs = corpus.n_attrs
-    _, u_cells, u_counts = _grid_cells(users, attrs, corpus.n_users, n_attrs)
-    user_vals = 1.0 + (rating_max - 1.0) * np.tanh(u_counts / 2.0)
-    i_ids, i_cells, i_counts = _grid_cells(items, attrs, corpus.n_items,
-                                           n_attrs)
-    sentiment_sums = np.bincount(i_ids, weights=sentiment,
-                                 minlength=corpus.n_items * n_attrs)
-    mean_sentiment = sentiment_sums[i_cells] / i_counts
-    item_vals = 1.0 + (rating_max - 1.0) * expit(i_counts * mean_sentiment)
-    user_mat = SparseAttributeMatrix((corpus.n_users, n_attrs), rating_max,
-                                     *np.divmod(u_cells, n_attrs), user_vals)
-    item_mat = SparseAttributeMatrix((corpus.n_items, n_attrs), rating_max,
-                                     *np.divmod(i_cells, n_attrs), item_vals)
-    return user_mat, item_mat
-
-
-def dump_matrix(matrix: SparseAttributeMatrix, path: str) -> None:
-    """Write observed cells as 'row<TAB>col<TAB>value' with %.9g values,
-    sorted by (row, col)."""
-    np.savetxt(path, np.column_stack((matrix.rows, matrix.cols, matrix.vals)),
-               fmt=("%d", "%d", "%.9g"), delimiter="\t")
+    u_counts = np.bincount(users * n_attrs + attrs,
+                           minlength=corpus.n_users * n_attrs)
+    u_cells = np.flatnonzero(u_counts > 0)
+    user_mat = np.zeros(len(u_counts))
+    user_mat[u_cells] = 1.0 + (rating_max - 1.0) * np.tanh(
+        u_counts[u_cells] / 2.0)
+    i_ids = items * n_attrs + attrs
+    i_counts = np.bincount(i_ids, minlength=corpus.n_items * n_attrs)
+    i_cells = np.flatnonzero(i_counts > 0)
+    i_counts = i_counts[i_cells]
+    # the sentiment sums become the item matrix: an unmentioned cell's sum
+    # is already 0.0 (and the sums of no mention at all come back int64)
+    item_mat = np.bincount(i_ids, weights=sentiment,
+                           minlength=corpus.n_items * n_attrs
+                           ).astype(np.float64, copy=False)
+    item_mat[i_cells] = 1.0 + (rating_max - 1.0) * expit(
+        i_counts * (item_mat[i_cells] / i_counts))
+    return (user_mat.reshape(corpus.n_users, n_attrs),
+            item_mat.reshape(corpus.n_items, n_attrs))

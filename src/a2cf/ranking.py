@@ -28,7 +28,6 @@ from scipy.special import expit
 
 from .config import TrainConfig
 from .data import Corpus
-from .matrices import SparseAttributeMatrix
 from .network import (ModelParams, predict_item_attr_batch,
                       predict_user_attr_batch, scatter_rows)
 
@@ -65,28 +64,28 @@ def _checked_ids(what: str, ids, n: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _complete(sparse: SparseAttributeMatrix, predict, params: ModelParams,
-              rows=None) -> np.ndarray:
-    """`sparse` densified, its unobserved cells (of `rows` only, every other
+def _complete(observed: np.ndarray, predict, params: ModelParams,
+              rating_max: float, rows=None) -> np.ndarray:
+    """A copy of `observed` with its 0.0 cells (of `rows` only, every other
     row NaN, when given) regressed in one row-major predictor call, if any."""
-    dense, unobserved = sparse.to_dense(), ~sparse.observed_mask()
+    dense = observed.copy()
+    unobserved = dense == 0.0
     if rows is not None:
         other = np.ones(len(dense), dtype=bool)
         other[rows] = False
         dense[other], unobserved[other] = np.nan, False
     r, c = np.nonzero(unobserved)
     if len(r):
-        dense[r, c] = predict(params, r, c, sparse.scale_cap)
+        dense[r, c] = predict(params, r, c, rating_max)
     return dense
 
 
-def estimate_matrices(user_mat: SparseAttributeMatrix,
-                      item_mat: SparseAttributeMatrix,
-                      params: ModelParams, users=None,
+def estimate_matrices(user_obs: np.ndarray, item_obs: np.ndarray,
+                      params: ModelParams, rating_max: float, users=None,
                       item_attr=None) -> EstimatedMatrices:
-    """Fill every unobserved cell with the eval-mode tower regression, one
-    predictor call per matrix that has one; observed cells are copied
-    bit-for-bit.
+    """Fill every unobserved (0.0) cell of the observed matrices with the
+    eval-mode tower regression on the scale [1, rating_max], one predictor
+    call per matrix that has one; observed cells are copied bit-for-bit.
 
     `users` limits the user matrix to those rows, for a caller that reads
     no other: only their unobserved cells are regressed, with the bits of
@@ -96,16 +95,18 @@ def estimate_matrices(user_mat: SparseAttributeMatrix,
 
     `item_attr`, an item completion of these params such as the one a
     format-3 checkpoint ships, is taken as the item matrix instead of
-    completing it; a shape other than item_mat's raises ValueError.
+    completing it; a shape other than item_obs's raises ValueError.
     """
     if users is not None:
-        users = _checked_ids("users", users, user_mat.shape[0])
-    if item_attr is not None and item_attr.shape != item_mat.shape:
+        users = _checked_ids("users", users, user_obs.shape[0])
+    if item_attr is not None and item_attr.shape != item_obs.shape:
         raise ValueError(f"item_attr has shape {item_attr.shape}, the item "
-                         f"matrix {item_mat.shape}")
-    user_attr = _complete(user_mat, predict_user_attr_batch, params, users)
+                         f"matrix {item_obs.shape}")
+    user_attr = _complete(user_obs, predict_user_attr_batch, params,
+                          rating_max, users)
     if item_attr is None:
-        item_attr = _complete(item_mat, predict_item_attr_batch, params)
+        item_attr = _complete(item_obs, predict_item_attr_batch, params,
+                              rating_max)
     return EstimatedMatrices(user_attr=user_attr, item_attr=item_attr)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import RunConfig, TrainConfig
 from .data import Corpus, SplitTriplets
-from .matrices import SparseAttributeMatrix, build_matrices
+from .matrices import build_matrices
 from .network import (AdamState, ModelParams, adam_step, init_params,
                       param_shapes, phase1_forward_backward, tower_slice)
 from .ranking import (EstimatedMatrices, bpr_s_forward_backward,
@@ -152,27 +152,14 @@ def load_checkpoint(path: str) -> tuple:
     return params, cfg, item_attr
 
 
-def checkpoint_roundtrip(params: ModelParams, cfg: TrainConfig,
-                         path: str) -> ModelParams:
-    """Save, reload, and verify bit-identity of every tensor."""
-    save_checkpoint(path, params, cfg)
-    loaded, _, _ = load_checkpoint(path)
-    for name, t in params.tensors().items():
-        back = getattr(loaded, name)
-        if t.shape != back.shape or not np.array_equal(
-                t.view(np.uint64), back.view(np.uint64)):
-            raise AssertionError(f"checkpoint roundtrip altered tensor {name!r}")
-    return loaded
-
-
 @dataclasses.dataclass
 class TrainResult:
     """What `train_pipeline` returns; `est` is the completion of the final
     params."""
 
     params: ModelParams
-    user_mat: SparseAttributeMatrix
-    item_mat: SparseAttributeMatrix
+    user_mat: np.ndarray        # observed, 0.0 where never mentioned
+    item_mat: np.ndarray
     history: list
     rounds_run: int
     converged: bool
@@ -206,9 +193,15 @@ def _diagnostic_on_blowup(out_dir: str | None, params: ModelParams,
         raise
 
 
-def _cells(mat: SparseAttributeMatrix, idx: np.ndarray):
+def _observed_cells(mat: np.ndarray) -> tuple:
+    """The (rows, cols, vals) of the nonzero cells of `mat`, row-major."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
+def _cells(observed: tuple, idx: np.ndarray):
     """The (rows, cols, vals) of the observed cells at `idx`, or None."""
-    return (mat.rows[idx], mat.cols[idx], mat.vals[idx]) if len(idx) else None
+    return tuple(a[idx] for a in observed) if len(idx) else None
 
 
 def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
@@ -245,8 +238,10 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     # step kept two alive at once and raised the peak resident memory
     grads = ModelParams.zeros_like(params)
 
-    n_user_cells = len(user_mat.rows)
-    cells = np.arange(n_user_cells + len(item_mat.rows))
+    user_cells = _observed_cells(user_mat)
+    item_cells = _observed_cells(item_mat)
+    n_user_cells = len(user_cells[0])
+    cells = np.arange(n_user_cells + len(item_cells[0]))
     train = splits.train
     if len(train) == 0:
         raise ValueError("empty training split")
@@ -276,16 +271,15 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
         record({"users": corpus.n_users, "items": corpus.n_items,
                 "attrs": corpus.n_attrs, "train": len(train),
                 "valid": len(splits.valid), "test": len(splits.test),
-                "cells_filled": math.prod(user_mat.shape)
-                + math.prod(item_mat.shape) - len(cells)})
+                "cells_filled": user_mat.size + item_mat.size - len(cells)})
         for round_no in range(1, run.rounds_max + 1):
             start, adam_start = time.perf_counter(), adam_p1.step
             p1_losses = []
             for step in range(1, run.phase1_steps + 1):
                 batch = next(cell_batches)
                 loss, grads = phase1_forward_backward(
-                    params, _cells(user_mat, batch[batch < n_user_cells]),
-                    _cells(item_mat, batch[batch >= n_user_cells]
+                    params, _cells(user_cells, batch[batch < n_user_cells]),
+                    _cells(item_cells, batch[batch >= n_user_cells]
                            - n_user_cells),
                     cfg.rating_max, dropout=cfg.dropout, rng=drop_rng,
                     grads=grads)
@@ -293,7 +287,7 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
                     fail(round_no, 1, step, loss)
                 adam_step(params, grads, adam_p1, cfg.learning_rate)
                 p1_losses.append(loss)
-            est = estimate_matrices(user_mat, item_mat, params)
+            est = estimate_matrices(user_mat, item_mat, params, cfg.rating_max)
             skipped = run.phase1_steps - (adam_p1.step - adam_start)
             history.append({"round": round_no, "phase": 1,
                             "steps": run.phase1_steps, "losses": p1_losses,
@@ -335,7 +329,7 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
             final_loss = round_loss
             if converged:
                 break
-        est = estimate_matrices(user_mat, item_mat, params)
+        est = estimate_matrices(user_mat, item_mat, params, cfg.rating_max)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, CHECKPOINT_NAME), params, cfg,
                         est.item_attr)

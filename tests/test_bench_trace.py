@@ -39,7 +39,7 @@ def test_every_traced_site_fires_in_its_stages(synth_paths, tmp_path):
         # a request calls the user predictor only on its row's unobserved
         # cells, so network.predict_s fires in recommend and explain only
         # because this row has one
-        assert not build_matrices(corpus)[0].observed_mask()[user].all()
+        assert not build_matrices(corpus)[0][user].all()
         request = [*consumer, "--out-dir", req,
                    "--user", corpus.user_tokens[user],
                    "--query", corpus.item_tokens[query]]

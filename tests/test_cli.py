@@ -321,11 +321,11 @@ def test_request_completing_its_user_row_writes_the_full_bytes(
     rows, item_calls = [], []
 
     def one_row(*args):
-        rows.append(args[3])
+        rows.append(args[4])
         return real(*args)
 
     def every_row(*args):
-        return real(*args[:3])
+        return real(*args[:4])
 
     monkeypatch.setattr(ranking, "predict_item_attr_batch",
                         lambda *args, **kwargs: item_calls.append(1)
@@ -362,12 +362,14 @@ def test_shipped_item_completion_is_the_bits_of_a_full_completion(
     data, ckpt = seed1_model
     corpus, _ = load_prepared(data)
     params, cfg, shipped = training.load_checkpoint(ckpt)
-    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
-    full = ranking.estimate_matrices(user_mat, item_mat, params).item_attr
+    user_obs, item_obs = build_matrices(corpus, cfg.rating_max)
+    full = ranking.estimate_matrices(user_obs, item_obs, params,
+                                     cfg.rating_max).item_attr
     assert shipped.shape == full.shape == (corpus.n_items, corpus.n_attrs)
     assert np.array_equal(shipped.view(np.uint64), full.view(np.uint64))
-    assert np.array_equal(shipped[item_mat.rows, item_mat.cols].view(np.uint64),
-                          item_mat.vals.view(np.uint64))
+    observed = item_obs != 0.0
+    assert np.array_equal(shipped[observed].view(np.uint64),
+                          item_obs[observed].view(np.uint64))
 
 
 def test_short_pool_evaluate_reports_on_stdout_only(seed1_model, tmp_path,
@@ -558,10 +560,11 @@ def test_mismatched_item_completion_is_one_line_error(pipeline, tmp_path,
     """A shipped item completion whose observed cell differs from the
     prepared corpus's value loads, and `recommend` refuses it."""
     corpus, _ = load_prepared(pipeline["data"])
-    _, item_mat = build_matrices(corpus)
+    _, item_obs = build_matrices(corpus)
     with open(pipeline["ckpt"], "rb") as fh:
         raw = fh.read()
-    row, col, val = item_mat.rows[0], item_mat.cols[0], item_mat.vals[0]
+    row, col = (int(i[0]) for i in np.nonzero(item_obs))
+    val = item_obs[row, col]
     cell = (len(raw) - 8 * corpus.n_items * corpus.n_attrs
             + 8 * (row * corpus.n_attrs + col))
     bad = tmp_path / "bad.ckpt"
@@ -593,7 +596,7 @@ def test_train_completes_once_per_round(pipeline, tmp_path, monkeypatch,
         monkeypatch.setattr(
             module, "estimate_matrices",
             lambda *args, name=module.__name__:
-                calls.append((name, args[3:])) or real(*args))
+                calls.append((name, args[4:])) or real(*args))
     assert cli_dispatch(_train_argv(pipeline, tmp_path)) == 0
     assert "rounds=2 " in capsys.readouterr().out
     assert calls == [("a2cf.training", ())] * 3

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from a2cf.data import Corpus, LexiconEntry, filter_corpus
-from a2cf.matrices import (build_matrices, dump_matrix, item_attr_value,
-                           user_attr_value)
+from a2cf.matrices import build_matrices, item_attr_value, user_attr_value
 from conftest import SUB_PAIRS, grid_reviews
 
 # values checked against a high-precision evaluation of
@@ -70,13 +69,12 @@ def test_item_attr_value_rejects_bad_inputs():
 
 
 def test_build_matrices_counts_and_mean_sentiment(grid_corpus):
-    user_mat, item_mat = build_matrices(grid_corpus)
-    x, y = user_mat.to_dense(), item_mat.to_dense()
+    x, y = build_matrices(grid_corpus)
     # attrs sorted: battery=0, price=1, screen=2; users uA..uF = 0..5
     assert x[0, 0] == user_attr_value(2)          # uA mentions battery twice
     assert x[1, 0] == user_attr_value(1)
     assert x[0, 1] == user_attr_value(1)
-    assert not user_mat.observed_mask()[5].any()  # uF mentions nothing
+    assert not x[5].any()                         # uF mentions nothing
     assert y[0, 0] == item_attr_value(2, 1.0)     # p0 battery: uA+1, uB+1
     assert y[1, 0] == item_attr_value(1, -1.0)
     assert y[3, 2] == item_attr_value(2, 1.0)
@@ -91,7 +89,7 @@ def test_build_matrices_full_hand_table(grid_corpus):
     expected_x[2, 1] = USER_VALUE_T1       # uC price
     expected_x[3, 2] = USER_VALUE_T1       # uD screen
     expected_x[4, 2] = USER_VALUE_T1       # uE screen
-    np.testing.assert_allclose(user_mat.to_dense(), expected_x, atol=1e-12)
+    np.testing.assert_allclose(user_mat, expected_x, atol=1e-12)
 
     expected_y = np.zeros((6, 3))
     expected_y[0, 0] = ITEM_VALUE_T2_POS   # p0 battery: t=2, mean +1
@@ -99,15 +97,15 @@ def test_build_matrices_full_hand_table(grid_corpus):
     expected_y[1, 0] = ITEM_VALUE_NEG      # p1 battery: t=1, mean -1
     expected_y[2, 1] = ITEM_VALUE_NEG      # p2 price
     expected_y[3, 2] = ITEM_VALUE_T2_POS   # p3 screen: t=2, mean +1
-    np.testing.assert_allclose(item_mat.to_dense(), expected_y, atol=1e-12)
+    np.testing.assert_allclose(item_mat, expected_y, atol=1e-12)
 
 
 def test_build_matrices_absent_cells_are_exact_zero(grid_corpus):
     user_mat, item_mat = build_matrices(grid_corpus)
-    assert user_mat.to_dense()[5, 0] == 0.0
-    assert user_mat.to_dense()[5, 2] == 0.0
-    assert item_mat.to_dense()[4, 0] == 0.0
-    assert not user_mat.observed_mask()[5, 0]
+    assert user_mat[5, 0] == 0.0
+    assert user_mat[5, 2] == 0.0
+    assert item_mat[4, 0] == 0.0
+    assert user_mat.dtype == item_mat.dtype == np.float64
 
 
 def test_build_matrices_mixed_sentiment_cancels_to_midpoint():
@@ -116,34 +114,29 @@ def test_build_matrices_mixed_sentiment_cancels_to_midpoint():
     corpus = filter_corpus(grid_reviews(), lex, list(SUB_PAIRS))
     _, item_mat = build_matrices(corpus)
     # one cell, two mentions, mean sentiment 0
-    assert (item_mat.rows.tolist(), item_mat.cols.tolist()) == ([0], [0])
-    assert item_mat.vals[0] == item_attr_value(2, 0.0) == 3.0
+    assert [c.tolist() for c in np.nonzero(item_mat)] == [[0], [0]]
+    assert item_mat[0, 0] == item_attr_value(2, 0.0) == 3.0
 
 
 def test_build_matrices_observed_values_within_scale(grid_corpus):
     user_mat, item_mat = build_matrices(grid_corpus)
     for mat in (user_mat, item_mat):
-        assert np.all(mat.vals >= 1.0)
-        assert np.all(mat.vals <= mat.scale_cap)
+        vals = mat[mat != 0.0]
+        assert np.all(vals >= 1.0)
+        assert np.all(vals <= 5.0)
 
 
-def test_sparse_matrix_accessors(grid_corpus):
-    user_mat, _ = build_matrices(grid_corpus)
-    mask = user_mat.observed_mask()
-    dense = user_mat.to_dense()
-    assert mask.shape == (6, 3)
-    assert mask.sum() == len(user_mat.vals) == 6
-    np.testing.assert_array_equal(mask, dense != 0.0)
-    np.testing.assert_array_equal(dense[user_mat.rows, user_mat.cols],
-                                  user_mat.vals)
+def test_observed_matrix_shapes(grid_corpus):
+    user_mat, item_mat = build_matrices(grid_corpus)
+    assert user_mat.shape == item_mat.shape == (6, 3)
+    assert np.count_nonzero(user_mat) == 6
+    assert np.count_nonzero(item_mat) == 5
 
 
 def test_build_matrices_respects_rating_max(grid_corpus):
     user_mat, item_mat = build_matrices(grid_corpus, rating_max=10.0)
-    assert user_mat.to_dense()[0, 0] == pytest.approx(7.854347403601884,
-                                                      abs=1e-12)
-    assert item_mat.to_dense()[0, 0] == pytest.approx(8.927173701800942,
-                                                      abs=1e-12)
+    assert user_mat[0, 0] == pytest.approx(7.854347403601884, abs=1e-12)
+    assert item_mat[0, 0] == pytest.approx(8.927173701800942, abs=1e-12)
 
 
 def random_lexicon_corpus(seed):
@@ -189,15 +182,10 @@ def test_build_matrices_bit_identical_to_scalar_value_maps(seed):
     corpus = random_lexicon_corpus(seed)
     rating_max = (5.0, 10.0, 3.5)[seed % 3]
     mats = build_matrices(corpus, rating_max)
-    for mat, want in zip(mats, brute_force_matrices(corpus, rating_max)):
-        got = mat.to_dense()
+    for got, want in zip(mats, brute_force_matrices(corpus, rating_max)):
         assert got.shape == want.shape
+        assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        np.testing.assert_array_equal(mat.observed_mask(), want != 0.0)
-        assert mat.rows.dtype == mat.cols.dtype == np.int64
-        keys = mat.rows * mat.shape[1] + mat.cols
-        assert np.all(np.diff(keys) > 0)            # row-major, no repeats
-        assert mat.scale_cap == rating_max
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -210,20 +198,8 @@ def test_build_matrices_counts_the_last_grid_cell(seed):
     corpus.lexicon = np.concatenate([corpus.lexicon, extra])
     rating_max = 5.0
     mats = build_matrices(corpus, rating_max)
-    for mat, want in zip(mats, brute_force_matrices(corpus, rating_max)):
-        got = mat.to_dense()
+    for got, want in zip(mats, brute_force_matrices(corpus, rating_max)):
         assert want[-1, -1] != 0.0
-        assert (mat.rows[-1], mat.cols[-1]) == (mat.shape[0] - 1,
-                                                mat.shape[1] - 1)
+        assert got[-1, -1] != 0.0
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-
-def test_dump_matrix_sorted_rows(tmp_path, grid_corpus):
-    user_mat, _ = build_matrices(grid_corpus)
-    path = tmp_path / "x.tsv"
-    dump_matrix(user_mat, str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 6
-    keys = [tuple(int(f) for f in ln.split("\t")[:2]) for ln in lines]
-    assert keys == sorted(keys)
-    assert lines[0] == "0\t0\t4.04637662"

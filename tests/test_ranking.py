@@ -10,7 +10,7 @@ import pytest
 from a2cf import network, ranking
 from a2cf.config import TrainConfig
 from a2cf.data import Corpus
-from a2cf.matrices import SparseAttributeMatrix, build_matrices
+from a2cf.matrices import build_matrices
 from a2cf.network import (ModelParams, init_params,
                           predict_item_attr_batch, predict_user_attr_batch)
 from a2cf.ranking import (NEGATIVE_SAMPLE_FACTOR, EstimatedMatrices,
@@ -47,27 +47,23 @@ def random_setup(seed, n_users=4, n_items=6, n_attrs=4, **cfg_kw):
 # --------------------------------------------------------------- estimation
 
 def test_estimation_preserves_observed_verbatim():
-    user_mat = SparseAttributeMatrix((2, 2), 5.0, np.array([0]), np.array([1]),
-                                     np.array([4.2]))
-    item_mat = SparseAttributeMatrix((2, 2), 5.0, np.array([1]), np.array([0]),
-                                     np.array([1.7]))
+    user_mat, item_mat = np.zeros((2, 2)), np.zeros((2, 2))
+    user_mat[0, 1], item_mat[1, 0] = 4.2, 1.7
     params = init_params(2, 2, 2, scoring_cfg(), seed=3)
-    est = estimate_matrices(user_mat, item_mat, params)
+    est = estimate_matrices(user_mat, item_mat, params, 5.0)
     assert est.user_attr[0, 1] == 4.2
     assert est.item_attr[1, 0] == 1.7
 
 
 def test_estimation_identity_when_fully_observed(monkeypatch):
-    rows, cols = (a.ravel() for a in np.indices((3, 2)))
-    vals = 1.0 + 0.5 * (rows + cols)
-    mat = SparseAttributeMatrix((3, 2), 5.0, rows, cols, vals)
+    rows, cols = np.indices((3, 2))
+    mat = 1.0 + 0.5 * (rows + cols)
     params = init_params(3, 3, 2, scoring_cfg(), seed=4)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(mat, SparseAttributeMatrix((3, 2), 5.0, rows, cols,
-                                                       vals.copy()), params)
+    est = estimate_matrices(mat, mat.copy(), params, 5.0)
     assert seen == []
-    np.testing.assert_array_equal(est.user_attr, mat.to_dense())
-    np.testing.assert_array_equal(est.item_attr, mat.to_dense())
+    np.testing.assert_array_equal(est.user_attr, mat)
+    np.testing.assert_array_equal(est.item_attr, mat)
 
 
 def test_estimation_missing_cells_get_midpoint_under_zero_params(grid_corpus):
@@ -75,28 +71,28 @@ def test_estimation_missing_cells_get_midpoint_under_zero_params(grid_corpus):
     params = init_params(6, 6, 3, scoring_cfg(), seed=5)
     for t in params.tensors().values():
         t[...] = 0.0
-    est = estimate_matrices(user_mat, item_mat, params)
+    est = estimate_matrices(user_mat, item_mat, params, 5.0)
     assert est.user_attr[5, 0] == 3.0      # uF never mentions anything
     assert est.item_attr[4, 2] == 3.0
-    assert est.user_attr[0, 0] == user_mat.to_dense()[0, 0]
+    assert est.user_attr[0, 0] == user_mat[0, 0]
 
 
 def test_estimation_range_and_determinism(grid_corpus):
     user_mat, item_mat = build_matrices(grid_corpus)
     params = init_params(6, 6, 3, scoring_cfg(), seed=6)
-    est1 = estimate_matrices(user_mat, item_mat, params)
-    est2 = estimate_matrices(user_mat, item_mat, params)
+    est1 = estimate_matrices(user_mat, item_mat, params, 5.0)
+    est2 = estimate_matrices(user_mat, item_mat, params, 5.0)
     np.testing.assert_array_equal(est1.user_attr, est2.user_attr)
     np.testing.assert_array_equal(est1.item_attr, est2.item_attr)
     for arr in (est1.user_attr, est1.item_attr):
         assert np.all(arr >= 1.0) and np.all(arr <= 5.0)
 
 
-def full_grid_complete(sparse, predict_rows, chunk=262144):
+def full_grid_complete(observed, predict_rows, chunk=262144):
     """Reference completion: regress every cell of the grid in row blocks,
-    then keep the observed cells' values."""
-    dense = sparse.to_dense()
-    mask = sparse.observed_mask()
+    then keep the observed (nonzero) cells' values."""
+    dense = observed.copy()
+    mask = observed != 0.0
     n_rows, n_cols = dense.shape
     block = max(1, chunk // max(1, n_cols))
     for start in range(0, n_rows, block):
@@ -109,20 +105,21 @@ def full_grid_complete(sparse, predict_rows, chunk=262144):
     return dense
 
 
-def full_grid_estimate(user_mat, item_mat, params):
+def full_grid_estimate(user_mat, item_mat, params, rating_max=5.0):
     return EstimatedMatrices(
         user_attr=full_grid_complete(user_mat, lambda r, c: (
-            predict_user_attr_batch(params, r, c, user_mat.scale_cap))),
+            predict_user_attr_batch(params, r, c, rating_max))),
         item_attr=full_grid_complete(item_mat, lambda r, c: (
-            predict_item_attr_batch(params, r, c, item_mat.scale_cap))))
+            predict_item_attr_batch(params, r, c, rating_max))))
 
 
-def random_coo(rng, shape, density, cap=5.0):
-    """Each cell observed with probability `density`, values in [1, cap]."""
-    keys = np.flatnonzero(rng.random(shape[0] * shape[1]) < density)
-    return SparseAttributeMatrix(shape, cap, keys // shape[1],
-                                 keys % shape[1],
-                                 rng.uniform(1.0, cap, size=len(keys)))
+def random_observed(rng, shape, density, cap=5.0):
+    """Each cell observed with probability `density`, values in [1, cap];
+    every other cell 0.0."""
+    observed = rng.random(shape) < density
+    mat = np.zeros(shape)
+    mat[observed] = rng.uniform(1.0, cap, size=int(observed.sum()))
+    return mat
 
 
 def assert_matches_full_grid(est, ref, mats):
@@ -131,11 +128,11 @@ def assert_matches_full_grid(est, ref, mats):
     for got, want, mat in zip((est.user_attr, est.item_attr),
                               (ref.user_attr, ref.item_attr), mats):
         assert got.shape == mat.shape
-        mask = mat.observed_mask()
+        mask = mat != 0.0
         np.testing.assert_array_equal(got[mask].view(np.uint64),
                                       want[mask].view(np.uint64))
-        np.testing.assert_array_equal(got[mat.rows, mat.cols].view(np.uint64),
-                                      mat.vals.view(np.uint64))
+        np.testing.assert_array_equal(got[mask].view(np.uint64),
+                                      mat[mask].view(np.uint64))
         np.testing.assert_allclose(got[~mask], want[~mask], rtol=0,
                                    atol=1e-12)
 
@@ -145,13 +142,14 @@ def test_estimation_matches_full_grid_reference(seed):
     rng = np.random.default_rng([seed, 77])
     n_users, n_items, n_attrs = (int(n) for n in rng.integers(1, 40, size=3))
     density = [0.0, 0.05, 0.2, 0.5, 0.9, 1.0][seed % 6]
+    cap = (5.0, 3.0)[seed % 2]
     cfg = scoring_cfg(embed_dim=int(rng.integers(1, 9)),
                       tower_depth=int(rng.integers(0, 3)))
     params = init_params(n_users, n_items, n_attrs, cfg, seed=seed)
-    mats = (random_coo(rng, (n_users, n_attrs), density, cap=5.0),
-            random_coo(rng, (n_items, n_attrs), density, cap=3.0))
-    assert_matches_full_grid(estimate_matrices(*mats, params),
-                             full_grid_estimate(*mats, params), mats)
+    mats = (random_observed(rng, (n_users, n_attrs), density, cap),
+            random_observed(rng, (n_items, n_attrs), density, cap))
+    assert_matches_full_grid(estimate_matrices(*mats, params, cap),
+                             full_grid_estimate(*mats, params, cap), mats)
 
 
 def _count_predicted_cells(monkeypatch):
@@ -170,21 +168,21 @@ def _count_predicted_cells(monkeypatch):
 def test_estimation_calls_each_predictor_once_in_row_major_order(
         monkeypatch):
     rng = np.random.default_rng(5)
-    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
     params = init_params(9, 11, 7, scoring_cfg(), seed=9)
     ref = full_grid_estimate(user_mat, item_mat, params)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params)
+    est = estimate_matrices(user_mat, item_mat, params, 5.0)
     assert [side for side, *_ in seen] == ["user", "item"]
     for (_, rows, attrs), mat in zip(seen, (user_mat, item_mat)):
-        want = np.argwhere(~mat.observed_mask())
+        want = np.argwhere(mat == 0.0)
         np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
     assert_matches_full_grid(est, ref, (user_mat, item_mat))
     seen.clear()
-    estimate_matrices(user_mat, item_mat, params, users=[7, 2])
+    estimate_matrices(user_mat, item_mat, params, 5.0, users=[7, 2])
     assert [side for side, *_ in seen] == ["user", "item"]
     (_, rows, attrs), _ = seen
-    want = np.argwhere(~user_mat.observed_mask())
+    want = np.argwhere(user_mat == 0.0)
     want = want[np.isin(want[:, 0], [2, 7])]
     assert set(want[:, 0]) == {2, 7}
     np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
@@ -195,14 +193,14 @@ def test_repeated_user_ids_complete_each_row_once(monkeypatch):
     call on exactly the unobserved cells of rows 2 and 8, which keep the
     bits of the full completion; every other row is NaN."""
     rng = np.random.default_rng(8)
-    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
     params = init_params(9, 11, 7, scoring_cfg(), seed=8)
-    full = estimate_matrices(user_mat, item_mat, params)
+    full = estimate_matrices(user_mat, item_mat, params, 5.0)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, users=[8, 2, 2])
+    est = estimate_matrices(user_mat, item_mat, params, 5.0, users=[8, 2, 2])
     assert [side for side, *_ in seen] == ["user", "item"]
     (_, rows, attrs), _ = seen
-    want = np.argwhere(~user_mat.observed_mask())
+    want = np.argwhere(user_mat == 0.0)
     want = want[(want[:, 0] == 2) | (want[:, 0] == 8)]
     assert set(want[:, 0]) == {2, 8}
     np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
@@ -214,18 +212,17 @@ def test_repeated_user_ids_complete_each_row_once(monkeypatch):
 def test_fully_observed_user_row_comes_back_verbatim_with_no_call(
         monkeypatch):
     rng = np.random.default_rng(6)
-    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
-    keys = np.union1d(user_mat.rows * 7 + user_mat.cols, np.arange(28, 35))
-    vals = rng.uniform(1.0, 5.0, len(keys))
-    user_mat = SparseAttributeMatrix((9, 7), 5.0, keys // 7, keys % 7, vals)
-    assert user_mat.observed_mask()[4].all()
+    user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
+    user_mat[4] = rng.uniform(1.0, 5.0, 7)
+    assert user_mat[4].all()
     params = init_params(9, 11, 7, scoring_cfg(), seed=6)
-    full = estimate_matrices(user_mat, item_mat, params)
+    full = estimate_matrices(user_mat, item_mat, params, 5.0)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, [4], full.item_attr)
+    est = estimate_matrices(user_mat, item_mat, params, 5.0, [4],
+                            full.item_attr)
     assert seen == []
     np.testing.assert_array_equal(est.user_attr[4].view(np.uint64),
-                                  user_mat.to_dense()[4].view(np.uint64))
+                                  user_mat[4].view(np.uint64))
     assert np.isnan(np.delete(est.user_attr, 4, axis=0)).all()
 
 
@@ -233,11 +230,11 @@ def test_no_requested_user_calls_no_user_predictor(monkeypatch):
     """`users=[]`, as `a2cf train` passes for the item completion it ships:
     the item matrix is completed whole and no user cell is regressed."""
     rng = np.random.default_rng(7)
-    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
     params = init_params(9, 11, 7, scoring_cfg(), seed=7)
-    full = estimate_matrices(user_mat, item_mat, params)
+    full = estimate_matrices(user_mat, item_mat, params, 5.0)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, users=[])
+    est = estimate_matrices(user_mat, item_mat, params, 5.0, users=[])
     assert [side for side, *_ in seen] == ["item"]
     np.testing.assert_array_equal(est.item_attr.view(np.uint64),
                                   full.item_attr.view(np.uint64))
@@ -247,18 +244,19 @@ def test_no_requested_user_calls_no_user_predictor(monkeypatch):
 def test_estimation_over_a_given_item_matrix_runs_only_the_user_predictor(
         monkeypatch):
     rng = np.random.default_rng(5)
-    user_mat, item_mat = (random_coo(rng, (n, 7), 0.3) for n in (9, 11))
+    user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
     params = init_params(9, 11, 7, scoring_cfg(), seed=9)
-    full = estimate_matrices(user_mat, item_mat, params)
+    full = estimate_matrices(user_mat, item_mat, params, 5.0)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, [2, 7], full.item_attr)
+    est = estimate_matrices(user_mat, item_mat, params, 5.0, [2, 7],
+                            full.item_attr)
     assert [side for side, *_ in seen] == ["user"]
     assert est.item_attr is full.item_attr
     np.testing.assert_array_equal(est.user_attr[[2, 7]].view(np.uint64),
                                   full.user_attr[[2, 7]].view(np.uint64))
     with pytest.raises(ValueError, match=re.escape(
             "item_attr has shape (7, 11), the item matrix (11, 7)")):
-        estimate_matrices(user_mat, item_mat, params,
+        estimate_matrices(user_mat, item_mat, params, 5.0,
                           item_attr=full.item_attr.T)
 
 
@@ -269,11 +267,11 @@ def test_estimation_of_some_user_rows_keeps_their_bits(embed_dim, depth):
     rng = np.random.default_rng([embed_dim, depth, 61])
     params = init_params(300, 40, 100, scoring_cfg(embed_dim=embed_dim,
                                                    tower_depth=depth), seed=61)
-    user_mat = random_coo(rng, (300, 100), 0.3)
-    item_mat = random_coo(rng, (40, 100), 0.3)
-    full = estimate_matrices(user_mat, item_mat, params)
+    user_mat = random_observed(rng, (300, 100), 0.3)
+    item_mat = random_observed(rng, (40, 100), 0.3)
+    full = estimate_matrices(user_mat, item_mat, params, 5.0)
     for users in ([0], [137], [299], [5, 6, 250]):
-        est = estimate_matrices(user_mat, item_mat, params, users=users)
+        est = estimate_matrices(user_mat, item_mat, params, 5.0, users=users)
         np.testing.assert_array_equal(est.user_attr[users].view(np.uint64),
                                       full.user_attr[users].view(np.uint64))
         np.testing.assert_array_equal(est.item_attr.view(np.uint64),
@@ -289,20 +287,17 @@ def test_deep_tower_completion_runs_the_training_forward_per_row(
     rng = np.random.default_rng(62)
     params = init_params(300, 40, 100, scoring_cfg(embed_dim=4,
                                                    tower_depth=2), seed=62)
-    user_mat = random_coo(rng, (300, 100), 0.3)
-    item_mat = random_coo(rng, (40, 100), 0.3)
-    unobserved = ~user_mat.observed_mask()
-    unobserved[17] = False      # a fully observed row gets no call
-    user_mat = SparseAttributeMatrix(
-        (300, 100), 5.0, *np.nonzero(~unobserved),
-        rng.uniform(1.0, 5.0, int((~unobserved).sum())))
+    user_mat = random_observed(rng, (300, 100), 0.3)
+    item_mat = random_observed(rng, (40, 100), 0.3)
+    user_mat[17] = rng.uniform(1.0, 5.0, 100)   # fully observed: no call
+    unobserved = user_mat == 0.0
     held = [u for u in range(300) if unobserved[u].any()]
     assert len(held) == 299
     real, calls = network._tower_predict, []
     monkeypatch.setattr(network, "_tower_predict", lambda p, side, r, a, *rest:
                         calls.append((side, r, a)) or real(p, side, r, a,
                                                            *rest))
-    est = estimate_matrices(user_mat, item_mat, params)
+    est = estimate_matrices(user_mat, item_mat, params, 5.0)
     user_calls = [(r, a) for side, r, a in calls if side == "user"]
     assert len(user_calls) == len(held)
     for u, (r, a) in zip(held, user_calls):
@@ -312,7 +307,7 @@ def test_deep_tower_completion_runs_the_training_forward_per_row(
         np.testing.assert_array_equal(est.user_attr[u, a].view(np.uint64),
                                       want.view(np.uint64))
     calls.clear()
-    estimate_matrices(user_mat, item_mat, params, users=[150],
+    estimate_matrices(user_mat, item_mat, params, 5.0, users=[150],
                       item_attr=est.item_attr)
     (side, r, a), = calls
     assert side == "user"
@@ -324,11 +319,11 @@ def test_deep_tower_completion_runs_the_training_forward_per_row(
     ([4], "[4]"), ([-1], "[-1]"), ([1.5], "[1.5]"), ([0, 4, 3, 9], "[4, 9]"),
     (np.array([2.0]), "[2.0]"), ([True], "[True]")])
 def test_estimation_rejects_user_ids_outside_the_matrix(users, bad):
-    user_mat, item_mat = (random_coo(np.random.default_rng(3), (n, 3), 0.3)
+    user_mat, item_mat = (random_observed(np.random.default_rng(3), (n, 3), 0.3)
                           for n in (4, 5))
     params = init_params(4, 5, 3, scoring_cfg(), seed=3)
     with pytest.raises(ValueError) as err:
-        estimate_matrices(user_mat, item_mat, params, users=users)
+        estimate_matrices(user_mat, item_mat, params, 5.0, users=users)
     assert str(err.value) == f"users must be integers in [0, 4), got {bad}"
 
 
@@ -337,14 +332,14 @@ def test_completion_at_depth_one_runs_no_residual_block(monkeypatch):
     never falls back to the unsplit (cells, 2d) forward."""
     rng = np.random.default_rng(41)
     params = init_params(20, 30, 12, scoring_cfg(embed_dim=8), seed=41)
-    mats = (random_coo(rng, (20, 12), 0.2), random_coo(rng, (30, 12), 0.2))
+    mats = (random_observed(rng, (20, 12), 0.2), random_observed(rng, (30, 12), 0.2))
     ref = full_grid_estimate(*mats, params)
 
     def unsplit(*args, **kwargs):
         raise AssertionError("residual_forward ran")
 
     monkeypatch.setattr(network, "residual_forward", unsplit)
-    assert_matches_full_grid(estimate_matrices(*mats, params), ref, mats)
+    assert_matches_full_grid(estimate_matrices(*mats, params, 5.0), ref, mats)
 
 
 def test_estimation_peak_memory_at_catalog_shape():
@@ -352,10 +347,10 @@ def test_estimation_peak_memory_at_catalog_shape():
     embed_dim 64: the completion's transient arrays stay small."""
     rng = np.random.default_rng(18)
     params = init_params(300, 1010, 100, TrainConfig(embed_dim=64), seed=18)
-    user_mat, item_mat = (random_coo(rng, (n, 100), 0.18) for n in (300, 1010))
+    user_mat, item_mat = (random_observed(rng, (n, 100), 0.18) for n in (300, 1010))
     tracemalloc.start()
     try:
-        estimate_matrices(user_mat, item_mat, params)
+        estimate_matrices(user_mat, item_mat, params, 5.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -12,11 +12,12 @@ import pytest
 from a2cf import network, training
 from a2cf.config import RunConfig, TrainConfig
 from a2cf.data import SplitTriplets
+from a2cf.matrices import build_matrices
 from a2cf.network import (AdamState, ModelParams, adam_step, init_params,
                           param_shapes, tower_slice)
 from a2cf.ranking import EstimatedMatrices, bpr_s_forward_backward
-from a2cf.training import (CHECKPOINT_MAGIC, checkpoint_roundtrip,
-                           load_checkpoint, save_checkpoint, train_pipeline)
+from a2cf.training import (CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint,
+                           train_pipeline)
 from conftest import assert_flat_layout, written_out_adam
 
 
@@ -43,9 +44,12 @@ def test_checkpoint_save_load_save_identical_bytes(tmp_path):
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     params, cfg = tiny_params()
-    loaded = checkpoint_roundtrip(params, cfg, str(tmp_path / "m.ckpt"))
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, params, cfg)
+    loaded, _, _ = load_checkpoint(path)
     for name, t in params.tensors().items():
         got = getattr(loaded, name)
+        assert got.shape == t.shape
         assert np.array_equal(t.view(np.uint64), got.view(np.uint64))
     assert np.signbit(loaded.user_emb[0, 0])
 
@@ -355,7 +359,8 @@ def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
                      "valid": len(synth_splits.valid),
                      "test": len(synth_splits.test),
                      "cells_filled": (50 + 60) * 20
-                     - len(result.user_mat.rows) - len(result.item_mat.rows)}
+                     - np.count_nonzero(result.user_mat)
+                     - np.count_nonzero(result.item_mat)}
     assert first["cells_filled"] > 0
     assert records == result.history
     p1, p2 = records
@@ -369,6 +374,36 @@ def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
     assert p1["skipped_updates"] == p2["skipped_updates"] == 0
     assert p1["seconds"] > 0.0 and p2["seconds"] > 0.0
     assert (result.rounds_run, p2["converged"]) == (1, False)
+
+
+def test_floor_valued_item_cell_is_observed(tmp_path, synth_corpus,
+                                            synth_splits):
+    """An item cell whose 40 mentions are all -1 is worth
+    1 + 4 * sigmoid(-40), exactly 1.0, the floor of the scale: it is
+    nonzero in the observed matrix, completion keeps it verbatim, and
+    train.log's cells_filled does not count it."""
+    lex = synth_corpus.lexicon
+    mentioned = np.zeros((60, 20), dtype=bool)
+    mentioned[lex[:, 1], lex[:, 2]] = True
+    v, a = np.argwhere(~mentioned)[0]
+    floor = np.column_stack([np.arange(40), np.full(40, v), np.full(40, a),
+                             np.full(40, -1)])
+    lex = np.concatenate([lex, floor])
+    corpus = dataclasses.replace(synth_corpus,
+                                 lexicon=lex[np.lexsort(lex.T[::-1])])
+    user_obs, item_obs = build_matrices(corpus)
+    assert item_obs[v, a] == 1.0
+    params = init_params(50, 60, 20, TrainConfig(embed_dim=8), seed=40)
+    est = training.estimate_matrices(user_obs, item_obs, params, 5.0)
+    assert est.item_attr[v, a] == 1.0
+    train_pipeline(corpus, synth_splits,
+                   short_run(phase1_steps=1, phase2_steps=1), str(tmp_path))
+    first, _ = read_log(tmp_path / "train.log")
+    user_cells = {(u, a) for u, _, a, _ in corpus.lexicon.tolist()}
+    item_cells = {(v, a) for _, v, a, _ in corpus.lexicon.tolist()}
+    assert (int(v), int(a)) in item_cells
+    assert first["cells_filled"] == (50 + 60) * 20 - len(user_cells) \
+        - len(item_cells)
 
 
 def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
@@ -421,8 +456,8 @@ def test_estimates_refresh_once_per_round_plus_final(monkeypatch,
     real = training.estimate_matrices
     produced = []
 
-    def counting(user_mat, item_mat, params):
-        est = real(user_mat, item_mat, params)
+    def counting(user_mat, item_mat, params, rating_max):
+        est = real(user_mat, item_mat, params, rating_max)
         produced.append(est)
         return est
 
@@ -439,7 +474,7 @@ def test_final_estimate_equals_eager_completion(synth_corpus, synth_splits):
                             short_run(rounds_max=2, phase1_steps=3,
                                       phase2_steps=3))
     eager = training.estimate_matrices(result.user_mat, result.item_mat,
-                                       result.params)
+                                       result.params, 5.0)
     for name in ("user_attr", "item_attr"):
         got, want = getattr(result.est, name), getattr(eager, name)
         assert got.shape == want.shape
