@@ -356,7 +356,10 @@ def save_prepared(path: str, corpus: Corpus, splits: SplitTriplets) -> None:
     """Serialize a filtered corpus plus its splits to one .npz file.
 
     Written with a fixed zip timestamp so identical inputs give identical
-    bytes (np.savez stamps wall-clock time into the archive).
+    bytes. np.savez is deterministic too (zipfile dates a member opened by
+    name 1980-01-01), but it forces a zip64 extra field into every member's
+    header: its archive of the seed-1 planted corpus is 180 bytes longer, so
+    switching to it would change every prepared.npz.
     """
     arrays = {
         "user_tokens": np.array(corpus.user_tokens, dtype=np.str_),

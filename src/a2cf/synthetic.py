@@ -12,6 +12,13 @@ rather than per-user noise.
 
 Outputs are plain corpus files (reviews/lexicon/substitutes) plus a
 planted.npz holding the ground-truth preference and quality vectors.
+
+Stream contract: the generator makes the same `Generator` calls in the same
+order as a version that drew every weighted choice with
+`rng.choice(..., p=probs)`, and computes every weight with the same float
+operations, so its files match that version's byte for byte. A weighted
+choice here is `choice`'s own inverse-CDF search run on `rng.random`
+doubles, without `choice`'s per-call check of `p`.
 """
 
 import os
@@ -56,14 +63,22 @@ class SyntheticSpec:
         if self.functional_attrs + self.taste_profiles > self.attributes:
             raise ValueError("attribute vocabulary too small for the "
                              "functional pool plus one block per profile")
+        if self.salient_attrs < 0:
+            raise ValueError("salient_attrs must be >= 0")
+        if self.cared_attrs < 0:
+            raise ValueError("cared_attrs must be >= 0")
         if self.salient_attrs > self.functional_attrs:
             raise ValueError("salient_attrs exceeds the functional pool")
         if self.cared_attrs > self.functional_attrs:
             raise ValueError("cared_attrs exceeds the functional pool")
+        if self.home_clusters < 1:
+            raise ValueError("home_clusters must be >= 1")
         if self.home_clusters > self.clusters:
             raise ValueError("home_clusters exceeds cluster count")
         if self.users <= self.min_item_users:
             raise ValueError("too few users to give every item enough coverage")
+        if self.rating_max < 1:
+            raise ValueError("rating_max must be >= 1")
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError("noise must be in [0, 0.5]")
 
@@ -73,9 +88,24 @@ def _tokens(prefix: str, n: int) -> list:
     return [f"{prefix}{i:0{width}d}" for i in range(n)]
 
 
+def _inverse_cdf(probs: np.ndarray, uniform):
+    """Indices drawn from `probs` (finite, non-negative, summing to 1) for
+    the `rng.random` doubles `uniform`: the search that
+    `Generator.choice(len(probs), size, p=probs)` runs on the doubles it
+    draws, so it returns what `choice` would."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniform, side="right")
+
+
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     """Write reviews.tsv / lexicon.tsv / substitutes.tsv / planted.npz under
-    out_dir and return their paths. Fully deterministic in (spec, seed)."""
+    out_dir and return their paths. Fully deterministic in (spec, seed).
+
+    The draws follow the stream contract in the module docstring: the same
+    `Generator` calls in the same order as the per-draw `rng.choice(p=)`
+    version, so the four files match its files byte for byte. Raises
+    ValueError if a choice or mention weight is not finite."""
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
     U, V, A, C = spec.users, spec.items, spec.attributes, spec.clusters
@@ -90,17 +120,20 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     # cluster carries a balanced style mix
     cluster_of = np.repeat(np.arange(C), -(-V // C))[:V]
     style_of = np.arange(V) % T
+    own_block = block_of[None, :] == np.arange(T)[:, None]     # (T, A)
+    other_block = (block_of >= 0)[None, :] & ~own_block
+    own_size, other_size = own_block.sum(axis=1), other_block.sum(axis=1)
     salient = np.zeros((C, A), dtype=bool)
     for c in range(C):
         salient[c, rng.choice(F, size=spec.salient_attrs, replace=False)] = True
     quality = rng.uniform(-0.2, 0.2, size=(V, A))
     for v in range(V):
-        own = block_of == style_of[v]
-        other = (block_of >= 0) & ~own
-        quality[v, own] = rng.uniform(0.4, 1.0, size=int(own.sum()))
-        quality[v, other] = rng.uniform(-0.9, -0.4, size=int(other.sum()))
-        sal = salient[cluster_of[v]]
-        quality[v, sal] = rng.uniform(0.3, 1.0, size=int(sal.sum()))
+        t = style_of[v]
+        quality[v, own_block[t]] = rng.uniform(0.4, 1.0, size=own_size[t])
+        quality[v, other_block[t]] = rng.uniform(-0.9, -0.4,
+                                                 size=other_size[t])
+        quality[v, salient[cluster_of[v]]] = rng.uniform(
+            0.3, 1.0, size=spec.salient_attrs)
     # mute functional attributes that are not salient for the item's cluster;
     # taste blocks always count so style mismatch is felt at choice time
     gate = np.where(salient[cluster_of] | (block_of >= 0)[None, :], 1.0, 0.08)
@@ -115,8 +148,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
         pick = rng.choice(F, size=spec.cared_attrs, replace=False)
         cared[u, pick] = True
         prefs[u, pick] += rng.uniform(0.5, 1.0, size=spec.cared_attrs)
-        own = block_of == archetype_of[u]
-        prefs[u, own] += rng.uniform(0.5, 1.0, size=int(own.sum()))
+        t = archetype_of[u]
+        prefs[u, own_block[t]] += rng.uniform(0.5, 1.0, size=own_size[t])
         overlap = salient @ prefs[u] + 1e-6 * rng.random(C)
         home[u, np.argsort(-overlap)[:spec.home_clusters]] = True
     prefs /= prefs.sum(axis=1, keepdims=True)
@@ -125,23 +158,32 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     # a fixed per-item boost skews choices so item degrees spread out
     affinity = prefs @ item_signal.T                      # (U, V)
     pop_boost = rng.normal(0.0, POP_SPREAD, size=V)
+    # the weighted draws below do not check their weights per call, as
+    # rng.choice did, so the arrays they come from are checked once here
+    for name, weights in (("affinity", affinity), ("pop_boost", pop_boost),
+                          ("mention weights", prefs)):
+        if not np.isfinite(weights).all():
+            raise ValueError(f"non-finite value in {name}")
     cluster_items = [np.nonzero(cluster_of == c)[0] for c in range(C)]
     interactions: list = []
     bought = np.zeros((U, V), dtype=bool)
     for u in range(U):
-        homes = np.nonzero(home[u])[0]
+        homes = np.flatnonzero(home[u]).tolist()
+        owned = bought[u]
+        scores = (affinity[u] + pop_boost) / CHOICE_TEMP
         for _ in range(spec.interactions_per_user):
-            c = int(homes[rng.integers(len(homes))])
-            avail = cluster_items[c][~bought[u, cluster_items[c]]]
+            members = cluster_items[homes[rng.integers(len(homes))]]
+            avail = members[~owned[members]]
             if len(avail) == 0:
-                avail = np.flatnonzero(home[u, cluster_of] & ~bought[u])
+                avail = np.flatnonzero(home[u, cluster_of] & ~owned)
                 if len(avail) == 0:
                     break
-            logits = (affinity[u, avail] + pop_boost[avail]) / CHOICE_TEMP
-            probs = np.exp(logits - logits.max())
+            logits = scores[avail]
+            # Python's max finds numpy's maximum without a ufunc reduction
+            probs = np.exp(logits - max(logits.tolist()))
             probs /= probs.sum()
-            v = int(avail[rng.choice(len(avail), p=probs)])
-            bought[u, v] = True
+            v = int(avail[_inverse_cdf(probs, rng.random())])
+            owned[v] = True
             interactions.append((u, v))
 
     # coverage repair: every item needs min_item_users distinct users
@@ -155,29 +197,29 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     # ratings from affinity; mentions land on attributes the user weights
     # among those the item actually exposes (cluster salient + its block)
     aff_scale = float(np.std(affinity)) + 1e-12
-    mention_gate = 0.08 + 0.92 * (salient[cluster_of]
-                                  | (block_of[None, :] == style_of[:, None]))
+    mention_gate = 0.08 + 0.92 * (salient[cluster_of] | own_block[style_of])
+    z = affinity[tuple(np.array(interactions).T)] / aff_scale
+    mean_rating = 3.0 + 1.5 * np.tanh(z)
     reviews = []
     lexicon = []
-    attr_count = np.zeros(A, dtype=np.int64)
     for idx, (u, v) in enumerate(interactions):
-        z = affinity[u, v] / aff_scale
-        rating = int(np.clip(np.rint(3.0 + 1.5 * np.tanh(z)
-                                     + 0.5 * rng.standard_normal()), 1,
-                             spec.rating_max))
+        # round() takes a tie to the even integer, as np.rint does
+        rating = round(mean_rating[idx] + 0.5 * rng.standard_normal())
+        rating = min(max(rating, 1), spec.rating_max)
         reviews.append((u, v, rating, TIMESTAMP_BASE + idx * TIMESTAMP_STEP))
         n_mentions = 2 + int(rng.random() < 0.5)
         weights = (0.02 + prefs[u]) * mention_gate[v]
-        probs = weights / weights.sum()
-        for a in rng.choice(A, size=n_mentions, p=probs):
-            a = int(a)
-            sentiment = 1 if quality[v, a] >= 0 else -1
-            if rng.random() < spec.noise:
-                sentiment = -sentiment
-            lexicon.append((u, v, a, sentiment))
-            attr_count[a] += 1
+        # the n_mentions choice doubles, then one noise double per mention:
+        # the doubles choice(p=) and the per-mention rng.random() drew
+        draws = rng.random(2 * n_mentions)
+        attrs = _inverse_cdf(weights / weights.sum(), draws[:n_mentions])
+        good = (quality[v, attrs] >= 0).tolist()
+        flips = (draws[n_mentions:] < spec.noise).tolist()
+        for a, g, flip in zip(attrs.tolist(), good, flips):
+            lexicon.append((u, v, a, 1 if g != flip else -1))
 
     # mention repair: every attribute needs >= 2 mentions to survive filtering
+    attr_count = np.bincount([a for _, _, a, _ in lexicon], minlength=A)
     for a in range(A):
         need = 2 - int(attr_count[a])
         for k in range(max(0, need)):

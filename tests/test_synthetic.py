@@ -1,15 +1,29 @@
 """Synthetic corpus generator: determinism, structure, recoverability."""
 
 import collections
+import os
 
 import numpy as np
 import pytest
 
-from a2cf.synthetic import (TIMESTAMP_BASE, TIMESTAMP_STEP, SyntheticSpec,
-                            generate_synthetic)
+import a2cf.synthetic as synthetic
+from a2cf.synthetic import (CHOICE_TEMP, POP_SPREAD, TIMESTAMP_BASE,
+                            TIMESTAMP_STEP, SyntheticSpec, _inverse_cdf,
+                            _tokens, generate_synthetic)
 
 SMALL = dict(users=30, items=24, attributes=12, clusters=8,
              functional_attrs=6)
+# the corpora of the bench workloads, as bench/run.py's WORKLOADS spell them
+PLANTED = dict(interactions_per_user=22, home_clusters=5)
+CATALOG = dict(users=300, items=1010, attributes=100, clusters=101,
+               functional_attrs=40, interactions_per_user=22, home_clusters=5)
+# every user exhausts its home items
+EXHAUSTED = dict(users=30, items=40, attributes=20, clusters=20,
+                 interactions_per_user=8, min_item_users=1)
+# 60 attributes over a few dozen reviews: some get fewer than two mentions
+SPARSE_MENTIONS = dict(users=8, items=16, attributes=60, clusters=4,
+                       functional_attrs=6, interactions_per_user=5,
+                       home_clusters=2)
 
 
 @pytest.mark.parametrize("kwargs,match", [
@@ -25,6 +39,10 @@ SMALL = dict(users=30, items=24, attributes=12, clusters=8,
     (dict(home_clusters=21), "home_clusters exceeds"),
     (dict(users=5), "enough coverage"),
     (dict(noise=0.6), "noise"),
+    (dict(home_clusters=0), "home_clusters must be >= 1"),
+    (dict(salient_attrs=-1), "salient_attrs must be >= 0"),
+    (dict(cared_attrs=-1), "cared_attrs must be >= 0"),
+    (dict(rating_max=0), "rating_max must be >= 1"),
 ])
 def test_spec_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -45,7 +63,7 @@ def test_same_seed_reproduces_identical_files(tmp_path):
     spec = SyntheticSpec(**SMALL)
     a = generate_synthetic(spec, 5, str(tmp_path / "a"))
     b = generate_synthetic(spec, 5, str(tmp_path / "b"))
-    for name in ("reviews", "lexicon", "substitutes"):
+    for name in ("reviews", "lexicon", "substitutes", "planted"):
         with open(a[name], "rb") as fa, open(b[name], "rb") as fb:
             assert fa.read() == fb.read()
     pa, pb = np.load(a["planted"]), np.load(b["planted"])
@@ -163,8 +181,7 @@ def test_exhausted_home_clusters_fall_back_to_other_home_items(tmp_path):
     items, fewer than its eight draws: it buys every home item once, then
     stops. With one buyer required per item, coverage repair is the only
     purchase outside a user's home clusters, of an item nobody else bought."""
-    spec = SyntheticSpec(users=30, items=40, attributes=20, clusters=20,
-                         interactions_per_user=8, min_item_users=1)
+    spec = SyntheticSpec(**EXHAUSTED)
     paths = generate_synthetic(spec, 3, str(tmp_path))
     with np.load(paths["planted"]) as planted:
         home, cluster_of = planted["home"], planted["cluster_of"]
@@ -178,3 +195,182 @@ def test_exhausted_home_clusters_fall_back_to_other_home_items(tmp_path):
         home_items = set(np.flatnonzero(home[u, cluster_of]).tolist())
         assert home_items <= items
         assert all(buyers[v] == 1 for v in items - home_items)
+
+
+def test_non_finite_choice_weights_raise(tmp_path, monkeypatch):
+    monkeypatch.setattr(synthetic, "POP_SPREAD", np.inf)
+    with pytest.raises(ValueError, match="non-finite value in pop_boost"):
+        generate_synthetic(SyntheticSpec(**SMALL), 1, str(tmp_path))
+
+
+def choice_based_synthetic(spec, seed, out_dir):
+    """Reference: the generator with every weighted draw made by
+    `rng.choice(..., p=probs)` and the rating clipped by a scalar `np.clip`.
+    Returns (paths, fired), `fired` naming the fallback and repair branches
+    the run took."""
+    fired = set()
+    rng = np.random.default_rng(seed)
+    os.makedirs(out_dir, exist_ok=True)
+    U, V, A, C = spec.users, spec.items, spec.attributes, spec.clusters
+    T, F = spec.taste_profiles, spec.functional_attrs
+    block_of = np.full(A, -1, dtype=np.int64)
+    for t, blk in enumerate(np.array_split(np.arange(F, A), T)):
+        block_of[blk] = t
+    cluster_of = np.repeat(np.arange(C), -(-V // C))[:V]
+    style_of = np.arange(V) % T
+    salient = np.zeros((C, A), dtype=bool)
+    for c in range(C):
+        salient[c, rng.choice(F, size=spec.salient_attrs, replace=False)] = True
+    quality = rng.uniform(-0.2, 0.2, size=(V, A))
+    for v in range(V):
+        own = block_of == style_of[v]
+        other = (block_of >= 0) & ~own
+        quality[v, own] = rng.uniform(0.4, 1.0, size=int(own.sum()))
+        quality[v, other] = rng.uniform(-0.9, -0.4, size=int(other.sum()))
+        sal = salient[cluster_of[v]]
+        quality[v, sal] = rng.uniform(0.3, 1.0, size=int(sal.sum()))
+    gate = np.where(salient[cluster_of] | (block_of >= 0)[None, :], 1.0, 0.08)
+    item_signal = quality * gate
+    archetype_of = rng.integers(0, T, size=U)
+    prefs = np.full((U, A), 0.02)
+    cared = np.zeros((U, A), dtype=bool)
+    home = np.zeros((U, C), dtype=bool)
+    for u in range(U):
+        pick = rng.choice(F, size=spec.cared_attrs, replace=False)
+        cared[u, pick] = True
+        prefs[u, pick] += rng.uniform(0.5, 1.0, size=spec.cared_attrs)
+        own = block_of == archetype_of[u]
+        prefs[u, own] += rng.uniform(0.5, 1.0, size=int(own.sum()))
+        overlap = salient @ prefs[u] + 1e-6 * rng.random(C)
+        home[u, np.argsort(-overlap)[:spec.home_clusters]] = True
+    prefs /= prefs.sum(axis=1, keepdims=True)
+    affinity = prefs @ item_signal.T
+    pop_boost = rng.normal(0.0, POP_SPREAD, size=V)
+    cluster_items = [np.nonzero(cluster_of == c)[0] for c in range(C)]
+    interactions = []
+    bought = np.zeros((U, V), dtype=bool)
+    for u in range(U):
+        homes = np.nonzero(home[u])[0]
+        for _ in range(spec.interactions_per_user):
+            c = int(homes[rng.integers(len(homes))])
+            avail = cluster_items[c][~bought[u, cluster_items[c]]]
+            if len(avail) == 0:
+                fired.add("home fallback")
+                avail = np.flatnonzero(home[u, cluster_of] & ~bought[u])
+                if len(avail) == 0:
+                    fired.add("home items exhausted")
+                    break
+            logits = (affinity[u, avail] + pop_boost[avail]) / CHOICE_TEMP
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            v = int(avail[rng.choice(len(avail), p=probs)])
+            bought[u, v] = True
+            interactions.append((u, v))
+    deficits = spec.min_item_users - bought.sum(axis=0)
+    for v in np.flatnonzero(deficits > 0):
+        fired.add("coverage repair")
+        outsiders = np.flatnonzero(~bought[:, v])
+        order = outsiders[np.argsort(-affinity[outsiders, v], kind="stable")]
+        interactions += [(int(u), int(v)) for u in order[:deficits[v]]]
+    aff_scale = float(np.std(affinity)) + 1e-12
+    mention_gate = 0.08 + 0.92 * (salient[cluster_of]
+                                  | (block_of[None, :] == style_of[:, None]))
+    reviews, lexicon = [], []
+    attr_count = np.zeros(A, dtype=np.int64)
+    for idx, (u, v) in enumerate(interactions):
+        z = affinity[u, v] / aff_scale
+        rating = int(np.clip(np.rint(3.0 + 1.5 * np.tanh(z)
+                                     + 0.5 * rng.standard_normal()), 1,
+                             spec.rating_max))
+        reviews.append((u, v, rating, TIMESTAMP_BASE + idx * TIMESTAMP_STEP))
+        n_mentions = 2 + int(rng.random() < 0.5)
+        weights = (0.02 + prefs[u]) * mention_gate[v]
+        probs = weights / weights.sum()
+        for a in rng.choice(A, size=n_mentions, p=probs):
+            a = int(a)
+            sentiment = 1 if quality[v, a] >= 0 else -1
+            if rng.random() < spec.noise:
+                sentiment = -sentiment
+            lexicon.append((u, v, a, sentiment))
+            attr_count[a] += 1
+    for a in range(A):
+        need = 2 - int(attr_count[a])
+        for k in range(max(0, need)):
+            fired.add("mention repair")
+            u, v = interactions[k % len(interactions)]
+            lexicon.append((u, v, a, 1))
+            attr_count[a] += 1
+    user_tok, item_tok, attr_tok = _tokens("u", U), _tokens("i", V), _tokens("a", A)
+    paths = {name: os.path.join(out_dir, fname) for name, fname in (
+        ("reviews", "reviews.tsv"), ("lexicon", "lexicon.tsv"),
+        ("substitutes", "substitutes.tsv"), ("planted", "planted.npz"))}
+    with open(paths["reviews"], "w", encoding="utf-8") as fh:
+        fh.write("# user\titem\trating\ttimestamp\n")
+        for u, v, r, ts in reviews:
+            fh.write(f"{user_tok[u]}\t{item_tok[v]}\t{r}\t{ts}\n")
+    with open(paths["lexicon"], "w", encoding="utf-8") as fh:
+        fh.write("# user\titem\tattribute\tsentiment\n")
+        for u, v, a, s in lexicon:
+            fh.write(f"{user_tok[u]}\t{item_tok[v]}\t{attr_tok[a]}\t{'+1' if s > 0 else '-1'}\n")
+    with open(paths["substitutes"], "w", encoding="utf-8") as fh:
+        fh.write("# item\titem\n")
+        for c in range(C):
+            members = cluster_items[c]
+            for i in range(len(members)):
+                for j in range(i + 1, len(members)):
+                    fh.write(f"{item_tok[members[i]]}\t{item_tok[members[j]]}\n")
+    np.savez(paths["planted"], preferences=prefs, quality=quality,
+             salient=salient, cluster_of=cluster_of, cared=cared, home=home,
+             archetype_of=archetype_of, style_of=style_of, block_of=block_of)
+    return paths, fired
+
+
+def test_inverse_cdf_breaks_ties_as_choice_does():
+    """A uniform double that lands on a CDF value, or one double beside it,
+    draws the index rng.choice draws from the same state. The file grid
+    below cannot see this: a drawn double meets a CDF value with
+    probability about 2**-53."""
+    rng = np.random.default_rng(9)
+    checked = 0
+    while checked < 20:
+        state = rng.bit_generator.state
+        u = rng.random()
+        # rng.random() draws multiples of 2**-53; on [0.5, 1) those are the
+        # neighbouring doubles, and 1 - b is exact, so the CDF is (b, 1.0)
+        if u < 0.5:
+            continue
+        for b in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+            probs = np.array([b, 1.0 - b])
+            rng.bit_generator.state = state
+            want = rng.choice(2, p=probs)
+            rng.bit_generator.state = state
+            assert _inverse_cdf(probs, rng.random()) == want
+            rng.bit_generator.state = state
+            want = rng.choice(2, size=3, p=probs)
+            rng.bit_generator.state = state
+            np.testing.assert_array_equal(_inverse_cdf(probs, rng.random(3)),
+                                          want)
+        checked += 1
+
+
+def test_files_match_the_choice_based_reference(tmp_path):
+    """The generator's draws are the stream of per-draw rng.choice(p=): all
+    four files keep their bytes over a grid in which every fallback and
+    repair branch fires."""
+    grid = [(PLANTED, seed) for seed in (1, 2, 3)]
+    grid += [(CATALOG, seed) for seed in (1, 2, 3)]
+    grid += [(SMALL, seed) for seed in range(1, 11)]
+    grid += [(dict(SMALL, noise=noise), 4) for noise in (0.0, 0.5)]
+    grid += [(EXHAUSTED, 3), (SPARSE_MENTIONS, 1)]
+    all_fired = set()
+    for case, (kwargs, seed) in enumerate(grid):
+        spec = SyntheticSpec(**kwargs)
+        got = generate_synthetic(spec, seed, str(tmp_path / f"{case}_got"))
+        want, fired = choice_based_synthetic(spec, seed,
+                                             str(tmp_path / f"{case}_want"))
+        for name in ("reviews", "lexicon", "substitutes", "planted"):
+            with open(got[name], "rb") as fg, open(want[name], "rb") as fw:
+                assert fg.read() == fw.read(), (kwargs, seed, name)
+        all_fired |= fired
+    assert all_fired == {"home fallback", "home items exhausted",
+                         "coverage repair", "mention repair"}
