@@ -8,9 +8,9 @@ row * n_attrs + attr: no sort, and no array larger than the matrix itself.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Corpus
+from .network import _expit
 
 
 def user_attr_value(count: int, rating_max: float = 5.0) -> float:
@@ -35,7 +35,7 @@ def item_attr_value(count: int, mean_sentiment: float,
         raise ValueError(f"mention count must be >= 1, got {count}")
     if not -1.0 <= mean_sentiment <= 1.0:
         raise ValueError(f"mean sentiment must be in [-1, 1], got {mean_sentiment}")
-    return 1.0 + (rating_max - 1.0) * float(expit(count * mean_sentiment))
+    return 1.0 + (rating_max - 1.0) * float(_expit(count * mean_sentiment))
 
 
 def build_matrices(corpus: Corpus, rating_max: float = 5.0
@@ -67,7 +67,7 @@ def build_matrices(corpus: Corpus, rating_max: float = 5.0
     item_mat = np.bincount(i_ids, weights=sentiment,
                            minlength=corpus.n_items * n_attrs
                            ).astype(np.float64, copy=False)
-    item_mat[i_cells] = 1.0 + (rating_max - 1.0) * expit(
+    item_mat[i_cells] = 1.0 + (rating_max - 1.0) * _expit(
         i_counts * (item_mat[i_cells] / i_counts))
     return (user_mat.reshape(corpus.n_users, n_attrs),
             item_mat.reshape(corpus.n_items, n_attrs))

@@ -240,6 +240,15 @@ def residual_backward(grad_out: np.ndarray, weights: np.ndarray, cache):
     return g, grad_w, grad_b
 
 
+def _expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise. Where exp(-x)
+    overflows (x below about -709.78) the result is the exact limit 0.0,
+    with no warning; where exp(-x) is at most half an ulp of 1 it is
+    exactly 1.0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def tanh_rescaled(r, rating_max: float):
     """Monotone squash of the real line into [1, rating_max]:
     (rating_max - 1)/2 * tanh(r) + (rating_max + 1)/2, clipped to that

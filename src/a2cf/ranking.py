@@ -24,11 +24,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .config import TrainConfig
 from .data import Corpus
-from .network import (ModelParams, predict_item_attr_batch,
+from .network import (ModelParams, _expit, predict_item_attr_batch,
                       predict_user_attr_batch, scatter_rows)
 
 NEGATIVE_SAMPLE_FACTOR = 1000   # rejection budget per requested negative
@@ -354,7 +353,7 @@ def bpr_s_forward_backward(params: ModelParams, est: EstimatedMatrices,
     margins = scores[:, :1] - scores[:, 1:]
     loss = float(np.logaddexp(0.0, -margins).sum())
     # d/dm of softplus(-m) is sigmoid(m) - 1, summed per positive over k
-    up = expit(margins) - 1.0
+    up = _expit(margins) - 1.0
     grads = ModelParams.zeros_like(params, out=grads)
     _score_rows_backward(params, cfg, cache,
                          np.column_stack((up.sum(axis=1), -up)), grads)

@@ -6,10 +6,9 @@ agrees with the repeated-row algebra it replaced, kept here as an oracle."""
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from a2cf.config import TrainConfig
-from a2cf.network import (ModelParams, dropout_mask, init_params,
+from a2cf.network import (ModelParams, _expit, dropout_mask, init_params,
                           phase1_forward_backward, residual_backward,
                           residual_forward, tanh_rescaled, tanh_rescaled_grad)
 from a2cf.ranking import EstimatedMatrices, bpr_s_forward_backward, softmax
@@ -51,7 +50,7 @@ def addat_bpr_s(params, est, cfg, users, queries, positives, negatives):
         f_p = f_p + (((params.attr_emb @ w_p[d:]) @ e_p) / z_p).reshape(n, c)
     scores = gamma * f_s + (1.0 - gamma) * f_p
     margins = scores[:, :1] - scores[:, 1:]
-    up = expit(margins) - 1.0
+    up = _expit(margins) - 1.0
     upstream = np.column_stack((up.sum(axis=1), -up))
 
     grads = ModelParams.zeros_like(params)
@@ -123,7 +122,7 @@ def repeated_rows_bpr_s(params, est, cfg, users, queries, positives,
     pos_scores, pos_cache = forward(positives)
     neg_scores, neg_cache = forward(negatives)
     margins = pos_scores - neg_scores
-    up_pos = expit(margins) - 1.0
+    up_pos = _expit(margins) - 1.0
     grads = ModelParams.zeros_like(params)
     backward(pos_cache, up_pos, grads)
     backward(neg_cache, -up_pos, grads)

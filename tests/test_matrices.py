@@ -188,6 +188,28 @@ def test_build_matrices_bit_identical_to_scalar_value_maps(seed):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_build_matrices_matches_item_attr_value_at_every_integer_sum():
+    """Attribute a of one item has |k| mentions of sign k, k = a - 400 (k = 0
+    one of each sign), so t * mean sentiment is every integer in
+    [-400, 400]. The sigmoid of a value alone has the bits it has in the
+    matrix, at the integers where numpy's exp and libm's differ too."""
+    ks = np.arange(-400, 401)
+    attrs = np.concatenate([np.repeat(np.flatnonzero(ks), np.abs(ks[ks != 0])),
+                            [400, 400]])
+    sentiment = np.concatenate([np.sign(ks[attrs[:-2]]), [1, -1]])
+    lex = np.column_stack([np.zeros_like(attrs), np.zeros_like(attrs),
+                           attrs, sentiment]).astype(np.int64)
+    corpus = Corpus(user_tokens=["u0"], item_tokens=["i0"],
+                    attr_tokens=[f"a{a:03d}" for a in range(len(ks))],
+                    interactions=np.empty((0, 2), dtype=np.int64),
+                    lexicon=lex,
+                    substitute_pairs=np.empty((0, 2), dtype=np.int64))
+    _, item_mat = build_matrices(corpus)
+    want = np.array([item_attr_value(abs(k) or 2, float(np.sign(k)))
+                     for k in ks.tolist()])
+    assert np.array_equal(item_mat[0].view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_build_matrices_counts_the_last_grid_cell(seed):
     """A mention of the last user, item and attribute lands in cell

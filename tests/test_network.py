@@ -1,6 +1,8 @@
 """Residual towers, prediction heads, analytic gradients, and Adam."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from a2cf import network
 from a2cf.config import TrainConfig
 from a2cf.network import (AdamState, INIT_SCALE, ModelParams, _block_rows,
-                          _tower_predict, adam_step, dropout_mask, init_params,
-                          param_shapes, phase1_forward_backward,
+                          _expit, _tower_predict, adam_step, dropout_mask,
+                          init_params, param_shapes, phase1_forward_backward,
                           predict_item_attr_batch, predict_user_attr_batch,
                           residual_backward, residual_forward, tanh_rescaled,
                           tanh_rescaled_grad)
@@ -192,6 +194,64 @@ def test_residual_backward_matches_finite_differences_with_masks():
             flat[k] = keep
             fd = (hi - lo) / (2 * step)
             assert abs(fd - gflat[k]) < 1e-5
+
+
+# ------------------------------------------------------- logistic sigmoid
+
+# every integer an item cell's sentiment sum can take with up to 400
+# mentions, beside a dense grid; numpy's exp differs from libm's by an ulp
+# at some of both
+EXPIT_GRID = np.concatenate([np.linspace(-800.0, 800.0, 1_600_001),
+                             np.arange(-400.0, 401.0)])
+
+
+def libm_expit(e):
+    """1 / (1 + e) for e = exp(-x), each operation rounded once."""
+    return 1.0 / (1.0 + e)
+
+
+def test_expit_is_the_libm_formula_on_an_exp_within_one_ulp():
+    """_expit(x) lies between 1 / (1 + e) at the two neighbours of libm's
+    e = exp(-x), inf where math.exp overflows: the formula is libm's, and
+    only the exp, a SIMD loop in numpy, may move by an ulp. The quotient
+    is monotone in e, but one ulp of e can carry 1 + e across a rounding
+    boundary, so the result itself can move by more than one ulp."""
+    def libm_exp(x):
+        try:
+            return math.exp(-x)
+        except OverflowError:
+            return math.inf
+    e = np.array([libm_exp(x) for x in EXPIT_GRID.tolist()])
+    got = _expit(EXPIT_GRID)
+    lo = libm_expit(np.nextafter(e, math.inf))
+    hi = libm_expit(np.nextafter(e, 0.0))
+    assert ((lo <= got) & (got <= hi)).all()
+    # the bits move only where the two exps differ
+    with np.errstate(over="ignore"):
+        same_exp = np.exp(-EXPIT_GRID) == e
+    assert np.array_equal(got[same_exp], libm_expit(e[same_exp]))
+
+
+def test_expit_limits_are_exact_and_silent():
+    """0.0 where exp(-x) overflows, 1.0 where 1 + exp(-x) rounds to 1, and
+    no overflow warning on the way."""
+    past_overflow = np.concatenate([np.linspace(-800.0, -709.79, 9022),
+                                    [-1e300, -math.inf]])
+    saturated = np.concatenate([np.linspace(37.0, 800.0, 7631),
+                                [1e300, math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (_expit(past_overflow) == 0.0).all()
+        assert (_expit(saturated) == 1.0).all()
+        assert _expit(-800.0) == 0.0 and _expit(800.0) == 1.0
+    assert not np.signbit(_expit(past_overflow)).any()
+    assert _expit(0.0) == 0.5
+
+
+def test_expit_alone_has_the_bits_it_has_in_an_array():
+    xs = np.concatenate([np.arange(-400.0, 401.0), EXPIT_GRID[::997]])
+    alone = np.array([_expit(x) for x in xs.tolist()])
+    assert np.array_equal(alone.view(np.uint64), _expit(xs).view(np.uint64))
 
 
 # ----------------------------------------------------------- rescale head
