@@ -94,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-user-items", type=int, default=5)
     p.add_argument("--min-item-users", type=int, default=5)
     p.add_argument("--min-attr-mentions", type=int, default=2)
-    _add_config_flags(p)
+    # the run values preparation reads; a `train` config file still loads
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--rating-max", type=float)
 
     p = sub.add_parser("train", help="train a model on a prepared corpus")
     p.add_argument("--data", required=True, help="prepared.npz from `prepare`")

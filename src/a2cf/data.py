@@ -112,8 +112,8 @@ class Corpus:
     """Filtered corpus with dense integer ids.
 
     Tokens are sorted lexicographically; index arrays refer into the token
-    lists. Derived structures (`sampling_tables`, `popularity`,
-    `query_weights`) are built on first use.
+    lists. Derived structures (`sampling_tables`, `query_weights`) are
+    built on first use.
     """
 
     user_tokens: list[str]
@@ -141,15 +141,11 @@ class Corpus:
         return bought, subst
 
     @cached_property
-    def popularity(self) -> np.ndarray:
-        """Distinct users per item, (n_items,) int64."""
-        return self.sampling_tables[0].sum(axis=0, dtype=np.int64)
-
-    @cached_property
     def query_weights(self) -> np.ndarray:
-        """popularity**0.75 per item, (n_items,) float64: the weights of the
-        query draw."""
-        return self.popularity.astype(np.float64) ** QUERY_POP_EXPONENT
+        """popularity**0.75 per item, (n_items,) float64, popularity being
+        the item's distinct users: the weights of the query draw."""
+        popularity = self.sampling_tables[0].sum(axis=0, dtype=np.int64)
+        return popularity.astype(np.float64) ** QUERY_POP_EXPONENT
 
     @property
     def n_users(self) -> int:
@@ -440,21 +436,19 @@ def load_prepared(path: str) -> tuple[Corpus, SplitTriplets]:
     return corpus, splits
 
 
-def write_corpus_manifest(path: str, corpus: Corpus,
-                          splits: SplitTriplets | None = None,
-                          dropped: dict | None = None) -> None:
-    """Write corpus summary counts as key=value lines, then the `dropped`
+def write_corpus_manifest(path: str, corpus: Corpus, splits: SplitTriplets,
+                          dropped: dict) -> None:
+    """Write corpus and split counts as key=value lines, then the `dropped`
     row counts in their order."""
     lines = [f"users={corpus.n_users}",
              f"items={corpus.n_items}",
              f"attributes={corpus.n_attrs}",
              f"interactions={len(corpus.interactions)}",
              f"lexicon_entries={len(corpus.lexicon)}",
-             f"substitute_pairs={len(corpus.substitute_pairs)}"]
-    if splits is not None:
-        lines += [f"train_triplets={len(splits.train)}",
-                  f"valid_triplets={len(splits.valid)}",
-                  f"test_triplets={len(splits.test)}"]
-    lines += [f"{name}={count}" for name, count in (dropped or {}).items()]
+             f"substitute_pairs={len(corpus.substitute_pairs)}",
+             f"train_triplets={len(splits.train)}",
+             f"valid_triplets={len(splits.valid)}",
+             f"test_triplets={len(splits.test)}"]
+    lines += [f"{name}={count}" for name, count in dropped.items()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ from .network import ModelParams
 from .ranking import EstimatedMatrices, score_candidates
 
 MAP_TRUNCATION = 500
+CUTOFFS = (5, 10, 20, 50)       # ascending; the HR@k and NDCG@k reported
 
 
 def hr_at_k(ranked_items, truth: int, k: int) -> float:
@@ -36,19 +37,19 @@ def _rank_of(ranked_items, truth: int) -> int:
     return int(hits[0]) + 1
 
 
-def map_attributes(ranking, relevant, truncation: int = MAP_TRUNCATION) -> float:
+def map_attributes(ranking, relevant) -> float:
     """Average precision of one attribute ranking against the mentioned set.
 
     Precision is accumulated at each relevant attribute found within the
-    truncated prefix; the denominator is the full relevant-set size. An empty
-    relevant set scores 0.
+    first MAP_TRUNCATION positions; the denominator is the full relevant-set
+    size. An empty relevant set scores 0.
     """
     relevant = set(int(a) for a in relevant)
     if not relevant:
         return 0.0
     hits = 0
     total = 0.0
-    for pos, attr in enumerate(np.asarray(ranking)[:truncation], start=1):
+    for pos, attr in enumerate(np.asarray(ranking)[:MAP_TRUNCATION], start=1):
         if int(attr) in relevant:
             hits += 1
             total += hits / pos
@@ -106,13 +107,13 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
                       cfg: TrainConfig | None, corpus: Corpus,
                       test_triplets: np.ndarray, seed: int,
                       negatives: int = 1000,
-                      cutoffs: tuple = (5, 10, 20, 50),
                       scorer=None) -> ProtocolReport:
     """Run the sampled-negative protocol over test triplets.
 
     Per case the positive competes against `negatives` uniform negatives
     (never the positive itself); when the corpus is too small the pool falls
-    back to every other item, and the report's `negatives` says so. Each
+    back to every other item, and the report's `negatives` says so. It
+    reports HR@k and NDCG@k for each k in CUTOFFS, then ATC. Each
     case draws its own generator from (seed, case index) so results do not
     depend on evaluation order.
 
@@ -152,9 +153,9 @@ def evaluate_protocol(params: ModelParams | None, est: EstimatedMatrices,
                               est.item_attr[positives])
     map_cases = [map_attributes(row, rel) for row, rel in zip(
         adv.ranking, relevant_attributes(corpus, users, positives))]
-    ks = sorted(cutoffs)
-    metrics = {f"HR@{k}": float(np.mean(ranks <= k)) for k in ks}
-    metrics.update({f"NDCG@{k}": float(_ndcg(ranks, k).mean()) for k in ks})
+    metrics = {f"HR@{k}": float(np.mean(ranks <= k)) for k in CUTOFFS}
+    metrics.update({f"NDCG@{k}": float(_ndcg(ranks, k).mean())
+                    for k in CUTOFFS})
     metrics["ATC"] = atc(map_cases, _ndcg(ranks, pool_size + 1))
     return ProtocolReport(metrics=metrics, cases=len(ranks), negatives=pool_size,
                           requested=negatives)

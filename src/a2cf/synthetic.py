@@ -30,23 +30,27 @@ TIMESTAMP_BASE = 1_600_000_000
 TIMESTAMP_STEP = 86_400
 CHOICE_TEMP = 0.12          # softmax temperature for item choice
 POP_SPREAD = 0.08           # item-level popularity spread at choice time
+TASTE_PROFILES = 3          # user archetypes / item styles
+CARED_ATTRS = 2             # functional attributes each user cares about
+SALIENT_ATTRS = 3           # salient attributes per cluster
+RATING_MAX = 5              # top of the review rating scale
+MIN_ITEM_USERS = 5          # coverage repaired up to this level
 
 
 @dataclass
 class SyntheticSpec:
+    """A synthetic corpus's shape. The counts all corpora share are module
+    constants: TASTE_PROFILES, CARED_ATTRS, SALIENT_ATTRS, RATING_MAX and
+    MIN_ITEM_USERS."""
+
     users: int = 200
     items: int = 300
     attributes: int = 30
     clusters: int = 20
     interactions_per_user: int = 10
-    taste_profiles: int = 3         # user archetypes / item styles
     functional_attrs: int = 15      # pool that cluster-salient sets draw from
-    cared_attrs: int = 2            # functional attributes each user cares about
-    salient_attrs: int = 3          # salient attributes per cluster
     home_clusters: int = 3          # clusters a user shops in
     noise: float = 0.1              # sentiment flip probability
-    rating_max: int = 5
-    min_item_users: int = 5         # coverage repaired up to this level
 
     def __post_init__(self):
         if self.users < 1 or self.items < 1:
@@ -58,27 +62,18 @@ class SyntheticSpec:
             raise ValueError("need at least one item per cluster")
         if self.items // self.clusters < 2:
             raise ValueError("clusters need >= 2 items to form substitute pairs")
-        if self.taste_profiles < 1:
-            raise ValueError("taste_profiles must be >= 1")
-        if self.functional_attrs + self.taste_profiles > self.attributes:
+        if self.functional_attrs + TASTE_PROFILES > self.attributes:
             raise ValueError("attribute vocabulary too small for the "
                              "functional pool plus one block per profile")
-        if self.salient_attrs < 0:
-            raise ValueError("salient_attrs must be >= 0")
-        if self.cared_attrs < 0:
-            raise ValueError("cared_attrs must be >= 0")
-        if self.salient_attrs > self.functional_attrs:
-            raise ValueError("salient_attrs exceeds the functional pool")
-        if self.cared_attrs > self.functional_attrs:
-            raise ValueError("cared_attrs exceeds the functional pool")
+        if self.functional_attrs < max(SALIENT_ATTRS, CARED_ATTRS):
+            raise ValueError("functional_attrs must be >= "
+                             f"{max(SALIENT_ATTRS, CARED_ATTRS)}")
         if self.home_clusters < 1:
             raise ValueError("home_clusters must be >= 1")
         if self.home_clusters > self.clusters:
             raise ValueError("home_clusters exceeds cluster count")
-        if self.users <= self.min_item_users:
+        if self.users <= MIN_ITEM_USERS:
             raise ValueError("too few users to give every item enough coverage")
-        if self.rating_max < 1:
-            raise ValueError("rating_max must be >= 1")
         if not 0.0 <= self.noise <= 0.5:
             raise ValueError("noise must be in [0, 0.5]")
 
@@ -109,7 +104,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
     U, V, A, C = spec.users, spec.items, spec.attributes, spec.clusters
-    T, F = spec.taste_profiles, spec.functional_attrs
+    T, F = TASTE_PROFILES, spec.functional_attrs
 
     # attribute roles: [0, F) functional, the rest split into taste blocks
     block_of = np.full(A, -1, dtype=np.int64)
@@ -125,7 +120,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     own_size, other_size = own_block.sum(axis=1), other_block.sum(axis=1)
     salient = np.zeros((C, A), dtype=bool)
     for c in range(C):
-        salient[c, rng.choice(F, size=spec.salient_attrs, replace=False)] = True
+        salient[c, rng.choice(F, size=SALIENT_ATTRS, replace=False)] = True
     quality = rng.uniform(-0.2, 0.2, size=(V, A))
     for v in range(V):
         t = style_of[v]
@@ -133,7 +128,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
         quality[v, other_block[t]] = rng.uniform(-0.9, -0.4,
                                                  size=other_size[t])
         quality[v, salient[cluster_of[v]]] = rng.uniform(
-            0.3, 1.0, size=spec.salient_attrs)
+            0.3, 1.0, size=SALIENT_ATTRS)
     # mute functional attributes that are not salient for the item's cluster;
     # taste blocks always count so style mismatch is felt at choice time
     gate = np.where(salient[cluster_of] | (block_of >= 0)[None, :], 1.0, 0.08)
@@ -145,9 +140,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     cared = np.zeros((U, A), dtype=bool)
     home = np.zeros((U, C), dtype=bool)
     for u in range(U):
-        pick = rng.choice(F, size=spec.cared_attrs, replace=False)
+        pick = rng.choice(F, size=CARED_ATTRS, replace=False)
         cared[u, pick] = True
-        prefs[u, pick] += rng.uniform(0.5, 1.0, size=spec.cared_attrs)
+        prefs[u, pick] += rng.uniform(0.5, 1.0, size=CARED_ATTRS)
         t = archetype_of[u]
         prefs[u, own_block[t]] += rng.uniform(0.5, 1.0, size=own_size[t])
         overlap = salient @ prefs[u] + 1e-6 * rng.random(C)
@@ -186,9 +181,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
             owned[v] = True
             interactions.append((u, v))
 
-    # coverage repair: every item needs min_item_users distinct users
+    # coverage repair: every item needs MIN_ITEM_USERS distinct users
     # (a repair adds users to its own item only, so the deficits hold)
-    deficits = spec.min_item_users - bought.sum(axis=0)
+    deficits = MIN_ITEM_USERS - bought.sum(axis=0)
     for v in np.flatnonzero(deficits > 0):
         outsiders = np.flatnonzero(~bought[:, v])
         order = outsiders[np.argsort(-affinity[outsiders, v], kind="stable")]
@@ -205,7 +200,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     for idx, (u, v) in enumerate(interactions):
         # round() takes a tie to the even integer, as np.rint does
         rating = round(mean_rating[idx] + 0.5 * rng.standard_normal())
-        rating = min(max(rating, 1), spec.rating_max)
+        rating = min(max(rating, 1), RATING_MAX)
         reviews.append((u, v, rating, TIMESTAMP_BASE + idx * TIMESTAMP_STEP))
         n_mentions = 2 + int(rng.random() < 0.5)
         weights = (0.02 + prefs[u]) * mention_gate[v]

@@ -36,6 +36,7 @@ CHECKPOINT_MAGIC = b"A2CFCKPT"
 PARAMS_FORMAT = 2       # the 11 parameter tensors
 SERVING_FORMAT = 3      # the tensors, then the item completion
 CHECKPOINT_NAME = "model.ckpt"
+DIAGNOSTIC_NAME = "diagnostic.ckpt"
 
 
 def _check_item_attr(path: str, item_attr: np.ndarray, shape: tuple,
@@ -188,7 +189,7 @@ def _diagnostic_on_blowup(out_dir: str | None, params: ModelParams,
         yield
     except FloatingPointError:
         if out_dir:
-            save_checkpoint(os.path.join(out_dir, "diagnostic.ckpt"),
+            save_checkpoint(os.path.join(out_dir, DIAGNOSTIC_NAME),
                             params, cfg)
         raise
 
@@ -219,10 +220,15 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     matrices. `out_dir`, created if missing, receives train.log, one JSON
     line of corpus counts and `cells_filled`, then each record as its phase
     ends, closed on return and on any exception; then model.ckpt, the
-    final params and the item section of `est`. Without it nothing is
-    written.
+    final params and the item section of `est`; an earlier run's
+    model.ckpt and diagnostic.ckpt go first. Without it nothing is written.
     """
     cfg = run.train
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        for name in (CHECKPOINT_NAME, DIAGNOSTIC_NAME):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
     user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
     seeds = np.random.SeedSequence(run.seed).spawn(5)
     init_seed, p1_seed, drop_seed, p2_seed, neg_seed = seeds
@@ -254,8 +260,6 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     final_loss = None
     converged = False
 
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     with (open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8")
           if out_dir else contextlib.nullcontext()) as fh, \
             _diagnostic_on_blowup(out_dir, params, cfg):

@@ -450,7 +450,7 @@ def test_dispatch_flags_do_not_carry_over(monkeypatch):
     ["synth", "--out-dir", "o"],
     ["synth", "--out-dir", "o", "--seed", "4", "--users", "7", "--noise", "0.5"],
     ["prepare", "--reviews", "r", "--lexicon", "l", "--substitutes", "s",
-     "--out-dir", "o", "--min-item-users", "2", "--dropout", "0.1"],
+     "--out-dir", "o", "--min-item-users", "2", "--rating-max", "7"],
     ["train", "--data", "d", "--out-dir", "o", "--no-pers-use-attrs",
      "--convergence-tol", "0", "--config", "c.cfg"],
     ["train", "--data", "d", "--out-dir", "o"],
@@ -480,6 +480,10 @@ CONFIG_OPTIONS = [
     "--rounds-max", "--phase1-steps", "--phase2-steps", "--convergence-tol"]
 
 
+# `prepare` reads only these run values
+PREPARE_CONFIG_OPTIONS = ["--config", "--seed", "--rating-max"]
+
+
 @pytest.mark.parametrize("command, own", [
     ("prepare", ["--reviews", "--lexicon", "--substitutes", "--out-dir",
                  "--min-user-items", "--min-item-users",
@@ -489,7 +493,40 @@ CONFIG_OPTIONS = [
 def test_config_flag_option_strings(command, own):
     sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
     options = [opt for action in sub._actions for opt in action.option_strings]
-    assert options == ["-h", "--help"] + own + CONFIG_OPTIONS
+    config = PREPARE_CONFIG_OPTIONS if command == "prepare" else CONFIG_OPTIONS
+    assert options == ["-h", "--help"] + own + config
+
+
+def _prepare_argv(pipeline, out_dir, *flags):
+    raw = pipeline["raw"]
+    return ["prepare", "--reviews", str(raw / "reviews.tsv"),
+            "--lexicon", str(raw / "lexicon.tsv"),
+            "--substitutes", str(raw / "substitutes.tsv"),
+            "--out-dir", str(out_dir), *flags]
+
+
+def test_prepare_rejects_a_training_flag(pipeline, tmp_path, capsys):
+    out = tmp_path / "prep"
+    assert cli_dispatch(_prepare_argv(pipeline, out, "--embed-dim", "8")) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "a2cf: error: unrecognized arguments: --embed-dim 8"
+    assert not out.exists()
+
+
+def test_prepare_reads_a_shared_config_file(pipeline, tmp_path):
+    """A config file written for `train` loads; its training keys change
+    nothing, and --seed and --rating-max give the bytes of the shared
+    pipeline's `prepare --seed 11`."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nembed_dim = 3\nlearning_rate = 5\n"
+                   "negatives = 9\nrounds_max = 1\nrating_max = 9\n")
+    out = tmp_path / "prep"
+    assert cli_dispatch(_prepare_argv(pipeline, out, "--config", str(cfg),
+                                      "--seed", "11",
+                                      "--rating-max", "5")) == 0
+    for name in ("prepared.npz", "corpus.manifest"):
+        assert (out / name).read_bytes() == \
+            (pipeline["prep"] / name).read_bytes()
 
 
 def test_explain_help_names_the_request_tokens(capsys):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from a2cf.data import (QUERY_POP_EXPONENT, Corpus, LexiconEntry, ReviewRecord,
-                       _draw_queries, build_triplets, filter_corpus,
-                       load_lexicon, load_prepared, load_reviews,
-                       load_substitutes, sample_query_item, save_prepared,
-                       split_triplets, write_corpus_manifest)
+                       SplitTriplets, _draw_queries, build_triplets,
+                       filter_corpus, load_lexicon, load_prepared,
+                       load_reviews, load_substitutes, sample_query_item,
+                       save_prepared, split_triplets, write_corpus_manifest)
 from conftest import (SUB_PAIRS, grid_lexicon, grid_reviews, relation_sets,
                       write_corpus_files)
 
@@ -606,8 +606,9 @@ def triplet_outcome(builder, corpus, seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_build_triplets_equals_set_based_reference(seed):
     corpus = random_corpus(np.random.default_rng(seed))
-    np.testing.assert_array_equal(corpus.popularity,
-                                  set_based_popularity(corpus))
+    np.testing.assert_array_equal(
+        corpus.query_weights,
+        set_based_popularity(corpus).astype(np.float64) ** QUERY_POP_EXPONENT)
     got, got_state = triplet_outcome(build_triplets, corpus, seed + 100)
     want, want_state = triplet_outcome(set_based_triplets, corpus, seed + 100)
     if isinstance(want, str):
@@ -650,17 +651,18 @@ def test_build_triplets_batched_draws_equal_per_pool_choice():
     for seed in range(40):
         corpus = pool_corpus(np.random.default_rng(seed))
         user_items, substitutes = relation_sets(corpus)
+        popularity = set_based_popularity(corpus)
         by_length = {}
         for u, v in corpus.interactions:
             pool = sorted(substitutes[v] - user_items[u])
             if pool:
-                sizes = weighted if corpus.popularity[pool].any() else unsold
+                sizes = weighted if popularity[pool].any() else unsold
                 sizes.add(len(pool))
                 by_length.setdefault(len(pool), []).append(pool)
         for pools in by_length.values():
             stack = np.array(pools, dtype=np.int64)
             # rng.choice's CDF of each pool
-            cdf = np.array([pool_probs(pool, corpus.popularity).cumsum()
+            cdf = np.array([pool_probs(pool, popularity).cumsum()
                             for pool in pools])
             cdf /= cdf[:, -1:]
             # draws lie in [0, 1): a CDF value of 1 is replaced by 0
@@ -727,8 +729,14 @@ def test_prepared_roundtrip_and_byte_determinism(tmp_path, synth_corpus,
 
 def test_corpus_manifest_contents(tmp_path, grid_corpus):
     path = tmp_path / "corpus.manifest"
-    write_corpus_manifest(str(path), grid_corpus)
+    rows = np.zeros((3, 3), dtype=np.int64)
+    splits = SplitTriplets(train=rows[:2], valid=rows[:1], test=rows[:0])
+    write_corpus_manifest(str(path), grid_corpus, splits,
+                          {"leaked_test_triplets": 4})
     text = path.read_text()
+    assert text.splitlines()[-4:] == [
+        "train_triplets=2", "valid_triplets=1", "test_triplets=0",
+        "leaked_test_triplets=4"]
     assert "users=6" in text
     assert "items=6" in text
     assert "attributes=3" in text

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from a2cf import evaluation
 from a2cf.data import Corpus
-from a2cf.evaluation import (MAP_TRUNCATION, ProtocolReport, atc,
-                             evaluate_protocol, hr_at_k, map_attributes,
+from a2cf.evaluation import (ProtocolReport, atc, evaluate_protocol,
+                             hr_at_k, map_attributes,
                              ndcg_at_k, relevant_attributes,
                              sample_negative_pool, write_metrics_report)
 from a2cf.interpret import attribute_advantage
@@ -93,12 +94,14 @@ def test_map_empty_relevant_set_is_zero():
     assert map_attributes(list(range(5)), set()) == 0.0
 
 
-def test_map_truncation_drops_deep_hits_but_keeps_denominator():
+def test_map_truncation_drops_deep_hits_but_keeps_denominator(monkeypatch):
     ranking = list(range(600))
-    assert map_attributes(ranking, {500}, truncation=500) == 0.0
+    monkeypatch.setattr(evaluation, "MAP_TRUNCATION", 500)
+    assert map_attributes(ranking, {500}) == 0.0
     # one hit at rank 1, one past the truncation: AP = (1/1) / 2
-    assert map_attributes(ranking, {0, 550}, truncation=500) == pytest.approx(0.5)
-    assert map_attributes(ranking, {0, 550}, truncation=600) == pytest.approx(
+    assert map_attributes(ranking, {0, 550}) == pytest.approx(0.5)
+    monkeypatch.setattr(evaluation, "MAP_TRUNCATION", 600)
+    assert map_attributes(ranking, {0, 550}) == pytest.approx(
         (1.0 + 2.0 / 551.0) / 2.0)
 
 
@@ -250,15 +253,17 @@ def test_protocol_atc_hand_case(grid_corpus):
 
 
 @pytest.mark.parametrize("value", [0.0, np.nan])
-def test_protocol_positive_ties_break_toward_smaller_id(grid_corpus, value):
+def test_protocol_positive_ties_break_toward_smaller_id(grid_corpus, value,
+                                                        monkeypatch):
     """Every candidate scores `value`, so the positive p ranks behind the
     p smaller ids of the full pool: ranks 1, 3 and 5. NaN scores tie with
     each other the same way."""
     est = EstimatedMatrices(user_attr=np.ones((6, 3)),
                             item_attr=np.ones((6, 3)))
     test = np.array([(0, 1, 0), (2, 0, 2), (4, 3, 4)], dtype=np.int64)
+    monkeypatch.setattr(evaluation, "CUTOFFS", (1, 3, 5))
     report = evaluate_protocol(None, est, None, grid_corpus, test, seed=5,
-                               negatives=5, cutoffs=(1, 3, 5),
+                               negatives=5,
                                scorer=lambda u, q, c, rng: np.full(len(c),
                                                                    value))
     assert [report.metrics[f"HR@{k}"] for k in (1, 3, 5)] == [
@@ -267,7 +272,7 @@ def test_protocol_positive_ties_break_toward_smaller_id(grid_corpus, value):
         (NDCG_BY_RANK[0] + NDCG_BY_RANK[2] + NDCG_BY_RANK[4]) / 3.0)
 
 
-def test_protocol_nan_scores_rank_last(grid_corpus):
+def test_protocol_nan_scores_rank_last(grid_corpus, monkeypatch):
     """A NaN positive ranks behind every scored negative, and a NaN
     negative never beats a scored positive."""
     est = EstimatedMatrices(user_attr=np.ones((6, 3)),
@@ -277,9 +282,9 @@ def test_protocol_nan_scores_rank_last(grid_corpus):
     def scorer(u, q, cands, rng):
         return np.where(cands % 2 == 0, np.nan, -1.0)
 
+    monkeypatch.setattr(evaluation, "CUTOFFS", (1, 3, 4))
     report = evaluate_protocol(None, est, None, grid_corpus, test, seed=5,
-                               negatives=5, cutoffs=(1, 3, 4),
-                               scorer=scorer)
+                               negatives=5, scorer=scorer)
     # p0 is NaN behind the scored 1, 3, 5 and no smaller NaN id: rank 4;
     # p5 scores -1 and ties with 1 and 3 only: rank 3
     assert [report.metrics[f"HR@{k}"] for k in (1, 3, 4)] == [0.0, 0.5, 1.0]
@@ -365,8 +370,7 @@ def test_protocol_random_scorer_rough_calibration(synth_corpus, synth_splits):
 def test_protocol_trained_model_end_to_end(small_trained):
     corpus, splits, run, result = small_trained
     report = evaluate_protocol(result.params, result.est, run.train, corpus,
-                               splits.test, seed=10,
-                               negatives=1000, cutoffs=(5, 10, 20, 50))
+                               splits.test, seed=10, negatives=1000)
     hrs = [report.metrics[f"HR@{k}"] for k in (5, 10, 20, 50)]
     ndcgs = [report.metrics[f"NDCG@{k}"] for k in (5, 10, 20, 50)]
     assert all(0.0 <= v <= 1.0 for v in hrs + ndcgs)
@@ -397,7 +401,7 @@ def per_case_protocol(est, corpus, test, seed, pool_size, scorer,
             ndcg[k] += ndcg_at_k(ranked, p, k)
         adv = attribute_advantage(est.user_attr[u], est.item_attr[q],
                                   est.item_attr[p])
-        maps.append(map_attributes(adv.ranking, rel[idx], MAP_TRUNCATION))
+        maps.append(map_attributes(adv.ranking, rel[idx]))
         full.append(ndcg_at_k(ranked, p, len(cands)))
     return ({f"HR@{k}": hr[k] / len(test) for k in cutoffs},
             {f"NDCG@{k}": ndcg[k] / len(test) for k in cutoffs},

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import a2cf.synthetic as synthetic
-from a2cf.synthetic import (CHOICE_TEMP, POP_SPREAD, TIMESTAMP_BASE,
-                            TIMESTAMP_STEP, SyntheticSpec, _inverse_cdf,
-                            _tokens, generate_synthetic)
+from a2cf.synthetic import (TIMESTAMP_BASE, TIMESTAMP_STEP, SyntheticSpec,
+                            _inverse_cdf, _tokens, generate_synthetic)
 
 SMALL = dict(users=30, items=24, attributes=12, clusters=8,
              functional_attrs=6)
@@ -17,9 +16,9 @@ SMALL = dict(users=30, items=24, attributes=12, clusters=8,
 PLANTED = dict(interactions_per_user=22, home_clusters=5)
 CATALOG = dict(users=300, items=1010, attributes=100, clusters=101,
                functional_attrs=40, interactions_per_user=22, home_clusters=5)
-# every user exhausts its home items
+# every user exhausts its home items; run with MIN_ITEM_USERS at 1
 EXHAUSTED = dict(users=30, items=40, attributes=20, clusters=20,
-                 interactions_per_user=8, min_item_users=1)
+                 interactions_per_user=8)
 # 60 attributes over a few dozen reviews: some get fewer than two mentions
 SPARSE_MENTIONS = dict(users=8, items=16, attributes=60, clusters=4,
                        functional_attrs=6, interactions_per_user=5,
@@ -32,17 +31,14 @@ SPARSE_MENTIONS = dict(users=8, items=16, attributes=60, clusters=4,
     (dict(interactions_per_user=4), "activity filter"),
     (dict(items=10, clusters=20), "one item per cluster"),
     (dict(items=20, clusters=15), "2 items to form"),
-    (dict(taste_profiles=0), "taste_profiles"),
+    (dict(functional_attrs=2), "functional_attrs must be >= 3"),
     (dict(attributes=17), "vocabulary too small"),
-    (dict(salient_attrs=16), "salient_attrs exceeds"),
-    (dict(cared_attrs=16), "cared_attrs exceeds"),
+    (dict(functional_attrs=28), "vocabulary too small"),
+    (dict(noise=-0.1), "noise"),
     (dict(home_clusters=21), "home_clusters exceeds"),
     (dict(users=5), "enough coverage"),
     (dict(noise=0.6), "noise"),
     (dict(home_clusters=0), "home_clusters must be >= 1"),
-    (dict(salient_attrs=-1), "salient_attrs must be >= 0"),
-    (dict(cared_attrs=-1), "cared_attrs must be >= 0"),
-    (dict(rating_max=0), "rating_max must be >= 1"),
 ])
 def test_spec_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -176,11 +172,13 @@ def test_modal_mentioned_attribute_tracks_planted_preferences(synth_paths,
     assert hits / synth_corpus.n_users >= 0.8
 
 
-def test_exhausted_home_clusters_fall_back_to_other_home_items(tmp_path):
+def test_exhausted_home_clusters_fall_back_to_other_home_items(tmp_path,
+                                                               monkeypatch):
     """Two items per cluster and three home clusters give each user six home
     items, fewer than its eight draws: it buys every home item once, then
     stops. With one buyer required per item, coverage repair is the only
     purchase outside a user's home clusters, of an item nobody else bought."""
+    monkeypatch.setattr(synthetic, "MIN_ITEM_USERS", 1)
     spec = SyntheticSpec(**EXHAUSTED)
     paths = generate_synthetic(spec, 3, str(tmp_path))
     with np.load(paths["planted"]) as planted:
@@ -206,13 +204,15 @@ def test_non_finite_choice_weights_raise(tmp_path, monkeypatch):
 def choice_based_synthetic(spec, seed, out_dir):
     """Reference: the generator with every weighted draw made by
     `rng.choice(..., p=probs)` and the rating clipped by a scalar `np.clip`.
+    The module's constants are read when it runs, so a test may patch them.
     Returns (paths, fired), `fired` naming the fallback and repair branches
     the run took."""
     fired = set()
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
     U, V, A, C = spec.users, spec.items, spec.attributes, spec.clusters
-    T, F = spec.taste_profiles, spec.functional_attrs
+    T, F = synthetic.TASTE_PROFILES, spec.functional_attrs
+    salient_attrs, cared_attrs = synthetic.SALIENT_ATTRS, synthetic.CARED_ATTRS
     block_of = np.full(A, -1, dtype=np.int64)
     for t, blk in enumerate(np.array_split(np.arange(F, A), T)):
         block_of[blk] = t
@@ -220,7 +220,7 @@ def choice_based_synthetic(spec, seed, out_dir):
     style_of = np.arange(V) % T
     salient = np.zeros((C, A), dtype=bool)
     for c in range(C):
-        salient[c, rng.choice(F, size=spec.salient_attrs, replace=False)] = True
+        salient[c, rng.choice(F, size=salient_attrs, replace=False)] = True
     quality = rng.uniform(-0.2, 0.2, size=(V, A))
     for v in range(V):
         own = block_of == style_of[v]
@@ -236,16 +236,16 @@ def choice_based_synthetic(spec, seed, out_dir):
     cared = np.zeros((U, A), dtype=bool)
     home = np.zeros((U, C), dtype=bool)
     for u in range(U):
-        pick = rng.choice(F, size=spec.cared_attrs, replace=False)
+        pick = rng.choice(F, size=cared_attrs, replace=False)
         cared[u, pick] = True
-        prefs[u, pick] += rng.uniform(0.5, 1.0, size=spec.cared_attrs)
+        prefs[u, pick] += rng.uniform(0.5, 1.0, size=cared_attrs)
         own = block_of == archetype_of[u]
         prefs[u, own] += rng.uniform(0.5, 1.0, size=int(own.sum()))
         overlap = salient @ prefs[u] + 1e-6 * rng.random(C)
         home[u, np.argsort(-overlap)[:spec.home_clusters]] = True
     prefs /= prefs.sum(axis=1, keepdims=True)
     affinity = prefs @ item_signal.T
-    pop_boost = rng.normal(0.0, POP_SPREAD, size=V)
+    pop_boost = rng.normal(0.0, synthetic.POP_SPREAD, size=V)
     cluster_items = [np.nonzero(cluster_of == c)[0] for c in range(C)]
     interactions = []
     bought = np.zeros((U, V), dtype=bool)
@@ -260,13 +260,14 @@ def choice_based_synthetic(spec, seed, out_dir):
                 if len(avail) == 0:
                     fired.add("home items exhausted")
                     break
-            logits = (affinity[u, avail] + pop_boost[avail]) / CHOICE_TEMP
+            logits = ((affinity[u, avail] + pop_boost[avail])
+                      / synthetic.CHOICE_TEMP)
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             v = int(avail[rng.choice(len(avail), p=probs)])
             bought[u, v] = True
             interactions.append((u, v))
-    deficits = spec.min_item_users - bought.sum(axis=0)
+    deficits = synthetic.MIN_ITEM_USERS - bought.sum(axis=0)
     for v in np.flatnonzero(deficits > 0):
         fired.add("coverage repair")
         outsiders = np.flatnonzero(~bought[:, v])
@@ -281,7 +282,7 @@ def choice_based_synthetic(spec, seed, out_dir):
         z = affinity[u, v] / aff_scale
         rating = int(np.clip(np.rint(3.0 + 1.5 * np.tanh(z)
                                      + 0.5 * rng.standard_normal()), 1,
-                             spec.rating_max))
+                             synthetic.RATING_MAX))
         reviews.append((u, v, rating, TIMESTAMP_BASE + idx * TIMESTAMP_STEP))
         n_mentions = 2 + int(rng.random() < 0.5)
         weights = (0.02 + prefs[u]) * mention_gate[v]
@@ -353,7 +354,7 @@ def test_inverse_cdf_breaks_ties_as_choice_does():
         checked += 1
 
 
-def test_files_match_the_choice_based_reference(tmp_path):
+def test_files_match_the_choice_based_reference(tmp_path, monkeypatch):
     """The generator's draws are the stream of per-draw rng.choice(p=): all
     four files keep their bytes over a grid in which every fallback and
     repair branch fires."""
@@ -361,9 +362,12 @@ def test_files_match_the_choice_based_reference(tmp_path):
     grid += [(CATALOG, seed) for seed in (1, 2, 3)]
     grid += [(SMALL, seed) for seed in range(1, 11)]
     grid += [(dict(SMALL, noise=noise), 4) for noise in (0.0, 0.5)]
-    grid += [(EXHAUSTED, 3), (SPARSE_MENTIONS, 1)]
+    # EXHAUSTED comes last: its patch holds to the end of the test
+    grid += [(SPARSE_MENTIONS, 1), (EXHAUSTED, 3)]
     all_fired = set()
     for case, (kwargs, seed) in enumerate(grid):
+        if kwargs is EXHAUSTED:
+            monkeypatch.setattr(synthetic, "MIN_ITEM_USERS", 1)
         spec = SyntheticSpec(**kwargs)
         got = generate_synthetic(spec, seed, str(tmp_path / f"{case}_got"))
         want, fired = choice_based_synthetic(spec, seed,

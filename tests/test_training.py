@@ -443,6 +443,43 @@ def test_activation_blowup_aborts_with_diagnostic(tmp_path, monkeypatch,
     assert not (diag / "model.ckpt").exists()
 
 
+def _poison_phase1(monkeypatch):
+    """Make every phase-1 step return a NaN loss, so training blows up."""
+    monkeypatch.setattr(training, "phase1_forward_backward",
+                        lambda params, *args, **kwargs: (
+                            float("nan"), ModelParams.zeros_like(params)))
+
+
+def test_blowup_removes_an_earlier_model_checkpoint(tmp_path, monkeypatch,
+                                                    synth_corpus,
+                                                    synth_splits):
+    """A run that raises leaves no model.ckpt, not even an earlier run's,
+    beside its own train.log and diagnostic.ckpt."""
+    run = short_run(phase1_steps=2, phase2_steps=2)
+    train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    _poison_phase1(monkeypatch)
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "diagnostic.ckpt", "train.log"]
+
+
+def test_finished_run_removes_an_earlier_diagnostic(tmp_path, monkeypatch,
+                                                    synth_corpus,
+                                                    synth_splits):
+    """A run that returns leaves no diagnostic.ckpt from an earlier run
+    that blew up in the same directory."""
+    run = short_run(phase1_steps=2, phase2_steps=2)
+    with monkeypatch.context() as patch:
+        _poison_phase1(patch)
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    assert (tmp_path / "diagnostic.ckpt").is_file()
+    train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model.ckpt", "train.log"]
+
+
 def test_empty_training_split_error(synth_corpus):
     empty = np.empty((0, 3), dtype=np.int64)
     splits = SplitTriplets(train=empty, valid=empty, test=empty)
