@@ -91,9 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--substitutes", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--min-user-items", type=int, default=5)
-    p.add_argument("--min-item-users", type=int, default=5)
-    p.add_argument("--min-attr-mentions", type=int, default=2)
+    p.add_argument("--min-user-items", type=int, default=data.MIN_USER_ITEMS)
+    p.add_argument("--min-item-users", type=int, default=data.MIN_ITEM_USERS)
+    p.add_argument("--min-attr-mentions", type=int,
+                   default=data.MIN_ATTR_MENTIONS)
     # the run values preparation reads; a `train` config file still loads
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int)

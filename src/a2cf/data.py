@@ -7,18 +7,21 @@ comment line, blank lines ignored):
   substitutes:  item_id  item_id            (unordered pair, no self-pairs)
 """
 
-import io
 import lzma
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib import format as npformat
 
 QUERY_POP_EXPONENT = 0.75
+# the activity thresholds `filter_corpus` and `prepare` default to, which
+# every synthetic corpus is generated to pass
+MIN_USER_ITEMS = 5          # distinct items per user
+MIN_ITEM_USERS = 5          # distinct users per item
+MIN_ATTR_MENTIONS = 2       # surviving lexicon lines per attribute
 
 
 class ReviewRecord(NamedTuple):
@@ -179,9 +182,9 @@ def _keep_ids(vocab: list[str], alive: np.ndarray) -> tuple[list[str], np.ndarra
 def filter_corpus(reviews: list[ReviewRecord],
                   lexicon: list[LexiconEntry],
                   substitutes: list[tuple[str, str]],
-                  min_user_items: int = 5,
-                  min_item_users: int = 5,
-                  min_attr_mentions: int = 2) -> Corpus:
+                  min_user_items: int = MIN_USER_ITEMS,
+                  min_item_users: int = MIN_ITEM_USERS,
+                  min_attr_mentions: int = MIN_ATTR_MENTIONS) -> Corpus:
     """Apply activity thresholds and assign dense ids.
 
     Users with fewer than min_user_items distinct items and items with fewer
@@ -348,33 +351,6 @@ def split_triplets(triplets: np.ndarray, seed: int,
     return SplitTriplets(train=train, valid=valid, test=test[~leaked])
 
 
-def save_prepared(path: str, corpus: Corpus, splits: SplitTriplets) -> None:
-    """Serialize a filtered corpus plus its splits to one .npz file.
-
-    Written with a fixed zip timestamp so identical inputs give identical
-    bytes. np.savez is deterministic too (zipfile dates a member opened by
-    name 1980-01-01), but it forces a zip64 extra field into every member's
-    header: its archive of the seed-1 planted corpus is 180 bytes longer, so
-    switching to it would change every prepared.npz.
-    """
-    arrays = {
-        "user_tokens": np.array(corpus.user_tokens, dtype=np.str_),
-        "item_tokens": np.array(corpus.item_tokens, dtype=np.str_),
-        "attr_tokens": np.array(corpus.attr_tokens, dtype=np.str_),
-        "interactions": corpus.interactions,
-        "lexicon": corpus.lexicon,
-        "substitute_pairs": corpus.substitute_pairs,
-        "train": splits.train, "valid": splits.valid, "test": splits.test,
-    }
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, arr in arrays.items():
-            buf = io.BytesIO()
-            npformat.write_array(buf, np.ascontiguousarray(arr),
-                                 allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
-
-
 _TOKEN_ARRAYS = ("user_tokens", "item_tokens", "attr_tokens")
 # id array -> the token array each of its columns indexes (None: sentiment)
 _ID_ARRAYS = {
@@ -385,6 +361,24 @@ _ID_ARRAYS = {
     "valid": ("user_tokens", "item_tokens", "item_tokens"),
     "test": ("user_tokens", "item_tokens", "item_tokens"),
 }
+
+
+def save_prepared(path: str, corpus: Corpus, splits: SplitTriplets) -> None:
+    """Serialize a filtered corpus plus its splits to one .npz file, the
+    members of `_TOKEN_ARRAYS` then `_ID_ARRAYS` in order.
+
+    Identical inputs give identical bytes: np.savez opens each member by
+    name, and zipfile dates such a member 1980-01-01.
+    """
+    arrays = {name: np.array(getattr(corpus, name), dtype=np.str_)
+              for name in _TOKEN_ARRAYS}
+    for name in _ID_ARRAYS:
+        owner = corpus if hasattr(corpus, name) else splits
+        arrays[name] = np.ascontiguousarray(getattr(owner, name))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 # what np.load raises on a damaged archive, from the zip or the .npy layer;
 # MemoryError is a member header declaring more data than memory holds
 _NPZ_ERRORS = (EOFError, KeyError, MemoryError, NotImplementedError, OSError,
@@ -430,10 +424,8 @@ def load_prepared(path: str) -> tuple[Corpus, SplitTriplets]:
                 raise ValueError(f"{path}: {name} column {col} has ids outside "
                                  f"[0, {len(arrays[tokens])})")
         arrays[name] = arr.astype(np.int64, copy=False)
-    corpus = Corpus(**{name: arrays[name] for name in (
-        *_TOKEN_ARRAYS, "interactions", "lexicon", "substitute_pairs")})
-    splits = SplitTriplets(arrays["train"], arrays["valid"], arrays["test"])
-    return corpus, splits
+    return tuple(cls(**{f.name: arrays[f.name] for f in fields(cls)})
+                 for cls in (Corpus, SplitTriplets))
 
 
 def write_corpus_manifest(path: str, corpus: Corpus, splits: SplitTriplets,

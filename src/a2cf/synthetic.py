@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import MIN_ATTR_MENTIONS, MIN_ITEM_USERS, MIN_USER_ITEMS
+
 TIMESTAMP_BASE = 1_600_000_000
 TIMESTAMP_STEP = 86_400
 CHOICE_TEMP = 0.12          # softmax temperature for item choice
@@ -34,14 +36,13 @@ TASTE_PROFILES = 3          # user archetypes / item styles
 CARED_ATTRS = 2             # functional attributes each user cares about
 SALIENT_ATTRS = 3           # salient attributes per cluster
 RATING_MAX = 5              # top of the review rating scale
-MIN_ITEM_USERS = 5          # coverage repaired up to this level
 
 
 @dataclass
 class SyntheticSpec:
     """A synthetic corpus's shape. The counts all corpora share are module
-    constants: TASTE_PROFILES, CARED_ATTRS, SALIENT_ATTRS, RATING_MAX and
-    MIN_ITEM_USERS."""
+    constants: TASTE_PROFILES, CARED_ATTRS, SALIENT_ATTRS and RATING_MAX;
+    every corpus passes the activity thresholds of `data`."""
 
     users: int = 200
     items: int = 300
@@ -55,9 +56,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.users < 1 or self.items < 1:
             raise ValueError("users and items must be >= 1")
-        if self.interactions_per_user < 5:
-            raise ValueError("interactions_per_user must be >= 5 so users "
-                             "survive the activity filter")
+        if self.interactions_per_user < MIN_USER_ITEMS:
+            raise ValueError("interactions_per_user must be >= "
+                             f"{MIN_USER_ITEMS} so users survive the "
+                             "activity filter")
         if self.clusters < 1 or self.items < self.clusters:
             raise ValueError("need at least one item per cluster")
         if self.items // self.clusters < 2:
@@ -213,10 +215,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
         for a, g, flip in zip(attrs.tolist(), good, flips):
             lexicon.append((u, v, a, 1 if g != flip else -1))
 
-    # mention repair: every attribute needs >= 2 mentions to survive filtering
+    # mention repair: every attribute needs MIN_ATTR_MENTIONS mentions to
+    # survive filtering
     attr_count = np.bincount([a for _, _, a, _ in lexicon], minlength=A)
     for a in range(A):
-        need = 2 - int(attr_count[a])
+        need = MIN_ATTR_MENTIONS - int(attr_count[a])
         for k in range(max(0, need)):
             u, v = interactions[k % len(interactions)]
             lexicon.append((u, v, a, 1))

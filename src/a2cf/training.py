@@ -159,8 +159,6 @@ class TrainResult:
     params."""
 
     params: ModelParams
-    user_mat: np.ndarray        # observed, 0.0 where never mentioned
-    item_mat: np.ndarray
     history: list
     rounds_run: int
     converged: bool
@@ -222,8 +220,12 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     ends, closed on return and on any exception; then model.ckpt, the
     final params and the item section of `est`; an earlier run's
     model.ckpt and diagnostic.ckpt go first. Without it nothing is written.
+    An empty training split raises ValueError before `out_dir` is touched.
     """
     cfg = run.train
+    train = splits.train
+    if len(train) == 0:
+        raise ValueError("empty training split")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         for name in (CHECKPOINT_NAME, DIAGNOSTIC_NAME):
@@ -248,9 +250,6 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     item_cells = _observed_cells(item_mat)
     n_user_cells = len(user_cells[0])
     cells = np.arange(n_user_cells + len(item_cells[0]))
-    train = splits.train
-    if len(train) == 0:
-        raise ValueError("empty training split")
     cell_batches = _batches(cells, min(cfg.batch_size, len(cells)),
                             np.random.default_rng(p1_seed))
     train_batches = _batches(np.arange(len(train)),
@@ -337,6 +336,5 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     if out_dir:
         save_checkpoint(os.path.join(out_dir, CHECKPOINT_NAME), params, cfg,
                         est.item_attr)
-    return TrainResult(params=params, user_mat=user_mat, item_mat=item_mat,
-                       history=history, rounds_run=round_no,
+    return TrainResult(params=params, history=history, rounds_run=round_no,
                        converged=converged, final_loss=final_loss, est=est)

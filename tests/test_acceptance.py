@@ -15,7 +15,7 @@ from a2cf.data import (Corpus, build_triplets, filter_corpus, load_lexicon,
                        load_reviews, load_substitutes, split_triplets)
 from a2cf.evaluation import atc, evaluate_protocol, map_attributes, ndcg_at_k
 from a2cf.interpret import attribute_advantage
-from a2cf.matrices import item_attr_value, user_attr_value
+from a2cf.matrices import build_matrices, item_attr_value, user_attr_value
 from a2cf.network import (init_params, phase1_forward_backward,
                           predict_item_attr_batch, predict_user_attr_batch,
                           tanh_rescaled)
@@ -383,10 +383,11 @@ def test_criterion_6_invariant_suite(small_trained, synth_corpus,
                          abs(lam.sum() - 1.0))
     check("attention_normalization", worst_norm < 1e-9)
 
+    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
     observed_ok = all(
         np.array_equal(full[mat != 0.0], mat[mat != 0.0])
-        for full, mat in ((est.user_attr, result.user_mat),
-                          (est.item_attr, result.item_mat)))
+        for full, mat in ((est.user_attr, user_mat),
+                          (est.item_attr, item_mat)))
     check("observed_cells_kept_verbatim", observed_ok)
 
     anti_ok = True
@@ -405,8 +406,7 @@ def test_criterion_6_invariant_suite(small_trained, synth_corpus,
     check("advantage_antisymmetry", anti_ok)
     check("advantage_scale_invariant_ranking", scale_ok)
 
-    again = estimate_matrices(result.user_mat, result.item_mat, params,
-                              cfg.rating_max)
+    again = estimate_matrices(user_mat, item_mat, params, cfg.rating_max)
     check("estimation_deterministic",
           np.array_equal(est.user_attr, again.user_attr)
           and np.array_equal(est.item_attr, again.item_attr))

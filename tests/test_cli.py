@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import shutil
 import struct
 import zipfile
 
@@ -14,7 +15,7 @@ from numpy.lib import format as npformat
 from a2cf import cli, ranking, training
 from a2cf.cli import EXPLAIN_NAME, METRICS_NAME, RECS_NAME, cli_dispatch
 from a2cf.config import TrainConfig
-from a2cf.data import load_prepared
+from a2cf.data import SplitTriplets, load_prepared, save_prepared
 from a2cf.matrices import build_matrices
 from a2cf.network import init_params, param_shapes
 from a2cf.synthetic import SyntheticSpec, generate_synthetic
@@ -778,6 +779,35 @@ def test_train_rejects_useless_floats_before_training(pipeline, tmp_path,
     assert cli_dispatch(_train_argv(pipeline, out, *flags)) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+def _empty_training_split(pipeline, tmp_path):
+    """The shared prepared corpus with no training triplets."""
+    corpus, splits = load_prepared(pipeline["data"])
+    path = tmp_path / "empty.npz"
+    save_prepared(str(path), corpus,
+                  SplitTriplets(splits.train[:0], splits.valid, splits.test))
+    return str(path)
+
+
+@pytest.mark.parametrize("data, flags, message", [
+    (_empty_training_split, [], "error: empty training split"),
+    (None, ["--learning-rate", "-1"], "error: learning_rate must be > 0"),
+    (lambda pipeline, tmp_path: str(tmp_path / "missing.npz"), [],
+     "error: [Errno 2] No such file or directory"),
+], ids=["empty_split", "negative_rate", "missing_data"])
+def test_train_failing_before_its_first_step_keeps_the_out_dir(
+        pipeline, tmp_path, capsys, data, flags, message):
+    """A run that fails before training starts leaves --out-dir as it was:
+    an earlier run's model.ckpt and train.log keep their bytes."""
+    stale = tmp_path / "stale"
+    shutil.copytree(pipeline["model"], stale)
+    before = {p.name: p.read_bytes() for p in stale.iterdir()}
+    run = {**pipeline, "data": data(pipeline, tmp_path)} if data else pipeline
+    assert cli_dispatch(_train_argv(run, stale, *flags)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert {p.name: p.read_bytes() for p in stale.iterdir()} == before
 
 
 def test_config_file_nan_is_one_line_error(pipeline, tmp_path, capsys):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import a2cf.synthetic as synthetic
+from a2cf.data import (MIN_ATTR_MENTIONS, MIN_ITEM_USERS, filter_corpus,
+                       load_lexicon, load_reviews, load_substitutes)
 from a2cf.synthetic import (TIMESTAMP_BASE, TIMESTAMP_STEP, SyntheticSpec,
                             _inverse_cdf, _tokens, generate_synthetic)
 
@@ -76,10 +78,22 @@ def test_different_seed_differs(tmp_path):
         assert fa.read() != fb.read()
 
 
-def test_corpus_survives_activity_filter(synth_corpus):
+def test_corpus_survives_activity_filter(synth_corpus, tmp_path):
+    """The default activity filter keeps every user, item and attribute of
+    the conftest corpus and of the bench corpora at seeds 1 and 2."""
     assert synth_corpus.n_users == 50
     assert synth_corpus.n_items == 60
     assert synth_corpus.n_attrs == 20
+    for name, kwargs in (("planted", PLANTED), ("catalog", CATALOG)):
+        for seed in (1, 2):
+            spec = SyntheticSpec(**kwargs)
+            paths = generate_synthetic(spec, seed,
+                                       str(tmp_path / f"{name}{seed}"))
+            corpus = filter_corpus(load_reviews(paths["reviews"]),
+                                   load_lexicon(paths["lexicon"]),
+                                   load_substitutes(paths["substitutes"]))
+            assert (corpus.n_users, corpus.n_items, corpus.n_attrs) == (
+                spec.users, spec.items, spec.attributes), (name, seed)
 
 
 def test_review_rows_well_formed(synth_paths):
@@ -143,11 +157,13 @@ def test_degree_and_mention_floors(synth_corpus):
     for u, v in synth_corpus.interactions:
         per_item[int(v)].add(int(u))
         per_user[int(u)].add(int(v))
-    assert min(len(s) for s in per_item.values()) >= 5
-    assert min(len(s) for s in per_user.values()) >= 10
+    assert min(len(s) for s in per_item.values()) >= MIN_ITEM_USERS
+    # each user keeps every one of its draws through the filter
+    assert min(len(s) for s in per_user.values()) >= (
+        SyntheticSpec.interactions_per_user)
     mentions = collections.Counter(int(a) for _, _, a, _ in synth_corpus.lexicon)
     assert set(mentions) == set(range(20))
-    assert min(mentions.values()) >= 2
+    assert min(mentions.values()) >= MIN_ATTR_MENTIONS
 
 
 def test_lexicon_sentiments_and_density(synth_corpus):

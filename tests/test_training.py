@@ -353,14 +353,15 @@ def test_zero_phase2_steps_stops_without_ranking_loss(tmp_path, synth_corpus,
 def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
     run = short_run(phase1_steps=5, phase2_steps=5)
     result = train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    user_mat, item_mat = build_matrices(synth_corpus, 5.0)
     first, records = read_log(tmp_path / "train.log")
     assert first == {"users": 50, "items": 60, "attrs": 20,
                      "train": len(synth_splits.train),
                      "valid": len(synth_splits.valid),
                      "test": len(synth_splits.test),
                      "cells_filled": (50 + 60) * 20
-                     - np.count_nonzero(result.user_mat)
-                     - np.count_nonzero(result.item_mat)}
+                     - np.count_nonzero(user_mat)
+                     - np.count_nonzero(item_mat)}
     assert first["cells_filled"] > 0
     assert records == result.history
     p1, p2 = records
@@ -510,7 +511,7 @@ def test_final_estimate_equals_eager_completion(synth_corpus, synth_splits):
     result = train_pipeline(synth_corpus, synth_splits,
                             short_run(rounds_max=2, phase1_steps=3,
                                       phase2_steps=3))
-    eager = training.estimate_matrices(result.user_mat, result.item_mat,
+    eager = training.estimate_matrices(*build_matrices(synth_corpus, 5.0),
                                        result.params, 5.0)
     for name in ("user_attr", "item_attr"):
         got, want = getattr(result.est, name), getattr(eager, name)
