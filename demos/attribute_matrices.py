@@ -70,7 +70,7 @@ def main():
     # the filled-in cells meaningful
     params = init_params(corpus.n_users, corpus.n_items, corpus.n_attrs,
                          TrainConfig(embed_dim=8), seed=0)
-    est = estimate_matrices(user_mat, item_mat, params, rating_max=5.0)
+    est = estimate_matrices(user_mat, item_mat, params)
     print("\ncompleted user matrix (observed cells kept verbatim, "
           "the 0 cells regressed):")
     for r, tok in enumerate(corpus.user_tokens):

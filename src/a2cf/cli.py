@@ -95,10 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-item-users", type=int, default=data.MIN_ITEM_USERS)
     p.add_argument("--min-attr-mentions", type=int,
                    default=data.MIN_ATTR_MENTIONS)
-    # the run values preparation reads; a `train` config file still loads
+    # the one run value preparation reads; a `train` config file still loads
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--rating-max", type=float)
 
     p = sub.add_parser("train", help="train a model on a prepared corpus")
     p.add_argument("--data", required=True, help="prepared.npz from `prepare`")
@@ -164,12 +163,12 @@ def _estimate(corpus, params, cfg, item_attr, users=None):
     """The completed matrices: the item rows the checkpoint ships, and the
     user rows completed here, only the `users` rows when given (see
     ranking.estimate_matrices)."""
-    user_obs, item_obs = build_matrices(corpus, cfg.rating_max)
+    user_obs, item_obs = build_matrices(corpus)
     if not ((item_attr == item_obs) | (item_obs == 0.0)).all():
         raise ValueError("checkpoint item completion does not match the "
                          "prepared corpus")
-    return ranking.estimate_matrices(user_obs, item_obs, params,
-                                     cfg.rating_max, users, item_attr)
+    return ranking.estimate_matrices(user_obs, item_obs, params, users,
+                                     item_attr)
 
 
 def _cmd_synth(args) -> int:
@@ -185,7 +184,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_prepare(args) -> int:
     run = _run_config(args)
-    reviews = data.load_reviews(args.reviews, int(run.train.rating_max))
+    reviews = data.load_reviews(args.reviews)
     lexicon = data.load_lexicon(args.lexicon)
     substitutes = data.load_substitutes(args.substitutes)
     corpus = data.filter_corpus(reviews, lexicon, substitutes,

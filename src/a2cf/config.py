@@ -39,7 +39,6 @@ class TrainConfig:
 
     embed_dim: int = 64
     tower_depth: int = 1
-    rating_max: float = 5.0
     subst_weight: float = 0.7       # share of the substitution score in the blend
     subst_temp: float = 8.0         # softmax temperature, substitution attention
     pers_temp: float = 8.0          # softmax temperature, personalization attention
@@ -54,14 +53,12 @@ class TrainConfig:
 
     def __post_init__(self):
         _require_types(self)
-        for name in ("rating_max", "subst_temp", "pers_temp", "learning_rate"):
+        for name in ("subst_temp", "pers_temp", "learning_rate"):
             _require_finite(name, getattr(self, name))
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         if self.tower_depth < 0:
             raise ValueError("tower_depth must be >= 0")
-        if self.rating_max <= 1:
-            raise ValueError("rating_max must be > 1")
         if not 0.0 <= self.subst_weight <= 1.0:
             raise ValueError("subst_weight must be in [0, 1]")
         if self.subst_temp <= 0 or self.pers_temp <= 0:

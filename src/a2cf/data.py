@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 QUERY_POP_EXPONENT = 0.75
+RATING_MAX = 5      # reviews and both attribute matrices lie on [1, RATING_MAX]
 # the activity thresholds `filter_corpus` and `prepare` default to, which
 # every synthetic corpus is generated to pass
 MIN_USER_ITEMS = 5          # distinct items per user
@@ -64,8 +65,8 @@ def _records(path: str, widths: tuple):
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
 
 
-def load_reviews(path: str, rating_max: int = 5) -> list[ReviewRecord]:
-    """Parse a review file; ratings must be integers in [1, rating_max]."""
+def load_reviews(path: str) -> list[ReviewRecord]:
+    """Parse a review file; ratings must be integers in [1, RATING_MAX]."""
     records = []
     for lineno, parts in _records(path, (3, 4)):
         user, item, rating_raw = parts[0], parts[1], parts[2]
@@ -73,8 +74,8 @@ def load_reviews(path: str, rating_max: int = 5) -> list[ReviewRecord]:
             rating = int(rating_raw)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: rating {rating_raw!r} is not an integer") from None
-        if not 1 <= rating <= rating_max:
-            raise ValueError(f"{path}:{lineno}: rating {rating} outside [1, {rating_max}]")
+        if not 1 <= rating <= RATING_MAX:
+            raise ValueError(f"{path}:{lineno}: rating {rating} outside [1, {RATING_MAX}]")
         timestamp = None
         if len(parts) == 4:
             try:

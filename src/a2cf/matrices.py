@@ -1,19 +1,19 @@
 """Observed user-attribute and item-attribute matrices from the lexicon.
 
 Each matrix is a dense float64 array. A mentioned cell lies on the rating
-scale [1, rating_max]; a cell never mentioned is exactly 0.0, and those are
-the cells the towers regress. Both matrices are counted over their full
-(n_rows, n_attrs) cell grid, whose flat id for a mention is
+scale [1, RATING_MAX] of `data`; a cell never mentioned is exactly 0.0, and
+those are the cells the towers regress. Both matrices are counted over their
+full (n_rows, n_attrs) cell grid, whose flat id for a mention is
 row * n_attrs + attr: no sort, and no array larger than the matrix itself.
 """
 
 import numpy as np
 
-from .data import Corpus
+from .data import RATING_MAX, Corpus
 from .network import _expit
 
 
-def user_attr_value(count: int, rating_max: float = 5.0) -> float:
+def user_attr_value(count: int, rating_max: float = RATING_MAX) -> float:
     """Map a mention count t >= 1 to 1 + (rating_max - 1) * tanh(t / 2).
 
     Monotone in the count, 1 at t -> 0+, saturating at rating_max.
@@ -24,7 +24,7 @@ def user_attr_value(count: int, rating_max: float = 5.0) -> float:
 
 
 def item_attr_value(count: int, mean_sentiment: float,
-                    rating_max: float = 5.0) -> float:
+                    rating_max: float = RATING_MAX) -> float:
     """Map mention count t >= 1 and mean sentiment in [-1, 1] to
     1 + (rating_max - 1) * sigmoid(t * mean_sentiment).
 
@@ -38,8 +38,7 @@ def item_attr_value(count: int, mean_sentiment: float,
     return 1.0 + (rating_max - 1.0) * float(_expit(count * mean_sentiment))
 
 
-def build_matrices(corpus: Corpus, rating_max: float = 5.0
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def build_matrices(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """The observed user-attribute and item-attribute matrices, float64
     arrays of shape (n_users, n_attrs) and (n_items, n_attrs).
 
@@ -56,7 +55,7 @@ def build_matrices(corpus: Corpus, rating_max: float = 5.0
                            minlength=corpus.n_users * n_attrs)
     u_cells = np.flatnonzero(u_counts > 0)
     user_mat = np.zeros(len(u_counts))
-    user_mat[u_cells] = 1.0 + (rating_max - 1.0) * np.tanh(
+    user_mat[u_cells] = 1.0 + (RATING_MAX - 1.0) * np.tanh(
         u_counts[u_cells] / 2.0)
     i_ids = items * n_attrs + attrs
     i_counts = np.bincount(i_ids, minlength=corpus.n_items * n_attrs)
@@ -67,7 +66,7 @@ def build_matrices(corpus: Corpus, rating_max: float = 5.0
     item_mat = np.bincount(i_ids, weights=sentiment,
                            minlength=corpus.n_items * n_attrs
                            ).astype(np.float64, copy=False)
-    item_mat[i_cells] = 1.0 + (rating_max - 1.0) * _expit(
+    item_mat[i_cells] = 1.0 + (RATING_MAX - 1.0) * _expit(
         i_counts * (item_mat[i_cells] / i_counts))
     return (user_mat.reshape(corpus.n_users, n_attrs),
             item_mat.reshape(corpus.n_items, n_attrs))

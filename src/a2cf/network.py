@@ -3,8 +3,8 @@
 Each tower consumes the concatenation of an entity embedding and an attribute
 embedding (width 2d), applies `tower_depth` residual blocks
 h <- h + relu(W h + b) at constant width, and maps the result through a linear
-head followed by a tanh rescaled into [1, rating_max]. All gradients are
-analytic; no autodiff anywhere.
+head followed by a tanh rescaled onto the rating scale [1, RATING_MAX] of
+`data`. All gradients are analytic; no autodiff anywhere.
 
 The eval-mode predictors split a one-block tower by the halves of its input:
 W0 [e; a] = W0[:, :d] e + W0[:, d:] a, so each call computes P = E W0[:, :d]^T
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
+from .data import RATING_MAX
 
 INIT_SCALE = 0.05
 _BLOCK_BYTES = 2 ** 18      # one block of the split kernel and of Adam,
@@ -249,7 +250,7 @@ def _expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def tanh_rescaled(r, rating_max: float):
+def tanh_rescaled(r, rating_max: float = RATING_MAX):
     """Monotone squash of the real line into [1, rating_max]:
     (rating_max - 1)/2 * tanh(r) + (rating_max + 1)/2, clipped to that
     range, which rounding leaves by an ulp where tanh saturates for some
@@ -258,7 +259,7 @@ def tanh_rescaled(r, rating_max: float):
                    + 0.5 * (rating_max + 1.0), 1.0, rating_max)
 
 
-def tanh_rescaled_grad(r, rating_max: float):
+def tanh_rescaled_grad(r, rating_max: float = RATING_MAX):
     t = np.tanh(r)
     return 0.5 * (rating_max - 1.0) * (1.0 - t * t)
 
@@ -270,15 +271,14 @@ def _tower(tensors: ModelParams, side: str) -> tuple:
                  for name in ("emb", "tower_w", "tower_b", "head"))
 
 
-def _tower_predict(params: ModelParams, side: str, rows, attrs,
-                   rating_max: float, masks=None):
+def _tower_predict(params: ModelParams, side: str, rows, attrs, masks=None):
     """Training forward over whole (cells, 2d) rows, with the cache that
     backward reads."""
     emb, weights, biases, head = _tower(params, side)
     h0 = np.concatenate([emb[rows], params.attr_emb[attrs]], axis=1)
     h_out, cache = residual_forward(h0, weights, biases, masks)
     r = h_out @ head
-    return tanh_rescaled(r, rating_max), (h_out, r, cache)
+    return tanh_rescaled(r), (h_out, r, cache)
 
 
 def _block_rows(embed_dim: int) -> int:
@@ -287,8 +287,7 @@ def _block_rows(embed_dim: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * embed_dim))
 
 
-def _split_predict(params: ModelParams, side: str, rows, attrs,
-                   rating_max: float) -> np.ndarray:
+def _split_predict(params: ModelParams, side: str, rows, attrs) -> np.ndarray:
     """Eval-mode tower output per (row, attr) cell. A one-block tower runs
     split (module docstring) when the bound below shows every activation
     finite; every other call runs the training forward `_tower_predict`
@@ -318,39 +317,36 @@ def _split_predict(params: ModelParams, side: str, rows, attrs,
         # branch >= 0, so h0 + branch is finite wherever this bound is
         if np.isfinite(peak + np.abs(emb).max(initial=0.0)
                        + np.abs(attr_emb).max(initial=0.0)):
-            return tanh_rescaled(base + dot, rating_max)
+            return tanh_rescaled(base + dot)
     runs = np.flatnonzero(np.diff(rows)) + 1
     return np.concatenate(
-        [_tower_predict(params, side, r, a, rating_max)[0]
+        [_tower_predict(params, side, r, a)[0]
          for r, a in zip(np.split(rows, runs), np.split(attrs, runs))])
 
 
 def predict_user_attr_batch(params: ModelParams, users: np.ndarray,
-                            attrs: np.ndarray,
-                            rating_max: float) -> np.ndarray:
-    return _split_predict(params, "user", users, attrs, rating_max)
+                            attrs: np.ndarray) -> np.ndarray:
+    return _split_predict(params, "user", users, attrs)
 
 
 def predict_item_attr_batch(params: ModelParams, items: np.ndarray,
-                            attrs: np.ndarray,
-                            rating_max: float) -> np.ndarray:
-    return _split_predict(params, "item", items, attrs, rating_max)
+                            attrs: np.ndarray) -> np.ndarray:
+    return _split_predict(params, "item", items, attrs)
 
 
 def _tower_backward(params: ModelParams, grads: ModelParams, side: str,
                     rows: np.ndarray, attrs: np.ndarray, targets: np.ndarray,
-                    rating_max: float, masks=None):
+                    masks=None):
     """Forward + backward for one tower's squared loss; accumulates the tower
     and entity-embedding gradients into `grads` and returns (loss, attribute
     embedding gradient rows), the latter aligned with `attrs`."""
     d = params.embed_dim
     _, tower_w, _, head = _tower(params, side)
     g_emb, g_tw, g_tb, g_head = _tower(grads, side)
-    pred, (h_out, r, cache) = _tower_predict(params, side, rows, attrs,
-                                             rating_max, masks)
+    pred, (h_out, r, cache) = _tower_predict(params, side, rows, attrs, masks)
     err = pred - targets
     loss = float((err ** 2).sum())
-    dr = 2.0 * err * tanh_rescaled_grad(r, rating_max)
+    dr = 2.0 * err * tanh_rescaled_grad(r)
     g_head += h_out.T @ dr
     grad_h = dr[:, None] * head[None, :]
     grad_h0, gw, gb = residual_backward(grad_h, tower_w, cache)
@@ -361,7 +357,7 @@ def _tower_backward(params: ModelParams, grads: ModelParams, side: str,
 
 
 def phase1_forward_backward(params: ModelParams, user_cells, item_cells,
-                            rating_max: float, dropout: float = 0.0,
+                            dropout: float = 0.0,
                             rng: np.random.Generator | None = None,
                             grads: ModelParams | None = None):
     """Loss and analytic gradients for one regression batch.
@@ -387,7 +383,7 @@ def phase1_forward_backward(params: ModelParams, user_cells, item_cells,
                      for _ in range(depth)]
         side_loss, side_attr_grads = _tower_backward(
             params, grads, side, rows, attrs,
-            np.asarray(targets, dtype=np.float64), rating_max, masks)
+            np.asarray(targets, dtype=np.float64), masks)
         loss += side_loss
         attr_rows.append(attrs)
         attr_grads.append(side_attr_grads)

@@ -64,7 +64,7 @@ def _checked_ids(what: str, ids, n: int) -> np.ndarray:
 
 
 def _complete(observed: np.ndarray, predict, params: ModelParams,
-              rating_max: float, rows=None) -> np.ndarray:
+              rows=None) -> np.ndarray:
     """A copy of `observed` with its 0.0 cells (of `rows` only, every other
     row NaN, when given) regressed in one row-major predictor call, if any."""
     dense = observed.copy()
@@ -75,15 +75,15 @@ def _complete(observed: np.ndarray, predict, params: ModelParams,
         dense[other], unobserved[other] = np.nan, False
     r, c = np.nonzero(unobserved)
     if len(r):
-        dense[r, c] = predict(params, r, c, rating_max)
+        dense[r, c] = predict(params, r, c)
     return dense
 
 
 def estimate_matrices(user_obs: np.ndarray, item_obs: np.ndarray,
-                      params: ModelParams, rating_max: float, users=None,
+                      params: ModelParams, users=None,
                       item_attr=None) -> EstimatedMatrices:
     """Fill every unobserved (0.0) cell of the observed matrices with the
-    eval-mode tower regression on the scale [1, rating_max], one predictor
+    eval-mode tower regression on the scale [1, RATING_MAX], one predictor
     call per matrix that has one; observed cells are copied bit-for-bit.
 
     `users` limits the user matrix to those rows, for a caller that reads
@@ -101,11 +101,9 @@ def estimate_matrices(user_obs: np.ndarray, item_obs: np.ndarray,
     if item_attr is not None and item_attr.shape != item_obs.shape:
         raise ValueError(f"item_attr has shape {item_attr.shape}, the item "
                          f"matrix {item_obs.shape}")
-    user_attr = _complete(user_obs, predict_user_attr_batch, params,
-                          rating_max, users)
+    user_attr = _complete(user_obs, predict_user_attr_batch, params, users)
     if item_attr is None:
-        item_attr = _complete(item_obs, predict_item_attr_batch, params,
-                              rating_max)
+        item_attr = _complete(item_obs, predict_item_attr_batch, params)
     return EstimatedMatrices(user_attr=user_attr, item_attr=item_attr)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MIN_ATTR_MENTIONS, MIN_ITEM_USERS, MIN_USER_ITEMS
+from .data import (MIN_ATTR_MENTIONS, MIN_ITEM_USERS, MIN_USER_ITEMS,
+                   RATING_MAX)
 
 TIMESTAMP_BASE = 1_600_000_000
 TIMESTAMP_STEP = 86_400
@@ -35,14 +36,14 @@ POP_SPREAD = 0.08           # item-level popularity spread at choice time
 TASTE_PROFILES = 3          # user archetypes / item styles
 CARED_ATTRS = 2             # functional attributes each user cares about
 SALIENT_ATTRS = 3           # salient attributes per cluster
-RATING_MAX = 5              # top of the review rating scale
 
 
 @dataclass
 class SyntheticSpec:
     """A synthetic corpus's shape. The counts all corpora share are module
-    constants: TASTE_PROFILES, CARED_ATTRS, SALIENT_ATTRS and RATING_MAX;
-    every corpus passes the activity thresholds of `data`."""
+    constants: TASTE_PROFILES, CARED_ATTRS and SALIENT_ATTRS; every corpus
+    rates on the scale `data.RATING_MAX` and passes the activity thresholds
+    of `data`."""
 
     users: int = 200
     items: int = 300

@@ -24,8 +24,8 @@ import time
 
 import numpy as np
 
-from .config import RunConfig, TrainConfig
-from .data import Corpus, SplitTriplets
+from .config import _TRAIN_FIELDS, RunConfig, TrainConfig
+from .data import RATING_MAX, Corpus, SplitTriplets
 from .matrices import build_matrices
 from .network import (AdamState, ModelParams, adam_step, init_params,
                       param_shapes, phase1_forward_backward, tower_slice)
@@ -39,17 +39,16 @@ CHECKPOINT_NAME = "model.ckpt"
 DIAGNOSTIC_NAME = "diagnostic.ckpt"
 
 
-def _check_item_attr(path: str, item_attr: np.ndarray, shape: tuple,
-                     rating_max: float) -> None:
+def _check_item_attr(path: str, item_attr: np.ndarray, shape: tuple) -> None:
     """Raise ValueError naming `path` unless `item_attr` has `shape` and
-    every value lies in [1, rating_max], the range of both the observed
-    cells and the tower's squash."""
+    every value lies on the rating scale [1, RATING_MAX], the range of both
+    the observed cells and the tower's squash."""
     if item_attr.shape != shape:
         raise ValueError(f"{path}: item completion has shape "
                          f"{item_attr.shape}, the counts give {shape}")
-    if not ((item_attr >= 1.0) & (item_attr <= rating_max)).all():
+    if not ((item_attr >= 1.0) & (item_attr <= RATING_MAX)).all():
         raise ValueError(f"{path}: checkpoint item completion holds a value "
-                         f"that is non-finite or outside [1, {rating_max}]")
+                         f"that is non-finite or outside [1, {RATING_MAX}]")
 
 
 def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig,
@@ -64,7 +63,7 @@ def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig,
     follows the tensors; without it, format 2. The counts and the config
     give every shape (`param_shapes`), so a tensor whose shape `cfg` does
     not give, or an item completion of another shape or outside
-    [1, rating_max], raises ValueError before anything is written.
+    [1, RATING_MAX], raises ValueError before anything is written.
     Identical inputs yield identical bytes.
     """
     counts = [len(params.user_emb), len(params.item_emb), len(params.attr_emb)]
@@ -74,7 +73,7 @@ def save_checkpoint(path: str, params: ModelParams, cfg: TrainConfig,
             raise ValueError(f"{path}: tensor {name!r} has shape {t.shape}, "
                              f"the config gives {shapes[name]}")
     if item_attr is not None:
-        _check_item_attr(path, item_attr, tuple(counts[1:]), cfg.rating_max)
+        _check_item_attr(path, item_attr, tuple(counts[1:]))
     header = {"config": dataclasses.asdict(cfg), "counts": counts,
               "format": PARAMS_FORMAT if item_attr is None else SERVING_FORMAT}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -90,10 +89,11 @@ def load_checkpoint(path: str) -> tuple:
     item_attr being the item completion of a format-3 file and None for
     format 2.
 
-    Every malformed file raises ValueError naming `path`, among them
-    counts that are not three ints >= 0, a payload whose length is not the
-    one the header's shapes give, a tensor holding NaN or inf, and an item
-    completion with a value that is non-finite or outside [1, rating_max].
+    Every malformed file raises ValueError naming `path`, among them a
+    config key that names no TrainConfig field, counts that are not three
+    ints >= 0, a payload whose length is not the one the header's shapes
+    give, a tensor holding NaN or inf, and an item completion with a value
+    that is non-finite or outside [1, RATING_MAX].
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -116,7 +116,12 @@ def load_checkpoint(path: str) -> tuple:
         raise ValueError(f"{path}: checkpoint header lacks "
                          f"{' and '.join(map(repr, missing))}")
     try:
-        cfg = TrainConfig(**header["config"])
+        # a config that is no JSON object raises TypeError here
+        config = dict(**header["config"])
+        unknown = [key for key in config if key not in _TRAIN_FIELDS]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        cfg = TrainConfig(**config)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad checkpoint config: {exc}") from None
     counts = header["counts"]
@@ -149,7 +154,7 @@ def load_checkpoint(path: str) -> tuple:
         return params, cfg, None
     item_attr = np.frombuffer(raw, dtype="<f8", offset=offset + 8 * n_params
                               ).astype(np.float64).reshape(item_shape)
-    _check_item_attr(path, item_attr, item_shape, cfg.rating_max)
+    _check_item_attr(path, item_attr, item_shape)
     return params, cfg, item_attr
 
 
@@ -231,7 +236,7 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
         for name in (CHECKPOINT_NAME, DIAGNOSTIC_NAME):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, name))
-    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
+    user_mat, item_mat = build_matrices(corpus)
     seeds = np.random.SeedSequence(run.seed).spawn(5)
     init_seed, p1_seed, drop_seed, p2_seed, neg_seed = seeds
     params = init_params(corpus.n_users, corpus.n_items, corpus.n_attrs,
@@ -284,13 +289,12 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
                     params, _cells(user_cells, batch[batch < n_user_cells]),
                     _cells(item_cells, batch[batch >= n_user_cells]
                            - n_user_cells),
-                    cfg.rating_max, dropout=cfg.dropout, rng=drop_rng,
-                    grads=grads)
+                    dropout=cfg.dropout, rng=drop_rng, grads=grads)
                 if not np.isfinite(loss):
                     fail(round_no, 1, step, loss)
                 adam_step(params, grads, adam_p1, cfg.learning_rate)
                 p1_losses.append(loss)
-            est = estimate_matrices(user_mat, item_mat, params, cfg.rating_max)
+            est = estimate_matrices(user_mat, item_mat, params)
             skipped = run.phase1_steps - (adam_p1.step - adam_start)
             history.append({"round": round_no, "phase": 1,
                             "steps": run.phase1_steps, "losses": p1_losses,
@@ -332,7 +336,7 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
             final_loss = round_loss
             if converged:
                 break
-        est = estimate_matrices(user_mat, item_mat, params, cfg.rating_max)
+        est = estimate_matrices(user_mat, item_mat, params)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, CHECKPOINT_NAME), params, cfg,
                         est.item_attr)

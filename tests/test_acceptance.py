@@ -47,10 +47,10 @@ def test_criterion_1_gradients_match_finite_differences():
     item_cells = (np.array([1, 3]), np.array([0, 2]), np.array([3.5, 2.0]))
 
     def regression_loss():
-        return phase1_forward_backward(params, user_cells, item_cells, 5.0,
+        return phase1_forward_backward(params, user_cells, item_cells,
                                        dropout=0.0, rng=None)[0]
 
-    _, analytic = phase1_forward_backward(params, user_cells, item_cells, 5.0,
+    _, analytic = phase1_forward_backward(params, user_cells, item_cells,
                                           dropout=0.0, rng=None)
     gap_p1 = worst_relative_gap(analytic,
                                 central_diff_grads(params, regression_loss))
@@ -362,12 +362,10 @@ def test_criterion_6_invariant_suite(small_trained, synth_corpus,
 
     users, attrs = np.meshgrid(np.arange(corpus.n_users),
                                np.arange(corpus.n_attrs), indexing="ij")
-    uv = predict_user_attr_batch(params, users.ravel(), attrs.ravel(),
-                                 cfg.rating_max)
+    uv = predict_user_attr_batch(params, users.ravel(), attrs.ravel())
     items, iattrs = np.meshgrid(np.arange(corpus.n_items),
                                 np.arange(corpus.n_attrs), indexing="ij")
-    iv = predict_item_attr_batch(params, items.ravel(), iattrs.ravel(),
-                                 cfg.rating_max)
+    iv = predict_item_attr_batch(params, items.ravel(), iattrs.ravel())
     check("prediction_range",
           uv.min() > 1.0 and uv.max() < 5.0
           and iv.min() > 1.0 and iv.max() < 5.0)
@@ -383,7 +381,7 @@ def test_criterion_6_invariant_suite(small_trained, synth_corpus,
                          abs(lam.sum() - 1.0))
     check("attention_normalization", worst_norm < 1e-9)
 
-    user_mat, item_mat = build_matrices(corpus, cfg.rating_max)
+    user_mat, item_mat = build_matrices(corpus)
     observed_ok = all(
         np.array_equal(full[mat != 0.0], mat[mat != 0.0])
         for full, mat in ((est.user_attr, user_mat),
@@ -406,7 +404,7 @@ def test_criterion_6_invariant_suite(small_trained, synth_corpus,
     check("advantage_antisymmetry", anti_ok)
     check("advantage_scale_invariant_ranking", scale_ok)
 
-    again = estimate_matrices(user_mat, item_mat, params, cfg.rating_max)
+    again = estimate_matrices(user_mat, item_mat, params)
     check("estimation_deterministic",
           np.array_equal(est.user_attr, again.user_attr)
           and np.array_equal(est.item_attr, again.item_attr))

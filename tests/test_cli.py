@@ -322,11 +322,11 @@ def test_request_completing_its_user_row_writes_the_full_bytes(
     rows, item_calls = [], []
 
     def one_row(*args):
-        rows.append(args[4])
+        rows.append(args[3])
         return real(*args)
 
     def every_row(*args):
-        return real(*args[:4])
+        return real(*args[:3])
 
     monkeypatch.setattr(ranking, "predict_item_attr_batch",
                         lambda *args, **kwargs: item_calls.append(1)
@@ -362,10 +362,9 @@ def test_shipped_item_completion_is_the_bits_of_a_full_completion(
     it, bit for bit, and keeps the observed item cells verbatim."""
     data, ckpt = seed1_model
     corpus, _ = load_prepared(data)
-    params, cfg, shipped = training.load_checkpoint(ckpt)
-    user_obs, item_obs = build_matrices(corpus, cfg.rating_max)
-    full = ranking.estimate_matrices(user_obs, item_obs, params,
-                                     cfg.rating_max).item_attr
+    params, _, shipped = training.load_checkpoint(ckpt)
+    user_obs, item_obs = build_matrices(corpus)
+    full = ranking.estimate_matrices(user_obs, item_obs, params).item_attr
     assert shipped.shape == full.shape == (corpus.n_items, corpus.n_attrs)
     assert np.array_equal(shipped.view(np.uint64), full.view(np.uint64))
     observed = item_obs != 0.0
@@ -451,7 +450,7 @@ def test_dispatch_flags_do_not_carry_over(monkeypatch):
     ["synth", "--out-dir", "o"],
     ["synth", "--out-dir", "o", "--seed", "4", "--users", "7", "--noise", "0.5"],
     ["prepare", "--reviews", "r", "--lexicon", "l", "--substitutes", "s",
-     "--out-dir", "o", "--min-item-users", "2", "--rating-max", "7"],
+     "--out-dir", "o", "--min-item-users", "2", "--seed", "7"],
     ["train", "--data", "d", "--out-dir", "o", "--no-pers-use-attrs",
      "--convergence-tol", "0", "--config", "c.cfg"],
     ["train", "--data", "d", "--out-dir", "o"],
@@ -474,15 +473,15 @@ def test_reused_parser_parses_like_a_fresh_one(monkeypatch, argv):
 
 
 CONFIG_OPTIONS = [
-    "--config", "--seed", "--embed-dim", "--tower-depth", "--rating-max",
-    "--subst-weight", "--subst-temp", "--pers-temp", "--learning-rate",
-    "--batch-size", "--dropout", "--negatives", "--subst-use-attrs",
-    "--no-subst-use-attrs", "--pers-use-attrs", "--no-pers-use-attrs",
-    "--rounds-max", "--phase1-steps", "--phase2-steps", "--convergence-tol"]
+    "--config", "--seed", "--embed-dim", "--tower-depth", "--subst-weight",
+    "--subst-temp", "--pers-temp", "--learning-rate", "--batch-size",
+    "--dropout", "--negatives", "--subst-use-attrs", "--no-subst-use-attrs",
+    "--pers-use-attrs", "--no-pers-use-attrs", "--rounds-max",
+    "--phase1-steps", "--phase2-steps", "--convergence-tol"]
 
 
-# `prepare` reads only these run values
-PREPARE_CONFIG_OPTIONS = ["--config", "--seed", "--rating-max"]
+# `prepare` reads only this run value
+PREPARE_CONFIG_OPTIONS = ["--config", "--seed"]
 
 
 @pytest.mark.parametrize("command, own", [
@@ -516,18 +515,54 @@ def test_prepare_rejects_a_training_flag(pipeline, tmp_path, capsys):
 
 def test_prepare_reads_a_shared_config_file(pipeline, tmp_path):
     """A config file written for `train` loads; its training keys change
-    nothing, and --seed and --rating-max give the bytes of the shared
-    pipeline's `prepare --seed 11`."""
+    nothing, and --seed gives the bytes of the shared pipeline's
+    `prepare --seed 11`."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 3\nembed_dim = 3\nlearning_rate = 5\n"
-                   "negatives = 9\nrounds_max = 1\nrating_max = 9\n")
+                   "negatives = 9\nrounds_max = 1\n")
     out = tmp_path / "prep"
     assert cli_dispatch(_prepare_argv(pipeline, out, "--config", str(cfg),
-                                      "--seed", "11",
-                                      "--rating-max", "5")) == 0
+                                      "--seed", "11")) == 0
     for name in ("prepared.npz", "corpus.manifest"):
         assert (out / name).read_bytes() == \
             (pipeline["prep"] / name).read_bytes()
+
+
+def _config_argv(pipeline, command, out_dir):
+    """`command` with every required flag, writing into `out_dir`."""
+    if command == "synth":
+        return ["synth", "--out-dir", str(out_dir)]
+    if command == "prepare":
+        return _prepare_argv(pipeline, out_dir)
+    if command == "train":
+        return _train_argv(pipeline, out_dir)
+    return _model_argv(pipeline, command, out_dir)
+
+
+@pytest.mark.parametrize("command", ["prepare", "train"])
+def test_rating_max_flag_is_usage_error(pipeline, tmp_path, capsys, command):
+    """The rating scale is data.RATING_MAX, which no flag sets."""
+    out = tmp_path / "out"
+    argv = _config_argv(pipeline, command, out) + ["--rating-max", "5"]
+    assert cli_dispatch(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "a2cf: error: unrecognized arguments: --rating-max 5"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "evaluate"])
+def test_config_file_setting_rating_max_is_refused(pipeline, tmp_path,
+                                                   capsys, command):
+    """Every command that reads a config file refuses one written while
+    the rating scale was a setting, before it writes anything."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nrating_max = 5\n")
+    out = tmp_path / "out"
+    argv = _config_argv(pipeline, command, out) + ["--config", str(cfg)]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}:2: unknown config key 'rating_max'"]
+    assert not out.exists()
 
 
 def test_explain_help_names_the_request_tokens(capsys):
@@ -769,10 +804,9 @@ def test_format2_checkpoint_is_one_line_error(pipeline, diagnostic_ckpt,
     (["--learning-rate", "0"], "learning_rate must be > 0"),
     (["--subst-temp", "nan"], "subst_temp must be finite, got nan"),
     (["--pers-temp", "inf"], "pers_temp must be finite, got inf"),
-    (["--rating-max", "inf"], "rating_max must be finite, got inf"),
     (["--convergence-tol", "nan"], "convergence_tol must be finite, got nan"),
 ], ids=["negative_rate", "zero_rate", "nan_subst_temp", "inf_pers_temp",
-        "inf_rating_max", "nan_convergence_tol"])
+        "nan_convergence_tol"])
 def test_train_rejects_useless_floats_before_training(pipeline, tmp_path,
                                                       capsys, flags, message):
     out = tmp_path / "model"
@@ -829,19 +863,6 @@ def test_config_file_undecodable_is_one_line_error(pipeline, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {cfg}: not UTF-8: ")
-    assert not out.exists()
-
-
-def test_prepare_rejects_infinite_rating_max(pipeline, tmp_path, capsys):
-    raw = pipeline["raw"]
-    out = tmp_path / "prep"
-    code = cli_dispatch(["prepare", "--reviews", str(raw / "reviews.tsv"),
-                         "--lexicon", str(raw / "lexicon.tsv"),
-                         "--substitutes", str(raw / "substitutes.tsv"),
-                         "--out-dir", str(out), "--rating-max", "inf"])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: rating_max must be finite, got inf"]
     assert not out.exists()
 
 
@@ -957,7 +978,9 @@ def _absurd_dims(header):
 @pytest.mark.parametrize("corrupt,message", [
     (lambda raw: raw[:11], "truncated checkpoint header"),
     (lambda raw: _rewrite_header(raw, _unknown_config_key),
-     "bad checkpoint config"),
+     "bad checkpoint config: unknown key 'bogus'"),
+    (lambda raw: _rewrite_header(raw, _set("config", "abc")),
+     "bad checkpoint config: "),
     (lambda raw: _rewrite_header(raw, _no_config), "lacks 'config'"),
     (lambda raw: _rewrite_header(raw, _no_counts), "lacks 'counts'"),
     (lambda raw: _rewrite_header(raw, _set("format", 1)),
@@ -986,8 +1009,6 @@ def _absurd_dims(header):
      "bad checkpoint config: pers_use_attrs must be a bool, got 'false'"),
     (lambda raw: _rewrite_header(raw, _set_config("subst_temp", math.nan)),
      "bad checkpoint config: subst_temp must be finite, got nan"),
-    (lambda raw: _rewrite_header(raw, _set_config("rating_max", math.inf)),
-     "bad checkpoint config: rating_max must be finite, got inf"),
     (lambda raw: _rewrite_header(raw, _set_config("learning_rate", -1.0)),
      "bad checkpoint config: learning_rate must be > 0"),
     (_nan_tensors("subst_proj", "pers_proj"),
@@ -995,11 +1016,11 @@ def _absurd_dims(header):
     (lambda raw: raw[:-8] + np.float64(np.nan).tobytes(),
      "checkpoint item completion holds a value that is non-finite"),
     (lambda raw: _rewrite_header(raw, _set("format", 2)), "trailing bytes"),
-], ids=["short_file", "unknown_config_key", "no_config", "no_counts",
-        "format_1", "negative_count", "float_count", "bool_count",
-        "missing_count", "rows_overflow_int64", "rows_wrap_int64",
-        "absurd_dims", "wrong_shape", "float_embed_dim", "bool_tower_depth",
-        "string_pers_use_attrs", "nan_subst_temp", "inf_rating_max",
+], ids=["short_file", "unknown_config_key", "string_config", "no_config",
+        "no_counts", "format_1", "negative_count", "float_count",
+        "bool_count", "missing_count", "rows_overflow_int64",
+        "rows_wrap_int64", "absurd_dims", "wrong_shape", "float_embed_dim",
+        "bool_tower_depth", "string_pers_use_attrs", "nan_subst_temp",
         "negative_learning_rate", "nan_projections", "nan_item_value",
         "format_2_with_items"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
@@ -1015,6 +1036,27 @@ def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}: ")
     assert message in err[0]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("recommend", ("--user", "u003", "--query", "i012")),
+    ("explain", ("--user", "u003", "--query", "i012")),
+    ("evaluate", ())], ids=["recommend", "explain", "evaluate"])
+def test_checkpoint_naming_rating_max_is_one_line_error(pipeline, tmp_path,
+                                                       capsys, command,
+                                                       flags):
+    """Every checkpoint written while the rating scale was a setting holds
+    "rating_max": 5.0 in its config. It is refused; the fix is a retrain."""
+    stale = tmp_path / "stale.ckpt"
+    with open(pipeline["ckpt"], "rb") as fh:
+        stale.write_bytes(_rewrite_header(fh.read(),
+                                          _set_config("rating_max", 5.0)))
+    out = tmp_path / "out"
+    assert cli_dispatch(_model_argv({**pipeline, "ckpt": str(stale)},
+                                    command, out, *flags)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {stale}: bad checkpoint config: unknown key 'rating_max'"]
+    assert not out.exists()
 
 
 def _flip_member_byte(raw: bytes) -> bytes:

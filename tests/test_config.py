@@ -29,8 +29,6 @@ def test_train_config_validation():
         TrainConfig(subst_temp=0.0)
     with pytest.raises(ValueError, match="dropout"):
         TrainConfig(dropout=1.0)
-    with pytest.raises(ValueError, match="rating_max"):
-        TrainConfig(rating_max=1.0)
 
 
 @pytest.mark.parametrize("field", ["embed_dim", "tower_depth", "batch_size",
@@ -52,8 +50,7 @@ def test_train_config_rejects_non_bool_switches(field, value):
         TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["rating_max", "subst_weight",
-                                   "subst_temp", "pers_temp",
+@pytest.mark.parametrize("field", ["subst_weight", "subst_temp", "pers_temp",
                                    "learning_rate", "dropout"])
 @pytest.mark.parametrize("value", [True, False, "0.5", None])
 def test_train_config_rejects_non_number_floats(field, value):
@@ -70,12 +67,12 @@ def test_run_config_rejects_non_number_convergence_tol(value):
 
 
 def test_float_fields_take_an_int():
-    cfg = TrainConfig(rating_max=5, subst_weight=1, dropout=0)
-    assert (cfg.rating_max, cfg.subst_weight, cfg.dropout) == (5, 1, 0)
+    cfg = TrainConfig(subst_temp=5, subst_weight=1, dropout=0)
+    assert (cfg.subst_temp, cfg.subst_weight, cfg.dropout) == (5, 1, 0)
     assert RunConfig(convergence_tol=0).convergence_tol == 0
 
 
-@pytest.mark.parametrize("field", ["rating_max", "subst_temp", "pers_temp",
+@pytest.mark.parametrize("field", ["subst_temp", "pers_temp",
                                    "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_train_config_rejects_non_finite_floats(field, value):
@@ -149,7 +146,7 @@ def test_config_file_of_every_default_parses_to_the_default(tmp_path):
     fields = {**dataclasses.asdict(defaults.train),
               **{k: v for k, v in dataclasses.asdict(defaults).items()
                  if k != "train"}}
-    assert len(fields) == 17
+    assert len(fields) == 16
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
     overrides = parse_config_file(str(path))

@@ -129,7 +129,7 @@ def repeated_rows_bpr_s(params, est, cfg, users, queries, positives,
     return float(np.logaddexp(0.0, -margins).sum()), grads
 
 
-def addat_phase1(params, user_cells, item_cells, rating_max, dropout, rng):
+def addat_phase1(params, user_cells, item_cells, dropout, rng):
     """Reference phase-1 loss and gradients: np.add.at per tower, user
     tower before item tower."""
     d = params.embed_dim
@@ -144,9 +144,9 @@ def addat_phase1(params, user_cells, item_cells, rating_max, dropout, rng):
         h0 = np.concatenate([emb[rows], params.attr_emb[attrs]], axis=1)
         h_out, cache = residual_forward(h0, tower_w, tower_b, masks)
         r = h_out @ head
-        err = tanh_rescaled(r, rating_max) - targets
+        err = tanh_rescaled(r) - targets
         loss += float((err ** 2).sum())
-        dr = 2.0 * err * tanh_rescaled_grad(r, rating_max)
+        dr = 2.0 * err * tanh_rescaled_grad(r)
         getattr(grads, f"{side}_head")[...] += h_out.T @ dr
         grad_h0, gw, gb = residual_backward(dr[:, None] * head[None, :],
                                             tower_w, cache)
@@ -226,9 +226,9 @@ def test_phase1_gradients_bit_identical_to_add_at(seed, dropout):
 
     user_cells, item_cells = cells(n_users, 30), cells(n_items, 25)
     got_loss, got = phase1_forward_backward(
-        params, user_cells, item_cells, 5.0, dropout=dropout,
+        params, user_cells, item_cells, dropout=dropout,
         rng=np.random.default_rng(seed))
-    want_loss, want = addat_phase1(params, user_cells, item_cells, 5.0,
-                                   dropout, np.random.default_rng(seed))
+    want_loss, want = addat_phase1(params, user_cells, item_cells, dropout,
+                                   np.random.default_rng(seed))
     assert got_loss == want_loss
     assert_bit_identical(got, want)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from a2cf.config import TrainConfig
-from a2cf.data import SplitTriplets, load_prepared, save_prepared
+from a2cf.data import (RATING_MAX, SplitTriplets, load_prepared,
+                       save_prepared)
 from a2cf.network import init_params
 from a2cf.training import load_checkpoint, save_checkpoint
 
@@ -53,7 +54,7 @@ def format3_checkpoint(path):
     """Write a format-3 checkpoint of a 5 x 6 x 4 model to `path`; returns
     (its bytes, the offset of its item section)."""
     cfg = TrainConfig(embed_dim=4)
-    item_attr = np.random.default_rng(4).uniform(1.0, cfg.rating_max, (6, 4))
+    item_attr = np.random.default_rng(4).uniform(1.0, RATING_MAX, (6, 4))
     save_checkpoint(str(path), init_params(5, 6, 4, cfg, 0), cfg, item_attr)
     raw = path.read_bytes()
     return raw, len(raw) - item_attr.nbytes
@@ -73,7 +74,7 @@ def test_damaged_format3_checkpoints_load_or_name_the_file(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, 0.5, 6.0],
                          ids=["nan", "below_one", "above_rating_max"])
 def test_item_value_outside_the_rating_scale_names_the_file(tmp_path, value):
-    """rating_max is 5.0, so 6.0 is rating_max + 1."""
+    """RATING_MAX is 5, so 6.0 is RATING_MAX + 1."""
     path = tmp_path / "m.ckpt"
     raw, start = format3_checkpoint(path)
     cell = start + 8 * 13                   # item 3, attribute 1
@@ -81,7 +82,7 @@ def test_item_value_outside_the_rating_scale_names_the_file(tmp_path, value):
                      + raw[cell + 8:])
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: checkpoint item completion holds a value that is "
-            f"non-finite or outside [1, 5.0]")):
+            f"non-finite or outside [1, 5]")):
         load_checkpoint(str(path))
 
 

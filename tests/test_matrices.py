@@ -133,12 +133,6 @@ def test_observed_matrix_shapes(grid_corpus):
     assert np.count_nonzero(item_mat) == 5
 
 
-def test_build_matrices_respects_rating_max(grid_corpus):
-    user_mat, item_mat = build_matrices(grid_corpus, rating_max=10.0)
-    assert user_mat[0, 0] == pytest.approx(7.854347403601884, abs=1e-12)
-    assert item_mat[0, 0] == pytest.approx(8.927173701800942, abs=1e-12)
-
-
 def random_lexicon_corpus(seed):
     """A corpus of random mentions: repeats, mixed sentiment, and users and
     items that mention nothing. Seed 0 has no mention at all."""
@@ -158,7 +152,7 @@ def random_lexicon_corpus(seed):
                   substitute_pairs=np.empty((0, 2), dtype=np.int64))
 
 
-def brute_force_matrices(corpus, rating_max):
+def brute_force_matrices(corpus):
     """Dense matrices filled cell by cell from the scalar value maps."""
     lex = corpus.lexicon
     x = np.zeros((corpus.n_users, corpus.n_attrs))
@@ -167,22 +161,21 @@ def brute_force_matrices(corpus, rating_max):
         for u in range(corpus.n_users):
             hits = (lex[:, 0] == u) & (lex[:, 2] == a)
             if hits.any():
-                x[u, a] = user_attr_value(int(hits.sum()), rating_max)
+                x[u, a] = user_attr_value(int(hits.sum()))
         for v in range(corpus.n_items):
             hits = (lex[:, 1] == v) & (lex[:, 2] == a)
             if hits.any():
                 count = int(hits.sum())
                 mean = int(lex[hits, 3].sum()) / count
-                y[v, a] = item_attr_value(count, mean, rating_max)
+                y[v, a] = item_attr_value(count, mean)
     return x, y
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_build_matrices_bit_identical_to_scalar_value_maps(seed):
     corpus = random_lexicon_corpus(seed)
-    rating_max = (5.0, 10.0, 3.5)[seed % 3]
-    mats = build_matrices(corpus, rating_max)
-    for got, want in zip(mats, brute_force_matrices(corpus, rating_max)):
+    mats = build_matrices(corpus)
+    for got, want in zip(mats, brute_force_matrices(corpus)):
         assert got.shape == want.shape
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -218,9 +211,8 @@ def test_build_matrices_counts_the_last_grid_cell(seed):
     last = [corpus.n_users - 1, corpus.n_items - 1, corpus.n_attrs - 1]
     extra = np.array([last + [1], last + [-1], last + [1]], dtype=np.int64)
     corpus.lexicon = np.concatenate([corpus.lexicon, extra])
-    rating_max = 5.0
-    mats = build_matrices(corpus, rating_max)
-    for got, want in zip(mats, brute_force_matrices(corpus, rating_max)):
+    mats = build_matrices(corpus)
+    for got, want in zip(mats, brute_force_matrices(corpus)):
         assert want[-1, -1] != 0.0
         assert got[-1, -1] != 0.0
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

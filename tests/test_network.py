@@ -29,11 +29,11 @@ def small_cfg(**kw):
 
 def user_cell(params, user, attr):
     """One user-attribute cell through the batch predictor."""
-    return predict_user_attr_batch(params, [user], [attr], 5.0)[0]
+    return predict_user_attr_batch(params, [user], [attr])[0]
 
 
 def item_cell(params, item, attr):
-    return predict_item_attr_batch(params, [item], [attr], 5.0)[0]
+    return predict_item_attr_batch(params, [item], [attr])[0]
 
 
 def zeroed_params(cfg, n_users=3, n_items=3, n_attrs=3):
@@ -374,10 +374,10 @@ def test_batched_prediction_matches_scalar():
     params = init_params(5, 5, 4, small_cfg(), seed=13)
     users = np.array([0, 2, 4, 1])
     attrs = np.array([3, 1, 0, 2])
-    batch = predict_user_attr_batch(params, users, attrs, 5.0)
+    batch = predict_user_attr_batch(params, users, attrs)
     for k, (u, a) in enumerate(zip(users, attrs)):
         assert batch[k] == pytest.approx(user_cell(params, u, a), abs=1e-12)
-    batch = predict_item_attr_batch(params, users, attrs, 5.0)
+    batch = predict_item_attr_batch(params, users, attrs)
     for k, (v, a) in enumerate(zip(users, attrs)):
         assert batch[k] == pytest.approx(item_cell(params, v, a), abs=1e-12)
 
@@ -402,8 +402,8 @@ def test_split_predictors_match_unsplit_forward(seed):
                             (np.array([n_rows - 1]), np.array([3])),
                             (np.array([], dtype=np.int64),
                              np.array([], dtype=np.int64))):
-            got = predict(params, rows, attrs, 5.0)
-            want = _tower_predict(params, side, rows, attrs, 5.0)[0]
+            got = predict(params, rows, attrs)
+            want = _tower_predict(params, side, rows, attrs)[0]
             assert got.shape == want.shape == (len(rows),)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -457,8 +457,8 @@ def test_split_predictors_raise_where_unsplit_forward_raises(side, case):
         except FloatingPointError as exc:
             return str(exc)
 
-    want = outcome(lambda: _tower_predict(params, side, rows, attrs, 5.0)[0])
-    got = outcome(lambda: PREDICTORS[side](params, rows, attrs, 5.0))
+    want = outcome(lambda: _tower_predict(params, side, rows, attrs)[0])
+    got = outcome(lambda: PREDICTORS[side](params, rows, attrs))
     if expected is None:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     else:
@@ -477,7 +477,7 @@ def _tower_per_run(params, side, rows, attrs):
     starts = [k for k in range(len(rows)) if k == 0 or rows[k] != rows[k - 1]]
     ends = starts[1:] + [len(rows)]
     return np.concatenate([np.empty(0)] + [
-        _tower_predict(params, side, rows[i:j], attrs[i:j], 5.0)[0]
+        _tower_predict(params, side, rows[i:j], attrs[i:j])[0]
         for i, j in zip(starts, ends)])
 
 
@@ -494,7 +494,7 @@ def test_predictors_off_the_split_are_the_reference_bit_for_bit(seed, depth):
     for side, predict in PREDICTORS.items():
         rows = rng.integers(0, len(getattr(params, f"{side}_emb")), n)
         attrs = rng.integers(0, 5, n)
-        _assert_same_bits(predict(params, rows, attrs, 5.0),
+        _assert_same_bits(predict(params, rows, attrs),
                           _tower_per_run(params, side, rows, attrs))
 
 
@@ -516,7 +516,7 @@ def test_predictors_past_the_overflow_bound_are_the_reference_bit_for_bit(
         keep = (rows != 0) | (attrs != 0)
         rows, attrs = rows[keep], attrs[keep]
         with np.errstate(over="ignore"):
-            got = predict(params, rows, attrs, 5.0)
+            got = predict(params, rows, attrs)
         _assert_same_bits(got, _tower_per_run(params, side, rows, attrs))
 
 
@@ -553,7 +553,7 @@ def test_blocked_split_matches_the_whole_call_bit_for_bit(embed_dim):
     for n in sorted({0, 1, block - 1, block, block + 1, 4096}):
         for side, predict in PREDICTORS.items():
             rows, attrs = rng.integers(0, 90, n), rng.integers(0, 70, n)
-            _assert_same_bits(predict(params, rows, attrs, 5.0),
+            _assert_same_bits(predict(params, rows, attrs),
                               _whole_call_split(params, side, rows, attrs))
 
 
@@ -583,12 +583,11 @@ def test_bad_branch_in_a_later_block_takes_the_unsplit_path(side, case):
     predict = PREDICTORS[side]
     first = slice(0, _block_rows(64))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isfinite(predict(params, rows[first], attrs[first],
-                                   5.0)).all()
+        assert np.isfinite(predict(params, rows[first], attrs[first])).all()
         with pytest.raises(FloatingPointError) as want:
-            _tower_predict(params, side, rows, attrs, 5.0)
+            _tower_predict(params, side, rows, attrs)
         with pytest.raises(FloatingPointError) as got:
-            predict(params, rows, attrs, 5.0)
+            predict(params, rows, attrs)
     assert str(want.value) == "non-finite activation after residual block 0"
     assert str(got.value) == str(want.value)
 
@@ -605,13 +604,13 @@ def test_a_cell_keeps_its_bits_at_any_block_size_and_in_any_slice(
         params, rng = _random_one_block(embed_dim, seed=block)
         rows, attrs = rng.integers(0, 90, 1100), rng.integers(0, 70, 1100)
         for side, predict in PREDICTORS.items():
-            whole = predict(params, rows, attrs, 5.0)
+            whole = predict(params, rows, attrs)
             _assert_same_bits(whole, _whole_call_split(params, side, rows,
                                                        attrs))
             for lo, hi in ((0, 1), (1, 2), (3, 700), (255, 596), (7, 1100),
                            (1099, 1100), (341, 1023)):
-                _assert_same_bits(predict(params, rows[lo:hi], attrs[lo:hi],
-                                          5.0), whole[lo:hi])
+                _assert_same_bits(predict(params, rows[lo:hi], attrs[lo:hi]),
+                                  whole[lo:hi])
     rng = np.random.default_rng([block, 47])
     params = init_params(90, 90, 70, small_cfg(embed_dim=8, tower_depth=2),
                          seed=block)
@@ -622,11 +621,11 @@ def test_a_cell_keeps_its_bits_at_any_block_size_and_in_any_slice(
     attrs = rng.integers(0, 70, len(rows))
     bounds = np.concatenate([[0], np.cumsum(lengths)])
     for side, predict in PREDICTORS.items():
-        whole = predict(params, rows, attrs, 5.0)
+        whole = predict(params, rows, attrs)
         _assert_same_bits(whole, _tower_per_run(params, side, rows, attrs))
         for lo, hi in ((0, 1), (5, 6), (3, 17), (20, 40), (0, 40)):
             cells = slice(bounds[lo], bounds[hi])
-            _assert_same_bits(predict(params, rows[cells], attrs[cells], 5.0),
+            _assert_same_bits(predict(params, rows[cells], attrs[cells]),
                               whole[cells])
 
 
@@ -636,12 +635,12 @@ def test_split_predictors_index_like_the_tables():
     params, rng = _random_one_block(8, seed=11)
     rows, attrs = rng.integers(-90, 90, 600), rng.integers(-70, 70, 600)
     for side, predict in PREDICTORS.items():
-        _assert_same_bits(predict(params, rows, attrs, 5.0),
+        _assert_same_bits(predict(params, rows, attrs),
                           _whole_call_split(params, side, rows, attrs))
         for bad in ((np.array([90]), np.array([0])),
                     (np.array([0]), np.array([-71]))):
             with pytest.raises(IndexError):
-                predict(params, *bad, 5.0)
+                predict(params, *bad)
 
 
 # ----------------------------------------------------------- phase-1 loss
@@ -649,16 +648,16 @@ def test_split_predictors_index_like_the_tables():
 def test_phase1_loss_zero_on_perfect_predictions():
     params = zeroed_params(small_cfg())
     cells = (np.array([0, 1]), np.array([0, 2]), np.array([3.0, 3.0]))
-    assert phase1_forward_backward(params, cells, None, 5.0)[0] == 0.0
-    assert phase1_forward_backward(params, None, cells, 5.0)[0] == 0.0
-    assert phase1_forward_backward(params, None, None, 5.0)[0] == 0.0
+    assert phase1_forward_backward(params, cells, None)[0] == 0.0
+    assert phase1_forward_backward(params, None, cells)[0] == 0.0
+    assert phase1_forward_backward(params, None, None)[0] == 0.0
 
 
 def test_phase1_loss_squared_residuals():
     params = zeroed_params(small_cfg())   # every prediction is 3.0
     user_cells = (np.array([0]), np.array([0]), np.array([2.0]))
     item_cells = (np.array([1]), np.array([1]), np.array([5.0]))
-    loss = phase1_forward_backward(params, user_cells, item_cells, 5.0)[0]
+    loss = phase1_forward_backward(params, user_cells, item_cells)[0]
     assert loss == pytest.approx(5.0, abs=1e-12)
 
 
@@ -670,17 +669,16 @@ def test_phase1_gradients_match_finite_differences():
     user_cells = (np.array([0, 2, 4]), np.array([1, 3, 5]),
                   np.array([2.5, 4.0, 1.5]))
     item_cells = (np.array([1, 3]), np.array([0, 2]), np.array([3.5, 2.0]))
-    loss, analytic = phase1_forward_backward(params, user_cells, item_cells,
-                                             rating_max=5.0)
+    loss, analytic = phase1_forward_backward(params, user_cells, item_cells)
     # the loss is the squared error of the eval-mode predictions
-    squared = sum(((predict(params, rows, attrs, 5.0) - targets) ** 2).sum()
+    squared = sum(((predict(params, rows, attrs) - targets) ** 2).sum()
                   for predict, (rows, attrs, targets) in (
                       (predict_user_attr_batch, user_cells),
                       (predict_item_attr_batch, item_cells)))
     assert loss == pytest.approx(squared, abs=1e-12)
     numeric = central_diff_grads(
         params,
-        lambda: phase1_forward_backward(params, user_cells, item_cells, 5.0)[0])
+        lambda: phase1_forward_backward(params, user_cells, item_cells)[0])
     assert worst_relative_gap(analytic, numeric) < 1e-4
 
 
@@ -688,7 +686,7 @@ def test_phase1_gradients_zero_off_path():
     cfg = small_cfg()
     params = init_params(5, 6, 6, cfg, seed=22)
     user_cells = (np.array([1]), np.array([2]), np.array([4.0]))
-    _, grads = phase1_forward_backward(params, user_cells, None, rating_max=5.0)
+    _, grads = phase1_forward_backward(params, user_cells, None)
     assert np.all(grads.user_emb[0] == 0.0)
     assert np.all(grads.user_emb[2:] == 0.0)
     assert np.any(grads.user_emb[1] != 0.0)
@@ -704,9 +702,9 @@ def test_phase1_gradients_scale_linearly():
     cfg = small_cfg()
     params = init_params(4, 4, 4, cfg, seed=23)
     cells = (np.array([0, 3]), np.array([1, 2]), np.array([1.5, 4.5]))
-    _, once = phase1_forward_backward(params, cells, None, rating_max=5.0)
+    _, once = phase1_forward_backward(params, cells, None)
     doubled = tuple(np.concatenate([arr, arr]) for arr in cells)
-    _, twice = phase1_forward_backward(params, doubled, None, rating_max=5.0)
+    _, twice = phase1_forward_backward(params, doubled, None)
     for g1, g2 in zip(once.tensors().values(), twice.tensors().values()):
         np.testing.assert_allclose(g2, 2.0 * g1, atol=1e-12)
 
@@ -716,10 +714,9 @@ def test_phase1_shared_attr_grads_accumulate_both_towers():
     params = init_params(4, 4, 4, cfg, seed=24)
     user_cells = (np.array([0]), np.array([1]), np.array([2.0]))
     item_cells = (np.array([2]), np.array([1]), np.array([4.0]))
-    _, g_user = phase1_forward_backward(params, user_cells, None, rating_max=5.0)
-    _, g_item = phase1_forward_backward(params, None, item_cells, rating_max=5.0)
-    _, g_both = phase1_forward_backward(params, user_cells, item_cells,
-                                        rating_max=5.0)
+    _, g_user = phase1_forward_backward(params, user_cells, None)
+    _, g_item = phase1_forward_backward(params, None, item_cells)
+    _, g_both = phase1_forward_backward(params, user_cells, item_cells)
     np.testing.assert_allclose(g_both.attr_emb,
                                g_user.attr_emb + g_item.attr_emb, atol=1e-12)
 
@@ -729,11 +726,10 @@ def test_phase1_into_a_used_buffer_gives_the_bits_of_a_new_one():
     user_cells = (np.array([0, 2, 2]), np.array([1, 0, 2]),
                   np.array([3.0, 4.5, 1.0]))
     item_cells = (np.array([3, 1]), np.array([2, 2]), np.array([2.0, 5.0]))
-    want_loss, want = phase1_forward_backward(params, user_cells, item_cells,
-                                              5.0)
+    want_loss, want = phase1_forward_backward(params, user_cells, item_cells)
     buf = ModelParams.zeros_like(params)
     buf.flat[...] = np.nan
-    loss, got = phase1_forward_backward(params, user_cells, item_cells, 5.0,
+    loss, got = phase1_forward_backward(params, user_cells, item_cells,
                                         grads=buf)
     assert got is buf and loss == want_loss
     assert np.array_equal(got.flat.view(np.uint64), want.flat.view(np.uint64))
@@ -743,8 +739,7 @@ def test_phase1_dropout_requires_rng():
     params = init_params(3, 3, 3, small_cfg(), seed=25)
     cells = (np.array([0]), np.array([0]), np.array([3.0]))
     with pytest.raises(ValueError, match="rng"):
-        phase1_forward_backward(params, cells, None, rating_max=5.0,
-                                dropout=0.4)
+        phase1_forward_backward(params, cells, None, dropout=0.4)
 
 
 # ------------------------------------------------------------------- adam

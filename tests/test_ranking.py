@@ -50,7 +50,7 @@ def test_estimation_preserves_observed_verbatim():
     user_mat, item_mat = np.zeros((2, 2)), np.zeros((2, 2))
     user_mat[0, 1], item_mat[1, 0] = 4.2, 1.7
     params = init_params(2, 2, 2, scoring_cfg(), seed=3)
-    est = estimate_matrices(user_mat, item_mat, params, 5.0)
+    est = estimate_matrices(user_mat, item_mat, params)
     assert est.user_attr[0, 1] == 4.2
     assert est.item_attr[1, 0] == 1.7
 
@@ -60,7 +60,7 @@ def test_estimation_identity_when_fully_observed(monkeypatch):
     mat = 1.0 + 0.5 * (rows + cols)
     params = init_params(3, 3, 2, scoring_cfg(), seed=4)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(mat, mat.copy(), params, 5.0)
+    est = estimate_matrices(mat, mat.copy(), params)
     assert seen == []
     np.testing.assert_array_equal(est.user_attr, mat)
     np.testing.assert_array_equal(est.item_attr, mat)
@@ -71,7 +71,7 @@ def test_estimation_missing_cells_get_midpoint_under_zero_params(grid_corpus):
     params = init_params(6, 6, 3, scoring_cfg(), seed=5)
     for t in params.tensors().values():
         t[...] = 0.0
-    est = estimate_matrices(user_mat, item_mat, params, 5.0)
+    est = estimate_matrices(user_mat, item_mat, params)
     assert est.user_attr[5, 0] == 3.0      # uF never mentions anything
     assert est.item_attr[4, 2] == 3.0
     assert est.user_attr[0, 0] == user_mat[0, 0]
@@ -80,8 +80,8 @@ def test_estimation_missing_cells_get_midpoint_under_zero_params(grid_corpus):
 def test_estimation_range_and_determinism(grid_corpus):
     user_mat, item_mat = build_matrices(grid_corpus)
     params = init_params(6, 6, 3, scoring_cfg(), seed=6)
-    est1 = estimate_matrices(user_mat, item_mat, params, 5.0)
-    est2 = estimate_matrices(user_mat, item_mat, params, 5.0)
+    est1 = estimate_matrices(user_mat, item_mat, params)
+    est2 = estimate_matrices(user_mat, item_mat, params)
     np.testing.assert_array_equal(est1.user_attr, est2.user_attr)
     np.testing.assert_array_equal(est1.item_attr, est2.item_attr)
     for arr in (est1.user_attr, est1.item_attr):
@@ -105,12 +105,12 @@ def full_grid_complete(observed, predict_rows, chunk=262144):
     return dense
 
 
-def full_grid_estimate(user_mat, item_mat, params, rating_max=5.0):
+def full_grid_estimate(user_mat, item_mat, params):
     return EstimatedMatrices(
         user_attr=full_grid_complete(user_mat, lambda r, c: (
-            predict_user_attr_batch(params, r, c, rating_max))),
+            predict_user_attr_batch(params, r, c))),
         item_attr=full_grid_complete(item_mat, lambda r, c: (
-            predict_item_attr_batch(params, r, c, rating_max))))
+            predict_item_attr_batch(params, r, c))))
 
 
 def random_observed(rng, shape, density, cap=5.0):
@@ -148,8 +148,8 @@ def test_estimation_matches_full_grid_reference(seed):
     params = init_params(n_users, n_items, n_attrs, cfg, seed=seed)
     mats = (random_observed(rng, (n_users, n_attrs), density, cap),
             random_observed(rng, (n_items, n_attrs), density, cap))
-    assert_matches_full_grid(estimate_matrices(*mats, params, cap),
-                             full_grid_estimate(*mats, params, cap), mats)
+    assert_matches_full_grid(estimate_matrices(*mats, params),
+                             full_grid_estimate(*mats, params), mats)
 
 
 def _count_predicted_cells(monkeypatch):
@@ -158,9 +158,9 @@ def _count_predicted_cells(monkeypatch):
     for side in ("user", "item"):
         name = f"predict_{side}_attr_batch"
 
-        def spy(p, r, a, cap, side=side, real=getattr(ranking, name)):
+        def spy(p, r, a, side=side, real=getattr(ranking, name)):
             seen.append((side, r, a))
-            return real(p, r, a, cap)
+            return real(p, r, a)
         monkeypatch.setattr(ranking, name, spy)
     return seen
 
@@ -172,14 +172,14 @@ def test_estimation_calls_each_predictor_once_in_row_major_order(
     params = init_params(9, 11, 7, scoring_cfg(), seed=9)
     ref = full_grid_estimate(user_mat, item_mat, params)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, 5.0)
+    est = estimate_matrices(user_mat, item_mat, params)
     assert [side for side, *_ in seen] == ["user", "item"]
     for (_, rows, attrs), mat in zip(seen, (user_mat, item_mat)):
         want = np.argwhere(mat == 0.0)
         np.testing.assert_array_equal(np.stack([rows, attrs], axis=1), want)
     assert_matches_full_grid(est, ref, (user_mat, item_mat))
     seen.clear()
-    estimate_matrices(user_mat, item_mat, params, 5.0, users=[7, 2])
+    estimate_matrices(user_mat, item_mat, params, users=[7, 2])
     assert [side for side, *_ in seen] == ["user", "item"]
     (_, rows, attrs), _ = seen
     want = np.argwhere(user_mat == 0.0)
@@ -195,9 +195,9 @@ def test_repeated_user_ids_complete_each_row_once(monkeypatch):
     rng = np.random.default_rng(8)
     user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
     params = init_params(9, 11, 7, scoring_cfg(), seed=8)
-    full = estimate_matrices(user_mat, item_mat, params, 5.0)
+    full = estimate_matrices(user_mat, item_mat, params)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, 5.0, users=[8, 2, 2])
+    est = estimate_matrices(user_mat, item_mat, params, users=[8, 2, 2])
     assert [side for side, *_ in seen] == ["user", "item"]
     (_, rows, attrs), _ = seen
     want = np.argwhere(user_mat == 0.0)
@@ -216,9 +216,9 @@ def test_fully_observed_user_row_comes_back_verbatim_with_no_call(
     user_mat[4] = rng.uniform(1.0, 5.0, 7)
     assert user_mat[4].all()
     params = init_params(9, 11, 7, scoring_cfg(), seed=6)
-    full = estimate_matrices(user_mat, item_mat, params, 5.0)
+    full = estimate_matrices(user_mat, item_mat, params)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, 5.0, [4],
+    est = estimate_matrices(user_mat, item_mat, params, [4],
                             full.item_attr)
     assert seen == []
     np.testing.assert_array_equal(est.user_attr[4].view(np.uint64),
@@ -227,14 +227,14 @@ def test_fully_observed_user_row_comes_back_verbatim_with_no_call(
 
 
 def test_no_requested_user_calls_no_user_predictor(monkeypatch):
-    """`users=[]`, as `a2cf train` passes for the item completion it ships:
-    the item matrix is completed whole and no user cell is regressed."""
+    """`users=[]` asks for no user row: the item matrix is completed whole
+    and no user cell is regressed."""
     rng = np.random.default_rng(7)
     user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
     params = init_params(9, 11, 7, scoring_cfg(), seed=7)
-    full = estimate_matrices(user_mat, item_mat, params, 5.0)
+    full = estimate_matrices(user_mat, item_mat, params)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, 5.0, users=[])
+    est = estimate_matrices(user_mat, item_mat, params, users=[])
     assert [side for side, *_ in seen] == ["item"]
     np.testing.assert_array_equal(est.item_attr.view(np.uint64),
                                   full.item_attr.view(np.uint64))
@@ -246,9 +246,9 @@ def test_estimation_over_a_given_item_matrix_runs_only_the_user_predictor(
     rng = np.random.default_rng(5)
     user_mat, item_mat = (random_observed(rng, (n, 7), 0.3) for n in (9, 11))
     params = init_params(9, 11, 7, scoring_cfg(), seed=9)
-    full = estimate_matrices(user_mat, item_mat, params, 5.0)
+    full = estimate_matrices(user_mat, item_mat, params)
     seen = _count_predicted_cells(monkeypatch)
-    est = estimate_matrices(user_mat, item_mat, params, 5.0, [2, 7],
+    est = estimate_matrices(user_mat, item_mat, params, [2, 7],
                             full.item_attr)
     assert [side for side, *_ in seen] == ["user"]
     assert est.item_attr is full.item_attr
@@ -256,7 +256,7 @@ def test_estimation_over_a_given_item_matrix_runs_only_the_user_predictor(
                                   full.user_attr[[2, 7]].view(np.uint64))
     with pytest.raises(ValueError, match=re.escape(
             "item_attr has shape (7, 11), the item matrix (11, 7)")):
-        estimate_matrices(user_mat, item_mat, params, 5.0,
+        estimate_matrices(user_mat, item_mat, params,
                           item_attr=full.item_attr.T)
 
 
@@ -269,9 +269,9 @@ def test_estimation_of_some_user_rows_keeps_their_bits(embed_dim, depth):
                                                    tower_depth=depth), seed=61)
     user_mat = random_observed(rng, (300, 100), 0.3)
     item_mat = random_observed(rng, (40, 100), 0.3)
-    full = estimate_matrices(user_mat, item_mat, params, 5.0)
+    full = estimate_matrices(user_mat, item_mat, params)
     for users in ([0], [137], [299], [5, 6, 250]):
-        est = estimate_matrices(user_mat, item_mat, params, 5.0, users=users)
+        est = estimate_matrices(user_mat, item_mat, params, users=users)
         np.testing.assert_array_equal(est.user_attr[users].view(np.uint64),
                                       full.user_attr[users].view(np.uint64))
         np.testing.assert_array_equal(est.item_attr.view(np.uint64),
@@ -297,17 +297,17 @@ def test_deep_tower_completion_runs_the_training_forward_per_row(
     monkeypatch.setattr(network, "_tower_predict", lambda p, side, r, a, *rest:
                         calls.append((side, r, a)) or real(p, side, r, a,
                                                            *rest))
-    est = estimate_matrices(user_mat, item_mat, params, 5.0)
+    est = estimate_matrices(user_mat, item_mat, params)
     user_calls = [(r, a) for side, r, a in calls if side == "user"]
     assert len(user_calls) == len(held)
     for u, (r, a) in zip(held, user_calls):
         np.testing.assert_array_equal(r, np.full(unobserved[u].sum(), u))
         np.testing.assert_array_equal(a, np.flatnonzero(unobserved[u]))
-        want = real(params, "user", r, a, 5.0)[0]
+        want = real(params, "user", r, a)[0]
         np.testing.assert_array_equal(est.user_attr[u, a].view(np.uint64),
                                       want.view(np.uint64))
     calls.clear()
-    estimate_matrices(user_mat, item_mat, params, 5.0, users=[150],
+    estimate_matrices(user_mat, item_mat, params, users=[150],
                       item_attr=est.item_attr)
     (side, r, a), = calls
     assert side == "user"
@@ -323,7 +323,7 @@ def test_estimation_rejects_user_ids_outside_the_matrix(users, bad):
                           for n in (4, 5))
     params = init_params(4, 5, 3, scoring_cfg(), seed=3)
     with pytest.raises(ValueError) as err:
-        estimate_matrices(user_mat, item_mat, params, 5.0, users=users)
+        estimate_matrices(user_mat, item_mat, params, users=users)
     assert str(err.value) == f"users must be integers in [0, 4), got {bad}"
 
 
@@ -339,7 +339,7 @@ def test_completion_at_depth_one_runs_no_residual_block(monkeypatch):
         raise AssertionError("residual_forward ran")
 
     monkeypatch.setattr(network, "residual_forward", unsplit)
-    assert_matches_full_grid(estimate_matrices(*mats, params, 5.0), ref, mats)
+    assert_matches_full_grid(estimate_matrices(*mats, params), ref, mats)
 
 
 def test_estimation_peak_memory_at_catalog_shape():
@@ -350,7 +350,7 @@ def test_estimation_peak_memory_at_catalog_shape():
     user_mat, item_mat = (random_observed(rng, (n, 100), 0.18) for n in (300, 1010))
     tracemalloc.start()
     try:
-        estimate_matrices(user_mat, item_mat, params, 5.0)
+        estimate_matrices(user_mat, item_mat, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,7 +11,7 @@ import pytest
 
 from a2cf import network, training
 from a2cf.config import RunConfig, TrainConfig
-from a2cf.data import SplitTriplets
+from a2cf.data import RATING_MAX, SplitTriplets
 from a2cf.matrices import build_matrices
 from a2cf.network import (AdamState, ModelParams, adam_step, init_params,
                           param_shapes, tower_slice)
@@ -122,17 +122,17 @@ def test_checkpoint_header_is_config_counts_and_format(tmp_path):
         t.size for t in params.tensors().values())
 
 
-def tiny_item_attr(cfg):
+def tiny_item_attr():
     """A (6, 4) item completion for tiny_params, with both ends of the
-    range [1, rating_max] in it."""
-    item_attr = np.random.default_rng(5).uniform(1.0, cfg.rating_max, (6, 4))
-    item_attr[0, :2] = 1.0, cfg.rating_max
+    range [1, RATING_MAX] in it."""
+    item_attr = np.random.default_rng(5).uniform(1.0, RATING_MAX, (6, 4))
+    item_attr[0, :2] = 1.0, RATING_MAX
     return item_attr
 
 
 def test_format3_checkpoint_ships_the_item_completion(tmp_path):
     params, cfg = tiny_params()
-    item_attr = tiny_item_attr(cfg)
+    item_attr = tiny_item_attr()
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(str(a), params, cfg, item_attr)
     raw = a.read_bytes()
@@ -154,7 +154,7 @@ def test_loaded_tensors_are_views_of_the_section_written(tmp_path, fmt):
     """The tensor section of the file is params.flat's bytes, and the
     loader makes it one vector whose views are the 11 tensors."""
     params, cfg = tiny_params()
-    item_attr = tiny_item_attr(cfg) if fmt == 3 else None
+    item_attr = tiny_item_attr() if fmt == 3 else None
     path = tmp_path / "m.ckpt"
     save_checkpoint(str(path), params, cfg, item_attr)
     raw = path.read_bytes()
@@ -174,9 +174,9 @@ def test_loaded_tensors_are_views_of_the_section_written(tmp_path, fmt):
     (lambda m: m.T, "item completion has shape (4, 6), the counts give "
                     "(6, 4)"),
     (lambda m: np.where(m == 1.0, np.nextafter(1.0, 0.0), m),
-     "item completion holds a value that is non-finite or outside [1, 5.0]"),
+     "item completion holds a value that is non-finite or outside [1, 5]"),
     (lambda m: np.where(m == 5.0, np.inf, m),
-     "item completion holds a value that is non-finite or outside [1, 5.0]"),
+     "item completion holds a value that is non-finite or outside [1, 5]"),
 ], ids=["rows", "transposed", "below_one", "inf"])
 def test_save_refuses_an_item_completion_the_loader_would(tmp_path, edit,
                                                            message):
@@ -184,7 +184,7 @@ def test_save_refuses_an_item_completion_the_loader_would(tmp_path, edit,
     path = tmp_path / "m.ckpt"
     with pytest.raises(ValueError, match=re.escape(f"{path}: ")
                        + ".*" + re.escape(message)):
-        save_checkpoint(str(path), params, cfg, edit(tiny_item_attr(cfg)))
+        save_checkpoint(str(path), params, cfg, edit(tiny_item_attr()))
     assert not path.exists()
 
 
@@ -353,7 +353,7 @@ def test_zero_phase2_steps_stops_without_ranking_loss(tmp_path, synth_corpus,
 def test_train_log_contents(tmp_path, synth_corpus, synth_splits):
     run = short_run(phase1_steps=5, phase2_steps=5)
     result = train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
-    user_mat, item_mat = build_matrices(synth_corpus, 5.0)
+    user_mat, item_mat = build_matrices(synth_corpus)
     first, records = read_log(tmp_path / "train.log")
     assert first == {"users": 50, "items": 60, "attrs": 20,
                      "train": len(synth_splits.train),
@@ -395,7 +395,7 @@ def test_floor_valued_item_cell_is_observed(tmp_path, synth_corpus,
     user_obs, item_obs = build_matrices(corpus)
     assert item_obs[v, a] == 1.0
     params = init_params(50, 60, 20, TrainConfig(embed_dim=8), seed=40)
-    est = training.estimate_matrices(user_obs, item_obs, params, 5.0)
+    est = training.estimate_matrices(user_obs, item_obs, params)
     assert est.item_attr[v, a] == 1.0
     train_pipeline(corpus, synth_splits,
                    short_run(phase1_steps=1, phase2_steps=1), str(tmp_path))
@@ -409,8 +409,7 @@ def test_floor_valued_item_cell_is_observed(tmp_path, synth_corpus,
 
 def test_nonfinite_loss_aborts_with_diagnostic(tmp_path, monkeypatch,
                                                synth_corpus, synth_splits):
-    def poisoned(params, user_cells, item_cells, rating_max, dropout, rng,
-                 grads):
+    def poisoned(params, user_cells, item_cells, dropout, rng, grads):
         return float("nan"), ModelParams.zeros_like(params)
 
     monkeypatch.setattr(training, "phase1_forward_backward", poisoned)
@@ -494,8 +493,8 @@ def test_estimates_refresh_once_per_round_plus_final(monkeypatch,
     real = training.estimate_matrices
     produced = []
 
-    def counting(user_mat, item_mat, params, rating_max):
-        est = real(user_mat, item_mat, params, rating_max)
+    def counting(user_mat, item_mat, params):
+        est = real(user_mat, item_mat, params)
         produced.append(est)
         return est
 
@@ -511,8 +510,8 @@ def test_final_estimate_equals_eager_completion(synth_corpus, synth_splits):
     result = train_pipeline(synth_corpus, synth_splits,
                             short_run(rounds_max=2, phase1_steps=3,
                                       phase2_steps=3))
-    eager = training.estimate_matrices(*build_matrices(synth_corpus, 5.0),
-                                       result.params, 5.0)
+    eager = training.estimate_matrices(*build_matrices(synth_corpus),
+                                       result.params)
     for name in ("user_attr", "item_attr"):
         got, want = getattr(result.est, name), getattr(eager, name)
         assert got.shape == want.shape
