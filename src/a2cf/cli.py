@@ -215,9 +215,9 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    run = _run_config(args)
     corpus, splits = data.load_prepared(args.data)
-    result = training.train_pipeline(corpus, splits, _run_config(args),
-                                     args.out_dir)
+    result = training.train_pipeline(corpus, splits, run, args.out_dir)
     loss = "n/a" if result.final_loss is None else f"{result.final_loss:.6f}"
     print(f"checkpoint: {os.path.join(args.out_dir, training.CHECKPOINT_NAME)}")
     skipped = sum(entry["skipped_updates"] for entry in result.history)
@@ -278,10 +278,11 @@ def _cmd_explain(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     _check_counts(args, "--eval-negatives")
+    seed = _run_config(args).seed
     corpus, splits, params, cfg, item_attr = _load_model(args)
     est = _estimate(corpus, params, cfg, item_attr)
     report = evaluation.evaluate_protocol(
-        params, est, cfg, corpus, splits.test, seed=_run_config(args).seed,
+        params, est, cfg, corpus, splits.test, seed=seed,
         negatives=args.eval_negatives)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, METRICS_NAME)

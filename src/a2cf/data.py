@@ -8,6 +8,8 @@ comment line, blank lines ignored):
 """
 
 import lzma
+import math
+import re
 import zipfile
 import zlib
 from dataclasses import dataclass, fields
@@ -380,38 +382,83 @@ def save_prepared(path: str, corpus: Corpus, splits: SplitTriplets) -> None:
         np.savez(fh, **arrays)
 
 
-# what np.load raises on a damaged archive, from the zip or the .npy layer;
-# MemoryError is a member header declaring more data than memory holds
-_NPZ_ERRORS = (EOFError, KeyError, MemoryError, NotImplementedError, OSError,
-               RuntimeError, ValueError, zipfile.BadZipFile, zlib.error,
-               lzma.LZMAError)
+# what zipfile raises on a damaged archive or member, a bad CRC-32 included
+_NPZ_ERRORS = (EOFError, KeyError, NotImplementedError, OSError, RuntimeError,
+               zipfile.BadZipFile, zlib.error, lzma.LZMAError)
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+# the .npy 1.0 header np.save writes for a C-order array of a plain dtype
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|][biufcSUVO]\d*)', 'fortran_order': False, "
+    rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n")
+
+
+def _parse_npy(raw: bytes) -> np.ndarray:
+    """The array a .npy 1.0 member holds, a read-only view of `raw`;
+    ValueError on any other bytes."""
+    if raw[:8] != _NPY_MAGIC or len(raw) < 10:
+        raise ValueError("not a .npy 1.0 file")
+    end = 10 + int.from_bytes(raw[8:10], "little")
+    if len(raw) < end:
+        raise ValueError("header runs past the end of the member")
+    header = _NPY_HEADER.fullmatch(raw, 10, end)
+    if header is None:
+        raise ValueError("malformed .npy header")
+    descr = header[1].decode()
+    try:
+        dtype = np.dtype(descr)
+    except TypeError:
+        raise ValueError(f"unsupported dtype {descr!r}") from None
+    if dtype.hasobject or not dtype.itemsize:
+        raise ValueError(f"unsupported dtype {descr!r}")
+    shape = tuple(int(n) for n in header[2].split(b",") if n)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if len(raw) - end != nbytes:
+        raise ValueError(f"{len(raw) - end} data bytes where the header "
+                         f"declares {nbytes}")
+    return np.frombuffer(raw, dtype, offset=end).reshape(shape)
 
 
 def load_prepared(path: str) -> tuple[Corpus, SplitTriplets]:
     """Read a `save_prepared` file back.
 
+    The archive is read with zipfile, so each member's CRC-32 is checked
+    before its bytes are parsed. A member must be a .npy 1.0 file whose
+    header is exactly what np.save writes for a C-order array of a dtype
+    other than object: `{'descr': ..., 'fortran_order': False, 'shape':
+    (...), }`, space padding and a newline, then the data bytes the header
+    declares and no others. The id arrays of a file `save_prepared` wrote
+    are read-only views of those bytes.
+
     Every malformed file raises ValueError naming `path`: an unreadable
-    archive or member, a token array that is not 1-D strings, an id array of
-    the wrong type or width, an id out of range for its column, or a
-    sentiment other than +1/-1.
+    archive or member, a member that is not such a .npy file, a token array
+    that is not 1-D strings, an id array of the wrong type or width, an id
+    out of range for its column, or a sentiment other than +1/-1.
     """
+    arrays = {}
     with open(path, "rb") as fh:
         try:
-            with np.load(fh, allow_pickle=False) as blob:
-                arrays = {name: blob[name]
-                          for name in _TOKEN_ARRAYS + tuple(_ID_ARRAYS)}
+            with zipfile.ZipFile(fh) as archive:
+                stored = set(archive.namelist())
+                for name in _TOKEN_ARRAYS + tuple(_ID_ARRAYS):
+                    if f"{name}.npy" not in stored:
+                        raise KeyError(f"{name} is not a file in the archive")
+                    arrays[name] = archive.read(f"{name}.npy")
         except _NPZ_ERRORS as exc:
             raise ValueError(f"{path}: unreadable prepared corpus: {exc}") from None
+    for name, raw in arrays.items():
+        try:
+            arrays[name] = _parse_npy(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {name}.npy: {exc}") from None
     for name in _TOKEN_ARRAYS:
         arr = arrays[name]
-        if not (isinstance(arr, np.ndarray) and arr.ndim == 1
-                and arr.dtype.kind == "U"):
+        if not (arr.ndim == 1 and arr.dtype.kind == "U"):
             raise ValueError(f"{path}: {name} is not a 1-D string array")
         arrays[name] = arr.tolist()
     for name, columns in _ID_ARRAYS.items():
         arr = arrays[name]
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
-                and arr.ndim == 2 and arr.shape[1] == len(columns)):
+        if not (arr.dtype.kind in "iu" and arr.ndim == 2
+                and arr.shape[1] == len(columns)):
             raise ValueError(f"{path}: {name} is not an integer array of "
                              f"width {len(columns)}")
         for col, tokens in enumerate(columns):

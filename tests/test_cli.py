@@ -565,6 +565,28 @@ def test_config_file_setting_rating_max_is_refused(pipeline, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_config_file_is_read_before_the_corpus(pipeline, tmp_path, capsys,
+                                               monkeypatch, command):
+    """A bad config file fails before the prepared corpus is read. The spy
+    records its calls in a list: cli_dispatch would turn an assert raised
+    inside it into an error line."""
+    calls = []
+
+    def spy(path):
+        calls.append(path)
+        return load_prepared(path)
+
+    monkeypatch.setattr(cli.data, "load_prepared", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rating_max = 5\n")
+    argv = _config_argv(pipeline, command, tmp_path / "out")
+    assert cli_dispatch(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}:1: unknown config key 'rating_max'"]
+    assert calls == []
+
+
 def test_explain_help_names_the_request_tokens(capsys):
     assert cli_dispatch(["explain", "--help"]) == 0
     out = capsys.readouterr().out
@@ -1080,7 +1102,8 @@ def _edit_members(edit):
 
 def _huge_test_member(raw: bytes) -> bytes:
     """`test.npy` replaced by a header declaring 10**12 rows and no data;
-    its CRC-32 is valid, so only the allocation can fail."""
+    its CRC-32 is valid, so only the check of the data length against the
+    header, made before any allocation, can refuse it."""
     member = io.BytesIO()
     npformat.write_array_header_1_0(member, {
         "descr": "<i8", "fortran_order": False, "shape": (10**12, 3)})
@@ -1106,7 +1129,8 @@ def _set_cell(name, col, value):
     (lambda raw: b"", "unreadable prepared corpus"),
     (_edit_members(lambda a: a.pop("lexicon")),
      "lexicon is not a file in the archive"),
-    (_huge_test_member, "Unable to allocate"),
+    (_huge_test_member,
+     "test.npy: 0 data bytes where the header declares 24000000000000"),
     (_edit_members(lambda a: a.update(user_tokens=a["user_tokens"][None])),
      "user_tokens is not a 1-D string array"),
     (_edit_members(lambda a: a.update(item_tokens=np.arange(60))),

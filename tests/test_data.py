@@ -727,6 +727,26 @@ def test_prepared_roundtrip_and_byte_determinism(tmp_path, synth_corpus,
     np.testing.assert_array_equal(splits.test, synth_splits.test)
 
 
+def test_loaded_members_equal_np_load(tmp_path, synth_corpus, synth_splits):
+    """np.load, which parses any .npy header, is the reference for the
+    loader's own parser: each of the nine members comes back equal, with
+    np.load's dtype and shape, and each id array is a read-only view."""
+    path = tmp_path / "prepared.npz"
+    save_prepared(str(path), synth_corpus, synth_splits)
+    corpus, splits = load_prepared(str(path))
+    with np.load(path, allow_pickle=False) as blob:
+        assert len(blob.files) == 9
+        for name in blob.files:
+            want = blob[name]
+            got = getattr(corpus if hasattr(corpus, name) else splits, name)
+            if want.dtype.kind == "U":
+                got = np.array(got)
+            else:
+                assert not got.flags.writeable
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            np.testing.assert_array_equal(got, want)
+
+
 def test_corpus_manifest_contents(tmp_path, grid_corpus):
     path = tmp_path / "corpus.manifest"
     rows = np.zeros((3, 3), dtype=np.int64)
