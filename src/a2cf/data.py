@@ -386,9 +386,10 @@ def save_prepared(path: str, corpus: Corpus, splits: SplitTriplets) -> None:
 _NPZ_ERRORS = (EOFError, KeyError, NotImplementedError, OSError, RuntimeError,
                zipfile.BadZipFile, zlib.error, lzma.LZMAError)
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
-# the .npy 1.0 header np.save writes for a C-order array of a plain dtype
+# the .npy 1.0 header np.save writes for a C-order array of a plain,
+# little-endian dtype ('|' for a one-byte type, '<' for the others)
 _NPY_HEADER = re.compile(
-    rb"\{'descr': '([<>|][biufcSUVO]\d*)', 'fortran_order': False, "
+    rb"\{'descr': '([<|][biufcSUVO]\d*)', 'fortran_order': False, "
     rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n")
 
 
@@ -408,7 +409,9 @@ def _parse_npy(raw: bytes) -> np.ndarray:
         dtype = np.dtype(descr)
     except TypeError:
         raise ValueError(f"unsupported dtype {descr!r}") from None
-    if dtype.hasobject or not dtype.itemsize:
+    # dtype.str is the descr np.save writes: '<b1' or '|i8' parse but are
+    # not it
+    if dtype.hasobject or not dtype.itemsize or dtype.str != descr:
         raise ValueError(f"unsupported dtype {descr!r}")
     shape = tuple(int(n) for n in header[2].split(b",") if n)
     nbytes = math.prod(shape) * dtype.itemsize
@@ -423,10 +426,10 @@ def load_prepared(path: str) -> tuple[Corpus, SplitTriplets]:
 
     The archive is read with zipfile, so each member's CRC-32 is checked
     before its bytes are parsed. A member must be a .npy 1.0 file whose
-    header is exactly what np.save writes for a C-order array of a dtype
-    other than object: `{'descr': ..., 'fortran_order': False, 'shape':
-    (...), }`, space padding and a newline, then the data bytes the header
-    declares and no others. The id arrays of a file `save_prepared` wrote
+    header is exactly what np.save writes for a C-order array of a
+    little-endian dtype other than object: `{'descr': ..., 'fortran_order':
+    False, 'shape': (...), }`, space padding and a newline, then the data
+    bytes the header declares and no others. The id arrays of a file `save_prepared` wrote
     are read-only views of those bytes.
 
     Every malformed file raises ValueError naming `path`: an unreadable

@@ -13,12 +13,29 @@ rather than per-user noise.
 Outputs are plain corpus files (reviews/lexicon/substitutes) plus a
 planted.npz holding the ground-truth preference and quality vectors.
 
-Stream contract: the generator makes the same `Generator` calls in the same
-order as a version that drew every weighted choice with
-`rng.choice(..., p=probs)`, and computes every weight with the same float
-operations, so its files match that version's byte for byte. A weighted
-choice here is `choice`'s own inverse-CDF search run on `rng.random`
-doubles, without `choice`'s per-call check of `p`.
+Stream contract: every value the generator draws comes from the same
+positions of the `Generator` stream, through the same numpy routine, as in
+a version that drew each item's quality cells with three `rng.uniform`
+calls and every weighted choice with `rng.choice(..., p=probs)`, and every
+weight is computed with the same float operations, so its files match that
+version's byte for byte. A weighted choice here is `choice`'s own
+inverse-CDF search run on `rng.random` doubles, without `choice`'s per-call
+check of `p`.
+
+What is drawn per row and what per block:
+- The item quality cells are one `rng.uniform` call with per-cell bounds.
+- Each user's cared attributes, taste weights and home clusters are drawn
+  user by user.
+- Each purchase is one `rng.integers` call for the home cluster and one
+  `rng.random()` for the item, in turn, as the items a user may still buy
+  depend on those already bought.
+- Each review row makes three calls: `standard_normal()` for its rating
+  noise, `random()` for the coin that gives it a third mention, then
+  `random(2 * n)` for its n mention doubles and one sentiment-flip double
+  per mention, drawn into one buffer reused from block to block. For
+  REVIEW_BLOCK rows at once the generator then computes the ratings, the
+  mention weights and their CDFs, the inverse-CDF search, the quality
+  lookups and the flips, and writes the block's review and lexicon lines.
 """
 
 import os
@@ -36,6 +53,7 @@ POP_SPREAD = 0.08           # item-level popularity spread at choice time
 TASTE_PROFILES = 3          # user archetypes / item styles
 CARED_ATTRS = 2             # functional attributes each user cares about
 SALIENT_ATTRS = 3           # salient attributes per cluster
+REVIEW_BLOCK = 512          # reviews whose mentions are drawn in one pass
 
 
 @dataclass
@@ -96,14 +114,30 @@ def _inverse_cdf(probs: np.ndarray, uniform):
     return cdf.searchsorted(uniform, side="right")
 
 
+def _inverse_cdf_rows(probs: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """`_inverse_cdf` per row: the (R, m) indices drawn from the rows of the
+    (R, n) `probs` for the (R, m) doubles `uniform`. A double's index is
+    the count of its row's CDF values at or below it, which is
+    `searchsorted(side="right")` on a non-decreasing CDF."""
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf[:, None, :] <= uniform[:, :, None]).sum(axis=2)
+
+
+def _ratings(noisy_mean: np.ndarray) -> np.ndarray:
+    """`min(max(round(x), 1), RATING_MAX)` for each x: np.rint takes a tie
+    to the even integer, as round() does."""
+    return np.clip(np.rint(noisy_mean), 1, RATING_MAX).astype(np.int64)
+
+
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     """Write reviews.tsv / lexicon.tsv / substitutes.tsv / planted.npz under
     out_dir and return their paths. Fully deterministic in (spec, seed).
 
-    The draws follow the stream contract in the module docstring: the same
-    `Generator` calls in the same order as the per-draw `rng.choice(p=)`
-    version, so the four files match its files byte for byte. Raises
-    ValueError if a choice or mention weight is not finite."""
+    The draws follow the stream contract in the module docstring: the
+    stream positions of the per-draw `rng.choice(p=)` version, so the four
+    files match its files byte for byte. Raises ValueError if a choice or
+    mention weight is not finite."""
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
     U, V, A, C = spec.users, spec.items, spec.attributes, spec.clusters
@@ -120,18 +154,26 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
     style_of = np.arange(V) % T
     own_block = block_of[None, :] == np.arange(T)[:, None]     # (T, A)
     other_block = (block_of >= 0)[None, :] & ~own_block
-    own_size, other_size = own_block.sum(axis=1), other_block.sum(axis=1)
+    own_size = own_block.sum(axis=1)
     salient = np.zeros((C, A), dtype=bool)
     for c in range(C):
         salient[c, rng.choice(F, size=SALIENT_ATTRS, replace=False)] = True
     quality = rng.uniform(-0.2, 0.2, size=(V, A))
-    for v in range(V):
-        t = style_of[v]
-        quality[v, own_block[t]] = rng.uniform(0.4, 1.0, size=own_size[t])
-        quality[v, other_block[t]] = rng.uniform(-0.9, -0.4,
-                                                 size=other_size[t])
-        quality[v, salient[cluster_of[v]]] = rng.uniform(
-            0.3, 1.0, size=SALIENT_ATTRS)
+    # then, item by item in one call, each part in attribute order: its own
+    # taste block in [0.4, 1), the other blocks in [-0.9, -0.4) and its
+    # cluster's salient attributes in [0.3, 1)
+    taste_cols = np.array([np.r_[np.flatnonzero(own_block[t]),
+                                 np.flatnonzero(other_block[t])]
+                           for t in range(T)])                # (T, A - F)
+    salient_cols = np.nonzero(salient)[1].reshape(C, SALIENT_ATTRS)
+    own = np.arange(A - F) < own_size[:, None]                # (T, A - F)
+    low = np.hstack([np.where(own, 0.4, -0.9),
+                     np.full((T, SALIENT_ATTRS), 0.3)])
+    high = np.hstack([np.where(own, 1.0, -0.4),
+                      np.full((T, SALIENT_ATTRS), 1.0)])
+    np.put_along_axis(
+        quality, np.hstack([taste_cols[style_of], salient_cols[cluster_of]]),
+        rng.uniform(low[style_of], high[style_of]), axis=1)
     # mute functional attributes that are not salient for the item's cluster;
     # taste blocks always count so style mismatch is felt at choice time
     gate = np.where(salient[cluster_of] | (block_of >= 0)[None, :], 1.0, 0.08)
@@ -194,52 +236,72 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
 
     # ratings from affinity; mentions land on attributes the user weights
     # among those the item actually exposes (cluster salient + its block)
+    interactions = np.array(interactions)                 # (n, 2)
     aff_scale = float(np.std(affinity)) + 1e-12
     mention_gate = 0.08 + 0.92 * (salient[cluster_of] | own_block[style_of])
-    z = affinity[tuple(np.array(interactions).T)] / aff_scale
+    z = affinity[interactions[:, 0], interactions[:, 1]] / aff_scale
     mean_rating = 3.0 + 1.5 * np.tanh(z)
-    reviews = []
-    lexicon = []
-    for idx, (u, v) in enumerate(interactions):
-        # round() takes a tie to the even integer, as np.rint does
-        rating = round(mean_rating[idx] + 0.5 * rng.standard_normal())
-        rating = min(max(rating, 1), RATING_MAX)
-        reviews.append((u, v, rating, TIMESTAMP_BASE + idx * TIMESTAMP_STEP))
-        n_mentions = 2 + int(rng.random() < 0.5)
-        weights = (0.02 + prefs[u]) * mention_gate[v]
-        # the n_mentions choice doubles, then one noise double per mention:
-        # the doubles choice(p=) and the per-mention rng.random() drew
-        draws = rng.random(2 * n_mentions)
-        attrs = _inverse_cdf(weights / weights.sum(), draws[:n_mentions])
-        good = (quality[v, attrs] >= 0).tolist()
-        flips = (draws[n_mentions:] < spec.noise).tolist()
-        for a, g, flip in zip(attrs.tolist(), good, flips):
-            lexicon.append((u, v, a, 1 if g != flip else -1))
-
-    # mention repair: every attribute needs MIN_ATTR_MENTIONS mentions to
-    # survive filtering
-    attr_count = np.bincount([a for _, _, a, _ in lexicon], minlength=A)
-    for a in range(A):
-        need = MIN_ATTR_MENTIONS - int(attr_count[a])
-        for k in range(max(0, need)):
-            u, v = interactions[k % len(interactions)]
-            lexicon.append((u, v, a, 1))
-            attr_count[a] += 1
-
+    attr_count = np.zeros(A, dtype=np.int64)
     user_tok = _tokens("u", U)
     item_tok = _tokens("i", V)
     attr_tok = _tokens("a", A)
     paths = {name: os.path.join(out_dir, fname) for name, fname in (
         ("reviews", "reviews.tsv"), ("lexicon", "lexicon.tsv"),
         ("substitutes", "substitutes.tsv"), ("planted", "planted.npz"))}
-    with open(paths["reviews"], "w", encoding="utf-8") as fh:
-        fh.write("# user\titem\trating\ttimestamp\n")
-        for u, v, r, ts in reviews:
-            fh.write(f"{user_tok[u]}\t{item_tok[v]}\t{r}\t{ts}\n")
-    with open(paths["lexicon"], "w", encoding="utf-8") as fh:
-        fh.write("# user\titem\tattribute\tsentiment\n")
-        for u, v, a, s in lexicon:
-            fh.write(f"{user_tok[u]}\t{item_tok[v]}\t{attr_tok[a]}\t{'+1' if s > 0 else '-1'}\n")
+    slot = np.arange(3)                   # a review mentions 2 or 3 attributes
+    # a block row's n mention doubles, then its n flip doubles; the cells
+    # past 2n keep an earlier row's doubles
+    draws = np.zeros((REVIEW_BLOCK, 2 * len(slot)))
+    with open(paths["reviews"], "w", encoding="utf-8") as reviews, \
+            open(paths["lexicon"], "w", encoding="utf-8") as lexicon:
+        reviews.write("# user\titem\trating\ttimestamp\n")
+        lexicon.write("# user\titem\tattribute\tsentiment\n")
+        for start in range(0, len(interactions), REVIEW_BLOCK):
+            block = interactions[start:start + REVIEW_BLOCK]
+            rows = draws[:len(block)]
+            # per row, in stream order: the rating noise, the coin for a
+            # third mention, then the row's doubles (those choice(p=) and
+            # the per-mention rng.random() drew)
+            normals, mentions = [], []
+            for row in rows:
+                normals.append(rng.standard_normal())
+                n = 3 if rng.random() < 0.5 else 2
+                mentions.append(n)
+                rng.random(out=row[:2 * n])
+            ratings = _ratings(mean_rating[start:start + len(block)]
+                               + 0.5 * np.array(normals))
+            users, items = block[:, 0], block[:, 1]
+            stamps = TIMESTAMP_BASE + TIMESTAMP_STEP * np.arange(
+                start, start + len(block))
+            reviews.write("".join(
+                f"{user_tok[u]}\t{item_tok[v]}\t{r}\t{ts}\n"
+                for u, v, r, ts in zip(users.tolist(), items.tolist(),
+                                       ratings.tolist(), stamps.tolist())))
+            mentions = np.array(mentions)
+            # the slots past a row's mentions are dropped by `used`
+            used = slot < mentions[:, None]
+            weights = (0.02 + prefs[users]) * mention_gate[items]
+            attrs = _inverse_cdf_rows(
+                weights / weights.sum(axis=1, keepdims=True),
+                rows[:, :len(slot)])[used]
+            flips = np.take_along_axis(rows, mentions[:, None] + slot,
+                                       axis=1)[used]
+            users, items = (np.repeat(users, mentions),
+                            np.repeat(items, mentions))
+            signs = np.where((quality[items, attrs] >= 0)
+                             != (flips < spec.noise), "+1", "-1")
+            lexicon.write("".join(
+                f"{user_tok[u]}\t{item_tok[v]}\t{attr_tok[a]}\t{s}\n"
+                for u, v, a, s in zip(users.tolist(), items.tolist(),
+                                      attrs.tolist(), signs.tolist())))
+            attr_count += np.bincount(attrs, minlength=A)
+        # mention repair: every attribute needs MIN_ATTR_MENTIONS mentions
+        # to survive filtering
+        for a in range(A):
+            for k in range(MIN_ATTR_MENTIONS - int(attr_count[a])):
+                u, v = interactions[k % len(interactions)].tolist()
+                lexicon.write(
+                    f"{user_tok[u]}\t{item_tok[v]}\t{attr_tok[a]}\t+1\n")
     with open(paths["substitutes"], "w", encoding="utf-8") as fh:
         fh.write("# item\titem\n")
         for c in range(C):

@@ -10,6 +10,7 @@ import re
 import struct
 import zipfile
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -132,14 +133,30 @@ def member_offsets(raw: bytes) -> dict:
     return offsets
 
 
+def assert_same_prepared(got, want, label):
+    """Every field of the (Corpus, SplitTriplets) pair `got` equals
+    `want`'s, in value and dtype."""
+    for g, w in zip(got, want):
+        for field in fields(w):
+            a, b = getattr(g, field.name), getattr(w, field.name)
+            if isinstance(b, list):
+                assert a == b, (label, field.name)
+            else:
+                assert a.dtype == b.dtype and np.array_equal(a, b), \
+                    (label, field.name)
+
+
 def test_every_npy_header_bit_loads_or_names_the_file(tmp_path,
                                                       small_prepared):
     """Each single-bit flip of each member's .npy header, with the CRC-32
-    rewritten to match so that the flip reaches the header parser. Only
-    the member's header and its two CRC fields are rewritten in place,
-    which keeps the 9 x 128 x 8 loads within a few seconds."""
+    rewritten to match so that the flip reaches the header parser. A flip
+    that loads must give the arrays of the intact file: a byte-order flip
+    such as '<U' to '>U' would read other tokens. Only the member's header
+    and its two CRC fields are rewritten in place, which keeps the
+    9 x 128 x 8 loads within a few seconds."""
     path = tmp_path / "bad.npz"
     path.write_bytes(small_prepared)
+    intact = load_prepared(str(path))
     with zipfile.ZipFile(io.BytesIO(small_prepared)) as archive:
         members = {name: archive.read(name) for name in archive.namelist()}
     offsets = member_offsets(small_prepared)
@@ -157,13 +174,15 @@ def test_every_npy_header_bit_loads_or_names_the_file(tmp_path,
                 for at in crc_at:
                     os.pwrite(fh.fileno(), struct.pack("<I", crc), at)
                 try:
-                    load_prepared(str(path))
+                    loaded = load_prepared(str(path))
                 except ValueError as exc:
                     assert str(exc).startswith(f"{path}: "), \
                         (name, pos, bit, str(exc))
                 except Exception as exc:
                     pytest.fail(f"{name} byte {pos} bit {bit}: "
                                 f"{type(exc).__name__}: {exc}")
+                else:
+                    assert_same_prepared(loaded, intact, (name, pos, bit))
                 flips += 1
             os.pwrite(fh.fileno(), member[:end], start)
             for at in crc_at:
@@ -203,8 +222,10 @@ def header_past_the_end(member: bytes) -> bytes:
     ("train", edit_header(b"False", b"True"), "malformed .npy header"),
     ("test", version_2_0, "not a .npy 1.0 file"),
     ("test", header_past_the_end, "header runs past the end of the member"),
+    ("item_tokens", edit_header(b"'<U", b"'>U"), "malformed .npy header"),
+    ("valid", edit_header(b"'<i8'", b"'|i8'"), "unsupported dtype '|i8'"),
 ], ids=["shape_bang", "object_descr", "fortran_order", "version_2_0",
-        "header_past_member"])
+        "header_past_member", "big_endian_descr", "one_byte_order_on_int64"])
 def test_crafted_npy_member_is_named_and_one_line(tmp_path, small_prepared,
                                                   capsys, name, edit,
                                                   message):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import a2cf.synthetic as synthetic
-from a2cf.data import (MIN_ATTR_MENTIONS, MIN_ITEM_USERS, filter_corpus,
-                       load_lexicon, load_reviews, load_substitutes)
+from a2cf.data import (MIN_ATTR_MENTIONS, MIN_ITEM_USERS, RATING_MAX,
+                       filter_corpus, load_lexicon, load_reviews,
+                       load_substitutes)
 from a2cf.synthetic import (TIMESTAMP_BASE, TIMESTAMP_STEP, SyntheticSpec,
-                            _inverse_cdf, _tokens, generate_synthetic)
+                            _inverse_cdf, _inverse_cdf_rows, _ratings,
+                            _tokens, generate_synthetic)
 
 SMALL = dict(users=30, items=24, attributes=12, clusters=8,
              functional_attrs=6)
@@ -368,6 +370,44 @@ def test_inverse_cdf_breaks_ties_as_choice_does():
             np.testing.assert_array_equal(_inverse_cdf(probs, rng.random(3)),
                                           want)
         checked += 1
+
+
+def test_blocked_inverse_cdf_breaks_ties_as_choice_does():
+    """The per-row search of a review block, on rows whose CDF is (b, 1.0)
+    for a drawn double u and its two neighbours b: each row draws from u,
+    and then two more doubles, the indices rng.choice(p=) draws from the
+    same state. As for _inverse_cdf, the file grid cannot see a tie."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 20:
+        state = rng.bit_generator.state
+        u = rng.random()
+        if u < 0.5:
+            continue
+        probs = np.array([[b, 1.0 - b] for b in (
+            np.nextafter(u, 0.0), u, np.nextafter(u, 1.0))])
+        want = []
+        for row in probs:
+            rng.bit_generator.state = state
+            want.append(rng.choice(2, size=3, p=row))
+        rng.bit_generator.state = state
+        doubles = np.tile(rng.random(3), (len(probs), 1))
+        np.testing.assert_array_equal(_inverse_cdf_rows(probs, doubles),
+                                      want)
+        checked += 1
+
+
+def test_ratings_round_half_to_even_and_clip_to_the_scale():
+    """The blocked rating rule is min(max(round(x), 1), RATING_MAX) on
+    exact halves, their neighbours, negatives and values above the scale;
+    round() takes a half to the even integer."""
+    halves = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+    values = halves + [np.nextafter(h, d) for h in halves for d in (0, 9)]
+    values += [-0.5, -1.5, -2.5, -0.0, -3.7, 0.0, 5.4999, 6.0, 7.5, 1e9]
+    got = _ratings(np.array(values))
+    assert got.tolist() == [min(max(round(x), 1), RATING_MAX)
+                            for x in values]
+    assert got[:5].tolist() == [1, 2, 2, 4, 4]
 
 
 def test_files_match_the_choice_based_reference(tmp_path, monkeypatch):
