@@ -8,7 +8,7 @@ trained towers fill in the unobserved cells.
 import numpy as np
 
 from a2cf.config import TrainConfig
-from a2cf.data import Corpus, LexiconEntry, ReviewRecord, filter_corpus
+from a2cf.data import filter_corpus
 from a2cf.matrices import build_matrices, item_attr_value, user_attr_value
 from a2cf.network import init_params
 from a2cf.ranking import estimate_matrices
@@ -54,10 +54,11 @@ def main():
     for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
         print(f"  mean sentiment {s:+.1f} -> {item_attr_value(2, s, 5.0):.4f}")
 
-    reviews = [ReviewRecord(u, v, r) for u, v, r in REVIEWS]
-    lexicon = [LexiconEntry(u, v, a, 1 if s == "+1" else -1)
-               for u, v, a, s in LEXICON]
-    corpus = filter_corpus(reviews, lexicon, SUBSTITUTES,
+    # the columns the corpus loaders return; the ratings are not kept
+    users, items, _ = zip(*REVIEWS)
+    *mentions, signs = zip(*LEXICON)
+    lexicon = (*mentions, [int(s) for s in signs])
+    corpus = filter_corpus((users, items), lexicon, tuple(zip(*SUBSTITUTES)),
                            min_user_items=1, min_item_users=1,
                            min_attr_mentions=1)
     user_mat, item_mat = build_matrices(corpus)

@@ -2,10 +2,10 @@
 substitute recommendation."""
 
 from .config import RunConfig, TrainConfig, build_run_config, parse_config_file
-from .data import (Corpus, LexiconEntry, ReviewRecord, SplitTriplets,
-                   build_triplets, filter_corpus, load_lexicon, load_prepared,
-                   load_reviews, load_substitutes, sample_query_item,
-                   save_prepared, split_triplets, write_corpus_manifest)
+from .data import (Corpus, SplitTriplets, build_triplets, filter_corpus,
+                   load_lexicon, load_prepared, load_reviews,
+                   load_substitutes, sample_query_item, save_prepared,
+                   split_triplets, write_corpus_manifest)
 from .evaluation import (ProtocolReport, atc, evaluate_protocol, hr_at_k,
                          map_attributes, ndcg_at_k, write_metrics_report)
 from .interpret import (AttributeAdvantage, InterpretationReport,
@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AttributeAdvantage", "Corpus", "EstimatedMatrices",
-    "InterpretationReport", "LexiconEntry", "ModelParams", "ProtocolReport",
-    "RankedList", "ReviewRecord", "RunConfig", "SplitTriplets",
-    "SyntheticSpec", "TrainConfig", "TrainResult", "adam_step",
+    "InterpretationReport", "ModelParams", "ProtocolReport", "RankedList",
+    "RunConfig", "SplitTriplets", "SyntheticSpec", "TrainConfig",
+    "TrainResult", "adam_step",
     "aggregate_attributes", "atc", "attention", "attribute_advantage",
     "bpr_s_forward_backward", "build_matrices", "build_run_config",
     "build_triplets", "dropout_mask", "estimate_matrices", "evaluate_protocol",

@@ -201,7 +201,7 @@ def _cmd_prepare(args) -> int:
     # no query can be drawn for, and test triplets that leak training pairs
     dropped = {
         "duplicate_review_pairs":
-            len(reviews) - len({(r.user_id, r.item_id) for r in reviews}),
+            len(reviews[0]) - len(set(zip(*reviews))),
         "interactions_without_query": len(corpus.interactions) - len(triplets),
         "leaked_test_triplets": len(triplets) - sum(
             len(part) for part in (splits.train, splits.valid, splits.test))}

@@ -90,6 +90,8 @@ class RunConfig:
 
     def __post_init__(self):
         _require_types(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rounds_max < 1:
             raise ValueError("rounds_max must be >= 1")
         if self.phase1_steps < 0 or self.phase2_steps < 0:

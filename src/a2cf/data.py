@@ -5,6 +5,10 @@ comment line, blank lines ignored):
   reviews:      user_id  item_id  rating  [timestamp]
   lexicon:      user_id  item_id  attribute  {+1|-1}
   substitutes:  item_id  item_id            (unordered pair, no self-pairs)
+
+Each loader returns its file's columns as lists. A review's rating and
+timestamp are checked (integers, the rating in [1, RATING_MAX]) but not
+kept: the model reads only who reviewed what.
 """
 
 import lzma
@@ -14,7 +18,6 @@ import zipfile
 import zlib
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,20 +28,6 @@ RATING_MAX = 5      # reviews and both attribute matrices lie on [1, RATING_MAX]
 MIN_USER_ITEMS = 5          # distinct items per user
 MIN_ITEM_USERS = 5          # distinct users per item
 MIN_ATTR_MENTIONS = 2       # surviving lexicon lines per attribute
-
-
-class ReviewRecord(NamedTuple):
-    user_id: str
-    item_id: str
-    rating: int
-    timestamp: int | None = None
-
-
-class LexiconEntry(NamedTuple):
-    user_id: str
-    item_id: str
-    attribute: str
-    sentiment: int  # +1 or -1
 
 
 def _records(path: str, widths: tuple):
@@ -67,50 +56,52 @@ def _records(path: str, widths: tuple):
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
 
 
-def load_reviews(path: str) -> list[ReviewRecord]:
-    """Parse a review file; ratings must be integers in [1, RATING_MAX]."""
-    records = []
+def load_reviews(path: str) -> tuple[list[str], list[str]]:
+    """The (users, items) columns of a review file. Each rating must be an
+    integer in [1, RATING_MAX] and each timestamp an integer; neither is
+    kept."""
+    users, items = [], []
     for lineno, parts in _records(path, (3, 4)):
-        user, item, rating_raw = parts[0], parts[1], parts[2]
         try:
-            rating = int(rating_raw)
+            rating = int(parts[2])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: rating {rating_raw!r} is not an integer") from None
+            raise ValueError(f"{path}:{lineno}: rating {parts[2]!r} is not an integer") from None
         if not 1 <= rating <= RATING_MAX:
             raise ValueError(f"{path}:{lineno}: rating {rating} outside [1, {RATING_MAX}]")
-        timestamp = None
         if len(parts) == 4:
             try:
-                timestamp = int(parts[3])
+                int(parts[3])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: timestamp {parts[3]!r} is not an integer") from None
-        records.append(ReviewRecord(user, item, rating, timestamp))
-    return records
+        users.append(parts[0])
+        items.append(parts[1])
+    return users, items
 
 
-def load_lexicon(path: str) -> list[LexiconEntry]:
-    """Parse sentiment-lexicon lines; the sentiment field is '+1' or '-1'."""
-    entries = []
+def load_lexicon(path: str) -> tuple[list[str], list[str], list[str], list[int]]:
+    """The (users, items, attrs, sentiments) columns of a sentiment-lexicon
+    file; the sentiment field is '+1' or '-1'."""
+    users, items, attrs, sentiments = [], [], [], []
     for lineno, (user, item, attr, sent) in _records(path, (4,)):
-        if sent == "+1":
-            sentiment = 1
-        elif sent == "-1":
-            sentiment = -1
-        else:
+        if sent not in ("+1", "-1"):
             raise ValueError(f"{path}:{lineno}: sentiment must be '+1' or '-1', got {sent!r}")
-        entries.append(LexiconEntry(user, item, attr, sentiment))
-    return entries
+        users.append(user)
+        items.append(item)
+        attrs.append(attr)
+        sentiments.append(int(sent))
+    return users, items, attrs, sentiments
 
 
-def load_substitutes(path: str) -> list[tuple[str, str]]:
-    """Parse substitute pairs; self-pairs are rejected, duplicates collapsed
-    (the first occurrence keeps its place)."""
-    pairs = {}
+def load_substitutes(path: str) -> tuple[list[str], list[str]]:
+    """The two item columns of a substitute-pair file, pairs as listed;
+    a self-pair is rejected."""
+    firsts, seconds = [], []
     for lineno, (a, b) in _records(path, (2,)):
         if a == b:
             raise ValueError(f"{path}:{lineno}: item {a!r} listed as its own substitute")
-        pairs[(a, b) if a <= b else (b, a)] = None
-    return list(pairs)
+        firsts.append(a)
+        seconds.append(b)
+    return firsts, seconds
 
 
 @dataclass
@@ -182,19 +173,20 @@ def _keep_ids(vocab: list[str], alive: np.ndarray) -> tuple[list[str], np.ndarra
     return [vocab[i] for i in np.flatnonzero(alive)], new_id
 
 
-def filter_corpus(reviews: list[ReviewRecord],
-                  lexicon: list[LexiconEntry],
-                  substitutes: list[tuple[str, str]],
+def filter_corpus(reviews: tuple, lexicon: tuple, substitutes: tuple,
                   min_user_items: int = MIN_USER_ITEMS,
                   min_item_users: int = MIN_ITEM_USERS,
                   min_attr_mentions: int = MIN_ATTR_MENTIONS) -> Corpus:
     """Apply activity thresholds and assign dense ids.
 
-    Users with fewer than min_user_items distinct items and items with fewer
-    than min_item_users distinct users are removed iteratively until a fixed
-    point; afterwards attributes mentioned fewer than min_attr_mentions times
-    (counting surviving lexicon lines, duplicates included) are dropped.
-    Every threshold must be >= 1.
+    `reviews`, `lexicon` and `substitutes` are the columns `load_reviews`,
+    `load_lexicon` and `load_substitutes` return. Users with fewer than
+    min_user_items distinct items and items with fewer than min_item_users
+    distinct users are removed iteratively until a fixed point; afterwards
+    attributes mentioned fewer than min_attr_mentions times (counting
+    surviving lexicon lines, duplicates included) are dropped. A substitute
+    pair may repeat, in either order: the pairs are ordered and
+    deduplicated by id. Every threshold must be >= 1.
 
     Tokens become integer codes once (`_codes`); the distinct review pairs,
     the degree pruning, the mention counts and the row orders are then
@@ -204,11 +196,11 @@ def filter_corpus(reviews: list[ReviewRecord],
         raise ValueError("activity thresholds must be >= 1, got "
                          f"min_user_items={min_user_items}, min_item_users="
                          f"{min_item_users}, min_attr_mentions={min_attr_mentions}")
-    users, (rev_u, lex_u) = _codes([r.user_id for r in reviews],
-                                   [e.user_id for e in lexicon])
-    items, (rev_v, lex_v, sub_a, sub_b) = _codes(
-        [r.item_id for r in reviews], [e.item_id for e in lexicon],
-        [a for a, _ in substitutes], [b for _, b in substitutes])
+    rev_users, rev_items = reviews
+    lex_users, lex_items, lex_attrs, sentiments = lexicon
+    users, (rev_u, lex_u) = _codes(rev_users, lex_users)
+    items, (rev_v, lex_v, sub_a, sub_b) = _codes(rev_items, lex_items,
+                                                 *substitutes)
     # distinct (user, item) pairs in (user, item) order, pruned by degree
     # until a round removes none
     u, v = np.divmod(np.unique(rev_u * len(items) + rev_v), len(items))
@@ -224,7 +216,7 @@ def filter_corpus(reviews: list[ReviewRecord],
     user_tokens, uid = _keep_ids(users, user_deg > 0)
     item_tokens, vid = _keep_ids(items, item_deg > 0)
 
-    attrs, (lex_a,) = _codes([e.attribute for e in lexicon])
+    attrs, (lex_a,) = _codes(lex_attrs)
     lex_u, lex_v = uid[lex_u], vid[lex_v]
     on_corpus = (lex_u >= 0) & (lex_v >= 0)
     mentions = np.bincount(lex_a[on_corpus], minlength=len(attrs))
@@ -232,8 +224,8 @@ def filter_corpus(reviews: list[ReviewRecord],
     if not attr_tokens:
         raise ValueError("no attribute survives the mention threshold")
     lex_a = aid[lex_a]
-    sentiment = np.array([e.sentiment for e in lexicon], dtype=np.int64)
-    lex = np.column_stack([lex_u, lex_v, lex_a, sentiment])
+    lex = np.column_stack([lex_u, lex_v, lex_a,
+                           np.array(sentiments, dtype=np.int64)])
     lex = lex[on_corpus & (lex_a >= 0)]
     # rows in (user, item, attr, sentiment) order
     lex = lex[np.lexsort(lex.T[::-1])]
@@ -249,26 +241,32 @@ def filter_corpus(reviews: list[ReviewRecord],
                   lex.reshape(-1, 4), subs.reshape(-1, 2))
 
 
+def inverse_cdf_rows(probs: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """The (R, m) indices drawn from the rows of the (R, n) `probs` for the
+    (R, m) `rng.random` doubles `uniform`: per row, the search that
+    `Generator.choice(n, p=row)` runs on the doubles it draws, so it
+    returns what `choice` would. The cumulative sum runs left to right, and
+    a double's index is the count of its row's CDF values at or below it,
+    which is `searchsorted(side="right")` on a non-decreasing CDF."""
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf[:, None, :] <= uniform[:, :, None]).sum(axis=2)
+
+
 def _draw_queries(pools: np.ndarray, weights: np.ndarray,
                   draws: np.ndarray) -> np.ndarray:
     """For each row of the (k, n) item stack `pools`, the item that the
     uniform draw `draws[i]` selects when the row is weighted by `weights`
     (uniform when the row's weights sum to zero): the item
-    rng.choice(n, p=...) gives when its draw is `draws[i]`.
-
-    Every step is the 1-D draw's, row by row: the row sum is numpy's
-    pairwise sum along a contiguous row, the cumulative sum runs left to
-    right, and counting the CDF values <= the draw is
-    searchsorted(side="right").
+    rng.choice(n, p=...) gives when its draw is `draws[i]`. The row sum is
+    numpy's pairwise sum along a contiguous row, as in the 1-D draw.
     """
     w = weights[pools]
     total = w.sum(axis=1)
     flat = total <= 0.0
     probs = w / np.where(flat, 1.0, total)[:, None]
     probs[flat] = 1.0 / pools.shape[1]
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    picked = (cdf <= draws[:, None]).sum(axis=1)
+    picked = inverse_cdf_rows(probs, draws[:, None])[:, 0]
     return pools[np.arange(len(pools)), picked]
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (MIN_ATTR_MENTIONS, MIN_ITEM_USERS, MIN_USER_ITEMS,
-                   RATING_MAX)
+                   RATING_MAX, inverse_cdf_rows)
 
 TIMESTAMP_BASE = 1_600_000_000
 TIMESTAMP_STEP = 86_400
@@ -112,16 +112,6 @@ def _inverse_cdf(probs: np.ndarray, uniform):
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(uniform, side="right")
-
-
-def _inverse_cdf_rows(probs: np.ndarray, uniform: np.ndarray) -> np.ndarray:
-    """`_inverse_cdf` per row: the (R, m) indices drawn from the rows of the
-    (R, n) `probs` for the (R, m) doubles `uniform`. A double's index is
-    the count of its row's CDF values at or below it, which is
-    `searchsorted(side="right")` on a non-decreasing CDF."""
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf[:, None, :] <= uniform[:, :, None]).sum(axis=2)
 
 
 def _ratings(noisy_mean: np.ndarray) -> np.ndarray:
@@ -281,7 +271,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str) -> dict:
             # the slots past a row's mentions are dropped by `used`
             used = slot < mentions[:, None]
             weights = (0.02 + prefs[users]) * mention_gate[items]
-            attrs = _inverse_cdf_rows(
+            attrs = inverse_cdf_rows(
                 weights / weights.sum(axis=1, keepdims=True),
                 rows[:, :len(slot)])[used]
             flips = np.take_along_axis(rows, mentions[:, None] + slot,

@@ -104,7 +104,9 @@ def load_checkpoint(path: str) -> tuple:
     (hlen,) = struct.unpack("<I", raw[8:12])
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers a bad UTF-8 or JSON header and an integer past
+        # Python's digit limit; RecursionError a header nested too deep
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: corrupt checkpoint header: not an object")
@@ -224,23 +226,24 @@ def train_pipeline(corpus: Corpus, splits: SplitTriplets, run: RunConfig,
     line of corpus counts and `cells_filled`, then each record as its phase
     ends, closed on return and on any exception; then model.ckpt, the
     final params and the item section of `est`; an earlier run's
-    model.ckpt and diagnostic.ckpt go first. Without it nothing is written.
-    An empty training split raises ValueError before `out_dir` is touched.
+    model.ckpt and diagnostic.ckpt go once the seeds are spawned and the
+    params built, so a failure before then, an empty training split among
+    them, leaves `out_dir` untouched. Without it nothing is written.
     """
     cfg = run.train
     train = splits.train
     if len(train) == 0:
         raise ValueError("empty training split")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        for name in (CHECKPOINT_NAME, DIAGNOSTIC_NAME):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, name))
     user_mat, item_mat = build_matrices(corpus)
     seeds = np.random.SeedSequence(run.seed).spawn(5)
     init_seed, p1_seed, drop_seed, p2_seed, neg_seed = seeds
     params = init_params(corpus.n_users, corpus.n_items, corpus.n_attrs,
                          cfg, init_seed)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        for name in (CHECKPOINT_NAME, DIAGNOSTIC_NAME):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
     drop_rng = np.random.default_rng(drop_seed)
     neg_rng = np.random.default_rng(neg_seed)
     adam_p1 = AdamState.zeros_like(params)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from a2cf.config import RunConfig, TrainConfig
-from a2cf.data import (LexiconEntry, ReviewRecord, build_triplets,
-                       filter_corpus, load_lexicon, load_reviews,
-                       load_substitutes, split_triplets)
+from a2cf.data import (build_triplets, filter_corpus, load_lexicon,
+                       load_reviews, load_substitutes, split_triplets)
 from a2cf.network import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ModelParams
 from a2cf.synthetic import SyntheticSpec, generate_synthetic
 from a2cf.training import train_pipeline
@@ -34,22 +33,29 @@ SUB_PAIRS = [("p0", "p1"), ("p0", "p2"), ("p1", "p2"),
              ("p3", "p4"), ("p3", "p5"), ("p4", "p5")]
 
 
+def columns(rows, width):
+    """The `width` columns of `rows` as lists, the form the corpus loaders
+    return."""
+    return tuple([row[k] for row in rows] for k in range(width))
+
+
 def grid_reviews():
-    """Complete 6x6 interaction grid; every user and item has degree 6."""
-    rows = []
-    for ui, _ in enumerate(USERS):
-        for vi, _ in enumerate(ITEMS):
-            rows.append(ReviewRecord(USERS[ui], ITEMS[vi], (ui + vi) % 5 + 1))
-    return rows
+    """(users, items) of the complete 6x6 interaction grid; every user and
+    item has degree 6."""
+    return columns([(u, v) for u in USERS for v in ITEMS], 2)
 
 
 def grid_lexicon():
-    return [LexiconEntry(*row) for row in LEXICON_ROWS]
+    return columns(LEXICON_ROWS, 4)
+
+
+def grid_substitutes():
+    return columns(SUB_PAIRS, 2)
 
 
 @pytest.fixture
 def grid_corpus():
-    return filter_corpus(grid_reviews(), grid_lexicon(), list(SUB_PAIRS))
+    return filter_corpus(grid_reviews(), grid_lexicon(), grid_substitutes())
 
 
 def write_corpus_files(dirpath, reviews=None, lexicon=None, subs=None):
@@ -58,7 +64,8 @@ def write_corpus_files(dirpath, reviews=None, lexicon=None, subs=None):
     l_path = dirpath / "lexicon.tsv"
     s_path = dirpath / "substitutes.tsv"
     if reviews is None:
-        reviews = [(r.user_id, r.item_id, str(r.rating)) for r in grid_reviews()]
+        reviews = [(u, v, str((ui + vi) % 5 + 1))
+                   for ui, u in enumerate(USERS) for vi, v in enumerate(ITEMS)]
     if lexicon is None:
         lexicon = [(u, v, a, "+1" if s > 0 else "-1") for u, v, a, s in LEXICON_ROWS]
     if subs is None:

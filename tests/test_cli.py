@@ -849,9 +849,10 @@ def _empty_training_split(pipeline, tmp_path):
 @pytest.mark.parametrize("data, flags, message", [
     (_empty_training_split, [], "error: empty training split"),
     (None, ["--learning-rate", "-1"], "error: learning_rate must be > 0"),
+    (None, ["--seed", "-1"], "error: seed must be >= 0, got -1"),
     (lambda pipeline, tmp_path: str(tmp_path / "missing.npz"), [],
      "error: [Errno 2] No such file or directory"),
-], ids=["empty_split", "negative_rate", "missing_data"])
+], ids=["empty_split", "negative_rate", "negative_seed", "missing_data"])
 def test_train_failing_before_its_first_step_keeps_the_out_dir(
         pipeline, tmp_path, capsys, data, flags, message):
     """A run that fails before training starts leaves --out-dir as it was:
@@ -864,6 +865,23 @@ def test_train_failing_before_its_first_step_keeps_the_out_dir(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message), err
     assert {p.name: p.read_bytes() for p in stale.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["prepare", "synth", "evaluate"])
+def test_negative_seed_is_one_line_error(pipeline, tmp_path, capsys,
+                                         command):
+    raw = pipeline["raw"]
+    out = tmp_path / "out"
+    argv = {"prepare": ["prepare", "--reviews", str(raw / "reviews.tsv"),
+                        "--lexicon", str(raw / "lexicon.tsv"),
+                        "--substitutes", str(raw / "substitutes.tsv"),
+                        "--out-dir", str(out)],
+            "synth": ["synth", "--out-dir", str(out)],
+            "evaluate": _model_argv(pipeline, "evaluate", out)}[command]
+    assert cli_dispatch(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: seed must be >= 0, got -1"]
+    assert not out.exists()
 
 
 def test_config_file_nan_is_one_line_error(pipeline, tmp_path, capsys):
@@ -943,6 +961,15 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
 
 
+def _header_bytes(blob: bytes):
+    """A corrupter that puts `blob` in place of the JSON header."""
+    def corrupt(raw: bytes) -> bytes:
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        return (CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob
+                + raw[12 + hlen:])
+    return corrupt
+
+
 def _unknown_config_key(header):
     header["config"]["bogus"] = 1
 
@@ -999,6 +1026,9 @@ def _absurd_dims(header):
 
 @pytest.mark.parametrize("corrupt,message", [
     (lambda raw: raw[:11], "truncated checkpoint header"),
+    (_header_bytes(b"[" * 2000 + b"]" * 2000), "corrupt checkpoint header"),
+    (_header_bytes(b'{"counts": [' + b"9" * 5000 + b"]}"),
+     "corrupt checkpoint header"),
     (lambda raw: _rewrite_header(raw, _unknown_config_key),
      "bad checkpoint config: unknown key 'bogus'"),
     (lambda raw: _rewrite_header(raw, _set("config", "abc")),
@@ -1038,13 +1068,13 @@ def _absurd_dims(header):
     (lambda raw: raw[:-8] + np.float64(np.nan).tobytes(),
      "checkpoint item completion holds a value that is non-finite"),
     (lambda raw: _rewrite_header(raw, _set("format", 2)), "trailing bytes"),
-], ids=["short_file", "unknown_config_key", "string_config", "no_config",
-        "no_counts", "format_1", "negative_count", "float_count",
-        "bool_count", "missing_count", "rows_overflow_int64",
-        "rows_wrap_int64", "absurd_dims", "wrong_shape", "float_embed_dim",
-        "bool_tower_depth", "string_pers_use_attrs", "nan_subst_temp",
-        "negative_learning_rate", "nan_projections", "nan_item_value",
-        "format_2_with_items"])
+], ids=["short_file", "nested_header", "long_count", "unknown_config_key",
+        "string_config", "no_config", "no_counts", "format_1",
+        "negative_count", "float_count", "bool_count", "missing_count",
+        "rows_overflow_int64", "rows_wrap_int64", "absurd_dims",
+        "wrong_shape", "float_embed_dim", "bool_tower_depth",
+        "string_pers_use_attrs", "nan_subst_temp", "negative_learning_rate",
+        "nan_projections", "nan_item_value", "format_2_with_items"])
 def test_malformed_checkpoint_is_one_line_error(pipeline, tmp_path, capsys,
                                                 corrupt, message):
     bad = tmp_path / "bad.ckpt"

@@ -93,6 +93,9 @@ def test_run_config_rejects_non_finite_convergence_tol(value):
 
 
 def test_run_config_validation():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RunConfig(seed=-1)
+    assert RunConfig(seed=0).seed == 0
     with pytest.raises(ValueError, match="rounds_max"):
         RunConfig(rounds_max=0)
     with pytest.raises(ValueError, match="convergence_tol"):

@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from a2cf.data import (QUERY_POP_EXPONENT, Corpus, LexiconEntry, ReviewRecord,
-                       SplitTriplets, _draw_queries, build_triplets,
-                       filter_corpus, load_lexicon, load_prepared,
-                       load_reviews, load_substitutes, sample_query_item,
-                       save_prepared, split_triplets, write_corpus_manifest)
-from conftest import (SUB_PAIRS, grid_lexicon, grid_reviews, relation_sets,
+from a2cf.data import (QUERY_POP_EXPONENT, Corpus, SplitTriplets,
+                       _draw_queries, build_triplets, filter_corpus,
+                       load_lexicon, load_prepared, load_reviews,
+                       load_substitutes, sample_query_item, save_prepared,
+                       split_triplets, write_corpus_manifest)
+from conftest import (LEXICON_ROWS, SUB_PAIRS, columns, grid_lexicon,
+                      grid_reviews, grid_substitutes, relation_sets,
                       write_corpus_files)
 
 
@@ -23,17 +24,13 @@ def test_load_reviews_keeps_file_order(tmp_path):
                     "u2\ti2\t1\t1600000000\n"
                     "\n"
                     "u3\ti1\t5\n")
-    recs = load_reviews(str(path))
-    assert [(r.user_id, r.item_id, r.rating) for r in recs] == [
-        ("u1", "i1", 4), ("u2", "i2", 1), ("u3", "i1", 5)]
-    assert recs[0].timestamp is None
-    assert recs[1].timestamp == 1600000000
+    assert load_reviews(str(path)) == (["u1", "u2", "u3"], ["i1", "i2", "i1"])
 
 
 def test_load_reviews_empty_file(tmp_path):
     path = tmp_path / "r.tsv"
     path.write_text("# only a comment\n\n")
-    assert load_reviews(str(path)) == []
+    assert load_reviews(str(path)) == ([], [])
 
 
 def test_load_reviews_rating_out_of_range_names_line(tmp_path):
@@ -57,12 +54,19 @@ def test_load_reviews_non_integer_rating(tmp_path):
         load_reviews(str(path))
 
 
+def test_load_reviews_non_integer_timestamp_names_line(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_text("u1\ti1\t4\tyesterday\n")
+    with pytest.raises(ValueError, match=r"r\.tsv:1: timestamp 'yesterday' "
+                                         r"is not an integer"):
+        load_reviews(str(path))
+
+
 def test_load_lexicon_parses_both_sentiments(tmp_path):
     path = tmp_path / "l.tsv"
     path.write_text("u1\ti1\tbattery\t+1\nu2\ti1\tprice\t-1\n")
-    entries = load_lexicon(str(path))
-    assert entries[0] == LexiconEntry("u1", "i1", "battery", 1)
-    assert entries[1].sentiment == -1
+    assert load_lexicon(str(path)) == (["u1", "u2"], ["i1", "i1"],
+                                       ["battery", "price"], [1, -1])
 
 
 def test_load_lexicon_rejects_zero_sentiment(tmp_path):
@@ -72,12 +76,11 @@ def test_load_lexicon_rejects_zero_sentiment(tmp_path):
         load_lexicon(str(path))
 
 
-def test_load_substitutes_dedupes_unordered_pairs(tmp_path):
+def test_load_substitutes_keeps_pairs_as_listed(tmp_path):
     path = tmp_path / "s.tsv"
-    path.write_text("i1\ti2\ni2\ti1\ni3\ti1\n")
-    pairs = load_substitutes(str(path))
-    assert len(pairs) == 2
-    assert {tuple(sorted(p)) for p in pairs} == {("i1", "i2"), ("i1", "i3")}
+    path.write_text("i1\ti2\ni2\ti1\ni3\ti1\ni3\ti1\n")
+    assert load_substitutes(str(path)) == (["i1", "i2", "i3", "i3"],
+                                           ["i2", "i1", "i1", "i1"])
 
 
 def test_load_substitutes_rejects_self_pair(tmp_path):
@@ -135,24 +138,36 @@ def test_loaders_drop_a_leading_byte_order_mark(tmp_path, loader, line, text):
     plain.write_text(text.format(line=line), encoding="utf-8")
     bom.write_text(text.format(line=line), encoding="utf-8-sig")
     assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert loader(str(bom)) == loader(str(plain)) != []
+    got = loader(str(bom))
+    assert got == loader(str(plain))
+    assert got[0] == [line.split("\t")[0]]
 
 
 # ------------------------------------------------------------- filtering
 
+def assert_same_corpus(got, want):
+    assert got.user_tokens == want.user_tokens
+    assert got.item_tokens == want.item_tokens
+    assert got.attr_tokens == want.attr_tokens
+    for name in ("interactions", "lexicon", "substitute_pairs"):
+        got_arr, want_arr = getattr(got, name), getattr(want, name)
+        assert got_arr.dtype == want_arr.dtype
+        np.testing.assert_array_equal(got_arr, want_arr)
+
+
 def test_filter_removes_user_with_four_interactions():
-    reviews = grid_reviews() + [
-        ReviewRecord("uX", "p0", 3), ReviewRecord("uX", "p1", 3),
-        ReviewRecord("uX", "p2", 3), ReviewRecord("uX", "p3", 3)]
-    corpus = filter_corpus(reviews, grid_lexicon(), list(SUB_PAIRS))
+    users, items = grid_reviews()
+    users += ["uX"] * 4
+    items += ["p0", "p1", "p2", "p3"]
+    corpus = filter_corpus((users, items), grid_lexicon(), grid_substitutes())
     assert "uX" not in corpus.user_tokens
     assert corpus.n_users == 6 and corpus.n_items == 6
 
 
 def test_filter_attr_mention_threshold_boundary():
     # price has exactly two mentions (kept); weight has one (dropped)
-    lex = grid_lexicon() + [LexiconEntry("uA", "p2", "weight", 1)]
-    corpus = filter_corpus(grid_reviews(), lex, list(SUB_PAIRS))
+    lex = columns(LEXICON_ROWS + [("uA", "p2", "weight", 1)], 4)
+    corpus = filter_corpus(grid_reviews(), lex, grid_substitutes())
     assert "price" in corpus.attr_tokens
     assert "weight" not in corpus.attr_tokens
 
@@ -165,15 +180,14 @@ def test_filter_chain_removal_reaches_fixed_point():
     core_items = [f"i{k}" for k in range(5)]
     for u in core_users:
         for v in core_items:
-            reviews.append(ReviewRecord(u, v, 3))
+            reviews.append((u, v))
     for u in core_users[:3]:
-        reviews.append(ReviewRecord(u, "j", 2))
-    reviews.append(ReviewRecord("w", "j", 2))
+        reviews.append((u, "j"))
+    reviews.append(("w", "j"))
     for v in core_items[:4]:
-        reviews.append(ReviewRecord("w", v, 4))
-    lex = [LexiconEntry("c0", "i0", "battery", 1),
-           LexiconEntry("c1", "i0", "battery", -1)]
-    corpus = filter_corpus(reviews, lex, [("i0", "i1")])
+        reviews.append(("w", v))
+    lex = (["c0", "c1"], ["i0", "i0"], ["battery", "battery"], [1, -1])
+    corpus = filter_corpus(columns(reviews, 2), lex, (["i0"], ["i1"]))
     assert "j" not in corpus.item_tokens
     assert "w" not in corpus.user_tokens
     assert sorted(corpus.user_tokens) == core_users
@@ -181,21 +195,25 @@ def test_filter_chain_removal_reaches_fixed_point():
 
 
 def test_filter_is_idempotent(grid_corpus):
-    reviews = [ReviewRecord(grid_corpus.user_tokens[u], grid_corpus.item_tokens[v], 3)
-               for u, v in grid_corpus.interactions]
-    lex = [LexiconEntry(grid_corpus.user_tokens[u], grid_corpus.item_tokens[v],
-                        grid_corpus.attr_tokens[a], int(s))
-           for u, v, a, s in grid_corpus.lexicon]
-    subs = [(grid_corpus.item_tokens[a], grid_corpus.item_tokens[b])
-            for a, b in grid_corpus.substitute_pairs]
-    again = filter_corpus(reviews, lex, subs)
-    assert again.user_tokens == grid_corpus.user_tokens
-    assert again.item_tokens == grid_corpus.item_tokens
-    assert again.attr_tokens == grid_corpus.attr_tokens
-    np.testing.assert_array_equal(again.interactions, grid_corpus.interactions)
-    np.testing.assert_array_equal(again.lexicon, grid_corpus.lexicon)
-    np.testing.assert_array_equal(again.substitute_pairs,
-                                  grid_corpus.substitute_pairs)
+    users, items, attrs = (grid_corpus.user_tokens, grid_corpus.item_tokens,
+                           grid_corpus.attr_tokens)
+    reviews = columns([(users[u], items[v])
+                       for u, v in grid_corpus.interactions], 2)
+    lex = columns([(users[u], items[v], attrs[a], int(s))
+                   for u, v, a, s in grid_corpus.lexicon], 4)
+    subs = columns([(items[a], items[b])
+                    for a, b in grid_corpus.substitute_pairs], 2)
+    assert_same_corpus(filter_corpus(reviews, lex, subs), grid_corpus)
+
+
+def test_filter_dedupes_repeated_and_reversed_substitute_pairs(grid_corpus):
+    """Each pair listed once as is, once more, and once reversed gives the
+    corpus of the pairs listed once: the loader keeps repeats, and the
+    filter orders and deduplicates the pairs by id."""
+    pairs = SUB_PAIRS + SUB_PAIRS + [(b, a) for a, b in SUB_PAIRS]
+    got = filter_corpus(grid_reviews(), grid_lexicon(), columns(pairs, 2))
+    assert_same_corpus(got, grid_corpus)
+    assert len(got.substitute_pairs) == len(SUB_PAIRS)
 
 
 def test_filter_degree_floors_hold(synth_corpus):
@@ -212,23 +230,23 @@ def test_filter_degree_floors_hold(synth_corpus):
 
 
 def test_filter_empty_corpus_error():
-    reviews = [ReviewRecord("u1", "i1", 3), ReviewRecord("u2", "i1", 4)]
-    lex = [LexiconEntry("u1", "i1", "battery", 1)]
+    reviews = (["u1", "u2"], ["i1", "i1"])
+    lex = (["u1"], ["i1"], ["battery"], [1])
     with pytest.raises(ValueError, match="empty after activity filtering"):
-        filter_corpus(reviews, lex, [])
+        filter_corpus(reviews, lex, ([], []))
 
 
 def test_filter_no_surviving_attribute_error():
-    lex = [LexiconEntry("uA", "p0", "battery", 1)]
+    lex = (["uA"], ["p0"], ["battery"], [1])
     with pytest.raises(ValueError, match="no attribute survives"):
-        filter_corpus(grid_reviews(), lex, list(SUB_PAIRS))
+        filter_corpus(grid_reviews(), lex, grid_substitutes())
 
 
 @pytest.mark.parametrize("thresholds", [(0, 5, 2), (5, 0, 2), (5, 5, 0),
                                         (-1, 1, 1)])
 def test_filter_rejects_thresholds_below_one(thresholds):
     with pytest.raises(ValueError, match="activity thresholds must be >= 1"):
-        filter_corpus(grid_reviews(), grid_lexicon(), list(SUB_PAIRS),
+        filter_corpus(grid_reviews(), grid_lexicon(), grid_substitutes(),
                       *thresholds)
 
 
@@ -237,7 +255,7 @@ def set_based_filter(reviews, lexicon, substitutes, min_user_items,
     """Reference: the activity filter as user and item sets beside the pair
     set, pruned by hand-counted degrees until neither set shrinks. Returns
     (corpus, rounds)."""
-    pairs = {(r.user_id, r.item_id) for r in reviews}
+    pairs = set(zip(*reviews))
     users = {u for u, _ in pairs}
     items = {v for _, v in pairs}
     rounds = 0
@@ -258,20 +276,19 @@ def set_based_filter(reviews, lexicon, substitutes, min_user_items,
     pairs = {(u, v) for u, v in pairs if u in users and v in items}
     if not pairs:
         raise ValueError("corpus is empty after activity filtering")
-    kept_lex = [e for e in lexicon if e.user_id in users and e.item_id in items]
+    kept_lex = [e for e in zip(*lexicon) if e[0] in users and e[1] in items]
     attr_counts: dict = {}
     for e in kept_lex:
-        attr_counts[e.attribute] = attr_counts.get(e.attribute, 0) + 1
+        attr_counts[e[2]] = attr_counts.get(e[2], 0) + 1
     attrs = {a for a, c in attr_counts.items() if c >= min_attr_mentions}
-    kept_lex = [e for e in kept_lex if e.attribute in attrs]
+    kept_lex = [e for e in kept_lex if e[2] in attrs]
     if not attrs:
         raise ValueError("no attribute survives the mention threshold")
     uid = {t: i for i, t in enumerate(sorted(users))}
     vid = {t: i for i, t in enumerate(sorted(items))}
     aid = {t: i for i, t in enumerate(sorted(attrs))}
-    lex = sorted((uid[e.user_id], vid[e.item_id], aid[e.attribute], e.sentiment)
-                 for e in kept_lex)
-    subs = sorted({tuple(sorted((vid[a], vid[b]))) for a, b in substitutes
+    lex = sorted((uid[u], vid[v], aid[a], s) for u, v, a, s in kept_lex)
+    subs = sorted({tuple(sorted((vid[a], vid[b]))) for a, b in zip(*substitutes)
                    if a in vid and b in vid})
     corpus = Corpus(sorted(users), sorted(items), sorted(attrs),
                     np.array(sorted((uid[u], vid[v]) for u, v in pairs),
@@ -296,14 +313,14 @@ def random_activity_input(rng):
     users = tokens(int(rng.integers(1, 12)))
     items = tokens(int(rng.integers(1, 12)))
     density = rng.uniform(0.2, 0.95)
-    reviews = [ReviewRecord(u, v, 3) for u in users for v in items
+    reviews = [(u, v) for u in users for v in items
                if rng.random() < density]
     reviews += reviews[:int(rng.integers(0, 4))]
     reviews = [reviews[k] for k in rng.permutation(len(reviews))]
     names = users + ["ghost"], items + ["void"]
     attrs = tokens(4)
-    lexicon = [LexiconEntry(str(rng.choice(names[0])), str(rng.choice(names[1])),
-                            str(rng.choice(attrs)), int(rng.choice([1, -1])))
+    lexicon = [(str(rng.choice(names[0])), str(rng.choice(names[1])),
+                str(rng.choice(attrs)), int(rng.choice([1, -1])))
                for _ in range(int(rng.integers(0, 80)))]
     lexicon += lexicon[:int(rng.integers(0, 6))]
     substitutes = [(str(a), str(b)) for a, b in
@@ -311,7 +328,8 @@ def random_activity_input(rng):
                    if a != b]
     substitutes += [(b, a) for a, b in substitutes[:int(rng.integers(0, 3))]]
     thresholds = tuple(int(t) for t in rng.integers(1, 5, size=3))
-    return (reviews, lexicon, substitutes) + thresholds
+    return (columns(reviews, 2), columns(lexicon, 4),
+            columns(substitutes, 2)) + thresholds
 
 
 def test_filter_equals_set_based_reference():
@@ -325,14 +343,7 @@ def test_filter_equals_set_based_reference():
                 filter_corpus(*args)
             outcomes.append("error")
             continue
-        got = filter_corpus(*args)
-        assert got.user_tokens == want.user_tokens
-        assert got.item_tokens == want.item_tokens
-        assert got.attr_tokens == want.attr_tokens
-        for name in ("interactions", "lexicon", "substitute_pairs"):
-            got_arr, want_arr = getattr(got, name), getattr(want, name)
-            assert got_arr.dtype == want_arr.dtype
-            np.testing.assert_array_equal(got_arr, want_arr)
+        assert_same_corpus(filter_corpus(*args), want)
         outcomes.append(rounds)
     rounds = [o for o in outcomes if o != "error"]
     assert len(rounds) >= 40 and "error" in outcomes

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from a2cf.data import Corpus, LexiconEntry, filter_corpus
+from a2cf.data import Corpus, filter_corpus
 from a2cf.matrices import build_matrices, item_attr_value, user_attr_value
-from conftest import SUB_PAIRS, grid_reviews
+from conftest import columns, grid_reviews, grid_substitutes
 
 # values checked against a high-precision evaluation of
 # 1 + (N-1) * tanh(t/2) and 1 + (N-1) * sigmoid(t * s)
@@ -109,9 +109,9 @@ def test_build_matrices_absent_cells_are_exact_zero(grid_corpus):
 
 
 def test_build_matrices_mixed_sentiment_cancels_to_midpoint():
-    lex = [LexiconEntry("uA", "p0", "battery", 1),
-           LexiconEntry("uB", "p0", "battery", -1)]
-    corpus = filter_corpus(grid_reviews(), lex, list(SUB_PAIRS))
+    lex = columns([("uA", "p0", "battery", 1), ("uB", "p0", "battery", -1)],
+                  4)
+    corpus = filter_corpus(grid_reviews(), lex, grid_substitutes())
     _, item_mat = build_matrices(corpus)
     # one cell, two mentions, mean sentiment 0
     assert [c.tolist() for c in np.nonzero(item_mat)] == [[0], [0]]

@@ -8,11 +8,11 @@ import pytest
 
 import a2cf.synthetic as synthetic
 from a2cf.data import (MIN_ATTR_MENTIONS, MIN_ITEM_USERS, RATING_MAX,
-                       filter_corpus, load_lexicon, load_reviews,
-                       load_substitutes)
+                       filter_corpus, inverse_cdf_rows, load_lexicon,
+                       load_reviews, load_substitutes)
 from a2cf.synthetic import (TIMESTAMP_BASE, TIMESTAMP_STEP, SyntheticSpec,
-                            _inverse_cdf, _inverse_cdf_rows, _ratings,
-                            _tokens, generate_synthetic)
+                            _inverse_cdf, _ratings, _tokens,
+                            generate_synthetic)
 
 SMALL = dict(users=30, items=24, attributes=12, clusters=8,
              functional_attrs=6)
@@ -392,7 +392,7 @@ def test_blocked_inverse_cdf_breaks_ties_as_choice_does():
             want.append(rng.choice(2, size=3, p=row))
         rng.bit_generator.state = state
         doubles = np.tile(rng.random(3), (len(probs), 1))
-        np.testing.assert_array_equal(_inverse_cdf_rows(probs, doubles),
+        np.testing.assert_array_equal(inverse_cdf_rows(probs, doubles),
                                       want)
         checked += 1
 

@@ -480,6 +480,19 @@ def test_finished_run_removes_an_earlier_diagnostic(tmp_path, monkeypatch,
         "model.ckpt", "train.log"]
 
 
+def test_seed_rejected_by_the_stream_keeps_an_earlier_model(
+        tmp_path, synth_corpus, synth_splits):
+    """A seed SeedSequence rejects, set past RunConfig's own check, fails
+    before an earlier run's model.ckpt is removed."""
+    run = short_run(phase1_steps=2, phase2_steps=2)
+    train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    run.seed = -1
+    with pytest.raises(ValueError, match="non-negative"):
+        train_pipeline(synth_corpus, synth_splits, run, str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_empty_training_split_error(synth_corpus):
     empty = np.empty((0, 3), dtype=np.int64)
     splits = SplitTriplets(train=empty, valid=empty, test=empty)
